@@ -8,12 +8,11 @@ from .geometry import (
     GeometryKind,
     LayeredPoint,
     NormReport,
-    dual_norm,
     euclidean_norm,
     exact_polar,
     lmo,
     newton_schulz_polar,
-    primal_norm,
+    norm_report,
 )
 from .optimizer import (
     ConstantBeta,
@@ -21,7 +20,6 @@ from .optimizer import (
     ScgConfig,
     Stage,
     StagePlan,
-    HorizonBeta,
     WarmdownBeta,
     run,
     run_staged,

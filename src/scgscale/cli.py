@@ -3,7 +3,8 @@
 Configs are JSON with a schema_version field; unknown keys are rejected so a
 mistyped hyperparameter fails loudly instead of silently using a default.
 Exit codes: 0 success, 2 config or input error, 3 invariant violation,
-4 numeric failure. All emitted floats carry 17 significant digits.
+4 numeric failure, including a run that diverges. All emitted floats carry
+17 significant digits.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +25,6 @@ from .optimizer import (
     ScgConfig,
     Stage,
     StagePlan,
-    HorizonBeta,
     WarmdownBeta,
     run,
     run_staged,
@@ -102,7 +101,7 @@ def _beta_schedule_from_dict(d: dict):
                 return WarmdownBeta(float(d["gamma"]), int(d["total_steps"]), int(d["warmdown_steps"]))
             return WarmdownBeta.default_tail(float(d["gamma"]), int(d["total_steps"]))
         if kind == "horizon":
-            return HorizonBeta(float(d["c"]), int(d["iters"]))
+            return ConstantBeta.horizon(float(d["c"]), int(d["iters"]))
     except KeyError as exc:
         raise ConfigError(f"beta schedule is missing {exc}")
     raise ConfigError(f"unknown beta schedule type {kind!r}")
@@ -183,8 +182,6 @@ def cmd_train(args) -> int:
         log = run_staged(spec, plan, opt_cfg, variant=variant)
     else:
         log = run(spec, opt_cfg, variant=variant)
-    if not math.isfinite(log.final_loss):
-        raise NumericError(f"final loss is not finite: {log.final_loss}")
     log.to_csv(os.path.join(args.out, "runlog.csv"))
     summary = {
         "schema_version": 1,
@@ -658,7 +655,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:

@@ -21,13 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
+_TINY = np.finfo(float).tiny
+
 __all__ = [
     "GeometryKind",
     "BlockGeometry",
     "LayeredPoint",
     "NormReport",
-    "primal_norm",
-    "dual_norm",
     "norm_report",
     "euclidean_norm",
     "lmo",
@@ -179,6 +179,24 @@ def block_primal_norm(values: np.ndarray, kind: GeometryKind) -> float:
     return float(np.linalg.norm(values.ravel()))
 
 
+def scaled_l2_norm(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(v, n): a positive multiple v of the block and its l2 norm n.
+
+    v is the block itself unless the sum of squares falls below the smallest
+    normal float, where the squares have lost precision or underflowed to
+    zero; then v is the block divided by max|values|. Either way v / n is the
+    unit vector along the block, and n is 0 only for a zero block.
+    """
+    sq = float(np.vdot(values, values))
+    if sq >= _TINY:
+        return values, math.sqrt(sq)
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        return values, 0.0
+    scaled = values / peak
+    return scaled, math.sqrt(float(np.vdot(scaled, scaled)))
+
+
 def block_dual_norm(values: np.ndarray, kind: GeometryKind) -> float:
     if kind is GeometryKind.SIGN:
         return float(np.sum(np.abs(values)))
@@ -203,14 +221,6 @@ def norm_report(
     else:
         composite_primal = max(primal, default=0.0)
     return NormReport(primal, dual, float(composite_primal), float(sum(dual)))
-
-
-def primal_norm(x, geometry, radius_weighted=False) -> NormReport:
-    return norm_report(x, geometry, radius_weighted=radius_weighted)
-
-
-def dual_norm(x, geometry) -> NormReport:
-    return norm_report(x, geometry)
 
 
 def euclidean_norm(x: LayeredPoint) -> float:
@@ -291,10 +301,8 @@ def lmo_block(
     if kind is GeometryKind.SIGN:
         return -np.sign(values)
     if kind is GeometryKind.EUCLIDEAN:
-        nrm = float(np.linalg.norm(values.ravel()))
-        if nrm == 0.0:  # nonzero entries whose squares underflow
-            return np.zeros_like(values)
-        return -values / nrm
+        v, nrm = scaled_l2_norm(values)
+        return -v / nrm
     if spectral_method == "exact":
         return -exact_polar(values)
     if spectral_method == "newton_schulz":

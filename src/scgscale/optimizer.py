@@ -16,13 +16,19 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import LayeredPoint, block_dual_norm, block_primal_norm, lmo_block
+from .geometry import (
+    GeometryKind,
+    LayeredPoint,
+    block_dual_norm,
+    block_primal_norm,
+    lmo_block,
+    scaled_l2_norm,
+)
 from . import problems
 
 __all__ = [
     "ConstantBeta",
     "WarmdownBeta",
-    "HorizonBeta",
     "BetaSchedule",
     "beta_at",
     "ScgConfig",
@@ -38,6 +44,9 @@ __all__ = [
 
 _FLOAT_FMT = "{:.17g}"
 _INVARIANT_SLACK = 1e-9
+# Bound once: looking up an Enum member costs more than the identity test
+# against it, and the block update does that test every step.
+_SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,15 @@ class ConstantBeta:
     def __post_init__(self):
         if not 0.0 < self.value <= 1.0:
             raise ValueError(f"constant beta must lie in (0, 1], got {self.value}")
+
+    @classmethod
+    def horizon(cls, c: float, iters: int) -> "ConstantBeta":
+        """Constant beta = c / iters; requires iters >= 2c."""
+        if c <= 0:
+            raise ValueError(f"c must be positive, got {c}")
+        if iters < 2 * c:
+            raise ValueError(f"iters must be at least 2c (got iters={iters}, c={c})")
+        return cls(c / iters)
 
 
 @dataclass(frozen=True)
@@ -73,33 +91,11 @@ class WarmdownBeta:
         return cls(gamma, total_steps, max(1, round(0.28 * total_steps)))
 
 
-@dataclass(frozen=True)
-class HorizonBeta:
-    """Constant beta = c / iters; requires iters >= 2c."""
-
-    c: float
-    iters: int
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if self.iters < 2 * self.c:
-            raise ValueError(
-                f"iters must be at least 2c (got iters={self.iters}, c={self.c})"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.c / self.iters
-
-
-BetaSchedule = Union[ConstantBeta, WarmdownBeta, HorizonBeta]
+BetaSchedule = Union[ConstantBeta, WarmdownBeta]
 
 
 def beta_at(schedule: BetaSchedule, k: int) -> float:
     if isinstance(schedule, ConstantBeta):
-        return schedule.value
-    if isinstance(schedule, HorizonBeta):
         return schedule.value
     if isinstance(schedule, WarmdownBeta):
         n, m = schedule.total_steps, schedule.warmdown_steps
@@ -107,14 +103,6 @@ def beta_at(schedule: BetaSchedule, k: int) -> float:
             return schedule.gamma
         return schedule.gamma * (n - k) / m
     raise TypeError(f"unknown beta schedule {schedule!r}")
-
-
-def _constant_value(schedule: BetaSchedule) -> Optional[float]:
-    if isinstance(schedule, ConstantBeta):
-        return schedule.value
-    if isinstance(schedule, HorizonBeta):
-        return schedule.value
-    return None
 
 
 @dataclass(frozen=True)
@@ -150,6 +138,11 @@ class ScgConfig:
             object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
             if any(r <= 0 for r in self.radii):
                 raise ValueError("all radii must be positive")
+        if isinstance(self.beta, WarmdownBeta) and self.beta.total_steps < self.iters:
+            raise ValueError(
+                f"warmdown schedule covers {self.beta.total_steps} steps "
+                f"but the run takes iters={self.iters}"
+            )
 
 
 @dataclass(frozen=True)
@@ -301,6 +294,39 @@ def _resolve_radii(config_radii, geometry) -> list[float]:
     return list(config_radii)
 
 
+def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
+    """In place, xb <- keep * xb + scale * lmo(mb); scratch is shaped like mb.
+
+    Sign and euclidean directions are formed in scratch, so those blocks
+    allocate nothing per step; spectral blocks go through lmo_block.
+    """
+    xb *= keep
+    if kind is _SIGN:
+        np.sign(mb, out=scratch)
+        scratch *= scale
+        xb -= scratch
+    elif kind is _EUCLIDEAN:
+        v, nrm = scaled_l2_norm(mb)
+        if nrm > 0.0:
+            np.multiply(v, scale / nrm, out=scratch)
+            xb -= scratch
+    else:
+        xb += scale * lmo_block(mb, kind, spectral_method)
+
+
+def _step(x, m, g_sample, alpha, keep, scales, geometry, spectral_method):
+    x_new = [a.copy() for a in x.arrays]
+    m_new = [a.copy() for a in m.arrays]
+    for xb, mb, gb, scale, geom in zip(x_new, m_new, g_sample.arrays, scales, geometry):
+        mb *= 1.0 - alpha
+        mb += alpha * gb
+        _step_block(xb, mb, geom.kind, keep, scale, np.empty_like(mb), spectral_method)
+    return (
+        LayeredPoint.from_arrays(x.names, x_new),
+        LayeredPoint.from_arrays(x.names, m_new),
+    )
+
+
 def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry, spectral_method="exact"):
     """One constrained step: returns (x', m') as new layered points.
 
@@ -311,18 +337,8 @@ def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry, spectral_method="ex
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if not 0.0 <= beta_k <= 1.0:
         raise ValueError(f"beta_k must lie in [0, 1], got {beta_k}")
-    radii = _resolve_radii(radii, geometry)
-    m_new = [
-        (1.0 - alpha) * mb + alpha * gb for mb, gb in zip(m.arrays, g_sample.arrays)
-    ]
-    x_new = []
-    for xb, mb, eta, geom in zip(x.arrays, m_new, radii, geometry):
-        d = lmo_block(mb, geom.kind, spectral_method)
-        x_new.append((1.0 - beta_k) * xb + beta_k * eta * d)
-    return (
-        LayeredPoint.from_arrays(x.names, x_new),
-        LayeredPoint.from_arrays(x.names, m_new),
-    )
+    scales = [beta_k * eta for eta in _resolve_radii(radii, geometry)]
+    return _step(x, m, g_sample, alpha, 1.0 - beta_k, scales, geometry, spectral_method)
 
 
 def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None, spectral_method="exact"):
@@ -337,17 +353,7 @@ def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None, spectral_me
     if geometry is None:
         raise ValueError("geometry is required")
     scales = [eta] * len(geometry) if radii is None else [eta * r for r in radii]
-    m_new = [
-        (1.0 - alpha) * mb + alpha * gb for mb, gb in zip(m.arrays, g_sample.arrays)
-    ]
-    x_new = []
-    for xb, mb, s, geom in zip(x.arrays, m_new, scales, geometry):
-        d = lmo_block(mb, geom.kind, spectral_method)
-        x_new.append(xb + s * d)
-    return (
-        LayeredPoint.from_arrays(x.names, x_new),
-        LayeredPoint.from_arrays(x.names, m_new),
-    )
+    return _step(x, m, g_sample, alpha, 1.0, scales, geometry, spectral_method)
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,7 @@ class _Segment:
     stage_index: int
 
 
-def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
+def _run_segments(spec, segments, config, variant, x0):
     geometry = spec.geometry
     names = spec.block_names
     radii = _resolve_radii(config.radii, geometry)
@@ -389,32 +395,23 @@ def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
     first_violation = None
     checked = 0
 
-    # kind codes for the inlined hot-loop update
-    EUCLID, SIGN, SPECTRAL = 0, 1, 2
-    codes = [
-        EUCLID if g.kind.value == "euclidean" else SIGN if g.kind.value == "sign" else SPECTRAL
-        for g in geometry
-    ]
     scratch = [np.empty(g.shape) for g in geometry]
 
     row = 0
     k_global = 0
     is_scg = variant == "scg"
     for seg in segments:
-        if reset_momentum and k_global > 0:
-            m = None
         loss_fn, grad_fn = problems.compiled(spec)
         sigma_pc = problems.per_coordinate_sigma(spec, seg.noise)
         alpha = seg.alpha
         one_minus_alpha = 1.0 - alpha
-        beta_const = _constant_value(seg.schedule)
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block.
         check = (
             config.check_invariants
             and is_scg
-            and beta_const is not None
-            and beta_const <= 0.5
+            and isinstance(seg.schedule, ConstantBeta)
+            and seg.schedule.value <= 0.5
             and all(
                 2.0 * block_primal_norm(xb, kind) <= eta
                 for xb, kind, eta in zip(x, kinds, radii)
@@ -443,9 +440,7 @@ def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
                 for mb, gb in zip(m, g):
                     mb *= one_minus_alpha
                     mb += alpha * gb
-            beta_k = beta_const if beta_const is not None else beta_at(seg.schedule, k_local)
-            if beta_k > 1.0 or beta_k < 0.0:
-                raise ValueError(f"schedule produced beta={beta_k} outside [0, 1]")
+            beta_k = beta_at(seg.schedule, k_local)
             if record:
                 g_dual_k = sum(block_dual_norm(gb, kind) for gb, kind in zip(g, kinds))
                 m_dual_k = sum(block_dual_norm(mb, kind) for mb, kind in zip(m, kinds))
@@ -454,35 +449,9 @@ def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
             if need_disp:
                 disp_blocks = [0.0] * n_blocks
                 x_prev = [xb.copy() for xb in x]
-            one_minus_beta = 1.0 - beta_k
+            keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
             for i in range(n_blocks):
-                mb = m[i]
-                code = codes[i]
-                if code == EUCLID:
-                    nrm = math.sqrt(float(np.vdot(mb, mb)))
-                    if is_scg:
-                        x[i] *= one_minus_beta
-                        if nrm > 0.0:
-                            np.multiply(mb, beta_k * radii[i] / nrm, out=scratch[i])
-                            x[i] -= scratch[i]
-                    elif nrm > 0.0:
-                        np.multiply(mb, radii[i] / nrm, out=scratch[i])
-                        x[i] -= scratch[i]
-                elif code == SIGN:
-                    np.sign(mb, out=scratch[i])
-                    if is_scg:
-                        x[i] *= one_minus_beta
-                        scratch[i] *= beta_k * radii[i]
-                    else:
-                        scratch[i] *= radii[i]
-                    x[i] -= scratch[i]
-                else:
-                    d = lmo_block(mb, kinds[i])
-                    if is_scg:
-                        x[i] *= one_minus_beta
-                        x[i] += (beta_k * radii[i]) * d
-                    else:
-                        x[i] += radii[i] * d
+                _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i], scratch[i])
                 if need_disp:
                     disp_blocks[i] = block_primal_norm(x[i] - x_prev[i], kinds[i])
 
@@ -516,8 +485,13 @@ def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
                 row += 1
             k_global += 1
 
-    final_x = LayeredPoint.from_arrays(names, [a.copy() for a in x])
     loss_fn, _ = problems.compiled(spec)
+    final_loss = float(loss_fn(x))
+    if not (math.isfinite(final_loss) and all(np.all(np.isfinite(c)) for c in cols.values())):
+        raise FloatingPointError(
+            f"the run diverged: final loss {final_loss}, or a recorded loss or norm, "
+            "is not finite"
+        )
     return RunLog(
         k=col_k,
         loss=cols["loss"],
@@ -527,8 +501,8 @@ def _run_segments(spec, segments, config, variant, x0, reset_momentum=False):
         beta=cols["beta"],
         step_disp=cols["step_disp"],
         stage=col_stage,
-        final_loss=float(loss_fn(x)),
-        final_x=final_x,
+        final_loss=final_loss,
+        final_x=LayeredPoint.from_arrays(names, [a.copy() for a in x]),
         invariant_violations=violations,
         first_violation=first_violation,
         checked_steps=checked,
@@ -554,13 +528,12 @@ def run_staged(
     base_config: ScgConfig,
     variant: str = "scg",
     x0: Optional[LayeredPoint] = None,
-    reset_momentum: bool = False,
 ) -> RunLog:
     """Run the stages of a plan sequentially, carrying the iterate across
     boundaries.
 
     Each stage swaps in its own (B, S, beta, alpha); the momentum buffer is
-    carried over unless reset_momentum is set. The random stream continues
+    carried over. The random stream continues
     across boundaries, so equal consecutive stages concatenate exactly.
     """
     if variant not in ("scg", "uscg"):
@@ -577,4 +550,4 @@ def run_staged(
         segments.append(
             _Segment(iters, ConstantBeta(stage.beta), stage.alpha, noise, idx)
         )
-    return _run_segments(spec, segments, base_config, variant, x0, reset_momentum)
+    return _run_segments(spec, segments, base_config, variant, x0)

@@ -37,7 +37,6 @@ __all__ = [
     "known_constants",
     "per_coordinate_sigma",
     "compiled",
-    "flat_grad_oracle",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -261,18 +260,6 @@ def grad_sample(
 
 def initial_point(spec: ProblemSpec) -> LayeredPoint:
     return LayeredPoint.zeros(spec.block_names, spec.geometry)
-
-
-def flat_grad_oracle(spec: ProblemSpec):
-    """Adapter for the variance estimator: oracle(x, B, rng) -> flat ndarray."""
-
-    def oracle(x: LayeredPoint, B: float, rng: np.random.Generator) -> np.ndarray:
-        nm = NoiseModel(
-            spec.noise.sigma_star, B, spec.noise.S, spec.noise.b_shift, spec.noise.s_shift
-        )
-        return grad_sample(spec, x, rng, noise=nm).flatten()
-
-    return oracle
 
 
 @dataclass(frozen=True)

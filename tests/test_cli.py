@@ -91,6 +91,26 @@ class TestTrain:
         cfg_path = write_json(tmp_path / "cfg.json", cfg)
         assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_warmdown_shorter_than_run_exits_2(self, tmp_path, capsys):
+        cfg = train_config(iters=8)
+        cfg["optimizer"]["beta"] = {
+            "type": "warmdown", "gamma": 0.1, "total_steps": 5, "warmdown_steps": 0,
+        }
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert "warmdown" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_run_exits_4(self, tmp_path, capsys):
+        cfg = train_config()
+        cfg["optimizer"].update(variant="uscg", radii=[1e300])
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "runlog.csv").exists()
+
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         cfg_path = write_json(tmp_path / "cfg.json", train_config(iters=3))
 

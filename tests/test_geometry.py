@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scgscale.geometry import (
@@ -11,14 +11,12 @@ from scgscale.geometry import (
     BlockGeometry,
     GeometryKind,
     LayeredPoint,
-    dual_norm,
     euclidean_norm,
     exact_polar,
     lmo,
     lmo_block,
     newton_schulz_polar,
     norm_report,
-    primal_norm,
 )
 
 
@@ -29,7 +27,7 @@ def point(*blocks):
 class TestNorms:
     def test_single_euclidean_block(self):
         g = [BlockGeometry("euclidean", (2,))]
-        r = primal_norm(point(("w", [3.0, 4.0])), g)
+        r = norm_report(point(("w", [3.0, 4.0])), g)
         assert r.composite_primal == pytest.approx(5.0)
         assert r.composite_dual == pytest.approx(5.0)
 
@@ -44,7 +42,7 @@ class TestNorms:
     def test_sign_dual_sums(self):
         g = [BlockGeometry("sign", (2,)), BlockGeometry("sign", (2,))]
         x = point(("a", [1.0, 2.0]), ("b", [1.0, 3.0]))
-        assert dual_norm(x, g).composite_dual == pytest.approx(7.0)
+        assert norm_report(x, g).composite_dual == pytest.approx(7.0)
 
     def test_spectral_block_diag(self):
         # oracle: singular values of diag(2, 3) are (3, 2)
@@ -73,7 +71,7 @@ class TestNorms:
     def test_shape_mismatch_raises(self):
         g = [BlockGeometry("euclidean", (3,))]
         with pytest.raises(ValueError, match="shape"):
-            primal_norm(point(("w", [1.0, 2.0])), g)
+            norm_report(point(("w", [1.0, 2.0])), g)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -160,16 +158,18 @@ class TestLmoProperties:
         x = point(("w", m))
         d = lmo(x, geom)
         pairing = float(np.sum(m * d.arrays[0]))
-        dual = dual_norm(x, geom).composite_dual
+        dual = norm_report(x, geom).composite_dual
         assert pairing == pytest.approx(-dual, abs=1e-8 * max(1.0, dual))
 
     @given(random_block())
+    @example(("euclidean", np.array([2.76e-159])))  # subnormal square
+    @example(("euclidean", np.array([1e-170])))  # square underflows to zero
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, block):
         kind, m = block
         geom = [BlockGeometry(kind, m.shape)]
         d = lmo(point(("w", m)), geom)
-        assert primal_norm(d, geom).composite_primal <= 1.0 + 1e-8
+        assert norm_report(d, geom).composite_primal <= 1.0 + 1e-8
 
     @given(random_block(), st.floats(1e-3, 1e3))
     @settings(max_examples=100, deadline=None)
@@ -188,7 +188,7 @@ class TestLmoProperties:
         x = point(("w", m))
         if euclidean_norm(x) == 0.0:  # zero or underflowing block
             return
-        ratio = dual_norm(x, geom).composite_dual / euclidean_norm(x)
+        ratio = norm_report(x, geom).composite_dual / euclidean_norm(x)
         assert np.isfinite(ratio) and ratio > 0
 
 

@@ -1,4 +1,4 @@
-"""Golden trajectory logs.
+"""Golden trajectory logs and the run-versus-step equivalence.
 
 The hashes pin every byte of ``runlog.csv`` for five fixed configurations:
 a refactor of the iteration loop that moves any recorded number by one ulp
@@ -10,12 +10,13 @@ bug in this package.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scgscale.experiments import regime_sweep_problem
-from scgscale.geometry import BlockGeometry
+from scgscale.geometry import BlockGeometry, LayeredPoint
 from scgscale.optimizer import (
     ConstantBeta,
     ScgConfig,
@@ -24,8 +25,15 @@ from scgscale.optimizer import (
     WarmdownBeta,
     run,
     run_staged,
+    scg_step,
+    uscg_step,
 )
-from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
+from scgscale.problems import (
+    LayeredQuadratic,
+    LogisticRegression,
+    NoiseModel,
+    grad_sample,
+)
 
 
 def spectral_quadratic(shape=(64, 64), eta=1.0, sigma=0.2, seed=4):
@@ -61,11 +69,7 @@ def mixed_quadratic(sigma=0.3):
 
 
 def golden_sign():
-    spec = regime_sweep_problem()
-    spec = LayeredQuadratic(
-        spec.geometry, spec.block_names, spec.curvatures, spec.targets,
-        NoiseModel(0.1, B=4.0, S=2.0),
-    )
+    spec = replace(regime_sweep_problem(), noise=NoiseModel(0.1, B=4.0, S=2.0))
     cfg = ScgConfig(alpha=0.09, beta=ConstantBeta(0.05), iters=200, seed=7)
     return run(spec, cfg)
 
@@ -138,3 +142,40 @@ def test_runlog_csv_hash_is_golden(name):
     text = make().to_csv_string()
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
+
+def single_block_quadratic(kind):
+    shape = (6, 4) if kind == "spectral" else (7,)
+    rng = np.random.default_rng(2)
+    target = rng.uniform(-0.3, 0.3, shape)
+    return LayeredQuadratic(
+        geometry=(BlockGeometry(kind, shape, 1.0),),
+        block_names=("w",),
+        curvatures=(1.5,),
+        targets=(target,),
+        noise=NoiseModel(0.4, B=2.0, S=2.0),
+    )
+
+
+@pytest.mark.parametrize("variant", ["scg", "uscg"])
+@pytest.mark.parametrize("kind", ["sign", "euclidean", "spectral"])
+def test_run_equals_stepping_by_hand(kind, variant):
+    # With zero momentum init, run() is the step function applied to fresh
+    # gradient samples drawn in order from the seeded generator.
+    spec = single_block_quadratic(kind)
+    beta = 0.1
+    cfg = ScgConfig(
+        alpha=0.3, beta=ConstantBeta(beta), iters=60, seed=13, momentum_init="zeros"
+    )
+    log = run(spec, cfg, variant=variant)
+
+    rng = np.random.default_rng(cfg.seed)
+    x = LayeredPoint.zeros(spec.block_names, spec.geometry)
+    m = LayeredPoint.zeros(spec.block_names, spec.geometry)
+    radii = [g.radius_eta for g in spec.geometry]
+    for _ in range(cfg.iters):
+        g = grad_sample(spec, x, rng)
+        if variant == "scg":
+            x, m = scg_step(x, m, g, cfg.alpha, beta, None, spec.geometry)
+        else:
+            x, m = uscg_step(x, m, g, cfg.alpha, 1.0, radii, spec.geometry)
+    assert np.array_equal(x.arrays[0], log.final_x.arrays[0])

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgscale.geometry import BlockGeometry, LayeredPoint, primal_norm
+from scgscale.geometry import BlockGeometry, LayeredPoint, norm_report
 from scgscale.optimizer import (
     ConstantBeta,
     RunLog,
     ScgConfig,
     Stage,
     StagePlan,
-    HorizonBeta,
     WarmdownBeta,
     beta_at,
     run,
@@ -56,8 +55,8 @@ class TestSchedules:
 
     def test_horizon_schedule_requires_enough_iters(self):
         with pytest.raises(ValueError, match="2c"):
-            HorizonBeta(c=2.0, iters=3)
-        assert beta_at(HorizonBeta(c=2.0, iters=10), 5) == pytest.approx(0.2)
+            ConstantBeta.horizon(c=2.0, iters=3)
+        assert beta_at(ConstantBeta.horizon(c=2.0, iters=10), 5) == pytest.approx(0.2)
 
     def test_warmdown_values(self):
         sched = WarmdownBeta(gamma=0.4, total_steps=10, warmdown_steps=4)
@@ -137,8 +136,8 @@ class TestSteps:
         m = LayeredPoint([("w", np.zeros(4))])
         grad = LayeredPoint([("w", np.array(gs))])
         x_new, _ = scg_step(x, m, grad, alpha=alpha, beta_k=beta, radii=None, geometry=g)
-        lhs = primal_norm(x_new, g).composite_primal
-        rhs = (1.0 - beta) * primal_norm(x, g).composite_primal + beta * eta
+        lhs = norm_report(x_new, g).composite_primal
+        rhs = (1.0 - beta) * norm_report(x, g).composite_primal + beta * eta
         assert lhs <= rhs + 1e-9
 
 
@@ -188,7 +187,7 @@ class TestRun:
 
     def test_iterate_bounds_checked_and_clean(self):
         spec = noisy_quadratic(sigma=0.5, eta=4.0)
-        cfg = ScgConfig(alpha=0.2, beta=HorizonBeta(c=1.0, iters=80), iters=80, seed=5)
+        cfg = ScgConfig(alpha=0.2, beta=ConstantBeta.horizon(c=1.0, iters=80), iters=80, seed=5)
         log = run(spec, cfg)
         assert log.checked_steps == 80
         assert log.invariant_violations == 0

@@ -5,7 +5,7 @@ import pytest
 
 from scgscale import problems
 from scgscale.estimation import estimate_L, estimate_mu
-from scgscale.geometry import BlockGeometry, LayeredPoint, dual_norm, norm_report
+from scgscale.geometry import BlockGeometry, LayeredPoint, norm_report
 from scgscale.optimizer import ConstantBeta, ScgConfig, run
 from scgscale.problems import (
     LayeredQuadratic,
@@ -188,7 +188,7 @@ class TestKnownConstants:
                 blocks.append((name, raw))
             x = LayeredPoint(blocks)
             f = loss(spec, x)
-            g_dual = dual_norm(problems.grad(spec, x), spec.geometry).composite_dual
+            g_dual = norm_report(problems.grad(spec, x), spec.geometry).composite_dual
             assert g_dual >= mu * f - 1e-9
 
     def test_smoothness_predicate_on_sampled_pairs(self):
@@ -218,7 +218,7 @@ class TestKnownConstants:
                     )
                 ]
             )
-            lhs = dual_norm(grad_diff, spec.geometry).composite_dual
+            lhs = norm_report(grad_diff, spec.geometry).composite_dual
             rhs = L * norm_report(diff, spec.geometry).composite_primal
             assert lhs <= rhs + 1e-9
 
