@@ -1,8 +1,11 @@
-"""Golden trajectory logs and the run-versus-step equivalence.
+"""Golden trajectory logs, golden CLI outputs and the run-versus-step
+equivalence.
 
 The hashes pin every byte of ``runlog.csv`` for five fixed configurations:
 a refactor of the iteration loop that moves any recorded number by one ulp
-fails here. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
+fails here. The CLI hashes pin the exit code and stdout of fixed ``plan``
+and ``estimate`` calls, so a refactor of the planner or the estimators that
+changes any emitted byte fails too. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
 spectral hash depends on the LAPACK build (every step and every recorded norm
 takes an SVD), and the euclidean and logistic ones on the BLAS dot and
 matrix-vector kernels, so a different BLAS/LAPACK may change them without a
@@ -10,11 +13,13 @@ bug in this package.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scgscale import cli
 from scgscale.experiments import regime_sweep_problem
 from scgscale.geometry import BlockGeometry, LayeredPoint
 from scgscale.optimizer import (
@@ -141,6 +146,105 @@ def test_runlog_csv_hash_is_golden(name):
     make, expected = GOLDEN[name]
     text = make().to_csv_string()
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _csv(header, rows):
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_XS = np.linspace(0.1, 6.0, 40)
+
+CLI_FILES = {
+    "rho_law.json": json.dumps(
+        {"C": 5.0, "terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.1}]}
+    ),
+    "mu.csv": _csv(["loss", "g_dual"], [(x, 3.1 * x + 0.05 * np.sin(7.0 * x)) for x in _XS]),
+    "L.csv": _csv(
+        ["grad_diff_dual", "step_disp"],
+        [(2.0 * x + 0.1 * np.cos(x), 0.0 if i % 7 == 0 else x) for i, x in enumerate(_XS)],
+    ),
+    "rho.csv": _csv(
+        ["diff_dual", "diff_euclid"],
+        [(3.0 * x + 0.2 * np.sin(x), 0.0 if i % 5 == 0 else x) for i, x in enumerate(_XS)],
+    ),
+    "rho_degenerate.csv": _csv(["diff_dual", "diff_euclid"], [(1.0, 0.0), (2.0, 0.0)]),
+    "variance.csv": _csv(["scale", "variance"], [(b, 4.0 / (b + 3.0)) for b in (8, 16, 32, 64, 128, 256)]),
+}
+
+_BASE = ["--b0", "256", "--s0", "1024", "--beta0", "3.6e-4", "--alpha0", "0.1", "--t0", "1.3e9"]
+_SIZES = ["--consts0", "7.2,3.1,62.7", "--consts1", "10.6,2.9,111.9"]
+
+GOLDEN_CLI = {
+    "plan_model_size": (
+        ["plan", "--rule", "model_size", *_BASE, "--t1", "10.48e9", *_SIZES],
+        "25300441a1be214994250955acb5a7f754e4fd7c7554c789c37bc2955d520682",
+    ),
+    "plan_model_size_pow2_regime": (
+        ["plan", "--rule", "model_size", *_BASE, "--t1", "10.48e9", *_SIZES,
+         "--round", "pow2", "--sigma-star", "1.0"],
+        "fb9dfbf0aa1ae51d0cf1f05cafaad20df2d1c18f23633620ce3034204d4f7877",
+    ),
+    "plan_model_size_mult32": (
+        ["plan", "--rule", "model_size", *_BASE, "--t1", "3e9", *_SIZES, "--round", "mult32"],
+        "54913b6e9239ba675796339ea6d6b2d0a53f0b2d3645f8279067645e593984f7",
+    ),
+    "plan_model_size_regime_null": (
+        ["plan", "--rule", "model_size", *_BASE, "--t0", "124", "--t1", "1000", *_SIZES,
+         "--sigma-star", "1.0"],
+        "cadde1337313533a8eb28592851b7274cf1c223d95b468731d46e64a2ff7db11",
+    ),
+    "plan_model_size_shape": (
+        ["plan", "--rule", "model_size", *_BASE, "--t1", "5e9",
+         "--shape0", "6,512", "--batch0", "256", "--shape1", "12,768", "--batch1", "512",
+         "--sigma-star", "2.0"],
+        "5e62406898e956faebe8167c58f11a81d23617b731b361b0c299f9df8413590e",
+    ),
+    "plan_token_budget_bundled": (
+        ["plan", "--rule", "token_budget", *_BASE, "--t1", "2.7e9",
+         "--n-layer", "12", "--n-embd", "768", "--sigma-star", "1.0"],
+        "5c8cd0b96ad1b93a0942e50f09781d046207bec8ba90cf1e6652760a51abbbd7",
+    ),
+    "plan_token_budget_law_file": (
+        ["plan", "--rule", "token_budget", *_BASE, "--t1", "1.04e10",
+         "--rho-law", "rho_law.json", "--sigma-star", "1.0"],
+        "328cd7e476700fac1882ac19e4db3e70e8d6f4b62cdcd5946310f9fc50fbe5b0",
+    ),
+    "plan_stages": (
+        ["plan", "--rule", "stages", *_BASE, *_SIZES,
+         "--budgets", "1.3e9,5.2e9,1.04e10", "--sigma-star", "1.0"],
+        "c77f011213345bce8b2501f8817e318d2581a9ed8334e6343db0d0cd408d67f0",
+    ),
+    "plan_sqrt": (
+        ["plan", "--rule", "sqrt", *_BASE, "--t1", "1.04e10", "--sigma-star", "1.0"],
+        "5d39291aee8b64807255340b4fd006a264199756787d93ae6299bc8d3b4c4889",
+    ),
+    "plan_nonconvex": (
+        ["plan", "--rule", "nonconvex", *_BASE, *_SIZES, "--d0", "1.2e8", "--d1", "3.5e8",
+         "--sigma-star", "1.0"],
+        "4b49297ac8bfa942fbdb8987e16b4be0128b41f5bbafe69f04b68f627fbabf74",
+    ),
+    "estimate_mu": (["estimate", "--kind", "mu", "--in", "mu.csv", "--loss-cap", "4.5"], "33b32898d1c046dca0813b33097cab0a953dc5b82cb7d6a609d670affe1d23a1"),
+    "estimate_L": (["estimate", "--kind", "L", "--in", "L.csv", "--window", "25"], "e0798962c0371936614c0c91e8dee083cdc23440de7f2780b754f4e86a0da489"),
+    "estimate_rho": (["estimate", "--kind", "rho", "--in", "rho.csv", "--window", "25"], "6b5295be94f3728c00ccaf65dfe535c3b98edb0fdd1064d8cbbae81ad231c33b"),
+    "estimate_rho_degenerate": (["estimate", "--kind", "rho", "--in", "rho_degenerate.csv"], "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    "estimate_variance": (["estimate", "--kind", "variance", "--in", "variance.csv"], "9514bd502f1e7ee6246af2bdf11453884dbf2c653e0053c1ff348120f93f6eec"),
+}
+
+
+def cli_output_digest(name, tmp_path, monkeypatch, capsys):
+    for fname, text in CLI_FILES.items():
+        (tmp_path / fname).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    argv, _ = GOLDEN_CLI[name]
+    rc = cli.main(argv)
+    out = capsys.readouterr().out
+    return hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI))
+def test_cli_output_hash_is_golden(name, tmp_path, monkeypatch, capsys):
+    assert cli_output_digest(name, tmp_path, monkeypatch, capsys) == GOLDEN_CLI[name][1]
 
 
 def single_block_quadratic(kind):
