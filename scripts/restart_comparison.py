@@ -9,6 +9,7 @@ spend the same total tokens; the final losses are compared across seeds.
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,19 +27,8 @@ def main():
     out = experiments.restart_comparison(
         trials=args.trials, seed_base=args.seed_base, budget_factor=args.budget_factor
     )
-    stages = [
-        {
-            "token_allotment": s.token_allotment,
-            "B": s.B,
-            "S": s.S,
-            "beta": s.beta,
-            "alpha": s.alpha,
-            "note": s.note,
-        }
-        for s in out["plan"].stages
-    ]
     doc = {
-        "stages": stages,
+        "stages": [asdict(s) for s in out["plan"].stages],
         "staged_final_losses": out["staged_losses"],
         "baseline_final_losses": out["baseline_losses"],
     }

@@ -27,7 +27,6 @@ from .optimizer import (
     uscg_step,
 )
 from .scaling import (
-    BudgetPoint,
     ProblemConstants,
     TunedConfig,
     critical_bs,

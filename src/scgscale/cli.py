@@ -3,8 +3,10 @@
 Configs are JSON with a schema_version field; unknown keys are rejected so a
 mistyped hyperparameter fails loudly instead of silently using a default.
 Exit codes: 0 success, 2 config or input error, 3 invariant violation,
-4 numeric failure, including a run that diverges. All emitted floats carry
-17 significant digits.
+4 numeric failure, including a run that diverges or a non-finite result.
+NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2)
+and never written. JSON floats take their shortest exact form, CSV floats 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -36,8 +39,6 @@ EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
 EXIT_NUMERIC = 4
 
-_FMT = "{:.17g}".format
-
 
 class ConfigError(Exception):
     pass
@@ -47,18 +48,11 @@ class NumericError(Exception):
     pass
 
 
-def _fmt_value(v):
-    if isinstance(v, float):
-        return float(_FMT(v))
-    if isinstance(v, dict):
-        return {k: _fmt_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_fmt_value(x) for x in v]
-    return v
-
-
 def _dump_json(obj, path=None):
-    text = json.dumps(_fmt_value(obj), indent=2)
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"non-finite result: {exc}")
     if path is None:
         print(text)
     else:
@@ -67,9 +61,15 @@ def _dump_json(obj, path=None):
 
 
 def _load_json(path) -> dict:
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"non-finite number {text} in {path}")
+        return value
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -270,22 +270,7 @@ def _constants_from_dict(d: dict, where: str) -> ProblemConstants:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _parse_consts_arg(text: str, where: str) -> ProblemConstants:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"{where} must be 'L,mu,rho', got {text!r}")
-    try:
-        L, mu, rho = (float(p) for p in parts)
-        return ProblemConstants(L=L, mu=mu, rho=rho, sigma_star=0.0)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
-def _shape_consts(shape_text: str, batch: float, where: str) -> ProblemConstants:
-    parts = shape_text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{where} must be 'n_layer,n_embd', got {shape_text!r}")
-    n_layer, n_embd = (float(p) for p in parts)
+def _bundled_consts(n_layer: float, n_embd: float, batch: float) -> ProblemConstants:
     laws = bundled_constant_laws()
     cov = {"n_layer": n_layer, "n_embd": n_embd, "batch_size": batch}
     return ProblemConstants(
@@ -294,157 +279,139 @@ def _shape_consts(shape_text: str, batch: float, where: str) -> ProblemConstants
     )
 
 
-def _tuned_from_args(args) -> TunedConfig:
-    for name in ("b0", "s0", "beta0", "t0"):
+def _plan_constants(args, which: str) -> ProblemConstants:
+    """Constants from --consts<which> L,mu,rho or --shape<which> n_layer,n_embd."""
+    consts_arg = getattr(args, f"consts{which}")
+    shape_arg = getattr(args, f"shape{which}")
+    batch = getattr(args, f"batch{which}")
+    if consts_arg and shape_arg:
+        raise ConfigError(f"give either --consts{which} or --shape{which}, not both")
+    if not (consts_arg or shape_arg):
+        raise ConfigError(f"rule {args.rule} needs --consts{which} or --shape{which}")
+    if shape_arg and batch is None:
+        raise ConfigError(f"--shape{which} needs --batch{which} for the batch covariate")
+    flag, fields = ("consts", "L,mu,rho") if consts_arg else ("shape", "n_layer,n_embd")
+    text = consts_arg or shape_arg
+    parts = text.split(",")
+    if len(parts) != len(fields.split(",")):
+        raise ConfigError(f"--{flag}{which} must be '{fields}', got {text!r}")
+    try:
+        values = [float(p) for p in parts]
+        if consts_arg:
+            return ProblemConstants(*values, sigma_star=0.0)
+        return _bundled_consts(*values, batch)
+    except ValueError as exc:
+        raise ConfigError(f"--{flag}{which}: {exc}")
+
+
+# Each rule function takes (args, base, consts0, consts1) and returns its
+# result fields, the inputs it echoes, and the constants for the regime label
+# (None when the rule has no constants at the chosen scale).
+
+
+def _plan_model_size(args, base, consts0, consts1):
+    res = scaling.transfer_model_size(base, consts0, consts1, T1=args.t1)
+    bs1 = res.bs1
+    if args.round != "none":
+        bs1 = base.B0 * base.S0 * scaling.round_scale(bs1 / (base.B0 * base.S0), args.round)
+    result = {"BS1": bs1, "beta1": res.beta1, "alpha1": res.alpha1}
+    return result, {"T1": args.t1, "round": args.round}, consts1
+
+
+def _plan_token_budget(args, base, consts0, consts1):
+    bundled = args.rho_law == "bundled"
+    if bundled:
+        rho_model = bundled_constant_laws()["rho"]
+        fixed = {"n_layer": args.n_layer, "n_embd": args.n_embd}
+    else:
+        rho_model = PowerLawModel.from_dict(_load_json(args.rho_law))
+        fixed = {}
+    try:
+        b1, beta1 = scaling.transfer_token_budget(base, rho_model, args.t1, fixed_covariates=fixed)
+    except RuntimeError as exc:
+        raise NumericError(str(exc))
+    result = {"BS1": b1 * base.S0, "B1": b1, "beta1": beta1, "alpha1": base.alpha0}
+    regime_consts = _bundled_consts(args.n_layer, args.n_embd, b1) if bundled else None
+    return result, {"T1": args.t1, "rho_law": args.rho_law}, regime_consts
+
+
+def _plan_stages(args, base, consts0, consts1):
+    budgets = [float(t) for t in args.budgets.split(",")]
+    stages = scaling.plan_stages(base, consts0, consts1, budgets).stages
+    last = stages[-1]
+    result = {
+        "BS1": last.B * last.S, "B1": last.B, "S1": last.S, "beta1": last.beta,
+        "alpha1": last.alpha, "stages": [asdict(st) for st in stages],
+    }
+    return result, {"budgets": budgets}, consts1
+
+
+def _plan_sqrt(args, base, consts0, consts1):
+    bs1, beta1 = scaling.sqrt_rule(base, args.t1)
+    return {"BS1": bs1, "beta1": beta1, "alpha1": base.alpha0}, {"T1": args.t1}, None
+
+
+def _plan_nonconvex(args, base, consts0, consts1):
+    bs1 = scaling.nonconvex_rule(base, consts0, consts1, args.d0, args.d1)
+    return {"BS1": bs1, "alpha1": base.alpha0}, {"D0": args.d0, "D1": args.d1}, consts1
+
+
+# rule -> (takes --consts0/--consts1, flags it requires, rule function)
+_PLAN_RULES = {
+    "model_size": (True, ("t1",), _plan_model_size),
+    "token_budget": (False, ("t1",), _plan_token_budget),
+    "stages": (True, ("budgets",), _plan_stages),
+    "sqrt": (False, ("t1",), _plan_sqrt),
+    "nonconvex": (True, ("d0", "d1"), _plan_nonconvex),
+}
+
+
+def _require_flags(args, names):
+    for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"--{name} is required for rule {args.rule}")
-    return TunedConfig(
+
+
+def cmd_plan(args) -> int:
+    takes_consts, rule_flags, rule_fn = _PLAN_RULES[args.rule]
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+    _require_flags(args, ("b0", "s0", "beta0", "t0"))
+    base = TunedConfig(
         B0=args.b0, S0=args.s0, beta0=args.beta0,
         alpha0=args.alpha0 if args.alpha0 is not None else 1.0,
         T0=args.t0,
     )
-
-
-def _plan_constants(args, which: str) -> ProblemConstants:
-    consts_arg = getattr(args, f"consts{which}")
-    shape_arg = getattr(args, f"shape{which}")
-    if consts_arg and shape_arg:
-        raise ConfigError(f"give either --consts{which} or --shape{which}, not both")
-    if consts_arg:
-        return _parse_consts_arg(consts_arg, f"--consts{which}")
-    if shape_arg:
-        batch = getattr(args, f"batch{which}")
-        if batch is None:
-            raise ConfigError(f"--shape{which} needs --batch{which} for the batch covariate")
-        return _shape_consts(shape_arg, batch, f"--shape{which}")
-    raise ConfigError(f"rule {args.rule} needs --consts{which} or --shape{which}")
-
-
-def cmd_plan(args) -> int:
-    rule = args.rule
-    out: dict = {"rule": rule}
-    inputs: dict = {}
-    bs1 = b1 = s1 = beta1 = alpha1 = None
-    stages_out = None
-    consts_for_regime = None
-
-    if rule in ("model_size", "stages", "nonconvex"):
-        base = _tuned_from_args(args)
-        consts0 = _plan_constants(args, "0")
-        consts1 = _plan_constants(args, "1")
-        consts_for_regime = consts1
-        inputs.update(
-            {
-                "B0": base.B0, "S0": base.S0, "beta0": base.beta0,
-                "alpha0": base.alpha0, "T0": base.T0,
-                "consts0": {"L": consts0.L, "mu": consts0.mu, "rho": consts0.rho},
-                "consts1": {"L": consts1.L, "mu": consts1.mu, "rho": consts1.rho},
-            }
-        )
-    if rule == "model_size":
-        if args.t1 is None:
-            raise ConfigError("--t1 is required for rule model_size")
-        res = scaling.transfer_model_size(base, consts0, consts1, T1=args.t1)
-        bs1, beta1, alpha1 = res.bs1, res.beta1, res.alpha1
-        if args.round != "none":
-            factor = scaling.round_scale(bs1 / (base.B0 * base.S0), args.round)
-            bs1 = base.B0 * base.S0 * factor
-        inputs["T1"] = args.t1
-        inputs["round"] = args.round
-    elif rule == "token_budget":
-        base = _tuned_from_args(args)
-        if args.t1 is None:
-            raise ConfigError("--t1 is required for rule token_budget")
-        laws = bundled_constant_laws()
-        if args.rho_law == "bundled":
-            rho_model = laws["rho"]
-            fixed = {"n_layer": args.n_layer, "n_embd": args.n_embd}
-        else:
-            rho_model = PowerLawModel.from_dict(_load_json(args.rho_law))
-            fixed = {}
-        try:
-            b1, beta1 = scaling.transfer_token_budget(
-                base, rho_model, args.t1, fixed_covariates=fixed
-            )
-        except RuntimeError as exc:
-            raise NumericError(str(exc))
-        bs1 = b1 * base.S0
-        alpha1 = base.alpha0
-        inputs.update(
-            {
-                "B0": base.B0, "S0": base.S0, "beta0": base.beta0, "T0": base.T0,
-                "T1": args.t1, "rho_law": args.rho_law,
-            }
-        )
-    elif rule == "stages":
-        if not args.budgets:
-            raise ConfigError("--budgets is required for rule stages")
-        budgets = [float(t) for t in args.budgets.split(",")]
-        plan = scaling.plan_stages(base, consts0, consts1, budgets)
-        stages_out = [
-            {
-                "token_allotment": st.token_allotment,
-                "B": st.B, "S": st.S, "beta": st.beta, "alpha": st.alpha,
-                "note": st.note,
-            }
-            for st in plan.stages
-        ]
-        last = plan.stages[-1]
-        bs1, b1, s1, beta1, alpha1 = last.B * last.S, last.B, last.S, last.beta, last.alpha
-        inputs["budgets"] = budgets
-    elif rule == "sqrt":
-        base = _tuned_from_args(args)
-        if args.t1 is None:
-            raise ConfigError("--t1 is required for rule sqrt")
-        bs1, beta1 = scaling.sqrt_rule(base, args.t1)
-        alpha1 = base.alpha0
-        inputs.update({"B0": base.B0, "S0": base.S0, "beta0": base.beta0, "T0": base.T0, "T1": args.t1})
-    elif rule == "nonconvex":
-        if args.d0 is None or args.d1 is None:
-            raise ConfigError("--d0 and --d1 are required for rule nonconvex")
-        bs1 = scaling.nonconvex_rule(base, consts0, consts1, args.d0, args.d1)
-        alpha1 = base.alpha0
-        inputs.update({"D0": args.d0, "D1": args.d1})
+    inputs = {"B0": base.B0, "S0": base.S0, "beta0": base.beta0, "alpha0": base.alpha0, "T0": base.T0}
+    consts = [None, None]
+    if takes_consts:
+        consts = [_plan_constants(args, "0"), _plan_constants(args, "1")]
+        for which, c in zip("01", consts):
+            inputs[f"consts{which}"] = {"L": c.L, "mu": c.mu, "rho": c.rho}
     else:
-        raise ConfigError(f"unknown rule {rule!r}")
+        del inputs["alpha0"]  # the rules without constants never echoed alpha0
+    _require_flags(args, rule_flags)
 
-    if b1 is None and bs1 is not None:
-        s1 = args.s0
-        b1 = bs1 / s1
-    if s1 is None:
-        s1 = args.s0
-
-    if rule == "token_budget" and args.rho_law == "bundled":
-        laws = bundled_constant_laws()
-        cov = {"n_layer": args.n_layer, "n_embd": args.n_embd, "batch_size": b1}
-        consts_for_regime = ProblemConstants(
-            L=laws["L"].value(cov), mu=laws["mu"].value(cov), rho=laws["rho"].value(cov),
-            sigma_star=0.0,
-        )
+    result, rule_inputs, regime_consts = rule_fn(args, base, *consts)
+    inputs.update(rule_inputs, sigma_star=args.sigma_star)
+    bs1 = result["BS1"]
+    s1 = result.get("S1", args.s0)
+    b1 = result["B1"] if "B1" in result else bs1 / s1
 
     regime = None
-    if args.sigma_star is not None and consts_for_regime is not None and bs1 is not None:
+    if args.sigma_star is not None and regime_consts is not None:
         t_at = args.t1 if args.t1 is not None else args.t0
-        consts_at = replace(consts_for_regime, sigma_star=args.sigma_star)
+        consts_at = replace(regime_consts, sigma_star=args.sigma_star)
         try:
             regime = scaling.error_law(t_at, b1, s1, consts_at).regime
         except ValueError:
             regime = None  # budget below one step at the chosen scale
-    inputs["sigma_star"] = args.sigma_star
-
-    out.update(
-        {
-            "inputs": inputs,
-            "BS1": bs1,
-            "B1": b1,
-            "S1": s1,
-            "beta1": beta1,
-            "alpha1": alpha1,
-            "regime_at_choice": regime,
-        }
-    )
-    if stages_out is not None:
-        out["stages"] = stages_out
+    out = {
+        "rule": args.rule, "inputs": inputs, "BS1": bs1, "B1": b1, "S1": s1,
+        "beta1": None, "alpha1": None, "regime_at_choice": regime,
+    }
+    out.update(result)  # a rule's extra fields (stages) follow the common ones
     _dump_json(out, args.out)
     return EXIT_OK
 
@@ -466,11 +433,16 @@ def _read_csv_columns(path, required: set[str]):
                     if val is None:
                         raise ConfigError(f"{path}: short row (line {lineno})")
                     try:
-                        cols[name].append(float(val))
+                        value = float(val)
                     except ValueError:
                         raise ConfigError(
                             f"{path}: bad float {val!r} in column {name} (line {lineno})"
                         )
+                    if not math.isfinite(value):
+                        raise ConfigError(
+                            f"{path}: non-finite {val!r} in column {name} (line {lineno})"
+                        )
+                    cols[name].append(value)
     except FileNotFoundError:
         raise ConfigError(f"input file not found: {path}")
     if not cols or not next(iter(cols.values())):
@@ -478,78 +450,63 @@ def _read_csv_columns(path, required: set[str]):
     return {k: np.asarray(v) for k, v in cols.items()}
 
 
+# Each estimator takes (columns, args) and returns the result fields that
+# follow "estimator" in the output.
+
+
+def _estimate_mu(cols, args):
+    dual_col = next((c for c in ("g_dual", "dual_grad_norm") if c in cols), None)
+    if "loss" not in cols or dual_col is None:
+        raise ConfigError(f"{args.infile}: need columns loss and g_dual (or dual_grad_norm)")
+    fit = estimation.estimate_mu(
+        cols["loss"], cols[dual_col], loss_cap=args.loss_cap, delta=args.delta
+    )
+    return {"window": None, "value": fit.slope, "intercept": fit.intercept, "n_points": fit.n_points}
+
+
+def _estimate_L(cols, args):
+    value = estimation.smoothness_from_steps(
+        cols["grad_diff_dual"], cols["step_disp"], window=args.window
+    )
+    return {"window": args.window, "value": value, "n_points": len(cols["grad_diff_dual"])}
+
+
+def _estimate_rho(cols, args):
+    try:
+        value, n_usable = estimation.rho_from_norms(
+            cols["diff_dual"], cols["diff_euclid"], window=args.window
+        )
+    except ValueError as exc:
+        raise NumericError(str(exc))
+    return {"window": args.window, "value": value, "n_points": n_usable}
+
+
+def _estimate_variance(cols, args):
+    order = np.argsort(cols["scale"])
+    scales = cols["scale"][order]
+    variances = cols["variance"][order]
+    if np.any(variances <= 0):
+        raise NumericError("degenerate variance data: nonpositive variances")
+    try:
+        model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
+    except (ValueError, RuntimeError) as exc:
+        raise NumericError(str(exc))
+    return {"window": None, "model": model.to_dict(), "n_points": len(scales)}
+
+
+# kind -> (required CSV columns, estimator)
+_ESTIMATORS = {
+    "L": ({"grad_diff_dual", "step_disp"}, _estimate_L),
+    "mu": (set(), _estimate_mu),
+    "rho": ({"diff_dual", "diff_euclid"}, _estimate_rho),
+    "variance": ({"scale", "variance"}, _estimate_variance),
+}
+
+
 def cmd_estimate(args) -> int:
-    kind = args.kind
-    if kind == "mu":
-        cols = _read_csv_columns(args.infile, set())
-        loss_col = "loss" if "loss" in cols else None
-        dual_col = "g_dual" if "g_dual" in cols else ("dual_grad_norm" if "dual_grad_norm" in cols else None)
-        if loss_col is None or dual_col is None:
-            raise ConfigError(
-                f"{args.infile}: need columns loss and g_dual (or dual_grad_norm)"
-            )
-        try:
-            fit = estimation.estimate_mu(
-                cols[loss_col], cols[dual_col], loss_cap=args.loss_cap, delta=args.delta
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        result = {
-            "estimator": "mu",
-            "window": None,
-            "value": fit.slope,
-            "intercept": fit.intercept,
-            "n_points": fit.n_points,
-        }
-    elif kind == "L":
-        cols = _read_csv_columns(args.infile, {"grad_diff_dual", "step_disp"})
-        try:
-            value = estimation.smoothness_from_steps(
-                cols["grad_diff_dual"], cols["step_disp"], window=args.window
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        result = {
-            "estimator": "L",
-            "window": args.window,
-            "value": value,
-            "n_points": len(cols["grad_diff_dual"]),
-        }
-    elif kind == "rho":
-        cols = _read_csv_columns(args.infile, {"diff_dual", "diff_euclid"})
-        dual, eucl = cols["diff_dual"], cols["diff_euclid"]
-        keep = eucl > 0
-        if not np.any(keep):
-            raise NumericError("all pairs are degenerate (zero euclidean difference)")
-        ratios = (dual[keep] / eucl[keep])[-args.window :]
-        result = {
-            "estimator": "rho",
-            "window": args.window,
-            "value": float(np.mean(ratios)),
-            "n_points": int(np.sum(keep)),
-        }
-    elif kind == "variance":
-        cols = _read_csv_columns(args.infile, {"scale", "variance"})
-        order = np.argsort(cols["scale"])
-        scales = cols["scale"][order]
-        variances = cols["variance"][order]
-        if np.any(variances <= 0):
-            raise NumericError("degenerate variance data: nonpositive variances")
-        try:
-            model = estimation.fit_power_law(
-                {"scale": scales}, variances, [FitTerm("scale")]
-            )
-        except (ValueError, RuntimeError) as exc:
-            raise NumericError(str(exc))
-        result = {
-            "estimator": "variance",
-            "window": None,
-            "model": model.to_dict(),
-            "n_points": len(scales),
-        }
-    else:
-        raise ConfigError(f"unknown estimator kind {kind!r}")
-    _dump_json(result, args.out)
+    required, estimator = _ESTIMATORS[args.kind]
+    cols = _read_csv_columns(args.infile, required)
+    _dump_json({"estimator": args.kind, **estimator(cols, args)}, args.out)
     return EXIT_OK
 
 
@@ -604,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument(
         "--rule",
         required=True,
-        choices=["model_size", "token_budget", "stages", "sqrt", "nonconvex"],
+        choices=list(_PLAN_RULES),
     )
     pl.add_argument("--b0", type=float)
     pl.add_argument("--s0", type=float)
@@ -630,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(func=cmd_plan)
 
     e = sub.add_parser("estimate", help="estimate a constant from a CSV")
-    e.add_argument("--kind", required=True, choices=["L", "mu", "rho", "variance"])
+    e.add_argument("--kind", required=True, choices=list(_ESTIMATORS))
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--window", type=int, default=100)
     e.add_argument("--loss-cap", type=float, default=5.0)
@@ -655,7 +612,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, FloatingPointError) as exc:
+    except (NumericError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "estimate_mu",
     "smoothness_from_steps",
     "estimate_L",
+    "rho_from_norms",
     "estimate_rho",
     "estimate_variance",
     "fit_power_law",
@@ -240,6 +241,20 @@ def estimate_L(run_log, geometry, window: int = 100, min_step: float = 1e-12) ->
     return smoothness_from_steps(diffs, disps, window=window, min_step=min_step)
 
 
+def rho_from_norms(dual_norms, euclid_norms, window: int = 100) -> tuple[float, int]:
+    """Mean dual-vs-euclidean norm ratio over the trailing window.
+
+    Pairs with zero euclidean norm are skipped. Returns the mean and the
+    number of usable pairs; at least one must remain.
+    """
+    duals = np.asarray(dual_norms, dtype=float)
+    euclids = np.asarray(euclid_norms, dtype=float)
+    keep = euclids > 0
+    if not np.any(keep):
+        raise ValueError("all pairs are degenerate (zero euclidean difference)")
+    return float(np.mean((duals[keep] / euclids[keep])[-window:])), int(np.sum(keep))
+
+
 def estimate_rho(pairs, geometry, window: int = 100) -> float:
     """Mean dual-vs-euclidean norm ratio of minibatch-vs-reference residuals.
 
@@ -248,20 +263,14 @@ def estimate_rho(pairs, geometry, window: int = 100) -> float:
     trailing window.
     """
     kinds = [g.kind for g in geometry]
-    ratios = []
+    duals, euclids = [], []
     for g_small, g_ref in pairs:
         if tuple(g_small.names) != tuple(g_ref.names):
             raise ValueError("pair block names do not match")
         diff = [a - b for a, b in zip(g_small.arrays, g_ref.arrays)]
-        eucl = math.sqrt(sum(float(np.sum(d * d)) for d in diff))
-        if eucl == 0.0:
-            continue
-        dual = sum(block_dual_norm(d, kind) for d, kind in zip(diff, kinds))
-        ratios.append(dual / eucl)
-    if not ratios:
-        raise ValueError("all pairs are degenerate (minibatch equals reference)")
-    tail = ratios[-window:]
-    return float(np.mean(tail))
+        euclids.append(math.sqrt(sum(float(np.sum(d * d)) for d in diff)))
+        duals.append(sum(block_dual_norm(d, kind) for d, kind in zip(diff, kinds)))
+    return rho_from_norms(duals, euclids, window)[0]
 
 
 def estimate_variance(

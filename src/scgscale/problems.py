@@ -59,10 +59,13 @@ class NoiseModel:
     s_shift: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_star < 0:
-            raise ValueError("sigma_star must be nonnegative")
-        if self.B < 1 or self.S < 1:
-            raise ValueError("B and S must be >= 1")
+        if not 0.0 <= self.sigma_star < math.inf:
+            raise ValueError(f"sigma_star must be nonnegative and finite, got {self.sigma_star}")
+        if not (
+            1.0 <= self.B < math.inf and 1.0 <= self.S < math.inf
+            and abs(self.b_shift) < math.inf and abs(self.s_shift) < math.inf
+        ):
+            raise ValueError(f"B and S must be finite and >= 1 and the shifts finite, got {self}")
 
     def variance(self) -> float:
         return self.sigma_star**2 / ((self.B + self.b_shift) * (self.S + self.s_shift))
@@ -96,15 +99,15 @@ class LayeredQuadratic:
             raise ValueError("geometry, names, curvatures, and targets must be parallel")
         if len(set(self.block_names)) != n:
             raise ValueError("block names must be unique")
-        if any(c <= 0 for c in self.curvatures):
-            raise ValueError("curvatures must be positive")
+        if not all(0.0 < c < math.inf for c in self.curvatures):
+            raise ValueError(f"curvatures must be positive and finite, got {self.curvatures}")
         for name, t, g in zip(self.block_names, self.targets, self.geometry):
             if t.shape != g.shape:
                 raise ValueError(f"target for block {name!r} has the wrong shape")
-            if block_primal_norm(t, g.kind) > g.radius_eta:
+            if not block_primal_norm(t, g.kind) <= g.radius_eta:
                 raise ValueError(
-                    f"target for block {name!r} lies outside its radius ball; "
-                    "the optimum would be unreachable"
+                    f"target for block {name!r} is not finite or lies outside its "
+                    "radius ball; the optimum would be unreachable"
                 )
 
     @property

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 __all__ = [
     "ProblemConstants",
-    "BudgetPoint",
     "TunedConfig",
     "Prescription",
     "ErrorLaw",
@@ -56,29 +55,10 @@ class ProblemConstants:
 
     def __post_init__(self):
         for name in ("L", "mu", "rho", "delta0", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sigma_star < 0:
-            raise ValueError(f"sigma_star must be nonnegative, got {self.sigma_star}")
-
-
-@dataclass(frozen=True)
-class BudgetPoint:
-    """A (token budget, batch size, sequence length) operating point."""
-
-    T: float
-    B: float
-    S: float
-
-    def __post_init__(self):
-        if self.B * self.S < 1:
-            raise ValueError("B * S must be >= 1")
-        if self.T < self.B * self.S:
-            raise ValueError("token budget must cover at least one step")
-
-    @property
-    def K(self) -> int:
-        return int(self.T // (self.B * self.S))
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.sigma_star < math.inf:
+            raise ValueError(f"sigma_star must be nonnegative and finite, got {self.sigma_star}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +73,8 @@ class TunedConfig:
 
     def __post_init__(self):
         for name in ("B0", "S0", "alpha0", "T0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 < self.beta0 < 1.0:
             raise ValueError(f"beta0 must lie in (0, 1), got {self.beta0}")
 
@@ -356,8 +336,8 @@ def plan_stages(
     from .optimizer import Stage, StagePlan  # local import to avoid a cycle
 
     budgets = [float(t) for t in budgets]
-    if not budgets or any(t <= 0 for t in budgets):
-        raise ValueError("budgets must be positive")
+    if not budgets or not all(0.0 < t < math.inf for t in budgets):
+        raise ValueError("budgets must be positive and finite")
     if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
     s_fixed = base.S0 if split_s is None else split_s

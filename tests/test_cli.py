@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgscale import cli
 from scgscale.estimation import bundled_constant_laws
@@ -78,6 +82,16 @@ class TestTrain:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_json_literal_exits_2(self, tmp_path, literal):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(train_config()).replace('"target": [1.0', f'"target": [{literal}')
+        )
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
         cfg = train_config()
@@ -265,6 +279,32 @@ class TestPlanCli:
         )
         assert rc == 2
 
+    def test_overflow_exits_4(self, capsys):
+        rc = cli.main(
+            ["plan", "--rule", "nonconvex", *self.BASE,
+             "--consts0", "1,1,1e-100", "--consts1", "1,1,1e100", "--d0", "1", "--d1", "1"]
+        )
+        assert rc == 4
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--t1", "--sigma-star", "--n-layer"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exits_2(self, flag, value, capsys):
+        rc = cli.main(
+            ["plan", "--rule", "token_budget", *self.BASE, "--t1", "2e9", f"{flag}={value}"]
+        )
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_non_finite_result_exits_4(self, capsys):
+        # each input is finite, but B0 * S0 overflows to inf
+        rc = cli.main(
+            ["plan", "--rule", "sqrt", "--b0", "1e200", "--s0", "1e200", "--beta0", "0.1",
+             "--t0", "1", "--t1", "4"]
+        )
+        assert rc == 4
+        assert capsys.readouterr().out == ""
+
     def test_shape_routing_matches_bundled_laws(self, tmp_path):
         out = tmp_path / "plan.json"
         rc = cli.main(
@@ -279,6 +319,45 @@ class TestPlanCli:
         laws = bundled_constant_laws()
         cov = {"n_layer": 12.0, "n_embd": 768.0, "batch_size": 256.0}
         assert plan["inputs"]["consts0"]["mu"] == pytest.approx(laws["mu"].value(cov))
+
+
+def _reject_constant(literal):
+    raise ValueError(f"non-finite literal {literal} in output")
+
+
+_PLAN_FLOAT_FLAGS = (
+    "b0", "s0", "beta0", "alpha0", "t0", "t1", "d0", "d1", "sigma-star", "n-layer", "n-embd",
+)
+_float_text = st.one_of(
+    st.sampled_from(["0", "-1", "1e308", "1e-308", "5e-324", "nan", "inf", "-inf"]),
+    st.floats(1e-3, 1e12).map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.floats().map(repr),
+)
+_consts_text = st.lists(_float_text, min_size=3, max_size=3).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rule=st.sampled_from(["model_size", "token_budget", "stages", "sqrt", "nonconvex"]),
+    flags=st.fixed_dictionaries({name: _float_text for name in _PLAN_FLOAT_FLAGS}),
+    consts0=_consts_text,
+    consts1=_consts_text,
+    budgets=st.lists(_float_text, min_size=1, max_size=3).map(",".join),
+)
+def test_plan_fuzz_exits_cleanly(rule, flags, consts0, consts1, budgets):
+    argv = ["plan", "--rule", rule, f"--consts0={consts0}", f"--consts1={consts1}",
+            f"--budgets={budgets}"]
+    argv += [f"--{name}={value}" for name, value in flags.items()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            rc = exc.code
+    assert rc in (0, 2, 4)
+    if rc == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def write_csv(path, header, rows):
@@ -318,6 +397,14 @@ class TestEstimateCli:
             tmp_path / "bad.csv", ["loss", "g_dual"], [[1.0, 2.0], ["oops", 3.0]]
         )
         assert cli.main(["estimate", "--kind", "mu", "--in", path]) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2(self, tmp_path, cell, capsys):
+        path = write_csv(
+            tmp_path / "r.csv", ["diff_dual", "diff_euclid"], [[1.0, 2.0], [3.0, cell]]
+        )
+        assert cli.main(["estimate", "--kind", "rho", "--in", path]) == 2
         assert "line 3" in capsys.readouterr().err
 
     def test_smoothness_kind(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from scgscale.problems import (
     spec_from_dict,
     spec_to_dict,
 )
+from scgscale.scaling import ProblemConstants, TunedConfig
 
 
 def simple_quadratic(lam=2.0, dist=1.0, eta=3.0, sigma=0.0, dim=1):
@@ -29,6 +31,37 @@ def simple_quadratic(lam=2.0, dist=1.0, eta=3.0, sigma=0.0, dim=1):
         targets=(theta,),
         noise=NoiseModel(sigma),
     )
+
+
+_VALID_FIELDS = {
+    ProblemConstants: dict(L=1.0, mu=1.0, rho=1.0, sigma_star=1.0, delta0=1.0, c=1.0),
+    TunedConfig: dict(B0=4.0, S0=2.0, beta0=0.1, alpha0=0.5, T0=100.0),
+    NoiseModel: dict(sigma_star=0.1, B=2.0, S=2.0, b_shift=0.0, s_shift=0.0),
+}
+
+
+def _with_field(cls, field):
+    return lambda bad: cls(**dict(_VALID_FIELDS[cls], **{field: bad}))
+
+
+NON_FINITE_CASES = {
+    f"{cls.__name__}.{field}": _with_field(cls, field)
+    for cls, fields in _VALID_FIELDS.items()
+    for field in fields
+}
+NON_FINITE_CASES["LayeredQuadratic.curvatures"] = lambda bad: replace(
+    simple_quadratic(), curvatures=(bad,)
+)
+NON_FINITE_CASES["LayeredQuadratic.targets"] = lambda bad: replace(
+    simple_quadratic(dim=2), targets=(np.array([0.5, bad]),)
+)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_constructors_reject_non_finite(case, bad):
+    with pytest.raises(ValueError):
+        NON_FINITE_CASES[case](bad)
 
 
 class TestNoiseModel:

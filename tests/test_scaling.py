@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scgscale.estimation import PowerLawModel, PowerLawTerm
 from scgscale.scaling import (
-    BudgetPoint,
     ProblemConstants,
     TunedConfig,
     critical_bs,
@@ -36,15 +35,6 @@ class TestProblemConstants:
 
     def test_zero_noise_allowed(self):
         ProblemConstants(L=1.0, mu=1.0, rho=1.0, sigma_star=0.0)
-
-
-class TestBudgetPoint:
-    def test_iteration_count(self):
-        assert BudgetPoint(T=100.0, B=4.0, S=3.0).K == 8
-
-    def test_budget_must_cover_one_step(self):
-        with pytest.raises(ValueError):
-            BudgetPoint(T=5.0, B=4.0, S=3.0)
 
 
 class TestPrescription:
