@@ -4,8 +4,10 @@ equivalence.
 The hashes pin every byte of ``runlog.csv`` for five fixed configurations:
 a refactor of the iteration loop that moves any recorded number by one ulp
 fails here. The CLI hashes pin the exit code and stdout of fixed ``plan``
-and ``estimate`` calls, so a refactor of the planner or the estimators that
-changes any emitted byte fails too. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
+and ``estimate`` calls, and the ``sweep.csv`` hash pins the bytes of one
+small ``sweep`` (with an error row) at one and two jobs, so a refactor of the
+planner, the estimators, the config parsing or the row writer that changes
+any emitted byte fails too. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
 spectral hash depends on the LAPACK build (every step and every recorded norm
 takes an SVD), and the euclidean and logistic ones on the BLAS dot and
 matrix-vector kernels, so a different BLAS/LAPACK may change them without a
@@ -245,6 +247,41 @@ def cli_output_digest(name, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("name", sorted(GOLDEN_CLI))
 def test_cli_output_hash_is_golden(name, tmp_path, monkeypatch, capsys):
     assert cli_output_digest(name, tmp_path, monkeypatch, capsys) == GOLDEN_CLI[name][1]
+
+
+GOLDEN_SWEEP_CONFIG = {
+    "schema_version": 1,
+    "problem": {
+        "kind": "layered_quadratic",
+        "blocks": [
+            {"name": "s", "geometry": {"kind": "sign", "shape": [6], "radius_eta": 1.0},
+             "curvature": 0.5, "target": [0.3, -0.2, 0.1, -0.4, 0.25, -0.05]},
+            {"name": "e", "geometry": {"kind": "euclidean", "shape": [3], "radius_eta": 1.5},
+             "curvature": 1, "target": [0.6, 0.0, -0.3]},
+        ],
+        "noise": {"sigma_star": 0.3, "B": 1, "S": 1},
+    },
+    "token_budget": 256,
+    # K = 32, 16, 8 and 1; the last point has K < c and fills the error column
+    "grid": [[4, 2], [8, 2], [2, 16], [64, 4]],
+    "rule": {"kind": "prescribed", "c": 2},
+    "repetitions": 2,
+    "seed_base": 11,
+    "constants": {"L": 4.0, "mu": 0.5, "rho": 3, "sigma_star": 0.3},
+    "eval_stride": 4,
+}
+GOLDEN_SWEEP_HASH = "885694251870aae53a9e5b37a0eda063410645637c28ef8c551187d78ac10ef1"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_csv_hash_is_golden(jobs, tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(GOLDEN_SWEEP_CONFIG))
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)])
+    assert rc == 0
+    data = (out / "sweep.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_SWEEP_HASH
 
 
 def single_block_quadratic(kind):
