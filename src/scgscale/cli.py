@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -69,14 +70,19 @@ def _load_json(path) -> dict:
 
     try:
         with open(path) as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            d = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}")
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -107,59 +113,15 @@ def _beta_schedule_from_dict(d: dict):
     raise ConfigError(f"unknown beta schedule type {kind!r}")
 
 
-_OPT_KEYS = {
-    "variant",
-    "alpha",
-    "beta",
-    "iters",
-    "seed",
-    "radii",
-    "eval_every",
-    "store_gradients",
-    "momentum_init",
-    "check_invariants",
-}
-
-
-def _optimizer_from_dict(d: dict) -> tuple[ScgConfig, str]:
-    _require_keys(d, _OPT_KEYS, {"alpha", "beta", "iters"}, "optimizer config")
-    variant = d.get("variant", "scg")
+def _optimizer_from_dict(d) -> tuple[ScgConfig, str]:
+    if not isinstance(d, dict):
+        raise ConfigError(f"optimizer config must be a JSON object, got {type(d).__name__}")
+    scg = dict(d)
+    variant = scg.pop("variant", "scg")
     if variant not in ("scg", "uscg"):
         raise ConfigError(f"unknown variant {variant!r}")
-    cfg = ScgConfig(
-        alpha=float(d["alpha"]),
-        beta=_beta_schedule_from_dict(d["beta"]),
-        iters=int(d["iters"]),
-        seed=int(d.get("seed", 0)),
-        radii=tuple(d["radii"]) if d.get("radii") is not None else None,
-        eval_every=int(d.get("eval_every", 1)),
-        store_gradients=bool(d.get("store_gradients", False)),
-        momentum_init=d.get("momentum_init", "first_sample"),
-        check_invariants=bool(d.get("check_invariants", True)),
-    )
+    cfg = problems.from_dict(ScgConfig, scg, "optimizer config", beta=_beta_schedule_from_dict)
     return cfg, variant
-
-
-def _stages_from_list(items) -> StagePlan:
-    stages = []
-    for i, d in enumerate(items):
-        _require_keys(
-            d,
-            {"token_allotment", "B", "S", "beta", "alpha", "note"},
-            {"token_allotment", "B", "S", "beta", "alpha"},
-            f"stage {i}",
-        )
-        stages.append(
-            Stage(
-                token_allotment=float(d["token_allotment"]),
-                B=float(d["B"]),
-                S=float(d["S"]),
-                beta=float(d["beta"]),
-                alpha=float(d["alpha"]),
-                note=d.get("note", ""),
-            )
-        )
-    return StagePlan(tuple(stages))
 
 
 def cmd_train(args) -> int:
@@ -171,14 +133,13 @@ def cmd_train(args) -> int:
         {"problem", "optimizer"},
         "train config",
     )
-    try:
-        spec = problems.spec_from_dict(cfg_dict["problem"])
-        opt_cfg, variant = _optimizer_from_dict(cfg_dict["optimizer"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(str(exc))
+    spec = problems.spec_from_dict(cfg_dict["problem"])
+    opt_cfg, variant = _optimizer_from_dict(cfg_dict["optimizer"])
     os.makedirs(args.out, exist_ok=True)
     if "stages" in cfg_dict:
-        plan = _stages_from_list(cfg_dict["stages"])
+        plan = StagePlan(tuple(
+            problems.from_dict(Stage, d, f"stage {i}") for i, d in enumerate(cfg_dict["stages"])
+        ))
         log = run_staged(spec, plan, opt_cfg, variant=variant)
     else:
         log = run(spec, opt_cfg, variant=variant)
@@ -205,77 +166,25 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     cfg_dict = _load_json(args.config)
     _check_schema_version(cfg_dict, "sweep config")
-    _require_keys(
-        cfg_dict,
-        {
-            "schema_version",
-            "problem",
-            "token_budget",
-            "grid",
-            "rule",
-            "repetitions",
-            "seed_base",
-            "constants",
-            "eval_stride",
-        },
-        {"problem", "token_budget", "grid", "rule"},
+    cfg = problems.from_dict(
+        experiments.SweepConfig,
+        {k: v for k, v in cfg_dict.items() if k != "schema_version"},
         "sweep config",
+        problem=problems.spec_from_dict,
+        rule=partial(problems.from_dict, experiments.BetaRule, where="sweep rule"),
+        constants=partial(problems.from_dict, ProblemConstants, where="constants"),
     )
-    rule_d = cfg_dict["rule"]
-    _require_keys(rule_d, {"kind", "c", "beta", "alpha", "mode"}, {"kind"}, "sweep rule")
-    consts = None
-    if "constants" in cfg_dict:
-        consts = _constants_from_dict(cfg_dict["constants"], "constants")
-    try:
-        spec = problems.spec_from_dict(cfg_dict["problem"])
-        cfg = experiments.SweepConfig(
-            problem=spec,
-            token_budget=float(cfg_dict["token_budget"]),
-            grid=tuple((float(b), float(s)) for b, s in cfg_dict["grid"]),
-            rule=experiments.BetaRule(
-                kind=rule_d["kind"],
-                c=float(rule_d.get("c", 1.0)),
-                beta=rule_d.get("beta"),
-                alpha=rule_d.get("alpha"),
-                mode=rule_d.get("mode", "asymptotic"),
-            ),
-            repetitions=int(cfg_dict.get("repetitions", 1)),
-            seed_base=int(cfg_dict.get("seed_base", 0)),
-            constants=consts,
-            eval_stride=cfg_dict.get("eval_stride"),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(str(exc))
     result = experiments.run_sweep(cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     experiments.sweep_rows_to_csv(result, os.path.join(args.out, "sweep.csv"))
     return EXIT_OK
 
 
-_CONSTS_KEYS = {"L", "mu", "rho", "sigma_star", "delta0", "c"}
-
-
-def _constants_from_dict(d: dict, where: str) -> ProblemConstants:
-    _require_keys(d, _CONSTS_KEYS, {"L", "mu", "rho"}, where)
-    try:
-        return ProblemConstants(
-            L=float(d["L"]),
-            mu=float(d["mu"]),
-            rho=float(d["rho"]),
-            sigma_star=float(d.get("sigma_star", 0.0)),
-            delta0=float(d.get("delta0", 1.0)),
-            c=float(d.get("c", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
-
 def _bundled_consts(n_layer: float, n_embd: float, batch: float) -> ProblemConstants:
     laws = bundled_constant_laws()
     cov = {"n_layer": n_layer, "n_embd": n_embd, "batch_size": batch}
     return ProblemConstants(
-        L=laws["L"].value(cov), mu=laws["mu"].value(cov), rho=laws["rho"].value(cov),
-        sigma_star=0.0,
+        L=laws["L"].value(cov), mu=laws["mu"].value(cov), rho=laws["rho"].value(cov)
     )
 
 
@@ -298,7 +207,7 @@ def _plan_constants(args, which: str) -> ProblemConstants:
     try:
         values = [float(p) for p in parts]
         if consts_arg:
-            return ProblemConstants(*values, sigma_star=0.0)
+            return ProblemConstants(*values)
         return _bundled_consts(*values, batch)
     except ValueError as exc:
         raise ConfigError(f"--{flag}{which}: {exc}")
@@ -311,9 +220,7 @@ def _plan_constants(args, which: str) -> ProblemConstants:
 
 def _plan_model_size(args, base, consts0, consts1):
     res = scaling.transfer_model_size(base, consts0, consts1, T1=args.t1)
-    bs1 = res.bs1
-    if args.round != "none":
-        bs1 = base.B0 * base.S0 * scaling.round_scale(bs1 / (base.B0 * base.S0), args.round)
+    bs1 = res.bs1 if args.round == "none" else scaling.round_scale(res.bs1, args.round)
     result = {"BS1": bs1, "beta1": res.beta1, "alpha1": res.alpha1}
     return result, {"T1": args.t1, "round": args.round}, consts1
 
@@ -513,10 +420,9 @@ def cmd_estimate(args) -> int:
 def cmd_fit(args) -> int:
     shape_d = _load_json(args.shape)
     _require_keys(shape_d, {"schema_version", "terms", "value_column"}, {"terms"}, "fit shape")
-    terms = []
-    for i, t in enumerate(shape_d["terms"]):
-        _require_keys(t, {"name", "shift", "exponent"}, {"name"}, f"shape term {i}")
-        terms.append(FitTerm(t["name"], t.get("shift"), t.get("exponent")))
+    terms = [
+        problems.from_dict(FitTerm, t, f"shape term {i}") for i, t in enumerate(shape_d["terms"])
+    ]
     value_column = shape_d.get("value_column", "value")
     cols = _read_csv_columns(args.infile, {value_column} | {t.name for t in terms})
     try:

@@ -124,14 +124,14 @@ class HuberFit:
     iterations: int
 
 
-def huber_line_fit(
-    x, y, delta: float = 1.345, max_iter: int = 200, tol: float = 1e-12
-) -> HuberFit:
+def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
     """Robust line fit via iteratively reweighted least squares.
 
     Residuals are standardized by the median absolute deviation; points beyond
     delta standardized units get downweighted by delta * scale / |r|. With
-    delta -> inf this reduces to ordinary least squares.
+    delta -> inf this reduces to ordinary least squares. Iteration stops
+    after 200 rounds or once slope and intercept move by at most 1e-12
+    (relative, or absolute below 1).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -155,16 +155,16 @@ def huber_line_fit(
     slope, intercept = weighted_fit(np.ones_like(x))
     iterations = 0
     y_scale = max(float(np.max(np.abs(y))), 1e-300)
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 201):
         r = y - slope * x - intercept
         scale = 1.4826 * float(np.median(np.abs(r)))
         if scale < 1e-14 * y_scale or not math.isfinite(delta):
             break
         w = np.minimum(1.0, delta * scale / np.maximum(np.abs(r), 1e-300))
         new_slope, new_intercept = weighted_fit(w)
-        if abs(new_slope - slope) <= tol * max(1.0, abs(slope)) and abs(
+        if abs(new_slope - slope) <= 1e-12 * max(1.0, abs(slope)) and abs(
             new_intercept - intercept
-        ) <= tol * max(1.0, abs(intercept)):
+        ) <= 1e-12 * max(1.0, abs(intercept)):
             slope, intercept = new_slope, new_intercept
             break
         slope, intercept = new_slope, new_intercept
@@ -195,16 +195,11 @@ def estimate_mu(
     return huber_line_fit(x, dual_grad_norms[keep], delta=delta)
 
 
-def smoothness_from_steps(
-    grad_diff_duals,
-    step_disps,
-    window: int = 100,
-    min_step: float = 1e-12,
-) -> float:
+def smoothness_from_steps(grad_diff_duals, step_disps, window: int = 100) -> float:
     """Mean ratio of gradient-sample change to iterate displacement.
 
     Ratios are taken over the trailing window; steps with displacement below
-    min_step are skipped.
+    1e-12 are skipped.
     """
     diffs = np.asarray(grad_diff_duals, dtype=float)
     disps = np.asarray(step_disps, dtype=float)
@@ -214,13 +209,13 @@ def smoothness_from_steps(
         raise ValueError("need at least one consecutive step")
     tail_d = diffs[-window:]
     tail_s = disps[-window:]
-    valid = tail_s >= min_step
+    valid = tail_s >= 1e-12
     if not np.any(valid):
         raise ValueError("all steps in the window are degenerate")
     return float(np.mean(tail_d[valid] / tail_s[valid]))
 
 
-def estimate_L(run_log, geometry, window: int = 100, min_step: float = 1e-12) -> float:
+def estimate_L(run_log, geometry, window: int = 100) -> float:
     """Smoothness estimate from a trajectory log that stored gradient samples."""
     if run_log.gradients is None or len(run_log.gradients) < 2:
         raise ValueError("run log must store gradients for at least 2 steps")
@@ -238,7 +233,7 @@ def estimate_L(run_log, geometry, window: int = 100, min_step: float = 1e-12) ->
         )
     # displacement ||x_k - x_{k-1}|| is the step recorded at row k-1
     disps = np.asarray(run_log.step_disp, dtype=float)[: len(diffs)]
-    return smoothness_from_steps(diffs, disps, window=window, min_step=min_step)
+    return smoothness_from_steps(diffs, disps, window=window)
 
 
 def rho_from_norms(dual_norms, euclid_norms, window: int = 100) -> tuple[float, int]:
@@ -279,17 +274,15 @@ def estimate_variance(
     scales: Sequence[float],
     pool_size: int,
     seed: int = 0,
-    fit_scale_name: str = "scale",
-    per_coordinate: bool = False,
 ) -> VarianceCurve:
     """Empirical gradient variance across minibatch scales at a fixed point.
 
     For each scale B the oracle is called pool_size / B times (the pool must
     divide evenly, with at least two draws) with independent seed-derived
     generators, so results do not depend on evaluation order. The variance is
-    the unbiased mean squared euclidean deviation from the sample mean,
-    optionally normalized per coordinate. A one-term shifted power law is
-    fitted to the resulting curve.
+    the unbiased mean squared euclidean deviation from the sample mean. A
+    one-term shifted power law in the covariate "scale" is fitted to the
+    resulting curve.
     """
     scales = [float(b) for b in scales]
     if any(b2 <= b1 for b1, b2 in zip(scales, scales[1:])):
@@ -310,15 +303,13 @@ def estimate_variance(
         mean = draws.mean(axis=0)
         dev = draws - mean
         var = float(np.sum(dev * dev) / (m - 1))
-        if per_coordinate:
-            var /= draws.shape[1]
         points.append((b, var))
     if any(v <= 0 for _, v in points):
         raise ValueError("degenerate variance data: a scale produced zero variance")
     fitted = fit_power_law(
-        {fit_scale_name: np.array([p[0] for p in points])},
+        {"scale": np.array([p[0] for p in points])},
         np.array([p[1] for p in points]),
-        [FitTerm(fit_scale_name)],
+        [FitTerm("scale")],
     )
     return VarianceCurve(points=tuple(points), fitted=fitted)
 
@@ -327,13 +318,12 @@ def fit_power_law(
     covariates: Mapping[str, Sequence[float]],
     values: Sequence[float],
     shape: Sequence[FitTerm],
-    n_starts: int = 16,
     seed: int = 0,
 ) -> PowerLawModel:
     """Fit a shifted power law by robust least squares on log residuals.
 
     Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1) over the log
-    coefficient and the free shifts and exponents, restarting from several
+    coefficient and the free shifts and exponents, restarting from 16
     initial points and keeping the best. Shifts are constrained so every
     covariate + shift stays positive on the data.
     """
@@ -409,7 +399,7 @@ def fit_power_law(
     rng = np.random.default_rng(seed)
     best = None
     mean_log_y = float(np.mean(log_y))
-    for start in range(n_starts):
+    for start in range(16):
         p0 = [mean_log_y]
         for t, fs in zip(shape, free_shift):
             if fs:

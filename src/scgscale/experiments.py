@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,18 +38,6 @@ __all__ = [
     "estimate_logistic_constants",
     "middle_regime_rates",
     "restart_comparison",
-]
-
-SWEEP_CSV_HEADER = [
-    "B",
-    "S",
-    "K",
-    "beta",
-    "final_loss_mean",
-    "final_loss_std",
-    "predicted_eps",
-    "predicted_regime",
-    "error",
 ]
 
 
@@ -87,7 +75,6 @@ class SweepConfig:
     seed_base: int = 0
     constants: Optional[ProblemConstants] = None
     eval_stride: Optional[int] = None
-    check_invariants: bool = False
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -116,6 +103,9 @@ class SweepRow:
     predicted_eps: float
     predicted_regime: int
     error: Optional[str] = None
+
+
+SWEEP_CSV_HEADER = [f.name for f in fields(SweepRow)]
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float)
                 iters=K,
                 seed=point_seed(cfg.seed_base, B, S, rep),
                 eval_every=stride,
-                check_invariants=cfg.check_invariants,
+                check_invariants=False,
             )
             losses.append(run(spec, run_cfg).final_loss)
         mean = float(np.mean(losses))
@@ -210,18 +200,17 @@ def regime_sweep_problem(
     dim: int = REGIME_SWEEP_DIM,
     curvature: float = REGIME_SWEEP_CURVATURE,
     eta: float = REGIME_SWEEP_ETA,
-    target_band: tuple[float, float] = (0.5, 0.6),
-    target_seed: int = 11,
 ) -> LayeredQuadratic:
     """Sign-block quadratic used by the batch-scale sweep.
 
-    Target coordinates have near-uniform magnitude strictly inside the
-    radius ball, so every coordinate settles into its own dithered limit
-    cycle; the sharp interior loss minimum sits near the predicted critical
-    scale and the large-batch tail saturates against the ball boundary.
+    Target coordinates have near-uniform magnitude in [0.5, 0.6] (drawn with
+    seed 11), strictly inside the radius ball, so every coordinate settles
+    into its own dithered limit cycle; the sharp interior loss minimum sits
+    near the predicted critical scale and the large-batch tail saturates
+    against the ball boundary.
     """
-    rng = np.random.default_rng(target_seed)
-    mags = rng.uniform(target_band[0], target_band[1], dim)
+    rng = np.random.default_rng(11)
+    mags = rng.uniform(0.5, 0.6, dim)
     signs = rng.choice([-1.0, 1.0], dim)
     return LayeredQuadratic(
         geometry=(BlockGeometry("sign", (dim,), eta),),
@@ -303,24 +292,21 @@ def rate_study_problem(
 def estimate_logistic_constants(
     spec: LogisticRegression,
     pilot_iters: int = 600,
-    pilot_bs: float = 64.0,
-    pilot_beta: float = 0.002,
     alpha: float = RATE_STUDY_ALPHA,
     seed: int = 5,
     c: float = RATE_STUDY_C,
-    rho_samples: int = 200,
 ) -> ProblemConstants:
     """Estimate (L, mu, rho) for the logistic problem from a pilot run.
 
     Smoothness comes from consecutive gradient samples of a stored-gradient
-    run, the error-bound slope from the loss vs dual-norm trace, and the
-    norm-equivalence gain from minibatch-vs-reference residuals sampled along
-    the same trajectory.
+    run (B = 64, beta = 0.002), the error-bound slope from the loss vs
+    dual-norm trace, and the norm-equivalence gain from 200
+    minibatch-vs-reference residuals sampled along the same trajectory.
     """
-    pilot_spec = replace(spec, noise=replace(spec.noise, B=pilot_bs, S=1.0))
+    pilot_spec = replace(spec, noise=replace(spec.noise, B=64.0, S=1.0))
     cfg = ScgConfig(
         alpha=alpha,
-        beta=ConstantBeta(pilot_beta),
+        beta=ConstantBeta(0.002),
         iters=pilot_iters,
         seed=seed,
         store_gradients=True,
@@ -333,9 +319,9 @@ def estimate_logistic_constants(
     x = problems.initial_point(spec)
     ref = problems.grad(spec, x)
     pairs = [
-        (problems.grad_sample(pilot_spec, x, rng), ref) for _ in range(rho_samples)
+        (problems.grad_sample(pilot_spec, x, rng), ref) for _ in range(200)
     ]
-    rho_hat = estimate_rho(pairs, spec.geometry, window=rho_samples)
+    rho_hat = estimate_rho(pairs, spec.geometry, window=200)
     delta0 = problems.loss(spec, x)
     return ProblemConstants(
         L=L_hat,
@@ -457,27 +443,19 @@ def restart_comparison(
 
 
 def sweep_rows_to_csv(result: SweepResult, path_or_buf) -> None:
+    """Write one row per SweepRow: floats with 17 significant digits, ints as
+    they are, a missing error as an empty cell."""
     import csv
 
-    fmt = "{:.17g}".format
+    def cell(v):
+        if v is None:
+            return ""
+        return "{:.17g}".format(v) if isinstance(v, float) else v
 
     def write(fh):
         w = csv.writer(fh)
         w.writerow(SWEEP_CSV_HEADER)
-        for r in result.rows:
-            w.writerow(
-                [
-                    fmt(r.B),
-                    fmt(r.S),
-                    int(r.K),
-                    fmt(r.beta),
-                    fmt(r.final_loss_mean),
-                    fmt(r.final_loss_std),
-                    fmt(r.predicted_eps),
-                    int(r.predicted_regime),
-                    r.error or "",
-                ]
-            )
+        w.writerows([cell(v) for v in astuple(r)] for r in result.rows)
 
     if hasattr(path_or_buf, "write"):
         write(path_or_buf)

@@ -184,6 +184,7 @@ class StagePlan:
 
 
 RUNLOG_CSV_HEADER = ["k", "loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp", "stage"]
+_INT_COLUMNS = ("k", "stage")
 
 
 @dataclass
@@ -213,14 +214,16 @@ class RunLog:
 
     def __post_init__(self):
         n = len(self.k)
-        for name in ("loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp", "stage"):
+        for name in RUNLOG_CSV_HEADER:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has mismatched length")
         if n and not np.all(np.diff(self.k) > 0):
             raise ValueError("step indices must be strictly increasing")
-        for name in ("loss", "x_primal", "g_dual", "m_dual", "step_disp"):
+        for name in RUNLOG_CSV_HEADER:
             col = getattr(self, name)
-            if n and not (np.all(np.isfinite(col)) and np.all(col >= 0)):
+            if n and name not in _INT_COLUMNS and not (
+                np.all(np.isfinite(col)) and np.all(col >= 0)
+            ):
                 raise ValueError(f"column {name} must be finite and nonnegative")
 
     def __len__(self):
@@ -236,22 +239,12 @@ class RunLog:
     def _write(self, fh) -> None:
         writer = csv.writer(fh)
         writer.writerow(RUNLOG_CSV_HEADER)
-        for i in range(len(self)):
-            writer.writerow(
-                [int(self.k[i])]
-                + [
-                    _FLOAT_FMT.format(v)
-                    for v in (
-                        self.loss[i],
-                        self.x_primal[i],
-                        self.g_dual[i],
-                        self.m_dual[i],
-                        self.beta[i],
-                        self.step_disp[i],
-                    )
-                ]
-                + [int(self.stage[i])]
-            )
+        columns = [
+            [int(v) for v in getattr(self, name)] if name in _INT_COLUMNS
+            else [_FLOAT_FMT.format(v) for v in getattr(self, name)]
+            for name in RUNLOG_CSV_HEADER
+        ]
+        writer.writerows(zip(*columns))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -274,16 +267,11 @@ class RunLog:
                 raise ValueError(f"line {lineno}: expected {len(RUNLOG_CSV_HEADER)} fields")
             for name, val in zip(RUNLOG_CSV_HEADER, row):
                 cols[name].append(val)
-        return cls(
-            k=np.array([int(v) for v in cols["k"]], dtype=int),
-            loss=np.array([float(v) for v in cols["loss"]]),
-            x_primal=np.array([float(v) for v in cols["x_primal"]]),
-            g_dual=np.array([float(v) for v in cols["g_dual"]]),
-            m_dual=np.array([float(v) for v in cols["m_dual"]]),
-            beta=np.array([float(v) for v in cols["beta"]]),
-            step_disp=np.array([float(v) for v in cols["step_disp"]]),
-            stage=np.array([int(v) for v in cols["stage"]], dtype=int),
-        )
+        return cls(**{
+            name: np.array([int(v) for v in vals], dtype=int) if name in _INT_COLUMNS
+            else np.array([float(v) for v in vals])
+            for name, vals in cols.items()
+        })
 
 
 def _resolve_radii(config_radii, geometry) -> list[float]:
@@ -386,9 +374,11 @@ def _run_segments(spec, segments, config, variant, x0):
     m = None
 
     n_rows = sum(len(range(0, s.iters, config.eval_every)) for s in segments)
-    col_k = np.empty(n_rows, dtype=int)
-    col_stage = np.empty(n_rows, dtype=int)
-    cols = {name: np.empty(n_rows) for name in ("loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp")}
+    cols = {
+        name: np.empty(n_rows, dtype=int if name in _INT_COLUMNS else float)
+        for name in RUNLOG_CSV_HEADER
+    }
+    columns = list(cols.values())
     grads: Optional[list[LayeredPoint]] = [] if config.store_gradients else None
 
     violations = 0
@@ -474,14 +464,13 @@ def _run_segments(spec, segments, config, variant, x0):
                             )
 
             if record:
-                col_k[row] = k_global
-                col_stage[row] = seg.stage_index
-                cols["loss"][row] = loss_k
-                cols["x_primal"][row] = x_primal_k
-                cols["g_dual"][row] = g_dual_k
-                cols["m_dual"][row] = m_dual_k
-                cols["beta"][row] = beta_k
-                cols["step_disp"][row] = max(disp_blocks)
+                # in RUNLOG_CSV_HEADER order
+                values = (
+                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_k,
+                    max(disp_blocks), seg.stage_index,
+                )
+                for col, value in zip(columns, values):
+                    col[row] = value
                 row += 1
             k_global += 1
 
@@ -493,14 +482,7 @@ def _run_segments(spec, segments, config, variant, x0):
             "is not finite"
         )
     return RunLog(
-        k=col_k,
-        loss=cols["loss"],
-        x_primal=cols["x_primal"],
-        g_dual=cols["g_dual"],
-        m_dual=cols["m_dual"],
-        beta=cols["beta"],
-        step_disp=cols["step_disp"],
-        stage=col_stage,
+        **cols,
         final_loss=final_loss,
         final_x=LayeredPoint.from_arrays(names, [a.copy() for a in x]),
         invariant_violations=violations,

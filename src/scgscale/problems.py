@@ -12,7 +12,7 @@ T = K * B * S is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -37,6 +37,7 @@ __all__ = [
     "known_constants",
     "per_coordinate_sigma",
     "compiled",
+    "from_dict",
     "spec_to_dict",
     "spec_from_dict",
 ]
@@ -66,6 +67,8 @@ class NoiseModel:
             and abs(self.b_shift) < math.inf and abs(self.s_shift) < math.inf
         ):
             raise ValueError(f"B and S must be finite and >= 1 and the shifts finite, got {self}")
+        if not (self.B + self.b_shift > 0 and self.S + self.s_shift > 0):
+            raise ValueError(f"the shifted B and S must stay positive, got {self}")
 
     def variance(self) -> float:
         return self.sigma_star**2 / ((self.B + self.b_shift) * (self.S + self.s_shift))
@@ -95,6 +98,8 @@ class LayeredQuadratic:
             self, "targets", tuple(np.asarray(t, dtype=float) for t in self.targets)
         )
         n = len(self.geometry)
+        if n == 0:
+            raise ValueError("a layered quadratic needs at least one block")
         if not (len(self.block_names) == len(self.curvatures) == len(self.targets) == n):
             raise ValueError("geometry, names, curvatures, and targets must be parallel")
         if len(set(self.block_names)) != n:
@@ -284,7 +289,7 @@ def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
     return float(np.linalg.norm(theta)) + eta
 
 
-def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None, c: float = 1.0) -> AnalyticConstants:
+def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None) -> AnalyticConstants:
     """Analytic (L, mu, rho, sigma_star) for the layered quadratic.
 
     L sums the per-block curvature times the dual-vs-primal norm gain, which
@@ -321,7 +326,6 @@ def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None, c: flo
         rho=rho,
         sigma_star=spec.noise.sigma_star,
         delta0=delta0,
-        c=c,
     )
     return AnalyticConstants(
         constants=consts,
@@ -332,18 +336,56 @@ def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None, c: flo
 
 # -- JSON (de)serialization ---------------------------------------------------
 
-def _geometry_to_dict(g: BlockGeometry) -> dict:
-    return {"kind": g.kind.value, "shape": list(g.shape), "radius_eta": g.radius_eta}
+def from_dict(cls, d, where: str, **parsers):
+    """Build the dataclass cls from the JSON object d, keyed by its init fields.
 
-
-def _noise_to_dict(nm: NoiseModel) -> dict:
-    return {
-        "sigma_star": nm.sigma_star,
-        "B": nm.B,
-        "S": nm.S,
-        "b_shift": nm.b_shift,
-        "s_shift": nm.s_shift,
-    }
+    Fields without a default are required. parsers maps a field to the
+    function that builds it from its JSON value (a nested object). A field
+    annotated float must hold a JSON number, int an integral number and bool
+    true or false (an Optional one may also be null); other values reach cls
+    as they are, for its own checks. Every error, those of cls included, is a
+    ValueError that names where.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    init = [f for f in fields(cls) if f.init]
+    unknown = set(d) - {f.name for f in init}
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    missing = [
+        f.name for f in init
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d
+    ]
+    if missing:
+        raise ValueError(f"missing keys in {where}: {sorted(missing)}")
+    kwargs = {}
+    for f in init:
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        # Annotations are strings: every module postpones their evaluation.
+        hint = f.type
+        optional = hint.startswith("Optional[")
+        if optional:
+            hint = hint[len("Optional["):-1]
+        if f.name in parsers:
+            value = parsers[f.name](value)
+        elif value is None and optional:
+            pass
+        elif hint == "bool":
+            if not isinstance(value, bool):
+                raise ValueError(f"{where}: {f.name} must be true or false, got {value!r}")
+        elif hint in ("int", "float"):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where}: {f.name} must be a number, got {value!r}")
+            if hint == "int" and isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{where}: {f.name} must be an integer, got {value!r}")
+            value = int(value) if hint == "int" else float(value)
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
@@ -353,7 +395,7 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
             "blocks": [
                 {
                     "name": name,
-                    "geometry": _geometry_to_dict(g),
+                    "geometry": asdict(g),
                     "curvature": lam,
                     "target": theta.tolist(),
                 }
@@ -361,41 +403,24 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
                     spec.block_names, spec.geometry, spec.curvatures, spec.targets
                 )
             ],
-            "noise": _noise_to_dict(spec.noise),
+            "noise": asdict(spec.noise),
         }
     if isinstance(spec, LogisticRegression):
         return {
             "kind": spec.kind,
-            "blocks": [
-                {"name": spec.block_names[0], "geometry": _geometry_to_dict(spec.geometry[0])}
-            ],
+            "blocks": [{"name": spec.block_names[0], "geometry": asdict(spec.geometry[0])}],
             "n_samples": spec.n_samples,
             "dim": spec.dim,
             "data_seed": spec.data_seed,
             "margin_boost": spec.margin_boost,
-            "noise": _noise_to_dict(spec.noise),
+            "noise": asdict(spec.noise),
         }
     raise TypeError(f"unsupported problem kind {spec!r}")
 
 
-_NOISE_KEYS = {"sigma_star", "B", "S", "b_shift", "s_shift"}
-
-
-def _noise_from_dict(d: dict) -> NoiseModel:
-    unknown = set(d) - _NOISE_KEYS
-    if unknown:
-        raise ValueError(f"unknown noise keys: {sorted(unknown)}")
-    return NoiseModel(**d)
-
-
-def _geometry_from_dict(d: dict) -> BlockGeometry:
-    unknown = set(d) - {"kind", "shape", "radius_eta"}
-    if unknown:
-        raise ValueError(f"unknown geometry keys: {sorted(unknown)}")
-    return BlockGeometry(kind=d["kind"], shape=tuple(d["shape"]), radius_eta=d.get("radius_eta", 1.0))
-
-
 def spec_from_dict(d: dict) -> ProblemSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"problem must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "layered_quadratic":
         unknown = set(d) - {"kind", "blocks", "noise"}
@@ -407,7 +432,7 @@ def spec_from_dict(d: dict) -> ProblemSpec:
             if bad:
                 raise ValueError(f"unknown block keys: {sorted(bad)}")
             names.append(b["name"])
-            geoms.append(_geometry_from_dict(b["geometry"]))
+            geoms.append(from_dict(BlockGeometry, b["geometry"], "geometry"))
             lams.append(float(b["curvature"]))
             thetas.append(np.asarray(b["target"], dtype=float))
         return LayeredQuadratic(
@@ -415,20 +440,21 @@ def spec_from_dict(d: dict) -> ProblemSpec:
             block_names=tuple(names),
             curvatures=tuple(lams),
             targets=tuple(thetas),
-            noise=_noise_from_dict(d["noise"]),
+            noise=from_dict(NoiseModel, d["noise"], "noise"),
         )
     if kind == "logistic_regression":
         unknown = set(d) - {"kind", "blocks", "n_samples", "dim", "data_seed", "margin_boost", "noise"}
         if unknown:
             raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-        b = d["blocks"][0]
+        # every block goes in, so LogisticRegression itself rejects a count other than one
+        blocks = d["blocks"]
         return LogisticRegression(
-            geometry=(_geometry_from_dict(b["geometry"]),),
-            block_names=(b["name"],),
+            geometry=tuple(from_dict(BlockGeometry, b["geometry"], "geometry") for b in blocks),
+            block_names=tuple(b["name"] for b in blocks),
             n_samples=int(d["n_samples"]),
             dim=int(d["dim"]),
             data_seed=int(d["data_seed"]),
             margin_boost=float(d.get("margin_boost", 0.0)),
-            noise=_noise_from_dict(d["noise"]),
+            noise=from_dict(NoiseModel, d["noise"], "noise"),
         )
     raise ValueError(f"unknown problem kind {kind!r}")

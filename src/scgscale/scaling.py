@@ -49,7 +49,7 @@ class ProblemConstants:
     L: float
     mu: float
     rho: float
-    sigma_star: float
+    sigma_star: float = 0.0
     delta0: float = 1.0
     c: float = 1.0
 
@@ -237,30 +237,27 @@ def transfer_token_budget(
     base: TunedConfig,
     rho_model,
     T1: float,
-    damping: float = 0.5,
-    tol: float = 1e-6,
-    max_iter: int = 1000,
-    batch_covariate: str = "batch_size",
     fixed_covariates: Optional[dict] = None,
 ) -> tuple[float, float]:
     """Rescale batch size for a larger token budget at fixed model size.
 
     The model stays the same so only the norm-equivalence constant moves, and
     it moves with the batch size itself: B1 = B0 ((T1/T0) rho(B1)/rho(B0))^(2/3)
-    is solved as a damped fixed point (sequence length held fixed). rho_model
-    is either a callable B -> rho or a power-law model evaluated at
-    {batch_covariate: B, **fixed_covariates}. Returns (B1, beta1) with
+    is solved as a fixed point damped by 1/2, to a relative tolerance of 1e-6
+    within 1000 iterations (sequence length held fixed). rho_model is either a
+    callable B -> rho or a power-law model evaluated at
+    {"batch_size": B, **fixed_covariates}. Returns (B1, beta1) with
     beta1 = beta0 (sqrt(T0/T1) rho(B1)/rho(B0))^(2/3).
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
+    if T1 <= 0:
+        raise ValueError("T1 must be positive")
     if callable(rho_model):
         rho_of_b = rho_model
     else:
         extra = dict(fixed_covariates or {})
 
         def rho_of_b(b: float) -> float:
-            return rho_model.value({batch_covariate: b, **extra})
+            return rho_model.value({"batch_size": b, **extra})
 
     rho0 = rho_of_b(base.B0)
     if rho0 <= 0:
@@ -271,17 +268,15 @@ def transfer_token_budget(
         return base.B0 * (t_ratio * rho_of_b(b) / rho0) ** (2.0 / 3.0)
 
     b = base.B0 * t_ratio ** (2.0 / 3.0)
-    diverged = RuntimeError(
-        f"token-budget fixed point did not converge within {max_iter} iterations"
-    )
-    for _ in range(max_iter):
+    diverged = RuntimeError("token-budget fixed point did not converge within 1000 iterations")
+    for _ in range(1000):
         try:
-            b_next = (1.0 - damping) * b + damping * step(b)
+            b_next = 0.5 * b + 0.5 * step(b)
         except OverflowError:
             raise diverged
         if not math.isfinite(b_next) or b_next > 1e15 * max(base.B0, 1.0):
             raise diverged
-        if abs(b_next - b) <= tol * max(abs(b_next), 1e-30):
+        if abs(b_next - b) <= 1e-6 * max(abs(b_next), 1e-30):
             b = b_next
             break
         b = b_next
@@ -322,7 +317,6 @@ def plan_stages(
     consts0: ProblemConstants,
     consts1: ProblemConstants,
     budgets: Sequence[float],
-    split_s: Optional[float] = None,
 ):
     """Build a restart schedule over cumulative token budgets.
 
@@ -331,7 +325,7 @@ def plan_stages(
     stage keeps the tuned scale apart from the constant-ratio correction;
     each later stage re-derives (BS, beta) from the cumulative budget
     available by its end. The batch-sequence product is split with the
-    sequence length held at split_s (default S0).
+    sequence length held at S0.
     """
     from .optimizer import Stage, StagePlan  # local import to avoid a cycle
 
@@ -340,7 +334,6 @@ def plan_stages(
         raise ValueError("budgets must be positive and finite")
     if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-    s_fixed = base.S0 if split_s is None else split_s
     ratios = _ratio_factor(consts0, consts1)
     stages = []
     prev_total = 0.0
@@ -356,8 +349,8 @@ def plan_stages(
         stages.append(
             Stage(
                 token_allotment=total - prev_total,
-                B=bs / s_fixed,
-                S=s_fixed,
+                B=bs / base.S0,
+                S=base.S0,
                 beta=beta,
                 alpha=base.alpha0,
                 note=note,
@@ -368,7 +361,7 @@ def plan_stages(
 
 
 def round_scale(value: float, policy: str = "none") -> float:
-    """Round a batch-sequence scale or factor per an explicit policy."""
+    """Round a batch-sequence scale per an explicit policy."""
     if value <= 0:
         raise ValueError("value must be positive")
     if policy == "none":

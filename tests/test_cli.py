@@ -1,11 +1,14 @@
 import contextlib
+import copy
 import csv
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scgscale import cli
@@ -47,6 +50,180 @@ def train_config(iters=10, seed=0, stages=None):
     if stages is not None:
         cfg["stages"] = stages
     return cfg
+
+
+def sweep_config():
+    return {
+        "schema_version": 1,
+        "problem": quadratic_problem_dict(),
+        "token_budget": 64.0,
+        "grid": [[4.0, 2.0], [2.0, 4.0], [64.0, 1.0]],
+        "rule": {"kind": "prescribed", "c": 2.0, "mode": "asymptotic"},
+        "repetitions": 2,
+        "seed_base": 3,
+        "constants": {"L": 1.0, "mu": 0.5, "rho": 1.5, "sigma_star": 0.1, "delta0": 1.0, "c": 2.0},
+        "eval_stride": 2,
+    }
+
+
+def run_config(command, cfg, out):
+    """cli.main on cfg written to a JSON file next to out; returns (rc, stderr)."""
+    cfg_path = out.parent / f"{out.name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+    return rc, err.getvalue()
+
+
+class TestMalformedConfigs:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_non_object_config_exits_2(self, command, tmp_path):
+        rc, err = run_config(command, [1], tmp_path / "o")
+        assert rc == 2
+        assert "JSON object" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_non_object_problem_exits_2(self, command, tmp_path):
+        cfg = train_config() if command == "train" else sweep_config()
+        cfg["problem"] = []
+        rc, err = run_config(command, cfg, tmp_path / "o")
+        assert rc == 2
+        assert "problem must be a JSON object" in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("check_invariants", "false"), ("store_gradients", 1), ("iters", 50.7),
+         ("alpha", "0.1"), ("alpha", True), ("seed", None)],
+    )
+    def test_mistyped_optimizer_value_exits_2(self, key, value, tmp_path):
+        cfg = train_config()
+        cfg["optimizer"][key] = value
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert f"optimizer config: {key} must be" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [("", "repetitions", 2.5), ("", "token_budget", "64"), ("", "eval_stride", 1.5),
+         ("rule", "c", "2"), ("constants", "L", [1.0])],
+    )
+    def test_mistyped_sweep_value_exits_2(self, where, key, value, tmp_path):
+        cfg = sweep_config()
+        (cfg[where] if where else cfg)[key] = value
+        rc, err = run_config("sweep", cfg, tmp_path / "o")
+        assert rc == 2
+        assert f"{key} must be" in err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = train_config(iters=10)
+        cfg["optimizer"]["iters"] = 10.0
+        rc, _ = run_config("train", cfg, tmp_path / "o")
+        assert rc == 0
+        assert len(RunLog.from_csv(tmp_path / "o" / "runlog.csv")) == 10
+
+
+def logistic_train_config():
+    return {
+        "schema_version": 1,
+        "problem": {
+            "kind": "logistic_regression",
+            "blocks": [{"name": "w", "geometry": {"kind": "euclidean", "shape": [3], "radius_eta": 4.0}}],
+            "n_samples": 8,
+            "dim": 3,
+            "data_seed": 1,
+            "margin_boost": 0.1,
+            "noise": {"sigma_star": 0.2, "B": 2.0, "S": 1.0, "b_shift": 0.0, "s_shift": 0.0},
+        },
+        "optimizer": {
+            "variant": "scg",
+            "alpha": 0.5,
+            "beta": {"type": "warmdown", "gamma": 0.2, "total_steps": 8, "warmdown_steps": 2},
+            "iters": 8,
+            "seed": 2,
+            "radii": [3.0],
+            "eval_every": 2,
+            "store_gradients": True,
+            "momentum_init": "zeros",
+            "check_invariants": True,
+        },
+    }
+
+
+def staged_train_config():
+    cfg = train_config(iters=0, seed=4, stages=[
+        {"token_allotment": 24.0, "B": 4.0, "S": 2.0, "beta": 0.1, "alpha": 0.5, "note": "a"},
+        {"token_allotment": 32.0, "B": 8.0, "S": 2.0, "beta": 0.05, "alpha": 0.5},
+    ])
+    cfg["problem"]["blocks"].append({
+        "name": "s", "geometry": {"kind": "sign", "shape": [2], "radius_eta": 1},
+        "curvature": 0.5, "target": [0.2, -0.1],
+    })
+    return cfg
+
+
+_FUZZ_BASES = {
+    "train": ("train", train_config),
+    "train_staged": ("train", staged_train_config),
+    "train_logistic": ("train", logistic_train_config),
+    "sweep": ("sweep", sweep_config),
+}
+_FUZZ_VALUES = ["0.5", "false", True, False, None, [], [1], {}, {"a": 1}, -1, -2.5, 0.5, 2.5]
+
+
+def _value_paths(node, path=()):
+    """Paths to node and to every value nested in it."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _value_paths(child, path + (key,))
+
+
+def mutate_config(cfg, index, op, value):
+    """Drop, add next to, or replace the value at path number index."""
+    cfg = copy.deepcopy(cfg)
+    paths = list(_value_paths(cfg))
+    path = paths[index % len(paths)]
+    if not path:
+        return value
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "drop":
+        del parent[path[-1]]
+    elif op == "add":
+        if isinstance(parent, dict):
+            parent["unexpected"] = value
+        else:
+            parent.append(value)
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=st.sampled_from(sorted(_FUZZ_BASES)),
+    index=st.integers(0, 10**6),
+    op=st.sampled_from(["drop", "add", "replace"]),
+    value=st.sampled_from(_FUZZ_VALUES),
+)
+@example(base="train", index=0, op="replace", value=[1])
+@example(base="sweep", index=0, op="replace", value=[1])
+def test_config_fuzz_exits_cleanly(base, index, op, value):
+    command, make = _FUZZ_BASES[base]
+    cfg = mutate_config(make(), index, op, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        rc, _ = run_config(command, cfg, out)
+    assert rc in (0, 2, 3, 4)
 
 
 class TestTrain:
@@ -260,6 +437,22 @@ class TestPlanCli:
         plan = self.read(out)
         assert plan["BS1"] / (256.0 * 1024.0) == pytest.approx(4.0)
         assert plan["regime_at_choice"] == 2
+
+    def test_mult32_rounds_bs1(self, tmp_path):
+        out = tmp_path / "plan.json"
+        rc = cli.main(
+            ["plan", "--rule", "model_size", *self.BASE, "--t1", "1.5e9",
+             "--consts0", "1,1,1", "--consts1", "1,1,1", "--round", "mult32", "--out", str(out)]
+        )
+        assert rc == 0
+        bs1 = self.read(out)["BS1"]
+        assert bs1 % 32 == 0
+        assert bs1 == 288384.0
+
+    def test_token_budget_non_positive_t1_exits_2(self, capsys):
+        rc = cli.main(["plan", "--rule", "token_budget", *self.BASE, "--t1=-1e9"])
+        assert rc == 2
+        assert "T1 must be positive" in capsys.readouterr().err
 
     def test_regime_label_null_when_budget_too_small(self, tmp_path):
         out = tmp_path / "plan.json"

@@ -189,7 +189,7 @@ GOLDEN_CLI = {
     ),
     "plan_model_size_mult32": (
         ["plan", "--rule", "model_size", *_BASE, "--t1", "3e9", *_SIZES, "--round", "mult32"],
-        "54913b6e9239ba675796339ea6d6b2d0a53f0b2d3645f8279067645e593984f7",
+        "729ae6db99e868537d34f6fdb57745ebb7ce3ecf27b392a883e8a0ab199e3a13",
     ),
     "plan_model_size_regime_null": (
         ["plan", "--rule", "model_size", *_BASE, "--t0", "124", "--t1", "1000", *_SIZES,

@@ -78,6 +78,8 @@ class TestNoiseModel:
             NoiseModel(-1.0)
         with pytest.raises(ValueError):
             NoiseModel(1.0, B=0.5)
+        with pytest.raises(ValueError, match="shifted"):
+            NoiseModel(1.0, S=1.0, s_shift=-1.0)
 
 
 class TestLoss:
@@ -107,6 +109,12 @@ class TestLoss:
         spec = simple_quadratic(dim=3)
         with pytest.raises(ValueError):
             loss(spec, LayeredPoint([("w", np.zeros(2))]))
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            LayeredQuadratic(
+                geometry=(), block_names=(), curvatures=(), targets=(), noise=NoiseModel(0.1)
+            )
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError, match="outside"):

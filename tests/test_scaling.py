@@ -200,6 +200,11 @@ class TestTransferTokenBudget:
         with pytest.raises(RuntimeError, match="converge"):
             transfer_token_budget(BASE, lambda b: b**3, T1=8.0 * BASE.T0)
 
+    @pytest.mark.parametrize("t1", [0.0, -1e9])
+    def test_non_positive_budget_rejected(self, t1):
+        with pytest.raises(ValueError, match="T1 must be positive"):
+            transfer_token_budget(BASE, lambda b: 3.0, T1=t1)
+
 
 class TestPlanStages:
     def test_single_budget_reproduces_base(self):
