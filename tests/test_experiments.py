@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,14 @@ class TestSweep:
         serial = run_sweep(cfg, jobs=1)
         parallel = run_sweep(cfg, jobs=2)
         assert serial.rows == parallel.rows
+
+    def test_eval_stride_does_not_change_rows(self):
+        # Points keep only the final loss, so how often a run records rows
+        # cannot move any number in a sweep row.
+        grid = ((2.0, 1.0), (8.0, 1.0), (64.0, 1.0))
+        default = run_sweep(sweep_config(grid))
+        every_step = run_sweep(replace(sweep_config(grid), eval_stride=1))
+        assert default.rows == every_step.rows
 
     def test_grid_must_fit_budget(self):
         with pytest.raises(ValueError, match="budget"):

@@ -1,7 +1,7 @@
 """Golden trajectory logs, golden CLI outputs and the run-versus-step
 equivalence.
 
-The hashes pin every byte of ``runlog.csv`` for five fixed configurations:
+The hashes pin every byte of ``runlog.csv`` for seven fixed configurations:
 a refactor of the iteration loop that moves any recorded number by one ulp
 fails here. The CLI hashes pin the exit code and stdout of fixed ``plan``
 and ``estimate`` calls, and the ``sweep.csv`` hash pins the bytes of one
@@ -119,6 +119,27 @@ def golden_uscg():
     return run(mixed_quadratic(), cfg, variant="uscg")
 
 
+def golden_sign_long():
+    # 600 steps of 16 coordinates: the run crosses the 256-step noise chunks
+    # twice and ends inside a third, with a row and a checked step each step.
+    spec = replace(regime_sweep_problem(), noise=NoiseModel(0.1, B=4.0, S=2.0))
+    cfg = ScgConfig(alpha=0.09, beta=ConstantBeta(0.02), iters=600, seed=29)
+    return run(spec, cfg)
+
+
+def golden_staged_mid_chunk():
+    # The first stage ends after 300 steps, 44 steps into a second chunk of
+    # 256, so the second stage's noise continues the stream at that step.
+    plan = StagePlan(
+        (
+            Stage(token_allotment=8.0 * 300, B=2.0, S=4.0, beta=0.01, alpha=0.2),
+            Stage(token_allotment=32.0 * 100, B=8.0, S=4.0, beta=0.02, alpha=0.3),
+        )
+    )
+    base = ScgConfig(alpha=0.2, beta=ConstantBeta(0.01), iters=0, seed=23, eval_every=7)
+    return run_staged(mixed_quadratic(), plan, base)
+
+
 GOLDEN = {
     "sign": (
         golden_sign,
@@ -135,6 +156,14 @@ GOLDEN = {
     "staged": (
         golden_staged,
         "8115a73f796df29faa02d92732e04027301f8347186a3020f950fb5f69055c8f",
+    ),
+    "sign_long": (
+        golden_sign_long,
+        "729b94947d4f5d76a0edbc0687a69716794280afd4b49387018f11c90d853d45",
+    ),
+    "staged_mid_chunk": (
+        golden_staged_mid_chunk,
+        "bf2481d3a1c71f7fe5705b514e002f18a8c9969c3224eface253bf1c4f63fd6f",
     ),
     "uscg": (
         golden_uscg,
