@@ -96,21 +96,38 @@ def _check_schema_version(d: dict, where: str):
         raise ConfigError(f"{where} must declare schema_version 1")
 
 
-def _beta_schedule_from_dict(d: dict):
-    _require_keys(d, {"type", "value", "gamma", "total_steps", "warmdown_steps", "c", "iters"}, {"type"}, "beta schedule")
-    kind = d["type"]
-    try:
-        if kind == "constant":
-            return ConstantBeta(float(d["value"]))
-        if kind == "warmdown":
-            if "warmdown_steps" in d:
-                return WarmdownBeta(float(d["gamma"]), int(d["total_steps"]), int(d["warmdown_steps"]))
-            return WarmdownBeta.default_tail(float(d["gamma"]), int(d["total_steps"]))
-        if kind == "horizon":
-            return ConstantBeta.horizon(float(d["c"]), int(d["iters"]))
-    except KeyError as exc:
-        raise ConfigError(f"beta schedule is missing {exc}")
-    raise ConfigError(f"unknown beta schedule type {kind!r}")
+def _warmdown_beta(gamma, total_steps, warmdown_steps=None):
+    if warmdown_steps is None:
+        return WarmdownBeta.default_tail(gamma, total_steps)
+    return WarmdownBeta(gamma, total_steps, warmdown_steps)
+
+
+# schedule type -> (builder, the JSON type of each key it takes, the keys it may omit)
+_BETA_SCHEDULES = {
+    "constant": (ConstantBeta, {"value": "float"}, set()),
+    "warmdown": (
+        _warmdown_beta,
+        {"gamma": "float", "total_steps": "int", "warmdown_steps": "int"},
+        {"warmdown_steps"},
+    ),
+    "horizon": (ConstantBeta.horizon, {"c": "float", "iters": "int"}, set()),
+}
+
+
+def _beta_schedule_from_dict(d):
+    kind = d.get("type") if isinstance(d, dict) else None
+    if not (isinstance(kind, str) and kind in _BETA_SCHEDULES):
+        raise ConfigError(
+            f"beta schedule must be a JSON object whose type is one of "
+            f"{sorted(_BETA_SCHEDULES)}, got {d!r}"
+        )
+    build, types, optional = _BETA_SCHEDULES[kind]
+    where = f"{kind} beta schedule"
+    _require_keys(d, {"type", *types}, {"type", *types} - optional, where)
+    return build(**{
+        key: problems.json_value(d[key], hint, where, key)
+        for key, hint in types.items() if key in d
+    })
 
 
 def _optimizer_from_dict(d) -> tuple[ScgConfig, str]:

@@ -113,6 +113,11 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
+# eval_every for runs whose callers read only final_loss: each run records
+# just its k = 0 row instead of a loss and four norms every few steps.
+_FINAL_LOSS_ONLY = 1 << 30
+
+
 def point_seed(seed_base: int, B: float, S: float, rep: int) -> int:
     """Seed owned by a grid point and repetition, stable under grid reorder."""
     ss = np.random.SeedSequence(
@@ -145,7 +150,6 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
 def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float) -> SweepRow:
     try:
         K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
-        stride = cfg.eval_stride or max(1, K // 64)
         losses = []
         for rep in range(cfg.repetitions):
             spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
@@ -154,7 +158,7 @@ def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float)
                 beta=ConstantBeta(beta),
                 iters=K,
                 seed=point_seed(cfg.seed_base, B, S, rep),
-                eval_every=stride,
+                eval_every=cfg.eval_stride or _FINAL_LOSS_ONLY,
                 check_invariants=False,
             )
             losses.append(run(spec, run_cfg).final_loss)
@@ -364,7 +368,7 @@ def middle_regime_rates(
                 beta=ConstantBeta(beta),
                 iters=K,
                 seed=point_seed(seed_base, bs, 1.0, rep + 1000 * j),
-                eval_every=max(1, K // 32),
+                eval_every=_FINAL_LOSS_ONLY,
                 check_invariants=False,
             )
             losses.append(run(run_spec, cfg).final_loss)
@@ -424,7 +428,7 @@ def restart_comparison(
             beta=ConstantBeta(beta0),
             iters=0,
             seed=seed,
-            eval_every=1 << 30,
+            eval_every=_FINAL_LOSS_ONLY,
             check_invariants=False,
         )
         staged = run_staged(spec, plan, base_cfg)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -47,6 +48,10 @@ _INVARIANT_SLACK = 1e-9
 # Bound once: looking up an Enum member costs more than the identity test
 # against it, and the block update does that test every step.
 _SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
+# A run draws its gradient noise for at most this many steps at once, and at
+# most this many values (512 KiB of doubles) per draw.
+_NOISE_CHUNK_STEPS = 256
+_NOISE_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -353,6 +358,17 @@ class _Segment:
     stage_index: int
 
 
+def _primal_norms(x, kinds) -> list[float]:
+    return [block_primal_norm(xb, kind) for xb, kind in zip(x, kinds)]
+
+
+def _betas(schedule: BetaSchedule, iters: int):
+    """The stepsizes of steps 0 .. iters-1 of a segment, in order."""
+    if isinstance(schedule, ConstantBeta):
+        return itertools.repeat(schedule.value, iters)
+    return (beta_at(schedule, k) for k in range(iters))
+
+
 def _run_segments(spec, segments, config, variant, x0):
     geometry = spec.geometry
     names = spec.block_names
@@ -373,7 +389,15 @@ def _run_segments(spec, segments, config, variant, x0):
     rng = np.random.default_rng(config.seed)
     m = None
 
-    n_rows = sum(len(range(0, s.iters, config.eval_every)) for s in segments)
+    # Noise is drawn for up to chunk_steps steps at once: one draw of shape
+    # (n, n_params) yields the same normals in the same order as n draws of
+    # n_params, and a step's row splits into the blocks in block order.
+    n_params = sum(g.size for g in geometry)
+    chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, _NOISE_CHUNK_VALUES // n_params))
+    offsets = np.cumsum([0] + [g.size for g in geometry])
+
+    eval_every = config.eval_every
+    n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
     cols = {
         name: np.empty(n_rows, dtype=int if name in _INT_COLUMNS else float)
         for name in RUNLOG_CSV_HEADER
@@ -386,6 +410,9 @@ def _run_segments(spec, segments, config, variant, x0):
     checked = 0
 
     scratch = [np.empty(g.shape) for g in geometry]
+    # Per-block primal norms of x, kept until x moves: the arming test and
+    # the checker compute them, and the next recorded row reads them.
+    x_norms = None
 
     row = 0
     k_global = 0
@@ -402,25 +429,35 @@ def _run_segments(spec, segments, config, variant, x0):
             and is_scg
             and isinstance(seg.schedule, ConstantBeta)
             and seg.schedule.value <= 0.5
-            and all(
-                2.0 * block_primal_norm(xb, kind) <= eta
-                for xb, kind, eta in zip(x, kinds, radii)
-            )
         )
+        if check:
+            if x_norms is None:
+                x_norms = _primal_norms(x, kinds)
+            check = all(2.0 * nrm <= eta for nrm, eta in zip(x_norms, radii))
         contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
-        for k_local in range(seg.iters):
-            record = (k_local % config.eval_every) == 0
+        for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
+            record = (k_local % eval_every) == 0
             if record:
                 loss_k = loss_fn(x)
-                x_primal_k = max(
-                    block_primal_norm(xb, kind) for xb, kind in zip(x, kinds)
-                )
+                if x_norms is None:
+                    x_norms = _primal_norms(x, kinds)
+                x_primal_k = max(x_norms)
             g = grad_fn(x)
             if sigma_pc > 0.0:
-                for gb in g:
-                    gb += sigma_pc * rng.standard_normal(gb.shape)
+                j = k_local % chunk_steps
+                if j == 0:
+                    draw = rng.standard_normal((min(chunk_steps, seg.iters - k_local), n_params))
+                    draw *= sigma_pc
+                    noise = [
+                        draw[:, a:b].reshape((-1,) + xb.shape)
+                        for a, b, xb in zip(offsets, offsets[1:], x)
+                    ]
+                for gb, nb in zip(g, noise):
+                    gb += nb[j]
             if grads is not None:
                 grads.append(LayeredPoint.from_arrays(names, [gb.copy() for gb in g]))
+            if record:
+                g_dual_k = sum(block_dual_norm(gb, kind) for gb, kind in zip(g, kinds))
             if m is None:
                 if config.momentum_init == "first_sample":
                     m = [gb.copy() for gb in g]
@@ -429,28 +466,30 @@ def _run_segments(spec, segments, config, variant, x0):
             else:
                 for mb, gb in zip(m, g):
                     mb *= one_minus_alpha
-                    mb += alpha * gb
-            beta_k = beta_at(seg.schedule, k_local)
+                    gb *= alpha
+                    mb += gb
             if record:
-                g_dual_k = sum(block_dual_norm(gb, kind) for gb, kind in zip(g, kinds))
                 m_dual_k = sum(block_dual_norm(mb, kind) for mb, kind in zip(m, kinds))
 
             need_disp = record or check
             if need_disp:
-                disp_blocks = [0.0] * n_blocks
                 x_prev = [xb.copy() for xb in x]
             keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
             for i in range(n_blocks):
                 _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i], scratch[i])
-                if need_disp:
-                    disp_blocks[i] = block_primal_norm(x[i] - x_prev[i], kinds[i])
+            x_norms = None
+            if need_disp:
+                disp_blocks = [
+                    block_primal_norm(xb - xp, kind) for xb, xp, kind in zip(x, x_prev, kinds)
+                ]
 
             if check:
                 checked += 1
                 contraction *= 1.0 - beta_k  # now (1 - beta)^(k+1)
+                x_norms = _primal_norms(x, kinds)
                 for i in range(n_blocks):
                     eta = radii[i]
-                    x_norm = block_primal_norm(x[i], kinds[i])
+                    x_norm = x_norms[i]
                     x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
                     ok_norm = x_norm <= x_bound
                     ok_disp = disp_blocks[i] <= 2.0 * beta_k * eta + _INVARIANT_SLACK

@@ -37,6 +37,7 @@ __all__ = [
     "known_constants",
     "per_coordinate_sigma",
     "compiled",
+    "json_value",
     "from_dict",
     "spec_to_dict",
     "spec_from_dict",
@@ -336,15 +337,42 @@ def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None) -> Ana
 
 # -- JSON (de)serialization ---------------------------------------------------
 
+def json_value(value, hint: str, where: str, name: str):
+    """The JSON value of the field name, checked against its annotation hint.
+
+    str needs a JSON string, float a JSON number, int an integral number,
+    bool true or false, and tuple[float, ...] or tuple[int, ...] a list of
+    such numbers; each comes back as that type. Values of other hints pass as they are. Errors
+    are ValueErrors that name where and name.
+    """
+    if hint == "str":
+        if not isinstance(value, str):
+            raise ValueError(f"{where}: {name} must be a string, got {value!r}")
+    elif hint == "bool":
+        if not isinstance(value, bool):
+            raise ValueError(f"{where}: {name} must be true or false, got {value!r}")
+    elif hint in ("int", "float"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where}: {name} must be a number, got {value!r}")
+        if hint == "int" and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
+        value = int(value) if hint == "int" else float(value)
+    elif hint in ("tuple[int, ...]", "tuple[float, ...]"):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: {name} must be a list of numbers, got {value!r}")
+        value = tuple(json_value(v, hint[len("tuple["):-len(", ...]")], where, name) for v in value)
+    return value
+
+
 def from_dict(cls, d, where: str, **parsers):
     """Build the dataclass cls from the JSON object d, keyed by its init fields.
 
     Fields without a default are required. parsers maps a field to the
-    function that builds it from its JSON value (a nested object). A field
-    annotated float must hold a JSON number, int an integral number and bool
-    true or false (an Optional one may also be null); other values reach cls
-    as they are, for its own checks. Every error, those of cls included, is a
-    ValueError that names where.
+    function that builds it from its JSON value (a nested object). Other
+    fields are checked by json_value against their annotation (an Optional
+    one may also be null) and the rest reach cls as they are, for its own
+    checks. Every error, those of cls included, is a ValueError that names
+    where.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -370,22 +398,99 @@ def from_dict(cls, d, where: str, **parsers):
             hint = hint[len("Optional["):-1]
         if f.name in parsers:
             value = parsers[f.name](value)
-        elif value is None and optional:
-            pass
-        elif hint == "bool":
-            if not isinstance(value, bool):
-                raise ValueError(f"{where}: {f.name} must be true or false, got {value!r}")
-        elif hint in ("int", "float"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where}: {f.name} must be a number, got {value!r}")
-            if hint == "int" and isinstance(value, float) and not value.is_integer():
-                raise ValueError(f"{where}: {f.name} must be an integer, got {value!r}")
-            value = int(value) if hint == "int" else float(value)
+        elif not (value is None and optional):
+            value = json_value(value, hint, where, f.name)
         kwargs[f.name] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
+
+
+# -- JSON layouts of the problem kinds -----------------------------------------
+
+def _target(value) -> np.ndarray:
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"target must be an array of numbers, got an array of {arr.dtype.name}")
+    return arr.astype(float)
+
+
+def _geometry(value) -> BlockGeometry:
+    return from_dict(BlockGeometry, value, "geometry")
+
+
+def _noise(value) -> NoiseModel:
+    return from_dict(NoiseModel, value, "noise")
+
+
+@dataclass(frozen=True)
+class _QuadraticBlock:
+    name: str
+    geometry: BlockGeometry
+    curvature: float
+    target: np.ndarray
+
+
+@dataclass(frozen=True)
+class _LogisticBlock:
+    name: str
+    geometry: BlockGeometry
+
+
+def _blocks(block_cls, **parsers):
+    """Parser of a "blocks" list whose entries are block_cls objects."""
+    def parse(blocks) -> tuple:
+        if not isinstance(blocks, list):
+            raise ValueError(f"problem blocks must be a JSON list, got {type(blocks).__name__}")
+        return tuple(
+            from_dict(block_cls, b, f"block {i}", geometry=_geometry, **parsers)
+            for i, b in enumerate(blocks)
+        )
+    return parse
+
+
+@dataclass(frozen=True)
+class _QuadraticLayout:
+    kind: str
+    blocks: tuple
+    noise: NoiseModel
+
+    parsers = {"blocks": _blocks(_QuadraticBlock, target=_target)}
+
+    def build(self) -> LayeredQuadratic:
+        return LayeredQuadratic(
+            geometry=tuple(b.geometry for b in self.blocks),
+            block_names=tuple(b.name for b in self.blocks),
+            curvatures=tuple(b.curvature for b in self.blocks),
+            targets=tuple(b.target for b in self.blocks),
+            noise=self.noise,
+        )
+
+
+@dataclass(frozen=True)
+class _LogisticLayout:
+    kind: str
+    blocks: tuple
+    n_samples: int
+    dim: int
+    data_seed: int
+    noise: NoiseModel
+    margin_boost: float = 0.0
+
+    parsers = {"blocks": _blocks(_LogisticBlock)}
+
+    def build(self) -> LogisticRegression:
+        # every block goes in, so LogisticRegression itself rejects a count other than one
+        return LogisticRegression(
+            geometry=tuple(b.geometry for b in self.blocks),
+            block_names=tuple(b.name for b in self.blocks),
+            n_samples=self.n_samples,
+            dim=self.dim,
+            data_seed=self.data_seed,
+            margin_boost=self.margin_boost,
+            noise=self.noise,
+        )
 
 
 def spec_to_dict(spec: ProblemSpec) -> dict:
@@ -418,43 +523,17 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
     raise TypeError(f"unsupported problem kind {spec!r}")
 
 
+_LAYOUTS = {
+    LayeredQuadratic.kind: _QuadraticLayout,
+    LogisticRegression.kind: _LogisticLayout,
+}
+
+
 def spec_from_dict(d: dict) -> ProblemSpec:
     if not isinstance(d, dict):
         raise ValueError(f"problem must be a JSON object, got {type(d).__name__}")
     kind = d.get("kind")
-    if kind == "layered_quadratic":
-        unknown = set(d) - {"kind", "blocks", "noise"}
-        if unknown:
-            raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-        names, geoms, lams, thetas = [], [], [], []
-        for b in d["blocks"]:
-            bad = set(b) - {"name", "geometry", "curvature", "target"}
-            if bad:
-                raise ValueError(f"unknown block keys: {sorted(bad)}")
-            names.append(b["name"])
-            geoms.append(from_dict(BlockGeometry, b["geometry"], "geometry"))
-            lams.append(float(b["curvature"]))
-            thetas.append(np.asarray(b["target"], dtype=float))
-        return LayeredQuadratic(
-            geometry=tuple(geoms),
-            block_names=tuple(names),
-            curvatures=tuple(lams),
-            targets=tuple(thetas),
-            noise=from_dict(NoiseModel, d["noise"], "noise"),
-        )
-    if kind == "logistic_regression":
-        unknown = set(d) - {"kind", "blocks", "n_samples", "dim", "data_seed", "margin_boost", "noise"}
-        if unknown:
-            raise ValueError(f"unknown problem keys: {sorted(unknown)}")
-        # every block goes in, so LogisticRegression itself rejects a count other than one
-        blocks = d["blocks"]
-        return LogisticRegression(
-            geometry=tuple(from_dict(BlockGeometry, b["geometry"], "geometry") for b in blocks),
-            block_names=tuple(b["name"] for b in blocks),
-            n_samples=int(d["n_samples"]),
-            dim=int(d["dim"]),
-            data_seed=int(d["data_seed"]),
-            margin_boost=float(d.get("margin_boost", 0.0)),
-            noise=from_dict(NoiseModel, d["noise"], "noise"),
-        )
-    raise ValueError(f"unknown problem kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _LAYOUTS):
+        raise ValueError(f"unknown problem kind {kind!r}")
+    layout = _LAYOUTS[kind]
+    return from_dict(layout, d, "problem", noise=_noise, **layout.parsers).build()

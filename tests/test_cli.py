@@ -66,6 +66,12 @@ def sweep_config():
     }
 
 
+def set_path(node, path, value):
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
 def run_config(command, cfg, out):
     """cli.main on cfg written to a JSON file next to out; returns (rc, stderr)."""
     cfg_path = out.parent / f"{out.name}.json"
@@ -95,7 +101,8 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize(
         "key,value",
         [("check_invariants", "false"), ("store_gradients", 1), ("iters", 50.7),
-         ("alpha", "0.1"), ("alpha", True), ("seed", None)],
+         ("alpha", "0.1"), ("alpha", True), ("seed", None), ("radii", ["2.0"]),
+         ("radii", 2.0), ("momentum_init", 0)],
     )
     def test_mistyped_optimizer_value_exits_2(self, key, value, tmp_path):
         cfg = train_config()
@@ -116,6 +123,74 @@ class TestMalformedConfigs:
         rc, err = run_config("sweep", cfg, tmp_path / "o")
         assert rc == 2
         assert f"{key} must be" in err
+
+    @pytest.mark.parametrize(
+        "beta,key",
+        [({"type": "constant", "value": "0.1"}, "value"),
+         ({"type": "constant", "value": True}, "value"),
+         ({"type": "constant", "value": 0.1, "gamma": 7}, "gamma"),
+         ({"type": "warmdown", "gamma": "0.1", "total_steps": 10}, "gamma"),
+         ({"type": "warmdown", "gamma": 0.1, "total_steps": 10.5}, "total_steps"),
+         ({"type": "warmdown", "gamma": 0.1, "total_steps": 10, "c": 1}, "c"),
+         ({"type": "horizon", "c": 1.0, "iters": "10"}, "iters"),
+         ({"type": "horizon", "c": 1.0, "iters": 10, "value": 0.1}, "value"),
+         ({"type": "horizon", "c": 1.0}, "iters")],
+    )
+    def test_mistyped_beta_schedule_exits_2(self, beta, key, tmp_path):
+        cfg = train_config(iters=10)
+        cfg["optimizer"]["beta"] = beta
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert f"beta schedule: {key} must be" in err or f"'{key}'" in err
+
+    @pytest.mark.parametrize(
+        "beta",
+        [{"type": "constant", "value": 1},
+         {"type": "warmdown", "gamma": 0.1, "total_steps": 10.0},
+         {"type": "warmdown", "gamma": 0.1, "total_steps": 12, "warmdown_steps": 4},
+         {"type": "horizon", "c": 1, "iters": 10}],
+    )
+    def test_each_beta_schedule_type_runs(self, beta, tmp_path):
+        cfg = train_config(iters=10)
+        cfg["optimizer"]["beta"] = beta
+        rc, _ = run_config("train", cfg, tmp_path / "o")
+        assert rc == 0
+
+    @pytest.mark.parametrize(
+        "path,value,key",
+        [(("blocks", 0, "curvature"), "1.5", "curvature"),
+         (("blocks", 0, "target"), ["1.0", "0", "0"], "target"),
+         (("blocks", 0, "target"), [True, False, False], "target"),
+         (("blocks", 0, "geometry", "shape"), ["3"], "shape"),
+         (("blocks", 0, "geometry", "shape"), [3.5], "shape"),
+         (("blocks", 0, "typo"), 1, "typo"),
+         (("blocks", 0, "name"), 5, "name")],
+    )
+    def test_mistyped_quadratic_problem_exits_2(self, path, value, key, tmp_path):
+        cfg = train_config()
+        set_path(cfg["problem"], path, value)
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "path,value,key",
+        [(("n_samples",), 8.9, "n_samples"),
+         (("dim",), "3", "dim"),
+         (("data_seed",), "1", "data_seed"),
+         (("margin_boost",), "0.1", "margin_boost"),
+         (("blocks", 0, "typo"), 1, "typo"),
+         (("blocks", 0, "curvature"), 1.0, "curvature"),
+         (("blocks",), {"w": 1}, "blocks")],
+    )
+    def test_mistyped_logistic_problem_exits_2(self, path, value, key, tmp_path):
+        cfg = logistic_train_config()
+        set_path(cfg["problem"], path, value)
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = train_config(iters=10)
