@@ -341,9 +341,9 @@ def json_value(value, hint: str, where: str, name: str):
     """The JSON value of the field name, checked against its annotation hint.
 
     str needs a JSON string, float a JSON number, int an integral number,
-    bool true or false, and tuple[float, ...] or tuple[int, ...] a list of
-    such numbers; each comes back as that type. Values of other hints pass as they are. Errors
-    are ValueErrors that name where and name.
+    bool true or false, and tuple[...] a list of such values (of any length
+    for tuple[X, ...]); each comes back as that type. Values of other hints
+    pass as they are. Errors are ValueErrors that name where and name.
     """
     if hint == "str":
         if not isinstance(value, str):
@@ -357,10 +357,17 @@ def json_value(value, hint: str, where: str, name: str):
         if hint == "int" and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
         value = int(value) if hint == "int" else float(value)
-    elif hint in ("tuple[int, ...]", "tuple[float, ...]"):
+    elif hint.startswith("tuple["):
+        inner = hint[len("tuple["):-1]
         if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{where}: {name} must be a list of numbers, got {value!r}")
-        value = tuple(json_value(v, hint[len("tuple["):-len(", ...]")], where, name) for v in value)
+            raise ValueError(f"{where}: {name} must be a list, got {value!r}")
+        if inner.endswith(", ..."):
+            hints = [inner[:-len(", ...")]] * len(value)
+        else:
+            hints = inner.split(", ")
+        if len(value) != len(hints):
+            raise ValueError(f"{where}: {name} must be a list of {inner}, got {value!r}")
+        value = tuple(json_value(v, h, where, name) for v, h in zip(value, hints))
     return value
 
 

@@ -66,12 +66,6 @@ def sweep_config():
     }
 
 
-def set_path(node, path, value):
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-
-
 def run_config(command, cfg, out):
     """cli.main on cfg written to a JSON file next to out; returns (rc, stderr)."""
     cfg_path = out.parent / f"{out.name}.json"
@@ -115,7 +109,8 @@ class TestMalformedConfigs:
     @pytest.mark.parametrize(
         "where,key,value",
         [("", "repetitions", 2.5), ("", "token_budget", "64"), ("", "eval_stride", 1.5),
-         ("rule", "c", "2"), ("constants", "L", [1.0])],
+         ("rule", "c", "2"), ("constants", "L", [1.0]), ("", "grid", [["4.0", 2.0]]),
+         ("", "grid", [[4.0, True]]), ("", "grid", [[4.0]]), ("", "grid", 4.0)],
     )
     def test_mistyped_sweep_value_exits_2(self, where, key, value, tmp_path):
         cfg = sweep_config()
@@ -157,36 +152,27 @@ class TestMalformedConfigs:
         assert rc == 0
 
     @pytest.mark.parametrize(
-        "path,value,key",
-        [(("blocks", 0, "curvature"), "1.5", "curvature"),
-         (("blocks", 0, "target"), ["1.0", "0", "0"], "target"),
-         (("blocks", 0, "target"), [True, False, False], "target"),
-         (("blocks", 0, "geometry", "shape"), ["3"], "shape"),
-         (("blocks", 0, "geometry", "shape"), [3.5], "shape"),
-         (("blocks", 0, "typo"), 1, "typo"),
-         (("blocks", 0, "name"), 5, "name")],
+        "base,path,value,key",
+        [("quadratic", ("blocks", 0, "curvature"), "1.5", "curvature"),
+         ("quadratic", ("blocks", 0, "target"), ["1.0", "0", "0"], "target"),
+         ("quadratic", ("blocks", 0, "target"), [True, False, False], "target"),
+         ("quadratic", ("blocks", 0, "geometry", "shape"), ["3"], "shape"),
+         ("quadratic", ("blocks", 0, "geometry", "shape"), [3.5], "shape"),
+         ("quadratic", ("blocks", 0, "name"), 5, "name"),
+         ("logistic", ("n_samples",), 8.9, "n_samples"),
+         ("logistic", ("dim",), "3", "dim"),
+         ("logistic", ("data_seed",), "1", "data_seed"),
+         ("logistic", ("margin_boost",), "0.1", "margin_boost"),
+         ("logistic", ("blocks", 0, "typo"), 1, "typo"),
+         ("logistic", ("blocks", 0, "curvature"), 1.0, "curvature"),
+         ("logistic", ("blocks",), {"w": 1}, "blocks")],
     )
-    def test_mistyped_quadratic_problem_exits_2(self, path, value, key, tmp_path):
-        cfg = train_config()
-        set_path(cfg["problem"], path, value)
-        rc, err = run_config("train", cfg, tmp_path / "o")
-        assert rc == 2
-        assert key in err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "path,value,key",
-        [(("n_samples",), 8.9, "n_samples"),
-         (("dim",), "3", "dim"),
-         (("data_seed",), "1", "data_seed"),
-         (("margin_boost",), "0.1", "margin_boost"),
-         (("blocks", 0, "typo"), 1, "typo"),
-         (("blocks", 0, "curvature"), 1.0, "curvature"),
-         (("blocks",), {"w": 1}, "blocks")],
-    )
-    def test_mistyped_logistic_problem_exits_2(self, path, value, key, tmp_path):
-        cfg = logistic_train_config()
-        set_path(cfg["problem"], path, value)
+    def test_mistyped_problem_exits_2(self, base, path, value, key, tmp_path):
+        cfg = train_config() if base == "quadratic" else logistic_train_config()
+        node = cfg["problem"]
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
         rc, err = run_config("train", cfg, tmp_path / "o")
         assert rc == 2
         assert key in err
