@@ -431,7 +431,7 @@ def _noise(value) -> NoiseModel:
     return from_dict(NoiseModel, value, "noise")
 
 
-@dataclass(frozen=True)
+@dataclass
 class _QuadraticBlock:
     name: str
     geometry: BlockGeometry
@@ -439,7 +439,7 @@ class _QuadraticBlock:
     target: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class _LogisticBlock:
     name: str
     geometry: BlockGeometry
@@ -457,7 +457,7 @@ def _blocks(block_cls, **parsers):
     return parse
 
 
-@dataclass(frozen=True)
+@dataclass
 class _QuadraticLayout:
     kind: str
     blocks: tuple
@@ -475,7 +475,7 @@ class _QuadraticLayout:
         )
 
 
-@dataclass(frozen=True)
+@dataclass
 class _LogisticLayout:
     kind: str
     blocks: tuple
