@@ -389,12 +389,18 @@ def _run_segments(spec, segments, config, variant, x0):
     rng = np.random.default_rng(config.seed)
     m = None
 
-    # Noise is drawn for up to chunk_steps steps at once: one draw of shape
-    # (n, n_params) yields the same normals in the same order as n draws of
-    # n_params, and a step's row splits into the blocks in block order.
+    # Noise is drawn for up to chunk_steps steps at once into one reused
+    # buffer: a draw of shape (n, n_params) yields the same normals in the
+    # same order as n draws of n_params, and a step's row splits into the
+    # blocks in block order.
     n_params = sum(g.size for g in geometry)
     chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, _NOISE_CHUNK_VALUES // n_params))
+    noise_buf = np.empty((chunk_steps, n_params))
     offsets = np.cumsum([0] + [g.size for g in geometry])
+    noise = [
+        noise_buf[:, a:b].reshape((chunk_steps,) + g.shape)
+        for a, b, g in zip(offsets, offsets[1:], geometry)
+    ]
 
     eval_every = config.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
@@ -446,12 +452,9 @@ def _run_segments(spec, segments, config, variant, x0):
             if sigma_pc > 0.0:
                 j = k_local % chunk_steps
                 if j == 0:
-                    draw = rng.standard_normal((min(chunk_steps, seg.iters - k_local), n_params))
+                    draw = noise_buf[:min(chunk_steps, seg.iters - k_local)]
+                    rng.standard_normal(out=draw)
                     draw *= sigma_pc
-                    noise = [
-                        draw[:, a:b].reshape((-1,) + xb.shape)
-                        for a, b, xb in zip(offsets, offsets[1:], x)
-                    ]
                 for gb, nb in zip(g, noise):
                     gb += nb[j]
             if grads is not None:
