@@ -102,7 +102,7 @@ def _warmdown_beta(gamma, total_steps, warmdown_steps=None):
     return WarmdownBeta(gamma, total_steps, warmdown_steps)
 
 
-# schedule type -> (builder, the JSON type of each key it takes, the keys it may omit)
+# schedule type -> (constructor, the JSON type of each key it takes, the keys it may omit)
 _BETA_SCHEDULES = {
     "constant": (ConstantBeta, {"value": "float"}, set()),
     "warmdown": (
