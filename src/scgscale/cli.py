@@ -4,6 +4,8 @@ Configs are JSON with a schema_version field; unknown keys are rejected so a
 mistyped hyperparameter fails loudly instead of silently using a default.
 Exit codes: 0 success, 2 config or input error, 3 invariant violation,
 4 numeric failure, including a run that diverges or a non-finite result.
+Below main, a ValueError (or KeyError, TypeError) means exit 2 and an
+ArithmeticError, such as FloatingPointError, exit 4.
 NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2)
 and never written. JSON floats take their shortest exact form, CSV floats 17
 significant digits.
@@ -17,8 +19,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .optimizer import (
     run,
     run_staged,
 )
+from .problems import ProblemSpec
 from .scaling import ProblemConstants, TunedConfig
 
 EXIT_OK = 0
@@ -41,19 +45,11 @@ EXIT_INVARIANT = 3
 EXIT_NUMERIC = 4
 
 
-class ConfigError(Exception):
-    pass
-
-
-class NumericError(Exception):
-    pass
-
-
 def _dump_json(obj, path=None):
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise NumericError(f"non-finite result: {exc}")
+        raise FloatingPointError(f"non-finite result: {exc}")
     if path is None:
         print(text)
     else:
@@ -65,101 +61,80 @@ def _load_json(path) -> dict:
     def finite(text):
         value = float(text)
         if not math.isfinite(value):
-            raise ConfigError(f"non-finite number {text} in {path}")
+            raise ValueError(f"non-finite number {text} in {path}")
         return value
 
     try:
         with open(path) as fh:
             d = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}")
+        raise ValueError(f"malformed JSON in {path}: {exc}")
     if not isinstance(d, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {type(d).__name__}")
+        raise ValueError(f"{path} must hold a JSON object, got {type(d).__name__}")
     return d
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+def _schema_version(value) -> int:
+    """Parser of a config's schema_version: the only version is 1."""
+    if value != 1 or isinstance(value, bool):
+        raise ValueError(f"schema_version must be 1, got {value!r}")
+    return 1
 
 
-def _check_schema_version(d: dict, where: str):
-    if d.get("schema_version") != 1:
-        raise ConfigError(f"{where} must declare schema_version 1")
+@dataclass
+class _HorizonBeta:
+    """The horizon schedule, built as ConstantBeta.horizon(c, iters)."""
+
+    c: float
+    iters: int
 
 
-def _warmdown_beta(gamma, total_steps, warmdown_steps=None):
-    if warmdown_steps is None:
-        return WarmdownBeta.default_tail(gamma, total_steps)
-    return WarmdownBeta(gamma, total_steps, warmdown_steps)
-
-
-# schedule type -> (constructor, the JSON type of each key it takes, the keys it may omit)
-_BETA_SCHEDULES = {
-    "constant": (ConstantBeta, {"value": "float"}, set()),
-    "warmdown": (
-        _warmdown_beta,
-        {"gamma": "float", "total_steps": "int", "warmdown_steps": "int"},
-        {"warmdown_steps"},
-    ),
-    "horizon": (ConstantBeta.horizon, {"c": "float", "iters": "int"}, set()),
-}
+# beta schedule type -> the dataclass that its other keys build
+_BETA_SCHEDULES = {"constant": ConstantBeta, "warmdown": WarmdownBeta, "horizon": _HorizonBeta}
 
 
 def _beta_schedule_from_dict(d):
     kind = d.get("type") if isinstance(d, dict) else None
     if not (isinstance(kind, str) and kind in _BETA_SCHEDULES):
-        raise ConfigError(
+        raise ValueError(
             f"beta schedule must be a JSON object whose type is one of "
             f"{sorted(_BETA_SCHEDULES)}, got {d!r}"
         )
-    build, types, optional = _BETA_SCHEDULES[kind]
-    where = f"{kind} beta schedule"
-    _require_keys(d, {"type", *types}, {"type", *types} - optional, where)
-    return build(**{
-        key: problems.json_value(d[key], hint, where, key)
-        for key, hint in types.items() if key in d
-    })
+    schedule = problems.from_dict(
+        _BETA_SCHEDULES[kind], {k: v for k, v in d.items() if k != "type"}, f"{kind} beta schedule"
+    )
+    if isinstance(schedule, _HorizonBeta):
+        return ConstantBeta.horizon(schedule.c, schedule.iters)
+    return schedule
 
 
-def _optimizer_from_dict(d) -> tuple[ScgConfig, str]:
-    if not isinstance(d, dict):
-        raise ConfigError(f"optimizer config must be a JSON object, got {type(d).__name__}")
-    scg = dict(d)
-    variant = scg.pop("variant", "scg")
-    if variant not in ("scg", "uscg"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    cfg = problems.from_dict(ScgConfig, scg, "optimizer config", beta=_beta_schedule_from_dict)
-    return cfg, variant
+_optimizer_config = partial(
+    problems.from_dict, ScgConfig, where="optimizer config", beta=_beta_schedule_from_dict
+)
+
+
+@dataclass
+class _TrainConfig:
+    schema_version: int
+    problem: ProblemSpec
+    optimizer: ScgConfig
+    stages: Optional[tuple[Stage, ...]] = None
 
 
 def cmd_train(args) -> int:
     cfg_dict = _load_json(args.config)
-    _check_schema_version(cfg_dict, "train config")
-    _require_keys(
-        cfg_dict,
-        {"schema_version", "problem", "optimizer", "stages"},
-        {"problem", "optimizer"},
-        "train config",
+    cfg = problems.from_dict(
+        _TrainConfig, cfg_dict, "train config", schema_version=_schema_version,
+        problem=problems.spec_from_dict, optimizer=_optimizer_config,
+        stages=problems.list_of(Stage, "stages"),
     )
-    spec = problems.spec_from_dict(cfg_dict["problem"])
-    opt_cfg, variant = _optimizer_from_dict(cfg_dict["optimizer"])
     os.makedirs(args.out, exist_ok=True)
-    if "stages" in cfg_dict:
-        plan = StagePlan(tuple(
-            problems.from_dict(Stage, d, f"stage {i}") for i, d in enumerate(cfg_dict["stages"])
-        ))
-        log = run_staged(spec, plan, opt_cfg, variant=variant)
+    if cfg.stages is None:
+        log = run(cfg.problem, cfg.optimizer)
     else:
-        log = run(spec, opt_cfg, variant=variant)
+        log = run_staged(cfg.problem, StagePlan(cfg.stages), cfg.optimizer)
     log.to_csv(os.path.join(args.out, "runlog.csv"))
     summary = {
         "schema_version": 1,
@@ -182,7 +157,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg_dict = _load_json(args.config)
-    _check_schema_version(cfg_dict, "sweep config")
+    _schema_version(cfg_dict.get("schema_version"))
     cfg = problems.from_dict(
         experiments.SweepConfig,
         {k: v for k, v in cfg_dict.items() if k != "schema_version"},
@@ -211,23 +186,23 @@ def _plan_constants(args, which: str) -> ProblemConstants:
     shape_arg = getattr(args, f"shape{which}")
     batch = getattr(args, f"batch{which}")
     if consts_arg and shape_arg:
-        raise ConfigError(f"give either --consts{which} or --shape{which}, not both")
+        raise ValueError(f"give either --consts{which} or --shape{which}, not both")
     if not (consts_arg or shape_arg):
-        raise ConfigError(f"rule {args.rule} needs --consts{which} or --shape{which}")
+        raise ValueError(f"rule {args.rule} needs --consts{which} or --shape{which}")
     if shape_arg and batch is None:
-        raise ConfigError(f"--shape{which} needs --batch{which} for the batch covariate")
+        raise ValueError(f"--shape{which} needs --batch{which} for the batch covariate")
     flag, fields = ("consts", "L,mu,rho") if consts_arg else ("shape", "n_layer,n_embd")
     text = consts_arg or shape_arg
     parts = text.split(",")
     if len(parts) != len(fields.split(",")):
-        raise ConfigError(f"--{flag}{which} must be '{fields}', got {text!r}")
+        raise ValueError(f"--{flag}{which} must be '{fields}', got {text!r}")
     try:
         values = [float(p) for p in parts]
         if consts_arg:
             return ProblemConstants(*values)
         return _bundled_consts(*values, batch)
     except ValueError as exc:
-        raise ConfigError(f"--{flag}{which}: {exc}")
+        raise ValueError(f"--{flag}{which}: {exc}")
 
 
 # Each rule function takes (args, base, consts0, consts1) and returns its
@@ -253,7 +228,7 @@ def _plan_token_budget(args, base, consts0, consts1):
     try:
         b1, beta1 = scaling.transfer_token_budget(base, rho_model, args.t1, fixed_covariates=fixed)
     except RuntimeError as exc:
-        raise NumericError(str(exc))
+        raise FloatingPointError(str(exc))
     result = {"BS1": b1 * base.S0, "B1": b1, "beta1": beta1, "alpha1": base.alpha0}
     regime_consts = _bundled_consts(args.n_layer, args.n_embd, b1) if bundled else None
     return result, {"T1": args.t1, "rho_law": args.rho_law}, regime_consts
@@ -293,14 +268,14 @@ _PLAN_RULES = {
 def _require_flags(args, names):
     for name in names:
         if getattr(args, name) is None:
-            raise ConfigError(f"--{name} is required for rule {args.rule}")
+            raise ValueError(f"--{name} is required for rule {args.rule}")
 
 
 def cmd_plan(args) -> int:
     takes_consts, rule_flags, rule_fn = _PLAN_RULES[args.rule]
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
     _require_flags(args, ("b0", "s0", "beta0", "t0"))
     base = TunedConfig(
         B0=args.b0, S0=args.s0, beta0=args.beta0,
@@ -345,32 +320,32 @@ def _read_csv_columns(path, required: set[str]):
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise ConfigError(f"{path}: empty input")
+                raise ValueError(f"{path}: empty input")
             missing = required - set(reader.fieldnames)
             if missing:
-                raise ConfigError(
+                raise ValueError(
                     f"{path}: missing columns {sorted(missing)} (line 1)"
                 )
             cols = {name: [] for name in reader.fieldnames}
             for lineno, row in enumerate(reader, start=2):
                 for name, val in row.items():
                     if val is None:
-                        raise ConfigError(f"{path}: short row (line {lineno})")
+                        raise ValueError(f"{path}: short row (line {lineno})")
                     try:
                         value = float(val)
                     except ValueError:
-                        raise ConfigError(
+                        raise ValueError(
                             f"{path}: bad float {val!r} in column {name} (line {lineno})"
                         )
                     if not math.isfinite(value):
-                        raise ConfigError(
+                        raise ValueError(
                             f"{path}: non-finite {val!r} in column {name} (line {lineno})"
                         )
                     cols[name].append(value)
     except FileNotFoundError:
-        raise ConfigError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     if not cols or not next(iter(cols.values())):
-        raise ConfigError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return {k: np.asarray(v) for k, v in cols.items()}
 
 
@@ -381,7 +356,7 @@ def _read_csv_columns(path, required: set[str]):
 def _estimate_mu(cols, args):
     dual_col = next((c for c in ("g_dual", "dual_grad_norm") if c in cols), None)
     if "loss" not in cols or dual_col is None:
-        raise ConfigError(f"{args.infile}: need columns loss and g_dual (or dual_grad_norm)")
+        raise ValueError(f"{args.infile}: need columns loss and g_dual (or dual_grad_norm)")
     fit = estimation.estimate_mu(
         cols["loss"], cols[dual_col], loss_cap=args.loss_cap, delta=args.delta
     )
@@ -401,7 +376,9 @@ def _estimate_rho(cols, args):
             cols["diff_dual"], cols["diff_euclid"], window=args.window
         )
     except ValueError as exc:
-        raise NumericError(str(exc))
+        if args.window < 1:
+            raise
+        raise FloatingPointError(str(exc))  # degenerate data
     return {"window": args.window, "value": value, "n_points": n_usable}
 
 
@@ -410,11 +387,11 @@ def _estimate_variance(cols, args):
     scales = cols["scale"][order]
     variances = cols["variance"][order]
     if np.any(variances <= 0):
-        raise NumericError("degenerate variance data: nonpositive variances")
+        raise FloatingPointError("degenerate variance data: nonpositive variances")
     try:
         model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
     except (ValueError, RuntimeError) as exc:
-        raise NumericError(str(exc))
+        raise FloatingPointError(str(exc))
     return {"window": None, "model": model.to_dict(), "n_points": len(scales)}
 
 
@@ -434,22 +411,26 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+@dataclass
+class _FitShape:
+    terms: tuple
+    value_column: str = "value"
+    schema_version: int = 1
+
+
 def cmd_fit(args) -> int:
-    shape_d = _load_json(args.shape)
-    _require_keys(shape_d, {"schema_version", "terms", "value_column"}, {"terms"}, "fit shape")
-    terms = [
-        problems.from_dict(FitTerm, t, f"shape term {i}") for i, t in enumerate(shape_d["terms"])
-    ]
-    value_column = shape_d.get("value_column", "value")
+    shape = problems.from_dict(
+        _FitShape, _load_json(args.shape), "fit shape",
+        schema_version=_schema_version, terms=problems.list_of(FitTerm, "terms"),
+    )
+    terms, value_column = shape.terms, shape.value_column
     cols = _read_csv_columns(args.infile, {value_column} | {t.name for t in terms})
     try:
         model = estimation.fit_power_law(
             {t.name: cols[t.name] for t in terms}, cols[value_column], terms, seed=args.seed
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     except RuntimeError as exc:
-        raise NumericError(str(exc))
+        raise FloatingPointError(str(exc))
     _dump_json(
         {
             "estimator": "power_law",
@@ -532,10 +513,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .geometry import block_dual_norm
+from .problems import from_dict, list_of
 
 __all__ = [
     "PowerLawTerm",
@@ -82,14 +83,16 @@ class PowerLawModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PowerLawModel":
-        return cls(
-            coefficient=float(d["C"]),
-            terms=tuple(
-                PowerLawTerm(t["name"], float(t["shift"]), float(t["exponent"]))
-                for t in d["terms"]
-            ),
-        )
+    def from_dict(cls, d) -> "PowerLawModel":
+        """Read the JSON object that to_dict writes; errors are ValueErrors."""
+        law = from_dict(_PowerLawLayout, d, "power law", terms=list_of(PowerLawTerm, "terms"))
+        return cls(law.C, law.terms)
+
+
+@dataclass
+class _PowerLawLayout:
+    C: float
+    terms: tuple
 
 
 @dataclass(frozen=True)
@@ -198,9 +201,11 @@ def estimate_mu(
 def smoothness_from_steps(grad_diff_duals, step_disps, window: int = 100) -> float:
     """Mean ratio of gradient-sample change to iterate displacement.
 
-    Ratios are taken over the trailing window; steps with displacement below
-    1e-12 are skipped.
+    Ratios are taken over the trailing window (window >= 1); steps with
+    displacement below 1e-12 are skipped.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     diffs = np.asarray(grad_diff_duals, dtype=float)
     disps = np.asarray(step_disps, dtype=float)
     if diffs.shape != disps.shape or diffs.ndim != 1:
@@ -237,11 +242,13 @@ def estimate_L(run_log, geometry, window: int = 100) -> float:
 
 
 def rho_from_norms(dual_norms, euclid_norms, window: int = 100) -> tuple[float, int]:
-    """Mean dual-vs-euclidean norm ratio over the trailing window.
+    """Mean dual-vs-euclidean norm ratio over the trailing window (window >= 1).
 
     Pairs with zero euclidean norm are skipped. Returns the mean and the
     number of usable pairs; at least one must remain.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     duals = np.asarray(dual_norms, dtype=float)
     euclids = np.asarray(euclid_norms, dtype=float)
     keep = euclids > 0

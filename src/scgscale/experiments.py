@@ -147,21 +147,26 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
     return K, beta, alpha, law
 
 
+def _final_losses(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_ONLY):
+    """The final loss of one unchecked constant-beta run per seed, with the
+    noise of spec set to batch B and sequence length S."""
+    spec = replace(spec, noise=replace(spec.noise, B=B, S=S))
+    return [
+        run(spec, ScgConfig(
+            alpha=alpha, beta=ConstantBeta(beta), iters=iters, seed=seed,
+            eval_every=eval_every, check_invariants=False,
+        )).final_loss
+        for seed in seeds
+    ]
+
+
 def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float) -> SweepRow:
     try:
         K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
-        losses = []
-        for rep in range(cfg.repetitions):
-            spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
-            run_cfg = ScgConfig(
-                alpha=alpha,
-                beta=ConstantBeta(beta),
-                iters=K,
-                seed=point_seed(cfg.seed_base, B, S, rep),
-                eval_every=cfg.eval_stride or _FINAL_LOSS_ONLY,
-                check_invariants=False,
-            )
-            losses.append(run(spec, run_cfg).final_loss)
+        seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
+        losses = _final_losses(
+            cfg.problem, B, S, alpha, beta, K, seeds, cfg.eval_stride or _FINAL_LOSS_ONLY
+        )
         mean = float(np.mean(losses))
         std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
         return SweepRow(B, S, K, beta, mean, std, law.eps, law.regime)
@@ -170,12 +175,17 @@ def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float)
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run every grid point; points are independent and may run in parallel."""
+    """Run every grid point; points are independent and run in parallel on
+    min(jobs, grid points) worker processes (jobs >= 1; one runs them here)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not cfg.grid:
         return SweepResult(())
     consts = cfg.resolved_constants()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cfg.grid))
+    if workers > 1:
+        # The pool forks all its workers at once, so it is sized to the grid.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(_sweep_point, *zip(*[(cfg, consts, b, s) for b, s in cfg.grid]))
             )
@@ -360,18 +370,8 @@ def middle_regime_rates(
         bs = max(1.0, round(critical_bs(T, consts)))
         K = int(T // bs)
         beta = min(0.5, c / K)
-        run_spec = replace(spec, noise=replace(spec.noise, B=bs, S=1.0))
-        losses = []
-        for rep in range(repetitions):
-            cfg = ScgConfig(
-                alpha=alpha,
-                beta=ConstantBeta(beta),
-                iters=K,
-                seed=point_seed(seed_base, bs, 1.0, rep + 1000 * j),
-                eval_every=_FINAL_LOSS_ONLY,
-                check_invariants=False,
-            )
-            losses.append(run(run_spec, cfg).final_loss)
+        seeds = [point_seed(seed_base, bs, 1.0, rep + 1000 * j) for rep in range(repetitions)]
+        losses = _final_losses(spec, bs, 1.0, alpha, beta, K, seeds)
         budgets.append(T)
         scales.append(bs)
         means.append(float(np.mean(losses)))
@@ -420,23 +420,13 @@ def restart_comparison(
     T1 = budget_factor * T0
     plan = plan_stages(base, consts, consts, [T0, T1])
 
-    staged_losses, baseline_losses = [], []
-    for trial in range(trials):
-        seed = point_seed(seed_base, bs0, 1.0, trial)
-        base_cfg = ScgConfig(
-            alpha=alpha,
-            beta=ConstantBeta(beta0),
-            iters=0,
-            seed=seed,
-            eval_every=_FINAL_LOSS_ONLY,
-            check_invariants=False,
-        )
-        staged = run_staged(spec, plan, base_cfg)
-        staged_losses.append(staged.final_loss)
-        K_base = int(T1 // bs0)
-        fixed_cfg = replace(base_cfg, iters=K_base)
-        fixed_spec = replace(spec, noise=replace(spec.noise, B=bs0, S=1.0))
-        baseline_losses.append(run(fixed_spec, fixed_cfg).final_loss)
+    seeds = [point_seed(seed_base, bs0, 1.0, trial) for trial in range(trials)]
+    base_cfg = ScgConfig(
+        alpha=alpha, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
+        check_invariants=False,
+    )
+    staged_losses = [run_staged(spec, plan, replace(base_cfg, seed=s)).final_loss for s in seeds]
+    baseline_losses = _final_losses(spec, bs0, 1.0, alpha, beta0, int(T1 // bs0), seeds)
     return {
         "plan": plan,
         "tuned": base,

@@ -78,22 +78,21 @@ class WarmdownBeta:
 
     beta_k = gamma for k < total_steps - warmdown_steps, then decays linearly
     as gamma * (total_steps - k) / warmdown_steps over the warmdown tail.
+    warmdown_steps None selects the final 28% of the step budget,
+    max(1, round(0.28 * total_steps)).
     """
 
     gamma: float
     total_steps: int
-    warmdown_steps: int
+    warmdown_steps: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if self.warmdown_steps is None:
+            object.__setattr__(self, "warmdown_steps", max(1, round(0.28 * self.total_steps)))
         if not 0 <= self.warmdown_steps <= self.total_steps:
             raise ValueError("warmdown_steps must lie in [0, total_steps]")
-
-    @classmethod
-    def default_tail(cls, gamma: float, total_steps: int) -> "WarmdownBeta":
-        """Warmdown over the final 28% of the step budget."""
-        return cls(gamma, total_steps, max(1, round(0.28 * total_steps)))
 
 
 BetaSchedule = Union[ConstantBeta, WarmdownBeta]
@@ -117,7 +116,8 @@ class ScgConfig:
     radii overrides the per-block geometry radii when given (parallel to the
     block list). momentum_init selects the buffer seed: the first gradient
     sample (default) or zeros. check_invariants arms the per-step iterate
-    bound checker whenever its preconditions hold.
+    bound checker whenever its preconditions hold. variant selects the
+    constrained update "scg" (default) or the unconstrained additive "uscg".
     """
 
     alpha: float
@@ -129,8 +129,11 @@ class ScgConfig:
     store_gradients: bool = False
     momentum_init: str = "first_sample"
     check_invariants: bool = True
+    variant: str = "scg"
 
     def __post_init__(self):
+        if self.variant not in ("scg", "uscg"):
+            raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.iters < 0:
@@ -369,7 +372,7 @@ def _betas(schedule: BetaSchedule, iters: int):
     return (beta_at(schedule, k) for k in range(iters))
 
 
-def _run_segments(spec, segments, config, variant, x0):
+def _run_segments(spec, segments, config, x0):
     geometry = spec.geometry
     names = spec.block_names
     radii = _resolve_radii(config.radii, geometry)
@@ -422,7 +425,7 @@ def _run_segments(spec, segments, config, variant, x0):
 
     row = 0
     k_global = 0
-    is_scg = variant == "scg"
+    is_scg = config.variant == "scg"
     for seg in segments:
         loss_fn, grad_fn = problems.compiled(spec)
         sigma_pc = problems.per_coordinate_sigma(spec, seg.noise)
@@ -534,23 +537,20 @@ def _run_segments(spec, segments, config, variant, x0):
     )
 
 
-def run(spec, config: ScgConfig, variant: str = "scg", x0: Optional[LayeredPoint] = None) -> RunLog:
+def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None) -> RunLog:
     """Execute the iteration for config.iters steps; deterministic given seed.
 
     The momentum buffer is seeded with the first gradient sample unless the
     config selects zero initialization.
     """
-    if variant not in ("scg", "uscg"):
-        raise ValueError(f"unknown variant {variant!r}")
     segments = [_Segment(config.iters, config.beta, config.alpha, spec.noise, 0)]
-    return _run_segments(spec, segments, config, variant, x0)
+    return _run_segments(spec, segments, config, x0)
 
 
 def run_staged(
     spec,
     plan: StagePlan,
     base_config: ScgConfig,
-    variant: str = "scg",
     x0: Optional[LayeredPoint] = None,
 ) -> RunLog:
     """Run the stages of a plan sequentially, carrying the iterate across
@@ -560,8 +560,6 @@ def run_staged(
     carried over. The random stream continues
     across boundaries, so equal consecutive stages concatenate exactly.
     """
-    if variant not in ("scg", "uscg"):
-        raise ValueError(f"unknown variant {variant!r}")
     segments = []
     for idx, stage in enumerate(plan.stages):
         iters = stage.iters
@@ -574,4 +572,4 @@ def run_staged(
         segments.append(
             _Segment(iters, ConstantBeta(stage.beta), stage.alpha, noise, idx)
         )
-    return _run_segments(spec, segments, base_config, variant, x0)
+    return _run_segments(spec, segments, base_config, x0)

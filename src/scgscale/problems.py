@@ -12,7 +12,8 @@ T = K * B * S is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "compiled",
     "json_value",
     "from_dict",
-    "spec_to_dict",
+    "list_of",
     "spec_from_dict",
 ]
 
@@ -375,11 +376,11 @@ def from_dict(cls, d, where: str, **parsers):
     """Build the dataclass cls from the JSON object d, keyed by its init fields.
 
     Fields without a default are required. parsers maps a field to the
-    function that builds it from its JSON value (a nested object). Other
-    fields are checked by json_value against their annotation (an Optional
-    one may also be null) and the rest reach cls as they are, for its own
-    checks. Every error, those of cls included, is a ValueError that names
-    where.
+    function that builds it from its JSON value (a nested object or list).
+    Other fields are checked by json_value against their annotation (an
+    Optional one may also be null) and the rest reach cls as they are, for
+    its own checks. Every error, those of cls included, is a ValueError that
+    names where.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -414,6 +415,19 @@ def from_dict(cls, d, where: str, **parsers):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def list_of(cls, where: str, **parsers):
+    """Parser of a JSON list of cls objects, called where in errors.
+
+    Entry i is read by from_dict(cls, entry, f"{where}[{i}]", **parsers),
+    and the entries come back as a tuple.
+    """
+    def parse(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(from_dict(cls, d, f"{where}[{i}]", **parsers) for i, d in enumerate(value))
+    return parse
+
+
 # -- JSON layouts of the problem kinds -----------------------------------------
 
 def _target(value) -> np.ndarray:
@@ -423,12 +437,8 @@ def _target(value) -> np.ndarray:
     return arr.astype(float)
 
 
-def _geometry(value) -> BlockGeometry:
-    return from_dict(BlockGeometry, value, "geometry")
-
-
-def _noise(value) -> NoiseModel:
-    return from_dict(NoiseModel, value, "noise")
+_geometry = partial(from_dict, BlockGeometry, where="geometry")
+_noise = partial(from_dict, NoiseModel, where="noise")
 
 
 @dataclass
@@ -445,25 +455,13 @@ class _LogisticBlock:
     geometry: BlockGeometry
 
 
-def _blocks(block_cls, **parsers):
-    """Parser of a "blocks" list whose entries are block_cls objects."""
-    def parse(blocks) -> tuple:
-        if not isinstance(blocks, list):
-            raise ValueError(f"problem blocks must be a JSON list, got {type(blocks).__name__}")
-        return tuple(
-            from_dict(block_cls, b, f"block {i}", geometry=_geometry, **parsers)
-            for i, b in enumerate(blocks)
-        )
-    return parse
-
-
 @dataclass
 class _QuadraticLayout:
     kind: str
     blocks: tuple
     noise: NoiseModel
 
-    parsers = {"blocks": _blocks(_QuadraticBlock, target=_target)}
+    parsers = {"blocks": list_of(_QuadraticBlock, "blocks", geometry=_geometry, target=_target)}
 
     def build(self) -> LayeredQuadratic:
         return LayeredQuadratic(
@@ -485,7 +483,7 @@ class _LogisticLayout:
     noise: NoiseModel
     margin_boost: float = 0.0
 
-    parsers = {"blocks": _blocks(_LogisticBlock)}
+    parsers = {"blocks": list_of(_LogisticBlock, "blocks", geometry=_geometry)}
 
     def build(self) -> LogisticRegression:
         # every block goes in, so LogisticRegression itself rejects a count other than one
@@ -498,36 +496,6 @@ class _LogisticLayout:
             margin_boost=self.margin_boost,
             noise=self.noise,
         )
-
-
-def spec_to_dict(spec: ProblemSpec) -> dict:
-    if isinstance(spec, LayeredQuadratic):
-        return {
-            "kind": spec.kind,
-            "blocks": [
-                {
-                    "name": name,
-                    "geometry": asdict(g),
-                    "curvature": lam,
-                    "target": theta.tolist(),
-                }
-                for name, g, lam, theta in zip(
-                    spec.block_names, spec.geometry, spec.curvatures, spec.targets
-                )
-            ],
-            "noise": asdict(spec.noise),
-        }
-    if isinstance(spec, LogisticRegression):
-        return {
-            "kind": spec.kind,
-            "blocks": [{"name": spec.block_names[0], "geometry": asdict(spec.geometry[0])}],
-            "n_samples": spec.n_samples,
-            "dim": spec.dim,
-            "data_seed": spec.data_seed,
-            "margin_boost": spec.margin_boost,
-            "noise": asdict(spec.noise),
-        }
-    raise TypeError(f"unsupported problem kind {spec!r}")
 
 
 _LAYOUTS = {

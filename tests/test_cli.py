@@ -96,7 +96,7 @@ class TestMalformedConfigs:
         "key,value",
         [("check_invariants", "false"), ("store_gradients", 1), ("iters", 50.7),
          ("alpha", "0.1"), ("alpha", True), ("seed", None), ("radii", ["2.0"]),
-         ("radii", 2.0), ("momentum_init", 0)],
+         ("radii", 2.0), ("momentum_init", 0), ("variant", 5)],
     )
     def test_mistyped_optimizer_value_exits_2(self, key, value, tmp_path):
         cfg = train_config()
@@ -173,6 +173,18 @@ class TestMalformedConfigs:
         for step in path[:-1]:
             node = node[step]
         node[path[-1]] = value
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("stages", 5), ("stages", [5]), ("schema_version", 2), ("schema_version", "banana")],
+    )
+    def test_malformed_train_value_exits_2(self, key, value, tmp_path):
+        cfg = train_config()
+        cfg[key] = value
         rc, err = run_config("train", cfg, tmp_path / "o")
         assert rc == 2
         assert key in err
@@ -399,6 +411,14 @@ class TestSweepCli:
         assert rows[0]["error"] == ""
         assert int(rows[0]["K"]) == 64
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "sweep.json", sweep_config())
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_point_exceeding_budget_rejected(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -451,6 +471,27 @@ class TestPlanCli:
         assert rc == 0
         plan = self.read(out)
         assert plan["B1"] == pytest.approx(256.0 * 4.0, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "law,key",
+        [({"C": True}, "C"),
+         ({"terms": [{"name": "batch_size", "shift": "0.0", "exponent": 0.0}]}, "shift"),
+         ({"terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.0, "typo": 3}]}, "typo"),
+         ({"extra": 1}, "extra"),
+         ({"terms": 5}, "terms"),
+         ({"terms": None}, "terms")],
+    )
+    def test_malformed_rho_law_exits_2(self, law, key, tmp_path, capsys):
+        d = {"C": 5.0, "terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.0}], **law}
+        if d["terms"] is None:
+            del d["terms"]
+        law_path = write_json(tmp_path / "rho.json", d)
+        rc = cli.main(
+            ["plan", "--rule", "token_budget", *self.BASE, "--t1", str(8 * 1.3e9),
+             "--rho-law", law_path]
+        )
+        assert rc == 2
+        assert key in capsys.readouterr().err
 
     def test_token_budget_bundled_law(self, tmp_path):
         out = tmp_path / "plan.json"
@@ -661,6 +702,14 @@ class TestEstimateCli:
         assert cli.main(["estimate", "--kind", "rho", "--in", path]) == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,header", [("L", ["grad_diff_dual", "step_disp"]),
+                                             ("rho", ["diff_dual", "diff_euclid"])])
+    @pytest.mark.parametrize("window", ["0", "-2"])
+    def test_window_below_one_exits_2(self, kind, header, window, tmp_path, capsys):
+        path = write_csv(tmp_path / "w.csv", header, [[2.0, 1.0], [4.0, 1.0], [6.0, 1.0]])
+        assert cli.main(["estimate", "--kind", kind, "--in", path, "--window", window]) == 2
+        assert "window must be at least 1" in capsys.readouterr().err
+
     def test_smoothness_kind(self, tmp_path, capsys):
         rows = [[2.0 * d, d] for d in np.linspace(0.5, 1.5, 20)]
         path = write_csv(tmp_path / "l.csv", ["grad_diff_dual", "step_disp"], rows)
@@ -701,3 +750,14 @@ class TestFitCli:
         data = write_csv(tmp_path / "d.csv", ["x", "value"], [[1, 2], [2, 3]])
         shape = write_json(tmp_path / "s.json", {"terms": [{"name": "n_layer"}]})
         assert cli.main(["fit", "--shape", shape, "--in", data]) == 2
+
+    @pytest.mark.parametrize(
+        "layout,key",
+        [({"schema_version": "banana"}, "schema_version"), ({"schema_version": 2}, "schema_version"),
+         ({"terms": 5}, "terms"), ({"value_column": 3}, "value_column")],
+    )
+    def test_malformed_shape_exits_2(self, layout, key, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", ["n_layer", "value"], [[n, 1.0 / n] for n in range(1, 9)])
+        shape = write_json(tmp_path / "s.json", {"terms": [{"name": "n_layer"}], **layout})
+        assert cli.main(["fit", "--shape", shape, "--in", data]) == 2
+        assert key in capsys.readouterr().err

@@ -16,6 +16,7 @@ from scgscale.estimation import (
     estimate_variance,
     fit_power_law,
     huber_line_fit,
+    rho_from_norms,
     smoothness_from_steps,
 )
 from scgscale.geometry import BlockGeometry, LayeredPoint
@@ -135,6 +136,12 @@ class TestEstimateL:
         diffs = np.array([4.0, 6.0])
         disps = np.array([2.0, 2.0])
         assert smoothness_from_steps(diffs, disps, window=1) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("estimator", [smoothness_from_steps, rho_from_norms])
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_rejected(self, estimator, window):
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            estimator(np.array([4.0, 6.0]), np.array([2.0, 2.0]), window=window)
 
     def test_recovers_under_noise(self):
         spec, log = run_quadratic(lam=4.0, sigma=0.01, iters=300)

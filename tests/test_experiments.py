@@ -94,6 +94,34 @@ class TestSweep:
         parallel = run_sweep(cfg, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_pool_never_outnumbers_the_grid(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])
+        assert run_sweep(cfg, jobs=8).rows == run_sweep(cfg, jobs=1).rows
+        assert sizes == [2]
+        run_sweep(sweep_config([(4.0, 1.0)]), jobs=8)
+        assert sizes == [2]  # one point runs in this process
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            run_sweep(sweep_config([(4.0, 1.0)]), jobs=jobs)
+
     def test_eval_stride_does_not_change_rows(self):
         # Points keep only the final loss, so how often a run records rows
         # cannot move any number in a sweep row.

@@ -114,9 +114,9 @@ def golden_staged():
 def golden_uscg():
     cfg = ScgConfig(
         alpha=0.25, beta=ConstantBeta(0.1), iters=120, seed=9,
-        radii=(0.02, 0.03, 0.01), eval_every=3,
+        radii=(0.02, 0.03, 0.01), eval_every=3, variant="uscg",
     )
-    return run(mixed_quadratic(), cfg, variant="uscg")
+    return run(mixed_quadratic(), cfg)
 
 
 def golden_sign_long():
@@ -334,9 +334,10 @@ def test_run_equals_stepping_by_hand(kind, variant):
     spec = single_block_quadratic(kind)
     beta = 0.1
     cfg = ScgConfig(
-        alpha=0.3, beta=ConstantBeta(beta), iters=60, seed=13, momentum_init="zeros"
+        alpha=0.3, beta=ConstantBeta(beta), iters=60, seed=13, momentum_init="zeros",
+        variant=variant,
     )
-    log = run(spec, cfg, variant=variant)
+    log = run(spec, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     x = LayeredPoint.zeros(spec.block_names, spec.geometry)

@@ -66,7 +66,7 @@ class TestSchedules:
         assert all(0.0 < v <= 1.0 for v in values)
 
     def test_warmdown_default_tail_is_28_percent(self):
-        sched = WarmdownBeta.default_tail(0.1, 100)
+        sched = WarmdownBeta(0.1, 100)
         assert sched.warmdown_steps == 28
 
 
@@ -215,9 +215,9 @@ class TestRun:
     def test_uscg_variant_runs(self):
         spec = quadratic_1d(target=0.5, eta=1.0, lam=1.0)
         cfg = ScgConfig(
-            alpha=1.0, beta=ConstantBeta(0.5), iters=30, seed=0, radii=(0.05,)
+            alpha=1.0, beta=ConstantBeta(0.5), iters=30, seed=0, radii=(0.05,), variant="uscg"
         )
-        log = run(spec, cfg, variant="uscg")
+        log = run(spec, cfg)
         # additive steps of size 0.05 toward 0.5 converge to a small cycle
         assert log.final_loss < 1e-2
 

@@ -16,7 +16,6 @@ from scgscale.problems import (
     known_constants,
     loss,
     spec_from_dict,
-    spec_to_dict,
 )
 from scgscale.scaling import ProblemConstants, TunedConfig
 
@@ -298,10 +297,22 @@ class TestDogfooding:
         assert mu_hat >= 0.9 * out.constants.mu
 
 
+def quadratic_dict():
+    """The JSON layout of simple_quadratic(lam=2.0, dist=1.0, sigma=0.3)."""
+    return {
+        "kind": "layered_quadratic",
+        "blocks": [
+            {"name": "w", "geometry": {"kind": "euclidean", "shape": [1], "radius_eta": 3.0},
+             "curvature": 2.0, "target": [1.0]},
+        ],
+        "noise": {"sigma_star": 0.3, "B": 1.0, "S": 1.0, "b_shift": 0.0, "s_shift": 0.0},
+    }
+
+
 class TestSerialization:
     def test_quadratic_round_trip(self):
         spec = simple_quadratic(lam=2.0, dist=1.0, sigma=0.3)
-        back = spec_from_dict(spec_to_dict(spec))
+        back = spec_from_dict(quadratic_dict())
         assert back == spec
 
     def test_logistic_round_trip(self):
@@ -314,13 +325,24 @@ class TestSerialization:
             margin_boost=0.25,
             noise=NoiseModel(0.1, B=2.0, S=4.0),
         )
-        back = spec_from_dict(spec_to_dict(spec))
+        back = spec_from_dict({
+            "kind": "logistic_regression",
+            "blocks": [
+                {"name": "w", "geometry": {"kind": "euclidean", "shape": [4], "radius_eta": 10.0}},
+            ],
+            "n_samples": 8,
+            "dim": 4,
+            "data_seed": 42,
+            "margin_boost": 0.25,
+            "noise": {"sigma_star": 0.1, "B": 2.0, "S": 4.0},
+        })
+        assert back == spec
         assert np.array_equal(back.features, spec.features)
         assert np.array_equal(back.labels, spec.labels)
         assert back.noise == spec.noise
 
     def test_unknown_keys_rejected(self):
-        d = spec_to_dict(simple_quadratic())
+        d = quadratic_dict()
         d["typo"] = 1
         with pytest.raises(ValueError, match="unknown"):
             spec_from_dict(d)
