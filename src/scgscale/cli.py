@@ -371,14 +371,9 @@ def _estimate_L(cols, args):
 
 
 def _estimate_rho(cols, args):
-    try:
-        value, n_usable = estimation.rho_from_norms(
-            cols["diff_dual"], cols["diff_euclid"], window=args.window
-        )
-    except ValueError as exc:
-        if args.window < 1:
-            raise
-        raise FloatingPointError(str(exc))  # degenerate data
+    value, n_usable = estimation.rho_from_norms(
+        cols["diff_dual"], cols["diff_euclid"], window=args.window
+    )
     return {"window": args.window, "value": value, "n_points": n_usable}
 
 
@@ -386,11 +381,9 @@ def _estimate_variance(cols, args):
     order = np.argsort(cols["scale"])
     scales = cols["scale"][order]
     variances = cols["variance"][order]
-    if np.any(variances <= 0):
-        raise FloatingPointError("degenerate variance data: nonpositive variances")
     try:
         model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         raise FloatingPointError(str(exc))
     return {"window": None, "model": model.to_dict(), "n_points": len(scales)}
 

@@ -710,6 +710,19 @@ class TestEstimateCli:
         assert cli.main(["estimate", "--kind", kind, "--in", path, "--window", window]) == 2
         assert "window must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind,header,rows",
+        [("mu", ["loss", "g_dual"], [[1.0, 2.0], [1.0, 3.0]]),
+         ("L", ["grad_diff_dual", "step_disp"], [[1.0, 0.0], [2.0, 0.0]]),
+         ("rho", ["diff_dual", "diff_euclid"], [[1.0, 0.0], [2.0, 0.0]]),
+         ("variance", ["scale", "variance"], [[8.0, 0.5], [16.0, 0.0], [32.0, 0.1]])],
+        ids=["mu", "L", "rho", "variance"],
+    )
+    def test_degenerate_data_exits_2(self, kind, header, rows, tmp_path, capsys):
+        path = write_csv(tmp_path / "d.csv", header, rows)
+        assert cli.main(["estimate", "--kind", kind, "--in", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_smoothness_kind(self, tmp_path, capsys):
         rows = [[2.0 * d, d] for d in np.linspace(0.5, 1.5, 20)]
         path = write_csv(tmp_path / "l.csv", ["grad_diff_dual", "step_disp"], rows)

@@ -258,7 +258,7 @@ GOLDEN_CLI = {
     "estimate_mu": (["estimate", "--kind", "mu", "--in", "mu.csv", "--loss-cap", "4.5"], "33b32898d1c046dca0813b33097cab0a953dc5b82cb7d6a609d670affe1d23a1"),
     "estimate_L": (["estimate", "--kind", "L", "--in", "L.csv", "--window", "25"], "e0798962c0371936614c0c91e8dee083cdc23440de7f2780b754f4e86a0da489"),
     "estimate_rho": (["estimate", "--kind", "rho", "--in", "rho.csv", "--window", "25"], "6b5295be94f3728c00ccaf65dfe535c3b98edb0fdd1064d8cbbae81ad231c33b"),
-    "estimate_rho_degenerate": (["estimate", "--kind", "rho", "--in", "rho_degenerate.csv"], "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d"),
+    "estimate_rho_degenerate": (["estimate", "--kind", "rho", "--in", "rho_degenerate.csv"], "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     "estimate_variance": (["estimate", "--kind", "variance", "--in", "variance.csv"], "9514bd502f1e7ee6246af2bdf11453884dbf2c653e0053c1ff348120f93f6eec"),
 }
 
