@@ -7,12 +7,8 @@ from .geometry import (
     BlockGeometry,
     GeometryKind,
     LayeredPoint,
-    NormReport,
-    euclidean_norm,
     exact_polar,
-    lmo,
     newton_schulz_polar,
-    norm_report,
 )
 from .optimizer import (
     ConstantBeta,

@@ -3,9 +3,10 @@
 Configs are JSON with a schema_version field; unknown keys are rejected so a
 mistyped hyperparameter fails loudly instead of silently using a default.
 Exit codes: 0 success, 2 config or input error, 3 invariant violation,
-4 numeric failure, including a run that diverges or a non-finite result.
+4 numeric failure, including a run that diverges, a non-finite result and a
+run too large to allocate.
 Below main, a ValueError (or KeyError, TypeError) means exit 2 and an
-ArithmeticError, such as FloatingPointError, exit 4.
+ArithmeticError, such as FloatingPointError, or a MemoryError exit 4.
 NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2)
 and never written. JSON floats take their shortest exact form, CSV floats 17
 significant digits.
@@ -130,11 +131,11 @@ def cmd_train(args) -> int:
         problem=problems.spec_from_dict, optimizer=_optimizer_config,
         stages=problems.list_of(Stage, "stages"),
     )
-    os.makedirs(args.out, exist_ok=True)
     if cfg.stages is None:
         log = run(cfg.problem, cfg.optimizer)
     else:
         log = run_staged(cfg.problem, StagePlan(cfg.stages), cfg.optimizer)
+    os.makedirs(args.out, exist_ok=True)
     log.to_csv(os.path.join(args.out, "runlog.csv"))
     summary = {
         "schema_version": 1,
@@ -506,7 +507,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .geometry import block_dual_norm
+from .geometry import composite_dual_norm
 from .problems import from_dict, list_of
 
 __all__ = [
@@ -228,14 +228,10 @@ def estimate_L(run_log, geometry, window: int = 100) -> float:
         raise ValueError("smoothness estimation needs a log recorded at every step")
     kinds = [g.kind for g in geometry]
     grads = run_log.gradients
-    diffs = []
-    for prev, cur in zip(grads, grads[1:]):
-        diffs.append(
-            sum(
-                block_dual_norm(cb - pb, kind)
-                for cb, pb, kind in zip(cur.arrays, prev.arrays, kinds)
-            )
-        )
+    diffs = [
+        composite_dual_norm([cb - pb for cb, pb in zip(cur.arrays, prev.arrays)], kinds)
+        for prev, cur in zip(grads, grads[1:])
+    ]
     # displacement ||x_k - x_{k-1}|| is the step recorded at row k-1
     disps = np.asarray(run_log.step_disp, dtype=float)[: len(diffs)]
     return smoothness_from_steps(diffs, disps, window=window)
@@ -271,7 +267,7 @@ def estimate_rho(pairs, geometry, window: int = 100) -> float:
             raise ValueError("pair block names do not match")
         diff = [a - b for a, b in zip(g_small.arrays, g_ref.arrays)]
         euclids.append(math.sqrt(sum(float(np.sum(d * d)) for d in diff)))
-        duals.append(sum(block_dual_norm(d, kind) for d, kind in zip(diff, kinds)))
+        duals.append(composite_dual_norm(diff, kinds))
     return rho_from_norms(duals, euclids, window)[0]
 
 

@@ -23,7 +23,9 @@ from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
 from .optimizer import ConstantBeta, ScgConfig, run, run_staged
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
-from .scaling import ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages
+from .scaling import (
+    ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages, prescribed_alpha,
+)
 
 __all__ = [
     "BetaRule",
@@ -139,11 +141,7 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
         if rule.kind == "critical":
             alpha = rule.alpha
         else:
-            sigma = consts.sigma_star / math.sqrt(B * S)
-            if sigma == 0.0:
-                alpha = 1.0
-            else:
-                alpha = min(1.0, (law.eps * consts.mu) ** 2 / (consts.rho * sigma) ** 2)
+            alpha = prescribed_alpha(consts, law.eps, B * S, rule.mode)
     return K, beta, alpha, law
 
 
@@ -209,12 +207,7 @@ REGIME_SWEEP_ALPHA = 0.09
 REGIME_SWEEP_C = 1.0
 
 
-def regime_sweep_problem(
-    sigma_star: float = REGIME_SWEEP_SIGMA_STAR,
-    dim: int = REGIME_SWEEP_DIM,
-    curvature: float = REGIME_SWEEP_CURVATURE,
-    eta: float = REGIME_SWEEP_ETA,
-) -> LayeredQuadratic:
+def regime_sweep_problem(sigma_star: float = REGIME_SWEEP_SIGMA_STAR) -> LayeredQuadratic:
     """Sign-block quadratic used by the batch-scale sweep.
 
     Target coordinates have near-uniform magnitude in [0.5, 0.6] (drawn with
@@ -224,12 +217,12 @@ def regime_sweep_problem(
     against the ball boundary.
     """
     rng = np.random.default_rng(11)
-    mags = rng.uniform(0.5, 0.6, dim)
-    signs = rng.choice([-1.0, 1.0], dim)
+    mags = rng.uniform(0.5, 0.6, REGIME_SWEEP_DIM)
+    signs = rng.choice([-1.0, 1.0], REGIME_SWEEP_DIM)
     return LayeredQuadratic(
-        geometry=(BlockGeometry("sign", (dim,), eta),),
+        geometry=(BlockGeometry("sign", (REGIME_SWEEP_DIM,), REGIME_SWEEP_ETA),),
         block_names=("w",),
-        curvatures=(curvature,),
+        curvatures=(REGIME_SWEEP_CURVATURE,),
         targets=(mags * signs,),
         noise=NoiseModel(sigma_star),
     )
@@ -240,8 +233,6 @@ def regime_sweep(
     exponents: Sequence[int] = tuple(range(0, 19)),
     repetitions: int = 5,
     seed_base: int = 2024,
-    alpha: float = REGIME_SWEEP_ALPHA,
-    c: float = REGIME_SWEEP_C,
     jobs: int = 1,
     problem: Optional[LayeredQuadratic] = None,
 ):
@@ -255,12 +246,12 @@ def regime_sweep(
     """
     spec = problem if problem is not None else regime_sweep_problem()
     analytic = problems.known_constants(spec)
-    consts = replace(analytic.constants, c=c)
+    consts = replace(analytic.constants, c=REGIME_SWEEP_C)
     cfg = SweepConfig(
         problem=spec,
         token_budget=T,
         grid=tuple((float(2**j), 1.0) for j in exponents),
-        rule=BetaRule(kind="critical", c=c, alpha=alpha),
+        rule=BetaRule(kind="critical", c=REGIME_SWEEP_C, alpha=REGIME_SWEEP_ALPHA),
         repetitions=repetitions,
         seed_base=seed_base,
     )
@@ -273,18 +264,13 @@ RATE_STUDY_DIM = 24
 RATE_STUDY_N_SAMPLES = 96
 RATE_STUDY_ETA = 70.0
 RATE_STUDY_MARGIN = 0.3
+RATE_STUDY_DATA_SEED = 7
+RATE_STUDY_PILOT_SEED = 5
 RATE_STUDY_ALPHA = 0.25
 RATE_STUDY_C = 2.0
 
 
-def rate_study_problem(
-    sigma_star: float = RATE_STUDY_SIGMA_STAR,
-    dim: int = RATE_STUDY_DIM,
-    n_samples: int = RATE_STUDY_N_SAMPLES,
-    eta: float = RATE_STUDY_ETA,
-    margin_boost: float = RATE_STUDY_MARGIN,
-    data_seed: int = 7,
-) -> LogisticRegression:
+def rate_study_problem() -> LogisticRegression:
     """Logistic objective for the token-budget rate study.
 
     Separable logistic loss keeps the dual gradient norm proportional to the
@@ -293,22 +279,18 @@ def rate_study_problem(
     boost keeps the constrained optimum far below the noise plateau.
     """
     return LogisticRegression(
-        geometry=(BlockGeometry("euclidean", (dim,), eta),),
+        geometry=(BlockGeometry("euclidean", (RATE_STUDY_DIM,), RATE_STUDY_ETA),),
         block_names=("w",),
-        n_samples=n_samples,
-        dim=dim,
-        data_seed=data_seed,
-        margin_boost=margin_boost,
-        noise=NoiseModel(sigma_star),
+        n_samples=RATE_STUDY_N_SAMPLES,
+        dim=RATE_STUDY_DIM,
+        data_seed=RATE_STUDY_DATA_SEED,
+        margin_boost=RATE_STUDY_MARGIN,
+        noise=NoiseModel(RATE_STUDY_SIGMA_STAR),
     )
 
 
 def estimate_logistic_constants(
-    spec: LogisticRegression,
-    pilot_iters: int = 600,
-    alpha: float = RATE_STUDY_ALPHA,
-    seed: int = 5,
-    c: float = RATE_STUDY_C,
+    spec: LogisticRegression, pilot_iters: int = 600
 ) -> ProblemConstants:
     """Estimate (L, mu, rho) for the logistic problem from a pilot run.
 
@@ -319,17 +301,17 @@ def estimate_logistic_constants(
     """
     pilot_spec = replace(spec, noise=replace(spec.noise, B=64.0, S=1.0))
     cfg = ScgConfig(
-        alpha=alpha,
+        alpha=RATE_STUDY_ALPHA,
         beta=ConstantBeta(0.002),
         iters=pilot_iters,
-        seed=seed,
+        seed=RATE_STUDY_PILOT_SEED,
         store_gradients=True,
         check_invariants=False,
     )
     log = run(pilot_spec, cfg)
     L_hat = estimate_L(log, spec.geometry, window=100)
     mu_fit = estimate_mu(log.loss, log.g_dual, loss_cap=float("inf"))
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(RATE_STUDY_PILOT_SEED + 1)
     x = problems.initial_point(spec)
     ref = problems.grad(spec, x)
     pairs = [
@@ -343,7 +325,7 @@ def estimate_logistic_constants(
         rho=rho_hat,
         sigma_star=spec.noise.sigma_star,
         delta0=delta0,
-        c=c,
+        c=RATE_STUDY_C,
     )
 
 
@@ -351,8 +333,6 @@ def middle_regime_rates(
     t_exponents: Sequence[int] = tuple(range(14, 23)),
     repetitions: int = 5,
     seed_base: int = 77,
-    alpha: float = RATE_STUDY_ALPHA,
-    c: float = RATE_STUDY_C,
     problem: Optional[LogisticRegression] = None,
     constants: Optional[ProblemConstants] = None,
 ):
@@ -363,15 +343,15 @@ def middle_regime_rates(
     as the cube root of the budget).
     """
     spec = problem if problem is not None else rate_study_problem()
-    consts = constants if constants is not None else estimate_logistic_constants(spec, c=c)
+    consts = constants if constants is not None else estimate_logistic_constants(spec)
     budgets, scales, means, all_losses = [], [], [], []
     for j in t_exponents:
         T = float(2**j)
         bs = max(1.0, round(critical_bs(T, consts)))
         K = int(T // bs)
-        beta = min(0.5, c / K)
+        beta = min(0.5, RATE_STUDY_C / K)
         seeds = [point_seed(seed_base, bs, 1.0, rep + 1000 * j) for rep in range(repetitions)]
-        losses = _final_losses(spec, bs, 1.0, alpha, beta, K, seeds)
+        losses = _final_losses(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seeds)
         budgets.append(T)
         scales.append(bs)
         means.append(float(np.mean(losses)))
@@ -393,40 +373,28 @@ RESTART_ALPHA = 0.1
 RESTART_C = 1.0
 
 
-def restart_comparison(
-    T0: float = RESTART_T0,
-    budget_factor: float = 8.0,
-    trials: int = 5,
-    seed_base: int = 31,
-    alpha: float = RESTART_ALPHA,
-    c: float = RESTART_C,
-    problem: Optional[LayeredQuadratic] = None,
-):
+def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: int = 31):
     """Two-stage restart against a fixed-small-batch baseline.
 
     The tuned point sits at the critical scale for the initial budget; the
     restart plan re-derives (BS, beta) for the cumulative budget. Returns the
     plan plus per-trial final losses for both strategies.
     """
-    spec = problem if problem is not None else regime_sweep_problem(
-        sigma_star=RESTART_SIGMA_STAR
-    )
-    analytic = problems.known_constants(spec)
-    consts = replace(analytic.constants, c=c)
-    bs0 = max(1.0, round(critical_bs(T0, consts)))
-    K0 = int(T0 // bs0)
-    beta0 = c / K0
-    base = TunedConfig(B0=bs0, S0=1.0, beta0=beta0, alpha0=alpha, T0=T0)
-    T1 = budget_factor * T0
-    plan = plan_stages(base, consts, consts, [T0, T1])
+    spec = regime_sweep_problem(sigma_star=RESTART_SIGMA_STAR)
+    consts = replace(problems.known_constants(spec).constants, c=RESTART_C)
+    bs0 = max(1.0, round(critical_bs(RESTART_T0, consts)))
+    beta0 = RESTART_C / int(RESTART_T0 // bs0)
+    base = TunedConfig(B0=bs0, S0=1.0, beta0=beta0, alpha0=RESTART_ALPHA, T0=RESTART_T0)
+    T1 = budget_factor * RESTART_T0
+    plan = plan_stages(base, consts, consts, [RESTART_T0, T1])
 
     seeds = [point_seed(seed_base, bs0, 1.0, trial) for trial in range(trials)]
     base_cfg = ScgConfig(
-        alpha=alpha, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
+        alpha=RESTART_ALPHA, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
         check_invariants=False,
     )
     staged_losses = [run_staged(spec, plan, replace(base_cfg, seed=s)).final_loss for s in seeds]
-    baseline_losses = _final_losses(spec, bs0, 1.0, alpha, beta0, int(T1 // bs0), seeds)
+    baseline_losses = _final_losses(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
     return {
         "plan": plan,
         "tuned": base,

@@ -27,10 +27,9 @@ __all__ = [
     "GeometryKind",
     "BlockGeometry",
     "LayeredPoint",
-    "NormReport",
-    "norm_report",
-    "euclidean_norm",
-    "lmo",
+    "block_primal_norm",
+    "block_dual_norm",
+    "composite_dual_norm",
     "lmo_block",
     "newton_schulz_polar",
     "exact_polar",
@@ -126,9 +125,6 @@ class LayeredPoint:
     def blocks(self):
         return list(zip(self.names, self.arrays))
 
-    def copy(self) -> "LayeredPoint":
-        return LayeredPoint.from_arrays(self.names, [a.copy() for a in self.arrays])
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays])
 
@@ -143,32 +139,6 @@ class LayeredPoint:
     def __repr__(self):
         parts = ", ".join(f"{n}:{a.shape}" for n, a in zip(self.names, self.arrays))
         return f"LayeredPoint({parts})"
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Per-block and composite norms of a layered point.
-
-    composite_primal is the max over blocks (radius-normalized when the
-    radius-weighted mode is on); composite_dual is the sum over blocks.
-    """
-
-    per_block_primal: tuple[float, ...]
-    per_block_dual: tuple[float, ...]
-    composite_primal: float
-    composite_dual: float
-
-
-def _check_layout(x: LayeredPoint, geometry: Sequence[BlockGeometry]) -> None:
-    if len(x.arrays) != len(geometry):
-        raise ValueError(
-            f"point has {len(x.arrays)} blocks but geometry has {len(geometry)}"
-        )
-    for name, arr, geom in zip(x.names, x.arrays, geometry):
-        if arr.shape != geom.shape:
-            raise ValueError(
-                f"block {name!r} has shape {arr.shape}, geometry expects {geom.shape}"
-            )
 
 
 def block_primal_norm(values: np.ndarray, kind: GeometryKind) -> float:
@@ -205,27 +175,10 @@ def block_dual_norm(values: np.ndarray, kind: GeometryKind) -> float:
     return float(np.linalg.norm(values.ravel()))
 
 
-def norm_report(
-    x: LayeredPoint,
-    geometry: Sequence[BlockGeometry],
-    radius_weighted: bool = False,
-) -> NormReport:
-    """Compute per-block primal/dual norms and the composite values."""
-    _check_layout(x, geometry)
-    primal = tuple(block_primal_norm(a, g.kind) for a, g in zip(x.arrays, geometry))
-    dual = tuple(block_dual_norm(a, g.kind) for a, g in zip(x.arrays, geometry))
-    if radius_weighted:
-        composite_primal = max(
-            (p / g.radius_eta for p, g in zip(primal, geometry)), default=0.0
-        )
-    else:
-        composite_primal = max(primal, default=0.0)
-    return NormReport(primal, dual, float(composite_primal), float(sum(dual)))
-
-
-def euclidean_norm(x: LayeredPoint) -> float:
-    """Flat l2 norm across all blocks."""
-    return math.sqrt(sum(float(np.sum(a * a)) for a in x.arrays))
+def composite_dual_norm(arrays, kinds) -> float:
+    """Dual norm of a layered point given as its block arrays and their kinds:
+    the sum of the block dual norms, as the dual of a max is the sum."""
+    return sum(block_dual_norm(a, kind) for a, kind in zip(arrays, kinds))
 
 
 # Newton-Schulz coefficient sets: (a, b, c) applied each iteration as
@@ -308,24 +261,3 @@ def lmo_block(
     if spectral_method == "newton_schulz":
         return -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
     raise ValueError(f"unknown spectral_method {spectral_method!r}")
-
-
-def lmo(
-    m: LayeredPoint,
-    geometry: Sequence[BlockGeometry],
-    spectral_method: str = "exact",
-    ns_iters: int = 5,
-    ns_coefficients: tuple[float, float, float] = NS_CUBIC,
-) -> LayeredPoint:
-    """Per-block unit-ball LMO of a layered point.
-
-    For each block, <m_b, d_b> equals minus the block dual norm of m_b
-    (up to the documented approximation error on the Newton-Schulz path),
-    and every output block has primal norm at most 1.
-    """
-    _check_layout(m, geometry)
-    out = [
-        lmo_block(a, g.kind, spectral_method, ns_iters, ns_coefficients)
-        for a, g in zip(m.arrays, geometry)
-    ]
-    return LayeredPoint.from_arrays(m.names, out)

@@ -20,8 +20,8 @@ import numpy as np
 from .geometry import (
     GeometryKind,
     LayeredPoint,
-    block_dual_norm,
     block_primal_norm,
+    composite_dual_norm,
     lmo_block,
     scaled_l2_norm,
 )
@@ -463,7 +463,7 @@ def _run_segments(spec, segments, config, x0):
             if grads is not None:
                 grads.append(LayeredPoint.from_arrays(names, [gb.copy() for gb in g]))
             if record:
-                g_dual_k = sum(block_dual_norm(gb, kind) for gb, kind in zip(g, kinds))
+                g_dual_k = composite_dual_norm(g, kinds)
             if m is None:
                 if config.momentum_init == "first_sample":
                     m = [gb.copy() for gb in g]
@@ -475,7 +475,7 @@ def _run_segments(spec, segments, config, x0):
                     gb *= alpha
                     mb += gb
             if record:
-                m_dual_k = sum(block_dual_norm(mb, kind) for mb, kind in zip(m, kinds))
+                m_dual_k = composite_dual_norm(m, kinds)
 
             need_disp = record or check
             if need_disp:

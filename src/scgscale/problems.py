@@ -291,15 +291,16 @@ def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
     return float(np.linalg.norm(theta)) + eta
 
 
-def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None) -> AnalyticConstants:
+def known_constants(spec: ProblemSpec) -> AnalyticConstants:
     """Analytic (L, mu, rho, sigma_star) for the layered quadratic.
 
     L sums the per-block curvature times the dual-vs-primal norm gain, which
     is tight for the composite norms. The error-bound slope is certified only
     on the sublevel set reachable from the radius ball: mu = sqrt(2 min
     lambda) / sqrt(f_max), where f_max is the largest objective value on the
-    ball. rho is the exact dual-vs-euclidean gain of the composite norm.
-    Logistic problems have no analytic constants and raise.
+    ball. rho is the exact dual-vs-euclidean gain of the composite norm, and
+    delta0 the loss at the zero start point (initial_point). Logistic
+    problems have no analytic constants and raise.
     """
     if isinstance(spec, LogisticRegression):
         raise ValueError(
@@ -315,13 +316,9 @@ def known_constants(spec: ProblemSpec, x0: Optional[LayeredPoint] = None) -> Ana
     )
     mu = math.sqrt(2.0 * min(spec.curvatures)) / math.sqrt(f_max)
     rho = math.sqrt(sum(g.dual_gain() ** 2 for g in spec.geometry))
-    x_start = initial_point(spec) if x0 is None else x0
-    delta0 = loss(spec, x_start)
+    delta0 = loss(spec, initial_point(spec))
     if delta0 <= 0.0:
-        raise ValueError(
-            "the start point is already optimal (zero initial suboptimality); "
-            "pass an x0 away from the targets"
-        )
+        raise ValueError("the zero start point is already optimal (zero initial suboptimality)")
     consts = ProblemConstants(
         L=L,
         mu=mu,
@@ -357,7 +354,10 @@ def json_value(value, hint: str, where: str, name: str):
             raise ValueError(f"{where}: {name} must be a number, got {value!r}")
         if hint == "int" and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
-        value = int(value) if hint == "int" else float(value)
+        try:
+            value = int(value) if hint == "int" else float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(f"{where}: {name} must be a number within the float range") from None
     elif hint.startswith("tuple["):
         inner = hint[len("tuple["):-1]
         if not isinstance(value, (list, tuple)):

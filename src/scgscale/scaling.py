@@ -25,6 +25,7 @@ __all__ = [
     "Prescription",
     "ErrorLaw",
     "prescribe_params",
+    "prescribed_alpha",
     "error_law",
     "critical_bs",
     "transfer_model_size",
@@ -95,6 +96,22 @@ def _log_term(consts: ProblemConstants, eps: float) -> float:
     return math.log(2.0 * consts.delta0 / eps)
 
 
+def prescribed_alpha(consts: ProblemConstants, eps: float, bs: float, mode: str) -> float:
+    """Momentum parameter of the prescription for target error eps at batch
+    scale bs: 1 without noise, else (eps mu / (rho sigma))^2 capped at 1,
+    with sigma = sigma_star / sqrt(bs) and, in exact mode, rho sigma scaled
+    by 32 exp(1.5 c)."""
+    sigma = consts.sigma_star / math.sqrt(bs)
+    if sigma == 0.0:
+        return 1.0
+    eps_mu, rho = eps * consts.mu, consts.rho
+    if mode == "exact":
+        return min(1.0, eps_mu ** 2 / ((32.0 * rho * sigma) ** 2 * math.exp(1.5 * consts.c) ** 2))
+    if mode == "asymptotic":
+        return min(1.0, eps_mu ** 2 / (rho * sigma) ** 2)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def prescribe_params(
     consts: ProblemConstants, eps: float, bs: float = 1.0, mode: str = "exact"
 ) -> Prescription:
@@ -109,13 +126,10 @@ def prescribe_params(
     c, mu, L, rho = consts.c, consts.mu, consts.L, consts.rho
     sigma = consts.sigma_star / math.sqrt(bs)
     log_term = _log_term(consts, eps)
+    alpha = prescribed_alpha(consts, eps, bs, mode)
     if mode == "exact":
         e15 = math.exp(1.5 * c)
         eta = (2.0 * e15 / (mu * c)) * log_term
-        if sigma == 0.0:
-            alpha = 1.0
-        else:
-            alpha = min(1.0, (eps * mu) ** 2 / ((32.0 * rho * sigma) ** 2 * e15**2))
         inner = max(
             0.5,
             128.0 * L * e15**2 / (eps * mu**2),
@@ -126,10 +140,6 @@ def prescribe_params(
         k_real = max(2.0 * c, inner * log_term)
     elif mode == "asymptotic":
         eta = log_term / mu
-        if sigma == 0.0:
-            alpha = 1.0
-        else:
-            alpha = min(1.0, (eps * mu) ** 2 / (rho * sigma) ** 2)
         inner = max(
             L / (eps * mu**2),
             rho * sigma / (eps * mu),
@@ -216,7 +226,6 @@ def transfer_model_size(
     consts0: ProblemConstants,
     consts1: ProblemConstants,
     T1: float,
-    T0: Optional[float] = None,
 ) -> TransferResult:
     """Move a tuned operating point to a new model size and token budget.
 
@@ -224,8 +233,8 @@ def transfer_model_size(
     beta1 = beta0 (sqrt(T0/T1)(mu1/mu0)(rho1/rho0)/(L1/L0))^(2/3);
     the momentum parameter transfers unchanged.
     """
-    T0 = base.T0 if T0 is None else T0
-    if T0 <= 0 or T1 <= 0:
+    T0 = base.T0
+    if T1 <= 0:
         raise ValueError("token budgets must be positive")
     ratios = _ratio_factor(consts0, consts1)
     bs1 = base.B0 * base.S0 * ((T1 / T0) * ratios) ** (2.0 / 3.0)

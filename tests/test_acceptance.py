@@ -98,6 +98,7 @@ def test_c02_fitted_law_cross_checks():
            f"mu(12,768)={mu:.4f} (want 3.1+-0.05), L(12,768)={L:.4f} (want 7.2+-0.1)")
 
 
+@pytest.mark.slow
 def test_c03_three_regime_sweep_minimum_near_critical(sweep_data):
     bs, losses, bs_star = sweep_data["bs"], sweep_data["losses"], sweep_data["bs_star"]
     idx = int(np.argmin(losses))
@@ -119,6 +120,7 @@ def test_c04_middle_regime_rate(rate_data):
            f"{rate_data['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_c05_large_batch_linearity(sweep_data):
     bs, losses, bs_star = sweep_data["bs"], sweep_data["losses"], sweep_data["bs_star"]
     window = bs > 8.0 * bs_star

@@ -96,7 +96,8 @@ class TestMalformedConfigs:
         "key,value",
         [("check_invariants", "false"), ("store_gradients", 1), ("iters", 50.7),
          ("alpha", "0.1"), ("alpha", True), ("seed", None), ("radii", ["2.0"]),
-         ("radii", 2.0), ("momentum_init", 0), ("variant", 5)],
+         ("radii", 2.0), ("momentum_init", 0), ("variant", 5),
+         pytest.param("alpha", 10**400, id="alpha-10**400")],
     )
     def test_mistyped_optimizer_value_exits_2(self, key, value, tmp_path):
         cfg = train_config()
@@ -373,7 +374,29 @@ class TestTrain:
         out = tmp_path / "o"
         assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 4
         assert "diverged" in capsys.readouterr().err
-        assert not (out / "runlog.csv").exists()
+        assert not out.exists()
+
+    def test_unallocatable_run_exits_4(self, tmp_path, capsys):
+        # 10**17 recorded rows need 800 PB, more than a 57-bit virtual address
+        # space (128 PiB) maps, so the allocation fails under any allocator.
+        cfg_path = write_json(tmp_path / "cfg.json", train_config(iters=10**17))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stages,message",
+        [([], "at least one stage"),
+         ([{"token_allotment": 4.0, "B": 4.0, "S": 2.0, "beta": 0.1, "alpha": 0.5}], "B*S")],
+        ids=["no_stage", "allotment_below_BS"],
+    )
+    def test_failed_stage_plan_exits_2(self, stages, message, tmp_path, capsys):
+        cfg_path = write_json(tmp_path / "cfg.json", train_config(iters=0, stages=stages))
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariant_violation_exits_3(self, tmp_path, monkeypatch):
         cfg_path = write_json(tmp_path / "cfg.json", train_config(iters=3))

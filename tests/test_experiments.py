@@ -7,7 +7,7 @@ from scgscale import experiments, problems
 from scgscale.experiments import BetaRule, SweepConfig, point_seed, run_sweep
 from scgscale.geometry import BlockGeometry
 from scgscale.problems import LayeredQuadratic, NoiseModel
-from scgscale.scaling import error_law
+from scgscale.scaling import error_law, prescribe_params
 
 
 def small_problem(sigma=0.2):
@@ -43,6 +43,20 @@ class TestBetaRule:
     def test_critical_needs_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             BetaRule(kind="critical")
+
+    @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+    def test_prescribed_momentum_follows_the_mode(self, mode):
+        spec = experiments.regime_sweep_problem()
+        # delta0 is raised so that the exact-mode error of the point lies
+        # below 2*delta0, where the prescription is defined.
+        consts = replace(problems.known_constants(spec).constants, delta0=100.0)
+        cfg = SweepConfig(
+            problem=spec, token_budget=2.0**20, grid=((64.0, 1.0),),
+            rule=BetaRule(kind="prescribed", mode=mode), constants=consts,
+        )
+        _, _, alpha, law = experiments._point_hyperparameters(cfg, consts, 64.0, 1.0)
+        assert law.eps < 2.0 * consts.delta0
+        assert alpha == prescribe_params(consts, law.eps, 64.0, mode).alpha
 
 
 class TestSweep:

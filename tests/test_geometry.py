@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from scgscale.geometry import (
     BlockGeometry,
     GeometryKind,
     LayeredPoint,
-    euclidean_norm,
+    block_dual_norm,
+    block_primal_norm,
+    composite_dual_norm,
     exact_polar,
-    lmo,
     lmo_block,
     newton_schulz_polar,
-    norm_report,
 )
+
+SIGN, SPECTRAL, EUCLIDEAN = GeometryKind.SIGN, GeometryKind.SPECTRAL, GeometryKind.EUCLIDEAN
 
 
 def point(*blocks):
@@ -26,52 +29,32 @@ def point(*blocks):
 
 class TestNorms:
     def test_single_euclidean_block(self):
-        g = [BlockGeometry("euclidean", (2,))]
-        r = norm_report(point(("w", [3.0, 4.0])), g)
-        assert r.composite_primal == pytest.approx(5.0)
-        assert r.composite_dual == pytest.approx(5.0)
+        x = np.array([3.0, 4.0])
+        assert block_primal_norm(x, EUCLIDEAN) == pytest.approx(5.0)
+        assert block_dual_norm(x, EUCLIDEAN) == pytest.approx(5.0)
 
     def test_sign_composite_is_max_and_sum(self):
-        g = [BlockGeometry("sign", (2,)), BlockGeometry("sign", (3,))]
-        x = point(("a", [2.0, -1.0]), ("b", [7.0, 0.0, 0.0]))
-        r = norm_report(x, g)
-        assert r.composite_primal == pytest.approx(7.0)  # max of 2 and 7
-        assert r.per_block_dual == pytest.approx((3.0, 7.0))
-        assert r.composite_dual == pytest.approx(10.0)
+        x = [np.array([2.0, -1.0]), np.array([7.0, 0.0, 0.0])]
+        assert max(block_primal_norm(a, SIGN) for a in x) == pytest.approx(7.0)  # max of 2 and 7
+        assert [block_dual_norm(a, SIGN) for a in x] == pytest.approx([3.0, 7.0])
+        assert composite_dual_norm(x, [SIGN, SIGN]) == pytest.approx(10.0)
 
     def test_sign_dual_sums(self):
-        g = [BlockGeometry("sign", (2,)), BlockGeometry("sign", (2,))]
-        x = point(("a", [1.0, 2.0]), ("b", [1.0, 3.0]))
-        assert norm_report(x, g).composite_dual == pytest.approx(7.0)
+        x = [np.array([1.0, 2.0]), np.array([1.0, 3.0])]
+        assert composite_dual_norm(x, [SIGN, SIGN]) == pytest.approx(7.0)
 
     def test_spectral_block_diag(self):
         # oracle: singular values of diag(2, 3) are (3, 2)
-        g = [BlockGeometry("spectral", (2, 2))]
-        x = point(("m", np.diag([2.0, 3.0])))
-        r = norm_report(x, g)
-        sv = np.linalg.svd(np.diag([2.0, 3.0]), compute_uv=False)
-        assert r.composite_primal == pytest.approx(sv[0]) == pytest.approx(3.0)
-        assert r.composite_dual == pytest.approx(sv.sum()) == pytest.approx(5.0)
+        x = np.diag([2.0, 3.0])
+        sv = np.linalg.svd(x, compute_uv=False)
+        assert block_primal_norm(x, SPECTRAL) == pytest.approx(sv[0]) == pytest.approx(3.0)
+        assert block_dual_norm(x, SPECTRAL) == pytest.approx(sv.sum()) == pytest.approx(5.0)
 
     def test_zero_point_all_zero(self):
-        g = [BlockGeometry("sign", (3,)), BlockGeometry("euclidean", (2,))]
-        x = point(("a", np.zeros(3)), ("b", np.zeros(2)))
-        r = norm_report(x, g)
-        assert r.composite_primal == 0.0
-        assert r.composite_dual == 0.0
-
-    def test_radius_weighted_primal(self):
-        g = [BlockGeometry("euclidean", (1,), radius_eta=2.0),
-             BlockGeometry("euclidean", (1,), radius_eta=10.0)]
-        x = point(("a", [2.0]), ("b", [5.0]))
-        r = norm_report(x, g, radius_weighted=True)
-        assert r.composite_primal == pytest.approx(1.0)  # max(2/2, 5/10)
-        assert r.composite_dual == pytest.approx(7.0)  # dual stays unweighted
-
-    def test_shape_mismatch_raises(self):
-        g = [BlockGeometry("euclidean", (3,))]
-        with pytest.raises(ValueError, match="shape"):
-            norm_report(point(("w", [1.0, 2.0])), g)
+        x = [np.zeros(3), np.zeros(2)]
+        kinds = [SIGN, EUCLIDEAN]
+        assert max(block_primal_norm(a, k) for a, k in zip(x, kinds)) == 0.0
+        assert composite_dual_norm(x, kinds) == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -97,23 +80,17 @@ class TestBlockGeometry:
 
 class TestLmo:
     def test_sign_rule(self):
-        g = [BlockGeometry("sign", (2,))]
-        m = point(("w", [1.5, -2.0]))
-        d = lmo(m, g)
-        assert np.array_equal(d.arrays[0], [-1.0, 1.0])
-        pairing = float(np.dot(m.arrays[0], d.arrays[0]))
-        assert pairing == pytest.approx(-3.5)  # -l1 norm
+        m = np.array([1.5, -2.0])
+        d = lmo_block(m, SIGN)
+        assert np.array_equal(d, [-1.0, 1.0])
+        assert float(np.dot(m, d)) == pytest.approx(-3.5)  # -l1 norm
 
     def test_spectral_identity(self):
-        g = [BlockGeometry("spectral", (2, 2))]
-        d = lmo(point(("m", np.eye(2))), g)
-        assert np.allclose(d.arrays[0], -np.eye(2))
+        assert np.allclose(lmo_block(np.eye(2), SPECTRAL), -np.eye(2))
 
     def test_zero_block_stays_zero(self):
-        for kind, shape in [("sign", (3,)), ("euclidean", (3,)), ("spectral", (2, 2))]:
-            g = [BlockGeometry(kind, shape)]
-            d = lmo(point(("w", np.zeros(shape))), g)
-            assert not np.any(d.arrays[0])
+        for kind, shape in [(SIGN, (3,)), (EUCLIDEAN, (3,)), (SPECTRAL, (2, 2))]:
+            assert not np.any(lmo_block(np.zeros(shape), kind))
 
     def test_sign_matches_brute_force_corners(self):
         rng = np.random.default_rng(0)
@@ -132,8 +109,8 @@ class TestLmo:
 
 @st.composite
 def random_block(draw):
-    kind = draw(st.sampled_from(["sign", "euclidean", "spectral"]))
-    if kind == "spectral":
+    kind = draw(st.sampled_from([SIGN, EUCLIDEAN, SPECTRAL]))
+    if kind is SPECTRAL:
         rows = draw(st.integers(1, 5))
         cols = draw(st.integers(1, 5))
         shape = (rows, cols)
@@ -154,44 +131,35 @@ class TestLmoProperties:
     @settings(max_examples=150, deadline=None)
     def test_pairing_equals_negative_dual(self, block):
         kind, m = block
-        geom = [BlockGeometry(kind, m.shape)]
-        x = point(("w", m))
-        d = lmo(x, geom)
-        pairing = float(np.sum(m * d.arrays[0]))
-        dual = norm_report(x, geom).composite_dual
+        pairing = float(np.sum(m * lmo_block(m, kind)))
+        dual = composite_dual_norm([m], [kind])
         assert pairing == pytest.approx(-dual, abs=1e-8 * max(1.0, dual))
 
     @given(random_block())
-    @example(("euclidean", np.array([2.76e-159])))  # subnormal square
-    @example(("euclidean", np.array([1e-170])))  # square underflows to zero
+    @example((EUCLIDEAN, np.array([2.76e-159])))  # subnormal square
+    @example((EUCLIDEAN, np.array([1e-170])))  # square underflows to zero
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, block):
         kind, m = block
-        geom = [BlockGeometry(kind, m.shape)]
-        d = lmo(point(("w", m)), geom)
-        assert norm_report(d, geom).composite_primal <= 1.0 + 1e-8
+        assert block_primal_norm(lmo_block(m, kind), kind) <= 1.0 + 1e-8
 
     @given(random_block(), st.floats(1e-3, 1e3))
-    @example(("sign", np.array([5e-324])), 0.5)  # the scaled entry underflows to 0
+    @example((SIGN, np.array([5e-324])), 0.5)  # the scaled entry underflows to 0
     @settings(max_examples=100, deadline=None)
     def test_positive_scaling_invariance(self, block, scale):
         kind, m = block
         # The property needs every nonzero entry to stay nonzero when scaled.
         assume(np.count_nonzero(scale * m) == np.count_nonzero(m))
-        geom = [BlockGeometry(kind, m.shape)]
-        d1 = lmo(point(("w", m)), geom)
-        d2 = lmo(point(("w", scale * m)), geom)
-        assert np.allclose(d1.arrays[0], d2.arrays[0], atol=1e-9)
+        assert np.allclose(lmo_block(m, kind), lmo_block(scale * m, kind), atol=1e-9)
 
     @given(random_block())
     @settings(max_examples=100, deadline=None)
     def test_dual_vs_euclidean_ratio_finite_positive(self, block):
         kind, m = block
-        geom = [BlockGeometry(kind, m.shape)]
-        x = point(("w", m))
-        if euclidean_norm(x) == 0.0:  # zero or underflowing block
+        euclid = math.sqrt(float(np.sum(m * m)))
+        if euclid == 0.0:  # zero or underflowing block
             return
-        ratio = norm_report(x, geom).composite_dual / euclidean_norm(x)
+        ratio = composite_dual_norm([m], [kind]) / euclid
         assert np.isfinite(ratio) and ratio > 0
 
 

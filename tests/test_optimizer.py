@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgscale.geometry import BlockGeometry, LayeredPoint, norm_report
+from scgscale.geometry import BlockGeometry, GeometryKind, LayeredPoint, block_primal_norm
 from scgscale.optimizer import (
     ConstantBeta,
     RunLog,
@@ -136,8 +136,8 @@ class TestSteps:
         m = LayeredPoint([("w", np.zeros(4))])
         grad = LayeredPoint([("w", np.array(gs))])
         x_new, _ = scg_step(x, m, grad, alpha=alpha, beta_k=beta, radii=None, geometry=g)
-        lhs = norm_report(x_new, g).composite_primal
-        rhs = (1.0 - beta) * norm_report(x, g).composite_primal + beta * eta
+        lhs = block_primal_norm(x_new.arrays[0], GeometryKind.EUCLIDEAN)
+        rhs = (1.0 - beta) * block_primal_norm(x.arrays[0], GeometryKind.EUCLIDEAN) + beta * eta
         assert lhs <= rhs + 1e-9
 
 
