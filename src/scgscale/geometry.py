@@ -121,10 +121,6 @@ class LayeredPoint:
     def zeros(cls, names, geometry: Sequence[BlockGeometry]) -> "LayeredPoint":
         return cls([(n, np.zeros(g.shape)) for n, g in zip(names, geometry)])
 
-    @property
-    def blocks(self):
-        return list(zip(self.names, self.arrays))
-
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for a in self.arrays])
 
