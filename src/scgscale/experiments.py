@@ -21,7 +21,7 @@ import numpy as np
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
-from .optimizer import ConstantBeta, ScgConfig, run, run_staged
+from .optimizer import ConstantBeta, ScgConfig, _run_segments, run
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
     ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages, prescribed_alpha,
@@ -49,7 +49,8 @@ class BetaRule:
 
     kind "prescribed": beta = c/K with alpha from the parameter prescription
     at the predicted error for that point. kind "critical": beta = c/K with a
-    fixed alpha. kind "fixed": both fixed.
+    fixed alpha. kind "fixed": both fixed. mode, "exact" or "asymptotic",
+    selects the form of the error law and of the prescription.
     """
 
     kind: str
@@ -61,6 +62,8 @@ class BetaRule:
     def __post_init__(self):
         if self.kind not in ("prescribed", "critical", "fixed"):
             raise ValueError(f"unknown beta rule {self.kind!r}")
+        if self.mode not in ("exact", "asymptotic"):
+            raise ValueError(f"unknown mode {self.mode!r}")
         if self.kind == "fixed" and (self.beta is None or self.alpha is None):
             raise ValueError("fixed rule needs beta and alpha")
         if self.kind == "critical" and self.alpha is None:
@@ -147,15 +150,14 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
 
 def _final_losses(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_ONLY):
     """The final loss of one unchecked constant-beta run per seed, with the
-    noise of spec set to batch B and sequence length S."""
+    noise of spec set to batch B and sequence length S; the seeds step
+    together in one loop."""
     spec = replace(spec, noise=replace(spec.noise, B=B, S=S))
-    return [
-        run(spec, ScgConfig(
-            alpha=alpha, beta=ConstantBeta(beta), iters=iters, seed=seed,
-            eval_every=eval_every, check_invariants=False,
-        )).final_loss
-        for seed in seeds
-    ]
+    config = ScgConfig(
+        alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=eval_every,
+        check_invariants=False,
+    )
+    return [log.final_loss for log in _run_segments(spec, config, seeds)]
 
 
 def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float) -> SweepRow:
@@ -240,9 +242,14 @@ def regime_sweep(
 
     The stepsize follows the 1/K prescription at every point while the
     momentum parameter is held at its transfer-constant value. Returns
-    (SweepResult, constants, critical scale). The measured final-loss curve
-    is non-monotone in BS: noise dominated on the left, iteration starved on
-    the right, with the interior minimum near the critical scale.
+    (SweepResult, constants, critical scale).
+
+    On this problem the error law (asymptotic mode) labels no grid point
+    noise dominated: BS = 2^0 .. 2^10 lie in the flat middle regime 2, where
+    the predicted error does not depend on BS, and BS = 2^11 .. 2^18 in the
+    iteration-starved regime 3, where it grows linearly in BS. The critical
+    scale, 2^10.7 at the default budget, is where the two meet. The measured
+    final losses fall with BS up to an interior minimum and rise past it.
     """
     spec = problem if problem is not None else regime_sweep_problem()
     analytic = problems.known_constants(spec)
@@ -393,7 +400,7 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         alpha=RESTART_ALPHA, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
         check_invariants=False,
     )
-    staged_losses = [run_staged(spec, plan, replace(base_cfg, seed=s)).final_loss for s in seeds]
+    staged_losses = [log.final_loss for log in _run_segments(spec, base_cfg, seeds, plan)]
     baseline_losses = _final_losses(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
     return {
         "plan": plan,

@@ -24,6 +24,7 @@ from .geometry import (
     composite_dual_norm,
     lmo_block,
     scaled_l2_norm,
+    _TINY,
 )
 from . import problems
 
@@ -291,10 +292,14 @@ def _resolve_radii(config_radii, geometry) -> list[float]:
 
 
 def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
-    """In place, xb <- keep * xb + scale * lmo(mb); scratch is shaped like mb.
+    """In place, xb[r] <- keep * xb[r] + scale * lmo(mb[r]) for every seed r.
 
-    Sign and euclidean directions are formed in scratch, so those blocks
-    allocate nothing per step; spectral blocks go through lmo_block.
+    xb and mb hold one block per seed, stacked as (R, *shape); scratch is
+    shaped like mb. Sign and euclidean directions are formed in scratch, so
+    those blocks allocate nothing per step; spectral blocks go through
+    lmo_block one seed at a time. Each seed's result is bit-equal to a lone
+    R = 1 step: for R > 1 the stacked matmul below forms the same dot products
+    as the np.vdot of scaled_l2_norm on each seed's block.
     """
     xb *= keep
     if kind is _SIGN:
@@ -302,12 +307,23 @@ def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:
-        v, nrm = scaled_l2_norm(mb)
-        if nrm > 0.0:
-            np.multiply(v, scale / nrm, out=scratch)
-            xb -= scratch
+        if len(mb) > 1:
+            flat = mb.reshape(len(mb), -1)
+            sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
+            if sq.min() >= _TINY:  # False for a NaN too
+                factor = (scale / np.sqrt(sq)).reshape((-1,) + (1,) * (mb.ndim - 1))
+                np.multiply(mb, factor, out=scratch)
+                xb -= scratch
+                return
+        # One seed, or some seed's block is tiny, zero or not finite: seed by seed.
+        for xr, mr, sr in zip(xb, mb, scratch):
+            v, nrm = scaled_l2_norm(mr)
+            if nrm > 0.0:
+                np.multiply(v, scale / nrm, out=sr)
+                xr -= sr
     else:
-        xb += scale * lmo_block(mb, kind, spectral_method)
+        for xr, mr in zip(xb, mb):
+            xr += scale * lmo_block(mr, kind, spectral_method)
 
 
 def _step(x, m, g_sample, alpha, keep, scales, geometry, spectral_method):
@@ -316,7 +332,8 @@ def _step(x, m, g_sample, alpha, keep, scales, geometry, spectral_method):
     for xb, mb, gb, scale, geom in zip(x_new, m_new, g_sample.arrays, scales, geometry):
         mb *= 1.0 - alpha
         mb += alpha * gb
-        _step_block(xb, mb, geom.kind, keep, scale, np.empty_like(mb), spectral_method)
+        _step_block(xb[None], mb[None], geom.kind, keep, scale, np.empty((1,) + mb.shape),
+                    spectral_method)
     return (
         LayeredPoint.from_arrays(x.names, x_new),
         LayeredPoint.from_arrays(x.names, m_new),
@@ -361,10 +378,6 @@ class _Segment:
     stage_index: int
 
 
-def _primal_norms(x, kinds) -> list[float]:
-    return [block_primal_norm(xb, kind) for xb, kind in zip(x, kinds)]
-
-
 def _betas(schedule: BetaSchedule, iters: int):
     """The stepsizes of steps 0 .. iters-1 of a segment, in order."""
     if isinstance(schedule, ConstantBeta):
@@ -372,56 +385,94 @@ def _betas(schedule: BetaSchedule, iters: int):
     return (beta_at(schedule, k) for k in range(iters))
 
 
-def _run_segments(spec, segments, config, x0):
+def _segments(spec, config: ScgConfig, plan: Optional[StagePlan]) -> list[_Segment]:
+    if plan is None:
+        return [_Segment(config.iters, config.beta, config.alpha, spec.noise, 0)]
+    segments = []
+    for idx, stage in enumerate(plan.stages):
+        iters = stage.iters
+        if iters < 1:
+            raise ValueError(
+                f"stage {idx} allots {stage.token_allotment} tokens but needs "
+                f"at least B*S = {stage.B * stage.S}"
+            )
+        noise = replace(spec.noise, B=stage.B, S=stage.S)
+        segments.append(_Segment(iters, ConstantBeta(stage.beta), stage.alpha, noise, idx))
+    return segments
+
+
+def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = None,
+                  x0: Optional[LayeredPoint] = None) -> list[RunLog]:
+    """One run of config (or of the stages of plan, as run_staged) per seed.
+
+    The seeds step together: every block is held as an (R, *shape) array for
+    the R seeds, and config.seed is not read. Seed r draws its noise from its
+    own generator, so its RunLog is bit-equal to that of a lone run with
+    config.seed = seeds[r]. Recording, the checker and stored gradients are
+    kept per seed.
+    """
+    segments = _segments(spec, config, plan)
     geometry = spec.geometry
     names = spec.block_names
     radii = _resolve_radii(config.radii, geometry)
     kinds = [g.kind for g in geometry]
     n_blocks = len(geometry)
+    n_seeds = len(seeds)
 
     if x0 is None:
-        x = [np.zeros(g.shape) for g in geometry]
+        x = [np.zeros((n_seeds,) + g.shape) for g in geometry]
     else:
         if tuple(x0.names) != tuple(names):
             raise ValueError("x0 block names do not match the problem")
-        x = [np.array(a, dtype=float, copy=True) for a in x0.arrays]
-        for a, g in zip(x, geometry):
+        for a, g in zip(x0.arrays, geometry):
             if a.shape != g.shape:
                 raise ValueError("x0 block shapes do not match the geometry")
+        x = [np.repeat(a[None], n_seeds, axis=0) for a in x0.arrays]
 
-    rng = np.random.default_rng(config.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     m = None
 
     # Noise is drawn for up to chunk_steps steps at once into one reused
-    # buffer: a draw of shape (n, n_params) yields the same normals in the
-    # same order as n draws of n_params, and a step's row splits into the
-    # blocks in block order.
+    # (R, chunk_steps, n_params) buffer, within _NOISE_CHUNK_VALUES in all.
+    # Seed r's generator fills buf[r, :n]: a draw of shape (n, n_params)
+    # yields the same normals in the same order as n draws of n_params, and a
+    # step's row splits into the blocks in block order.
     n_params = sum(g.size for g in geometry)
-    chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, _NOISE_CHUNK_VALUES // n_params))
-    noise_buf = np.empty((chunk_steps, n_params))
+    chunk_values = _NOISE_CHUNK_VALUES // (max(1, n_seeds) * n_params)
+    chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, chunk_values))
+    noise_buf = np.empty((n_seeds, chunk_steps, n_params))
     offsets = np.cumsum([0] + [g.size for g in geometry])
     noise = [
-        noise_buf[:, a:b].reshape((chunk_steps,) + g.shape)
+        noise_buf[:, :, a:b].reshape((n_seeds, chunk_steps) + g.shape)
         for a, b, g in zip(offsets, offsets[1:], geometry)
     ]
 
     eval_every = config.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
     cols = {
-        name: np.empty(n_rows, dtype=int if name in _INT_COLUMNS else float)
+        name: np.empty((n_seeds, n_rows), dtype=int if name in _INT_COLUMNS else float)
         for name in RUNLOG_CSV_HEADER
     }
     columns = list(cols.values())
-    grads: Optional[list[LayeredPoint]] = [] if config.store_gradients else None
+    grads = [[] for _ in seeds] if config.store_gradients else None
 
-    violations = 0
-    first_violation = None
-    checked = 0
+    violations = [0] * n_seeds
+    first_violation = [None] * n_seeds
+    checked = [0] * n_seeds
 
-    scratch = [np.empty(g.shape) for g in geometry]
-    # Per-block primal norms of x, kept until x moves: the arming test and
-    # the checker compute them, and the next recorded row reads them.
+    scratch = [np.empty((n_seeds,) + g.shape) for g in geometry]
+    # x and the step displacement are updated in place, so the views of each
+    # seed's blocks (zip(*blocks) yields them seed by seed) stay valid.
+    x_seeds = list(zip(*x))
+    disp = [np.empty_like(xb) for xb in x]
+    disp_seeds = list(zip(*disp))
+    # Per-seed lists of per-block primal norms of x, kept until x moves: the
+    # arming test and the checker compute them, and the next recorded row
+    # reads them.
     x_norms = None
+
+    def primal_norms(per_seed):
+        return [[block_primal_norm(b, kind) for b, kind in zip(blocks, kinds)] for blocks in per_seed]
 
     row = 0
     k_global = 0
@@ -432,38 +483,45 @@ def _run_segments(spec, segments, config, x0):
         alpha = seg.alpha
         one_minus_alpha = 1.0 - alpha
         # The iterate-bound checker needs a constant stepsize with
-        # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block.
-        check = (
+        # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
+        # it is armed per seed.
+        armed = []
+        if (
             config.check_invariants
             and is_scg
             and isinstance(seg.schedule, ConstantBeta)
             and seg.schedule.value <= 0.5
-        )
-        if check:
+        ):
             if x_norms is None:
-                x_norms = _primal_norms(x, kinds)
-            check = all(2.0 * nrm <= eta for nrm, eta in zip(x_norms, radii))
+                x_norms = primal_norms(x_seeds)
+            armed = [
+                r for r in range(n_seeds)
+                if all(2.0 * nrm <= eta for nrm, eta in zip(x_norms[r], radii))
+            ]
+        check = bool(armed)
         contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
         for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
             record = (k_local % eval_every) == 0
             if record:
-                loss_k = loss_fn(x)
+                loss_k = [loss_fn(blocks) for blocks in x_seeds]
                 if x_norms is None:
-                    x_norms = _primal_norms(x, kinds)
-                x_primal_k = max(x_norms)
+                    x_norms = primal_norms(x_seeds)
+                x_primal_k = [max(norms) for norms in x_norms]
             g = grad_fn(x)
             if sigma_pc > 0.0:
                 j = k_local % chunk_steps
                 if j == 0:
-                    draw = noise_buf[:min(chunk_steps, seg.iters - k_local)]
-                    rng.standard_normal(out=draw)
-                    draw *= sigma_pc
+                    n = min(chunk_steps, seg.iters - k_local)
+                    for rng, buf in zip(rngs, noise_buf):
+                        rng.standard_normal(out=buf[:n])
+                    noise_buf[:, :n] *= sigma_pc
                 for gb, nb in zip(g, noise):
-                    gb += nb[j]
+                    gb += nb[:, j]
             if grads is not None:
-                grads.append(LayeredPoint.from_arrays(names, [gb.copy() for gb in g]))
+                for seed_grads, blocks in zip(grads, zip(*g)):
+                    seed_grads.append(LayeredPoint.from_arrays(names, [b.copy() for b in blocks]))
             if record:
-                g_dual_k = composite_dual_norm(g, kinds)
+                g_dual_k = [composite_dual_norm(blocks, kinds) for blocks in zip(*g)]
             if m is None:
                 if config.momentum_init == "first_sample":
                     m = [gb.copy() for gb in g]
@@ -475,66 +533,76 @@ def _run_segments(spec, segments, config, x0):
                     gb *= alpha
                     mb += gb
             if record:
-                m_dual_k = composite_dual_norm(m, kinds)
+                m_dual_k = [composite_dual_norm(blocks, kinds) for blocks in zip(*m)]
 
             need_disp = record or check
             if need_disp:
-                x_prev = [xb.copy() for xb in x]
+                for db, xb in zip(disp, x):
+                    np.copyto(db, xb)
             keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
             for i in range(n_blocks):
                 _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i], scratch[i])
             x_norms = None
             if need_disp:
-                disp_blocks = [
-                    block_primal_norm(xb - xp, kind) for xb, xp, kind in zip(x, x_prev, kinds)
-                ]
+                for db, xb in zip(disp, x):
+                    np.subtract(xb, db, out=db)
+                disp_norms = primal_norms(disp_seeds)
 
             if check:
-                checked += 1
                 contraction *= 1.0 - beta_k  # now (1 - beta)^(k+1)
-                x_norms = _primal_norms(x, kinds)
-                for i in range(n_blocks):
-                    eta = radii[i]
-                    x_norm = x_norms[i]
-                    x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
-                    ok_norm = x_norm <= x_bound
-                    ok_disp = disp_blocks[i] <= 2.0 * beta_k * eta + _INVARIANT_SLACK
-                    if not (ok_norm and ok_disp):
-                        violations += 1
-                        if first_violation is None:
-                            first_violation = (
-                                f"step {k_global} block {names[i]}: "
-                                f"|x|={x_norm:.6g} bound={x_bound:.6g} "
-                                f"disp={disp_blocks[i]:.6g} disp_bound={2.0 * beta_k * eta:.6g}"
-                            )
+                x_norms = primal_norms(x_seeds)
+                for r in armed:
+                    checked[r] += 1
+                    for i in range(n_blocks):
+                        eta = radii[i]
+                        x_norm = x_norms[r][i]
+                        d = disp_norms[r][i]
+                        x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
+                        ok_norm = x_norm <= x_bound
+                        ok_disp = d <= 2.0 * beta_k * eta + _INVARIANT_SLACK
+                        if not (ok_norm and ok_disp):
+                            violations[r] += 1
+                            if first_violation[r] is None:
+                                first_violation[r] = (
+                                    f"step {k_global} block {names[i]}: "
+                                    f"|x|={x_norm:.6g} bound={x_bound:.6g} "
+                                    f"disp={d:.6g} disp_bound={2.0 * beta_k * eta:.6g}"
+                                )
 
             if record:
-                # in RUNLOG_CSV_HEADER order
-                values = (
-                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_k,
-                    max(disp_blocks), seg.stage_index,
-                )
-                for col, value in zip(columns, values):
-                    col[row] = value
+                for r in range(n_seeds):
+                    # in RUNLOG_CSV_HEADER order
+                    values = (
+                        k_global, loss_k[r], x_primal_k[r], g_dual_k[r], m_dual_k[r], beta_k,
+                        max(disp_norms[r]), seg.stage_index,
+                    )
+                    for col, value in zip(columns, values):
+                        col[r, row] = value
                 row += 1
             k_global += 1
 
     loss_fn, _ = problems.compiled(spec)
-    final_loss = float(loss_fn(x))
-    if not (math.isfinite(final_loss) and all(np.all(np.isfinite(c)) for c in cols.values())):
-        raise FloatingPointError(
-            f"the run diverged: final loss {final_loss}, or a recorded loss or norm, "
-            "is not finite"
-        )
-    return RunLog(
-        **cols,
-        final_loss=final_loss,
-        final_x=LayeredPoint.from_arrays(names, [a.copy() for a in x]),
-        invariant_violations=violations,
-        first_violation=first_violation,
-        checked_steps=checked,
-        gradients=grads,
-    )
+    logs = []
+    for r, blocks in enumerate(x_seeds):
+        final_loss = float(loss_fn(blocks))
+        seed_cols = {name: col[r] for name, col in cols.items()}
+        if not (
+            math.isfinite(final_loss) and all(np.all(np.isfinite(c)) for c in seed_cols.values())
+        ):
+            raise FloatingPointError(
+                f"the run diverged: final loss {final_loss}, or a recorded loss or norm, "
+                "is not finite"
+            )
+        logs.append(RunLog(
+            **seed_cols,
+            final_loss=final_loss,
+            final_x=LayeredPoint.from_arrays(names, [b.copy() for b in blocks]),
+            invariant_violations=violations[r],
+            first_violation=first_violation[r],
+            checked_steps=checked[r],
+            gradients=None if grads is None else grads[r],
+        ))
+    return logs
 
 
 def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None) -> RunLog:
@@ -543,8 +611,7 @@ def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None) -> RunLog:
     The momentum buffer is seeded with the first gradient sample unless the
     config selects zero initialization.
     """
-    segments = [_Segment(config.iters, config.beta, config.alpha, spec.noise, 0)]
-    return _run_segments(spec, segments, config, x0)
+    return _run_segments(spec, config, [config.seed], x0=x0)[0]
 
 
 def run_staged(
@@ -560,16 +627,4 @@ def run_staged(
     carried over. The random stream continues
     across boundaries, so equal consecutive stages concatenate exactly.
     """
-    segments = []
-    for idx, stage in enumerate(plan.stages):
-        iters = stage.iters
-        if iters < 1:
-            raise ValueError(
-                f"stage {idx} allots {stage.token_allotment} tokens but needs "
-                f"at least B*S = {stage.B * stage.S}"
-            )
-        noise = replace(spec.noise, B=stage.B, S=stage.S)
-        segments.append(
-            _Segment(iters, ConstantBeta(stage.beta), stage.alpha, noise, idx)
-        )
-    return _run_segments(spec, segments, base_config, x0)
+    return _run_segments(spec, base_config, [base_config.seed], plan, x0)[0]

@@ -453,6 +453,14 @@ class TestSweepCli:
         cfg_path = write_json(tmp_path / "sweep.json", cfg)
         assert cli.main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_unknown_rule_mode_exits_2(self, tmp_path):
+        cfg = sweep_config()
+        cfg["rule"]["mode"] = "banana"
+        rc, err = run_config("sweep", cfg, tmp_path / "o")
+        assert rc == 2
+        assert "unknown mode 'banana'" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestPlanCli:
     BASE = [

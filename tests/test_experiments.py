@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -43,6 +43,10 @@ class TestBetaRule:
     def test_critical_needs_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             BetaRule(kind="critical")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'banana'"):
+            BetaRule(kind="critical", alpha=0.1, mode="banana")
 
     @pytest.mark.parametrize("mode", ["exact", "asymptotic"])
     def test_prescribed_momentum_follows_the_mode(self, mode):
@@ -150,6 +154,18 @@ class TestSweep:
 
 
 class TestDrivers:
+    def test_regime_sweep_rows_are_pinned(self):
+        # Rows of the serial, one-seed-at-a-time loop that the seed-stacked
+        # loop replaced; every value must stay bit for bit.
+        result, _, _ = experiments.regime_sweep(T=2**10, exponents=(0, 3, 6), repetitions=3)
+        assert [astuple(row) for row in result.rows] == [
+            (1.0, 1.0, 1024, 0.0009765625, 0.0012433226764072154, 0.0002322761814075019,
+             0.32477151714509433, 2, None),
+            (8.0, 1.0, 128, 0.0078125, 0.0009734268481756091, 0.00018425129446566593,
+             0.32477151714509433, 2, None),
+            (64.0, 1.0, 16, 0.0625, 0.026596822339518756, 0.0, 1.2688662037379044, 3, None),
+        ]
+
     def test_regime_sweep_constants_match_problem(self):
         spec = experiments.regime_sweep_problem()
         analytic = problems.known_constants(spec)

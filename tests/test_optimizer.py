@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,15 @@ from scgscale.optimizer import (
     Stage,
     StagePlan,
     WarmdownBeta,
+    _run_segments,
+    _step_block,
     beta_at,
     run,
     run_staged,
     scg_step,
     uscg_step,
 )
-from scgscale.problems import LayeredQuadratic, NoiseModel
+from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import prescribe_params
 
 
@@ -301,3 +304,144 @@ class TestStaged:
         base = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=0, seed=0)
         with pytest.raises(ValueError, match="at least"):
             run_staged(spec, plan, base)
+
+
+def sign_quadratic():
+    rng = np.random.default_rng(31)
+    return LayeredQuadratic(
+        geometry=(BlockGeometry("sign", (16,), 1.1),),
+        block_names=("w",),
+        curvatures=(0.2,),
+        targets=(rng.uniform(-0.6, 0.6, 16),),
+        noise=NoiseModel(0.3, B=2.0, S=2.0),
+    )
+
+
+def spectral_quadratic():
+    rng = np.random.default_rng(32)
+    target = rng.standard_normal((4, 3))
+    target *= 0.5 / np.linalg.svd(target, compute_uv=False)[0]
+    return LayeredQuadratic(
+        geometry=(BlockGeometry("spectral", (4, 3), 1.0),),
+        block_names=("W",),
+        curvatures=(1.5,),
+        targets=(target,),
+        noise=NoiseModel(0.3, B=2.0, S=2.0),
+    )
+
+
+def mixed_quadratic():
+    rng = np.random.default_rng(33)
+    spectral = rng.standard_normal((4, 3))
+    spectral *= 0.4 / np.linalg.svd(spectral, compute_uv=False)[0]
+    euclid = rng.standard_normal((2, 3))
+    euclid *= 0.6 / np.linalg.norm(euclid)
+    return LayeredQuadratic(
+        geometry=(
+            BlockGeometry("sign", (8,), 1.0),
+            BlockGeometry("euclidean", (2, 3), 1.5),
+            BlockGeometry("spectral", (4, 3), 0.8),
+        ),
+        block_names=("s", "e", "W"),
+        curvatures=(0.5, 1.0, 2.0),
+        targets=(rng.uniform(-0.5, 0.5, 8), euclid, spectral),
+        noise=NoiseModel(0.2, B=2.0, S=4.0),
+    )
+
+
+def logistic():
+    return LogisticRegression(
+        geometry=(BlockGeometry("euclidean", (12,), 3.0),),
+        block_names=("w",),
+        n_samples=40,
+        dim=12,
+        data_seed=4,
+        noise=NoiseModel(0.5, B=2.0, S=2.0),
+        margin_boost=0.1,
+    )
+
+
+SEED_PROBLEMS = {
+    "sign": sign_quadratic,
+    "euclidean": noisy_quadratic,
+    "spectral": spectral_quadratic,
+    "mixed": mixed_quadratic,
+    "logistic": logistic,
+}
+
+
+def small_point(spec, seed=7):
+    """A start point with 2 |x| <= eta in every block, so the checker arms."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for g in spec.geometry:
+        a = rng.standard_normal(g.shape)
+        arrays.append(a * (0.3 * g.radius_eta / block_primal_norm(a, g.kind)))
+    return LayeredPoint.from_arrays(spec.block_names, arrays)
+
+
+# case -> (config, stage plan or None, x0 or None), for a problem spec
+SEED_CASES = {
+    "every_row_checked": lambda spec: (
+        ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=40, eval_every=1), None, None),
+    "staged_mid_chunk": lambda spec: (
+        # the first stage ends 44 steps into the second 256-step noise chunk
+        ScgConfig(alpha=0.2, beta=ConstantBeta(0.01), iters=0, eval_every=7),
+        StagePlan((Stage(8.0 * 300, 2.0, 4.0, 0.01, 0.2), Stage(32.0 * 60, 8.0, 4.0, 0.02, 0.3))),
+        None),
+    "store_gradients": lambda spec: (
+        ScgConfig(alpha=0.3, beta=WarmdownBeta(0.1, 30, 10), iters=30, eval_every=4,
+                  store_gradients=True), None, None),
+    "explicit_x0": lambda spec: (
+        ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=30, eval_every=3),
+        None, small_point(spec)),
+    "zeros_momentum": lambda spec: (
+        ScgConfig(alpha=0.25, beta=ConstantBeta(0.1), iters=30, eval_every=2,
+                  momentum_init="zeros", check_invariants=False), None, None),
+}
+
+
+class TestStackedSeeds:
+    """Seeds stepped together give each seed the RunLog of a lone run."""
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 5])
+    @pytest.mark.parametrize("case", list(SEED_CASES))
+    @pytest.mark.parametrize("problem", list(SEED_PROBLEMS))
+    def test_each_seed_matches_a_lone_run(self, problem, case, n_seeds):
+        spec = SEED_PROBLEMS[problem]()
+        config, plan, x0 = SEED_CASES[case](spec)
+        seeds = [1000 + 17 * r for r in range(n_seeds)]
+        logs = _run_segments(spec, config, seeds, plan, x0)
+        assert len(logs) == n_seeds
+        for seed, log in zip(seeds, logs):
+            seeded = replace(config, seed=seed)
+            lone = run(spec, seeded, x0) if plan is None else run_staged(spec, plan, seeded, x0)
+            assert log.to_csv_string() == lone.to_csv_string()
+            assert log.final_loss == lone.final_loss
+            assert log.final_x == lone.final_x
+            assert log.checked_steps == lone.checked_steps
+            assert log.invariant_violations == lone.invariant_violations
+            assert log.first_violation == lone.first_violation
+            assert log.gradients == lone.gradients
+        if case == "every_row_checked":
+            assert all(log.checked_steps == config.iters for log in logs)
+        if n_seeds > 1:
+            assert logs[0].to_csv_string() != logs[1].to_csv_string()
+
+    def test_euclidean_step_handles_each_seed_alone(self):
+        # A tiny and a zero momentum block take the rescaled
+        # path of scaled_l2_norm; the others must not change because of them.
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 6))
+        m[1] *= 1e-160
+        m[2] = 0.0
+        x = rng.standard_normal((5, 6))
+        for rows in ([0, 3, 4], [0, 1, 2, 3, 4]):
+            xs, ms = x[rows].copy(), m[rows].copy()
+            _step_block(xs, ms, GeometryKind.EUCLIDEAN, 0.9, 0.1, np.empty_like(ms))
+            for r, got in zip(rows, xs):
+                lone = x[r:r + 1].copy()
+                _step_block(lone, m[r:r + 1].copy(), GeometryKind.EUCLIDEAN, 0.9, 0.1,
+                            np.empty((1, 6)))
+                assert np.array_equal(got, lone[0])
+        assert not np.any(np.isnan(xs))
