@@ -21,7 +21,7 @@ import numpy as np
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
-from .optimizer import ConstantBeta, ScgConfig, _run_segments, run
+from .optimizer import ConstantBeta, ScgConfig, run, run_staged
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
     ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages, prescribed_alpha,
@@ -157,7 +157,7 @@ def _final_losses(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_
         alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=eval_every,
         check_invariants=False,
     )
-    return [log.final_loss for log in _run_segments(spec, config, seeds)]
+    return [log.final_loss for log in run(spec, config, seeds=seeds)]
 
 
 def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float) -> SweepRow:
@@ -400,7 +400,7 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         alpha=RESTART_ALPHA, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
         check_invariants=False,
     )
-    staged_losses = [log.final_loss for log in _run_segments(spec, base_cfg, seeds, plan)]
+    staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
     baseline_losses = _final_losses(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
     return {
         "plan": plan,

@@ -291,6 +291,14 @@ def _resolve_radii(config_radii, geometry) -> list[float]:
     return list(config_radii)
 
 
+def _euclidean_step(xb, mb, scale, scratch):
+    """In place, xb <- xb - scale * mb / ||mb||; a zero mb leaves xb as it is."""
+    v, nrm = scaled_l2_norm(mb)
+    if nrm > 0.0:
+        np.multiply(v, scale / nrm, out=scratch)
+        xb -= scratch
+
+
 def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
     """In place, xb[r] <- keep * xb[r] + scale * lmo(mb[r]) for every seed r.
 
@@ -307,20 +315,21 @@ def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:
-        if len(mb) > 1:
-            flat = mb.reshape(len(mb), -1)
-            sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
-            if sq.min() >= _TINY:  # False for a NaN too
-                factor = (scale / np.sqrt(sq)).reshape((-1,) + (1,) * (mb.ndim - 1))
-                np.multiply(mb, factor, out=scratch)
-                xb -= scratch
-                return
-        # One seed, or some seed's block is tiny, zero or not finite: seed by seed.
+        if len(mb) == 1:
+            # A lone seed's block is the whole stack; this costs about half
+            # as much as the stacked path.
+            _euclidean_step(xb, mb, scale, scratch)
+            return
+        flat = mb.reshape(len(mb), -1)
+        sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
+        if sq.min() >= _TINY:  # False for a NaN too
+            factor = (scale / np.sqrt(sq)).reshape((-1,) + (1,) * (mb.ndim - 1))
+            np.multiply(mb, factor, out=scratch)
+            xb -= scratch
+            return
+        # Some seed's block is tiny, zero or not finite: seed by seed.
         for xr, mr, sr in zip(xb, mb, scratch):
-            v, nrm = scaled_l2_norm(mr)
-            if nrm > 0.0:
-                np.multiply(v, scale / nrm, out=sr)
-                xr -= sr
+            _euclidean_step(xr, mr, scale, sr)
     else:
         for xr, mr in zip(xb, mb):
             xr += scale * lmo_block(mr, kind, spectral_method)
@@ -605,13 +614,34 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     return logs
 
 
-def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None) -> RunLog:
+class _SeedLogs(list):
+    """The RunLogs of runs that stepped together, one per seed in seed order.
+
+    checked_steps and invariant_violations total those of the runs, so that
+    code reading them off the result of run or run_staged reads a batch the
+    way it reads a lone run.
+    """
+
+    @property
+    def checked_steps(self) -> int:
+        return sum(log.checked_steps for log in self)
+
+    @property
+    def invariant_violations(self) -> int:
+        return sum(log.invariant_violations for log in self)
+
+
+def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None, seeds=None):
     """Execute the iteration for config.iters steps; deterministic given seed.
 
     The momentum buffer is seeded with the first gradient sample unless the
-    config selects zero initialization.
+    config selects zero initialization. Given seeds, one run per seed steps
+    in the same loop (config.seed is not read), and the result is the list of
+    their RunLogs in seed order, each bit-equal to a lone run with that seed.
     """
-    return _run_segments(spec, config, [config.seed], x0=x0)[0]
+    if seeds is None:
+        return _run_segments(spec, config, [config.seed], x0=x0)[0]
+    return _SeedLogs(_run_segments(spec, config, seeds, x0=x0))
 
 
 def run_staged(
@@ -619,12 +649,16 @@ def run_staged(
     plan: StagePlan,
     base_config: ScgConfig,
     x0: Optional[LayeredPoint] = None,
-) -> RunLog:
+    seeds=None,
+):
     """Run the stages of a plan sequentially, carrying the iterate across
     boundaries.
 
     Each stage swaps in its own (B, S, beta, alpha); the momentum buffer is
     carried over. The random stream continues
     across boundaries, so equal consecutive stages concatenate exactly.
+    seeds works as in run.
     """
-    return _run_segments(spec, base_config, [base_config.seed], plan, x0)[0]
+    if seeds is None:
+        return _run_segments(spec, base_config, [base_config.seed], plan, x0)[0]
+    return _SeedLogs(_run_segments(spec, base_config, seeds, plan, x0))

@@ -200,6 +200,12 @@ def _logistic_loss_arrays(spec: LogisticRegression, arrays) -> float:
     return float(np.mean(np.logaddexp(0.0, -z)))
 
 
+def _logistic_coeff(labels, products, n):
+    """The loss's derivative in the products features @ w."""
+    s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
+    return -(labels * s) / n
+
+
 def compiled(spec: ProblemSpec):
     """Array-level (loss_fn, grad_fn) pair used by the iteration hot loop.
 
@@ -208,8 +214,9 @@ def compiled(spec: ProblemSpec):
     their gradients stacked the same way. Each gradient is bit-equal to that
     of its point alone: the quadratic is elementwise, and the logistic
     oracle's stacked matmuls with a column on the right make one
-    matrix-vector product per point. The constants get a leading axis of 1,
-    as numpy broadcasts an operand of fewer dimensions more slowly.
+    matrix-vector product per point (a lone point takes the plain products).
+    Stacked operands get constants with a leading axis of 1, as numpy
+    broadcasts an operand of fewer dimensions more slowly.
     """
     if isinstance(spec, LayeredQuadratic):
         terms = [(lam, theta[None]) for lam, theta in zip(spec.curvatures, spec.targets)]
@@ -218,12 +225,15 @@ def compiled(spec: ProblemSpec):
             lambda arrays: [lam * (xb - theta) for xb, (lam, theta) in zip(arrays, terms)],
         )
     if isinstance(spec, LogisticRegression):
-        features, labels, n = spec.features, spec.labels[None], spec.n_samples
+        features, labels, n = spec.features, spec.labels, spec.n_samples
+        stacked_labels = labels[None]
 
         def grad_fn(arrays):
-            z = labels * np.matmul(features, arrays[0][..., None])[..., 0]
-            s = 1.0 / (1.0 + np.exp(z))  # sigmoid(-z)
-            coeff = -(labels * s) / n
+            w = arrays[0]
+            if len(w) == 1:  # one point: the plain products cost less
+                return [(features.T @ _logistic_coeff(labels, features @ w[0], n))[None]]
+            products = np.matmul(features, w[..., None])[..., 0]
+            coeff = _logistic_coeff(stacked_labels, products, n)
             return [np.matmul(features.T, coeff[..., None])[..., 0]]
 
         return lambda arrays: _logistic_loss_arrays(spec, arrays), grad_fn

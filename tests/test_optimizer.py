@@ -14,7 +14,6 @@ from scgscale.optimizer import (
     Stage,
     StagePlan,
     WarmdownBeta,
-    _run_segments,
     _step_block,
     beta_at,
     run,
@@ -411,8 +410,13 @@ class TestStackedSeeds:
         spec = SEED_PROBLEMS[problem]()
         config, plan, x0 = SEED_CASES[case](spec)
         seeds = [1000 + 17 * r for r in range(n_seeds)]
-        logs = _run_segments(spec, config, seeds, plan, x0)
+        if plan is None:
+            logs = run(spec, config, x0, seeds=seeds)
+        else:
+            logs = run_staged(spec, plan, config, x0, seeds=seeds)
         assert len(logs) == n_seeds
+        assert logs.checked_steps == sum(log.checked_steps for log in logs)
+        assert logs.invariant_violations == sum(log.invariant_violations for log in logs)
         for seed, log in zip(seeds, logs):
             seeded = replace(config, seed=seed)
             lone = run(spec, seeded, x0) if plan is None else run_staged(spec, plan, seeded, x0)
