@@ -349,6 +349,8 @@ def middle_regime_rates(
     losses, and the fitted log-log slope (the flat-regime prediction decays
     as the cube root of the budget).
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     spec = problem if problem is not None else rate_study_problem()
     consts = constants if constants is not None else estimate_logistic_constants(spec)
     budgets, scales, means, all_losses = [], [], [], []
@@ -387,6 +389,8 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
     restart plan re-derives (BS, beta) for the cumulative budget. Returns the
     plan plus per-trial final losses for both strategies.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     spec = regime_sweep_problem(sigma_star=RESTART_SIGMA_STAR)
     consts = replace(problems.known_constants(spec).constants, c=RESTART_C)
     bs0 = max(1.0, round(critical_bs(RESTART_T0, consts)))

@@ -239,21 +239,31 @@ def lmo_block(
     spectral_method: str = "exact",
     ns_iters: int = 5,
     ns_coefficients: tuple[float, float, float] = NS_CUBIC,
-) -> np.ndarray:
-    """Minimizer of <values, d> over the unit ball of the block norm.
+):
+    """(d, n): the minimizer d of <values, d> over the unit ball of the block
+    norm, and the block's dual norm n = -<values, d>.
 
     A zero block returns the zero block: any feasible point minimizes the
-    trivial objective and zero avoids a spurious step.
+    trivial objective and zero avoids a spurious step. With the exact method
+    a spectral block may be a stack (R, rows, cols) of matrices: one SVD call
+    covers the stack, each matrix gets its own polar factor (singular values
+    below 1e-12 of its largest are dropped, so a zero matrix gets zero), and
+    n is the array of their nuclear norms, taken from the same SVD.
     """
+    if kind is GeometryKind.SPECTRAL and spectral_method == "exact":
+        U, s, Vt = np.linalg.svd(values, full_matrices=False)
+        keep = s > 1e-12 * s[..., :1]
+        d = (U * keep[..., None, :]) @ Vt
+        return np.negative(d, out=d), s.sum(-1)
+    if kind is GeometryKind.SPECTRAL and spectral_method != "newton_schulz":
+        raise ValueError(f"unknown spectral_method {spectral_method!r}")
     if not np.any(values):
-        return np.zeros_like(values)
+        return np.zeros_like(values), 0.0
     if kind is GeometryKind.SIGN:
-        return -np.sign(values)
-    if kind is GeometryKind.EUCLIDEAN:
+        d = -np.sign(values)
+    elif kind is GeometryKind.EUCLIDEAN:
         v, nrm = scaled_l2_norm(values)
-        return -v / nrm
-    if spectral_method == "exact":
-        return -exact_polar(values)
-    if spectral_method == "newton_schulz":
-        return -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
-    raise ValueError(f"unknown spectral_method {spectral_method!r}")
+        d = -v / nrm
+    else:
+        d = -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
+    return d, block_dual_norm(values, kind)

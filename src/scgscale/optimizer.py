@@ -20,6 +20,7 @@ import numpy as np
 from .geometry import (
     GeometryKind,
     LayeredPoint,
+    block_dual_norm,
     block_primal_norm,
     composite_dual_norm,
     lmo_block,
@@ -299,15 +300,17 @@ def _euclidean_step(xb, mb, scale, scratch):
         xb -= scratch
 
 
-def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
+def _step_block(xb, mb, kind, keep, scale, scratch):
     """In place, xb[r] <- keep * xb[r] + scale * lmo(mb[r]) for every seed r.
 
     xb and mb hold one block per seed, stacked as (R, *shape); scratch is
     shaped like mb. Sign and euclidean directions are formed in scratch, so
-    those blocks allocate nothing per step; spectral blocks go through
-    lmo_block one seed at a time. Each seed's result is bit-equal to a lone
-    R = 1 step: for R > 1 the stacked matmul below forms the same dot products
-    as the np.vdot of scaled_l2_norm on each seed's block.
+    those blocks allocate nothing per step. A spectral block takes one
+    lmo_block call for the whole stack, and the step returns the R nuclear
+    norms of mb that its SVD gives; other kinds return None. Each seed's
+    result is bit-equal to a lone R = 1 step: for R > 1 the stacked matmul
+    below forms the same dot products as the np.vdot of scaled_l2_norm on each
+    seed's block, and the SVD and the polar product run matrix by matrix.
     """
     xb *= keep
     if kind is _SIGN:
@@ -331,25 +334,26 @@ def _step_block(xb, mb, kind, keep, scale, scratch, spectral_method="exact"):
         for xr, mr, sr in zip(xb, mb, scratch):
             _euclidean_step(xr, mr, scale, sr)
     else:
-        for xr, mr in zip(xb, mb):
-            xr += scale * lmo_block(mr, kind, spectral_method)
+        d, nuclear = lmo_block(mb, kind)
+        np.multiply(d, scale, out=scratch)
+        xb += scratch
+        return nuclear
 
 
-def _step(x, m, g_sample, alpha, keep, scales, geometry, spectral_method):
+def _step(x, m, g_sample, alpha, keep, scales, geometry):
     x_new = [a.copy() for a in x.arrays]
     m_new = [a.copy() for a in m.arrays]
     for xb, mb, gb, scale, geom in zip(x_new, m_new, g_sample.arrays, scales, geometry):
         mb *= 1.0 - alpha
         mb += alpha * gb
-        _step_block(xb[None], mb[None], geom.kind, keep, scale, np.empty((1,) + mb.shape),
-                    spectral_method)
+        _step_block(xb[None], mb[None], geom.kind, keep, scale, np.empty((1,) + mb.shape))
     return (
         LayeredPoint.from_arrays(x.names, x_new),
         LayeredPoint.from_arrays(x.names, m_new),
     )
 
 
-def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry, spectral_method="exact"):
+def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry):
     """One constrained step: returns (x', m') as new layered points.
 
     m' = (1 - alpha) m + alpha g; d = lmo(m'); per block,
@@ -360,10 +364,10 @@ def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry, spectral_method="ex
     if not 0.0 <= beta_k <= 1.0:
         raise ValueError(f"beta_k must lie in [0, 1], got {beta_k}")
     scales = [beta_k * eta for eta in _resolve_radii(radii, geometry)]
-    return _step(x, m, g_sample, alpha, 1.0 - beta_k, scales, geometry, spectral_method)
+    return _step(x, m, g_sample, alpha, 1.0 - beta_k, scales, geometry)
 
 
-def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None, spectral_method="exact"):
+def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None):
     """One unconstrained step: additive update x' = x + eta d, no contraction.
 
     eta is a global step scale; per-block radii multiply it when given.
@@ -375,7 +379,7 @@ def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None, spectral_me
     if geometry is None:
         raise ValueError("geometry is required")
     scales = [eta] * len(geometry) if radii is None else [eta * r for r in radii]
-    return _step(x, m, g_sample, alpha, 1.0, scales, geometry, spectral_method)
+    return _step(x, m, g_sample, alpha, 1.0, scales, geometry)
 
 
 @dataclass(frozen=True)
@@ -420,6 +424,8 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     config.seed = seeds[r]. Recording, the checker and stored gradients are
     kept per seed.
     """
+    if len(seeds) == 0:
+        raise ValueError("seeds must name at least one seed")
     segments = _segments(spec, config, plan)
     geometry = spec.geometry
     names = spec.block_names
@@ -541,17 +547,25 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                     mb *= one_minus_alpha
                     gb *= alpha
                     mb += gb
-            if record:
-                m_dual_k = [composite_dual_norm(blocks, kinds) for blocks in zip(*m)]
 
             need_disp = record or check
             if need_disp:
                 for db, xb in zip(disp, x):
                     np.copyto(db, xb)
             keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
-            for i in range(n_blocks):
+            nuclear = [
                 _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i], scratch[i])
+                for i in range(n_blocks)
+            ]
             x_norms = None
+            if record:
+                # The composite dual norm of m, summed in block order; the
+                # spectral terms are the nuclear norms from the step's SVD.
+                m_dual_k = [
+                    sum(block_dual_norm(mb[r], kind) if nb is None else nb[r]
+                        for mb, kind, nb in zip(m, kinds, nuclear))
+                    for r in range(n_seeds)
+                ]
             if need_disp:
                 for db, xb in zip(disp, x):
                     np.subtract(xb, db, out=db)

@@ -189,7 +189,7 @@ def test_c07_lmo_oracle_equivalence():
     for _ in range(1000):
         dim = int(rng.integers(1, 11))
         m = rng.standard_normal(dim)
-        d = lmo_block(m, GeometryKind.SIGN)
+        d = lmo_block(m, GeometryKind.SIGN)[0]
         corners = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
         if not np.isclose(float(m @ d), float(np.min(corners @ m)), atol=1e-12):
             corner_fail += 1
@@ -198,7 +198,7 @@ def test_c07_lmo_oracle_equivalence():
     for _ in range(1000):
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         M = rng.standard_normal((rows, cols))
-        d = lmo_block(M, GeometryKind.SPECTRAL, spectral_method="exact")
+        d = lmo_block(M, GeometryKind.SPECTRAL, spectral_method="exact")[0]
         nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
         if abs(float(np.sum(M * d)) + nuclear) > 1e-8 * max(1.0, nuclear):
             spectral_fail += 1

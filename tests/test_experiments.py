@@ -184,6 +184,14 @@ class TestDrivers:
         assert s2.beta / s1.beta == pytest.approx(0.5)
         assert len(out["staged_losses"]) == 1
 
+    def test_rates_need_a_repetition(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            experiments.middle_regime_rates(t_exponents=(14, 15), repetitions=0)
+
+    def test_restart_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials"):
+            experiments.restart_comparison(trials=0)
+
     def test_rate_study_estimates_positive_constants(self):
         spec = experiments.rate_study_problem()
         consts = experiments.estimate_logistic_constants(spec, pilot_iters=200)

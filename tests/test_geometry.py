@@ -81,23 +81,24 @@ class TestBlockGeometry:
 class TestLmo:
     def test_sign_rule(self):
         m = np.array([1.5, -2.0])
-        d = lmo_block(m, SIGN)
+        d = lmo_block(m, SIGN)[0]
         assert np.array_equal(d, [-1.0, 1.0])
         assert float(np.dot(m, d)) == pytest.approx(-3.5)  # -l1 norm
 
     def test_spectral_identity(self):
-        assert np.allclose(lmo_block(np.eye(2), SPECTRAL), -np.eye(2))
+        assert np.allclose(lmo_block(np.eye(2), SPECTRAL)[0], -np.eye(2))
 
     def test_zero_block_stays_zero(self):
         for kind, shape in [(SIGN, (3,)), (EUCLIDEAN, (3,)), (SPECTRAL, (2, 2))]:
-            assert not np.any(lmo_block(np.zeros(shape), kind))
+            d, dual = lmo_block(np.zeros(shape), kind)
+            assert not np.any(d) and dual == 0.0
 
     def test_sign_matches_brute_force_corners(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             dim = rng.integers(1, 11)
             m = rng.standard_normal(dim)
-            d = lmo_block(m, GeometryKind.SIGN)
+            d = lmo_block(m, GeometryKind.SIGN)[0]
             corners = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
             best = np.min(corners @ m)
             assert float(m @ d) == pytest.approx(best, abs=1e-12)
@@ -105,6 +106,31 @@ class TestLmo:
     def test_unknown_spectral_method(self):
         with pytest.raises(ValueError, match="spectral_method"):
             lmo_block(np.eye(2), GeometryKind.SPECTRAL, spectral_method="qr")
+
+    def test_dual_norm_matches_block_dual_norm(self):
+        rng = np.random.default_rng(5)
+        for kind, shape in [(SIGN, (7,)), (EUCLIDEAN, (2, 3)), (SPECTRAL, (5, 3))]:
+            m = rng.standard_normal(shape)
+            assert lmo_block(m, kind)[1] == pytest.approx(block_dual_norm(m, kind), rel=1e-14)
+        m = rng.standard_normal((6, 4))
+        _, dual = lmo_block(m, SPECTRAL, spectral_method="newton_schulz")
+        assert dual == block_dual_norm(m, SPECTRAL)
+
+    def test_spectral_stack_is_matrix_by_matrix(self):
+        # One call on a stack gives each matrix its lone-call direction and
+        # nuclear norm bit for bit; a zero or rank-deficient matrix included.
+        rng = np.random.default_rng(6)
+        stack = rng.standard_normal((4, 5, 3))
+        stack[1] = 0.0
+        stack[2] = np.outer(rng.standard_normal(5), rng.standard_normal(3))
+        d, duals = lmo_block(stack, SPECTRAL)
+        assert d.shape == stack.shape and duals.shape == (4,)
+        for r, m in enumerate(stack):
+            lone_d, lone_dual = lmo_block(m, SPECTRAL)
+            assert np.array_equal(d[r], lone_d) and duals[r] == lone_dual
+        assert not np.any(d[1]) and duals[1] == 0.0
+        assert np.array_equal(d[2], -exact_polar(stack[2]))
+        assert duals[0] == pytest.approx(block_dual_norm(stack[0], SPECTRAL), rel=1e-14)
 
 
 @st.composite
@@ -131,9 +157,11 @@ class TestLmoProperties:
     @settings(max_examples=150, deadline=None)
     def test_pairing_equals_negative_dual(self, block):
         kind, m = block
-        pairing = float(np.sum(m * lmo_block(m, kind)))
+        d, dual_from_lmo = lmo_block(m, kind)
+        pairing = float(np.sum(m * d))
         dual = composite_dual_norm([m], [kind])
         assert pairing == pytest.approx(-dual, abs=1e-8 * max(1.0, dual))
+        assert dual_from_lmo == pytest.approx(dual, rel=1e-12, abs=1e-300)
 
     @given(random_block())
     @example((EUCLIDEAN, np.array([2.76e-159])))  # subnormal square
@@ -141,7 +169,7 @@ class TestLmoProperties:
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, block):
         kind, m = block
-        assert block_primal_norm(lmo_block(m, kind), kind) <= 1.0 + 1e-8
+        assert block_primal_norm(lmo_block(m, kind)[0], kind) <= 1.0 + 1e-8
 
     @given(random_block(), st.floats(1e-3, 1e3))
     @example((SIGN, np.array([5e-324])), 0.5)  # the scaled entry underflows to 0
@@ -150,7 +178,7 @@ class TestLmoProperties:
         kind, m = block
         # The property needs every nonzero entry to stay nonzero when scaled.
         assume(np.count_nonzero(scale * m) == np.count_nonzero(m))
-        assert np.allclose(lmo_block(m, kind), lmo_block(scale * m, kind), atol=1e-9)
+        assert np.allclose(lmo_block(m, kind)[0], lmo_block(scale * m, kind)[0], atol=1e-9)
 
     @given(random_block())
     @settings(max_examples=100, deadline=None)

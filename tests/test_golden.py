@@ -179,6 +179,17 @@ def test_runlog_csv_hash_is_golden(name):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("make_spec", [spectral_quadratic, mixed_quadratic])
+def test_momentum_dual_is_its_nuclear_norm_with_alpha_one(make_spec):
+    # With alpha = 1 the momentum buffer is the gradient sample, so m_dual,
+    # whose spectral terms come from the singular values of the LMO's SVD,
+    # must equal g_dual, taken from a values-only SVD of the same matrix.
+    cfg = ScgConfig(alpha=1.0, beta=ConstantBeta(0.05), iters=20, seed=5)
+    log = run(make_spec(), cfg)
+    assert len(log) == 20
+    assert log.m_dual == pytest.approx(log.g_dual, rel=1e-14)
+
+
 def _csv(header, rows):
     lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgscale.geometry import BlockGeometry, GeometryKind, LayeredPoint, block_primal_norm
+from scgscale.geometry import (
+    BlockGeometry,
+    GeometryKind,
+    LayeredPoint,
+    block_primal_norm,
+    exact_polar,
+)
 from scgscale.optimizer import (
     ConstantBeta,
     RunLog,
@@ -348,6 +354,24 @@ def mixed_quadratic():
     )
 
 
+def low_rank_spectral():
+    # A rank-2 target in the top-left corner of a 6x4 block. From x = 0 the
+    # gradient, so the momentum, is rank 2 up to noise about 1e-15 of it:
+    # the LMO drops the two small singular values every step, while the
+    # noise still gives each seed its own trajectory.
+    rng = np.random.default_rng(34)
+    target = np.zeros((6, 4))
+    target[:2, :2] = rng.standard_normal((2, 2))
+    target *= 0.5 / np.linalg.svd(target, compute_uv=False)[0]
+    return LayeredQuadratic(
+        geometry=(BlockGeometry("spectral", (6, 4), 1.0),),
+        block_names=("W",),
+        curvatures=(1.5,),
+        targets=(target,),
+        noise=NoiseModel(1e-14, B=2.0, S=2.0),
+    )
+
+
 def logistic():
     return LogisticRegression(
         geometry=(BlockGeometry("euclidean", (12,), 3.0),),
@@ -365,6 +389,7 @@ SEED_PROBLEMS = {
     "euclidean": noisy_quadratic,
     "spectral": spectral_quadratic,
     "mixed": mixed_quadratic,
+    "low_rank_spectral": low_rank_spectral,
     "logistic": logistic,
 }
 
@@ -449,3 +474,37 @@ class TestStackedSeeds:
                             np.empty((1, 6)))
                 assert np.array_equal(got, lone[0])
         assert not np.any(np.isnan(xs))
+
+    def test_spectral_step_handles_each_seed_alone(self):
+        # One SVD call covers the stack; a rank-2 and a zero momentum matrix
+        # sit among full-rank ones, and every seed's step must be the lone
+        # step and the exact polar step, bit for bit.
+        rng = np.random.default_rng(4)
+        m = rng.standard_normal((5, 6, 4))
+        m[1] = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        m[3] = 0.0
+        x = rng.standard_normal((5, 6, 4))
+        keep, scale = 0.9, 0.1
+        xs = x.copy()
+        nuclear = _step_block(xs, m, GeometryKind.SPECTRAL, keep, scale, np.empty_like(m))
+        for r in range(5):
+            lone = x[r:r + 1].copy()
+            lone_nuclear = _step_block(lone, m[r:r + 1], GeometryKind.SPECTRAL, keep, scale,
+                                       np.empty((1, 6, 4)))
+            assert np.array_equal(xs[r], lone[0]) and nuclear[r] == lone_nuclear[0]
+            if r == 3:
+                assert np.array_equal(xs[r], keep * x[r]) and nuclear[r] == 0.0
+            else:
+                assert np.array_equal(xs[r], keep * x[r] - scale * exact_polar(m[r]))
+                assert nuclear[r] == pytest.approx(
+                    np.linalg.svd(m[r], compute_uv=False).sum(), rel=1e-14)
+
+    @pytest.mark.parametrize("staged", [False, True])
+    def test_empty_seed_list_rejected(self, staged):
+        spec = sign_quadratic()
+        config = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=10)
+        with pytest.raises(ValueError, match="seeds"):
+            if staged:
+                run_staged(spec, StagePlan((Stage(40.0, 2.0, 2.0, 0.05, 0.3),)), config, seeds=[])
+            else:
+                run(spec, config, seeds=[])
