@@ -8,10 +8,11 @@ and ``estimate`` calls, and the ``sweep.csv`` hash pins the bytes of one
 small ``sweep`` (with an error row) at one and two jobs, so a refactor of the
 planner, the estimators, the config parsing or the row writer that changes
 any emitted byte fails too. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
-spectral hash depends on the LAPACK build (every step and every recorded norm
-takes an SVD), and the euclidean and logistic ones on the BLAS dot and
-matrix-vector kernels, so a different BLAS/LAPACK may change them without a
-bug in this package.
+spectral hashes depend on the LAPACK build (every step and every recorded norm
+takes an SVD; the spectral terms of m_dual come from the singular values of
+the LMO's full SVD, the others from values-only SVDs), and the euclidean and
+logistic ones on the BLAS dot and matrix-vector kernels, so a different
+BLAS/LAPACK may change them without a bug in this package.
 """
 
 import hashlib
@@ -151,11 +152,11 @@ GOLDEN = {
     ),
     "spectral": (
         golden_spectral,
-        "9cdc183746420f229216c7fec935d04b16af8eb92adb7e781ebe444109e25877",
+        "a187affcc8079cdcff35a6a8955a500e4b416c6d06966add4a48f6d482f76ffc",
     ),
     "staged": (
         golden_staged,
-        "8115a73f796df29faa02d92732e04027301f8347186a3020f950fb5f69055c8f",
+        "e20fdd5bab234d46cc70081cdf31f6583eda14f09c399fad553a6a8c828862d6",
     ),
     "sign_long": (
         golden_sign_long,
@@ -163,11 +164,11 @@ GOLDEN = {
     ),
     "staged_mid_chunk": (
         golden_staged_mid_chunk,
-        "bf2481d3a1c71f7fe5705b514e002f18a8c9969c3224eface253bf1c4f63fd6f",
+        "e57846d8e2da27d8274ba0441f9b49e8230bd6eb537c70a3d97716a396bb8fb5",
     ),
     "uscg": (
         golden_uscg,
-        "f183d0af54725bdd566d0ef839cb4bc6a2059257d6e6961dc142926def2ea127",
+        "8d3f6c50a682254df16c75201ed4134fd02d312a08ea136453e3ca0b7b5800f8",
     ),
 }
 
