@@ -476,6 +476,8 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     checked = [0] * n_seeds
 
     scratch = [np.empty((n_seeds,) + g.shape) for g in geometry]
+    # Per block, the nuclear norms of m that a spectral step returns.
+    nuclear = [None] * n_blocks
     # x and the step displacement are updated in place, so the views of each
     # seed's blocks (zip(*blocks) yields them seed by seed) stay valid.
     x_seeds = list(zip(*x))
@@ -553,10 +555,9 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                 for db, xb in zip(disp, x):
                     np.copyto(db, xb)
             keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
-            nuclear = [
-                _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i], scratch[i])
-                for i in range(n_blocks)
-            ]
+            for i in range(n_blocks):
+                nuclear[i] = _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i],
+                                         scratch[i])
             x_norms = None
             if record:
                 # The composite dual norm of m, summed in block order; the
