@@ -300,19 +300,18 @@ def _euclidean_step(xb, mb, scale, scratch):
         xb -= scratch
 
 
-def _step_block(xb, mb, kind, keep, scale, scratch):
-    """In place, xb[r] <- keep * xb[r] + scale * lmo(mb[r]) for every seed r.
+def _step_block(xb, mb, kind, scale, scratch):
+    """In place, xb[r] <- xb[r] + scale[r] * lmo(mb[r]) for every seed r.
 
-    xb and mb hold one block per seed, stacked as (R, *shape); scratch is
-    shaped like mb. Sign and euclidean directions are formed in scratch, so
-    those blocks allocate nothing per step. A spectral block takes one
-    lmo_block call for the whole stack, and the step returns the R nuclear
+    xb, mb, scale and scratch hold one block per seed, stacked as (R, *shape);
+    scale[r] holds one value. Sign and euclidean directions are formed in
+    scratch, so those blocks allocate nothing per step. A spectral block takes
+    one lmo_block call for the whole stack, and the step returns the R nuclear
     norms of mb that its SVD gives; other kinds return None. Each seed's
     result is bit-equal to a lone R = 1 step: for R > 1 the stacked matmul
     below forms the same dot products as the np.vdot of scaled_l2_norm on each
     seed's block, and the SVD and the polar product run matrix by matrix.
     """
-    xb *= keep
     if kind is _SIGN:
         np.sign(mb, out=scratch)
         scratch *= scale
@@ -321,18 +320,18 @@ def _step_block(xb, mb, kind, keep, scale, scratch):
         if len(mb) == 1:
             # A lone seed's block is the whole stack; this costs about half
             # as much as the stacked path.
-            _euclidean_step(xb, mb, scale, scratch)
+            _euclidean_step(xb, mb, scale.item(0), scratch)
             return
         flat = mb.reshape(len(mb), -1)
         sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
         if sq.min() >= _TINY:  # False for a NaN too
-            factor = (scale / np.sqrt(sq)).reshape((-1,) + (1,) * (mb.ndim - 1))
-            np.multiply(mb, factor, out=scratch)
+            factor = scale.reshape(len(mb), -1)[:, 0] / np.sqrt(sq)
+            np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)
             xb -= scratch
             return
         # Some seed's block is tiny, zero or not finite: seed by seed.
-        for xr, mr, sr in zip(xb, mb, scratch):
-            _euclidean_step(xr, mr, scale, sr)
+        for xr, mr, cr, sr in zip(xb, mb, scale, scratch):
+            _euclidean_step(xr, mr, cr.item(0), sr)
     else:
         d, nuclear = lmo_block(mb, kind)
         np.multiply(d, scale, out=scratch)
@@ -346,11 +345,10 @@ def _step(x, m, g_sample, alpha, keep, scales, geometry):
     for xb, mb, gb, scale, geom in zip(x_new, m_new, g_sample.arrays, scales, geometry):
         mb *= 1.0 - alpha
         mb += alpha * gb
-        _step_block(xb[None], mb[None], geom.kind, keep, scale, np.empty((1,) + mb.shape))
-    return (
-        LayeredPoint.from_arrays(x.names, x_new),
-        LayeredPoint.from_arrays(x.names, m_new),
-    )
+        xb *= keep
+        _step_block(xb[None], mb[None], geom.kind, np.full((1,) + mb.shape, scale),
+                    np.empty((1,) + mb.shape))
+    return LayeredPoint.from_arrays(x.names, x_new), LayeredPoint.from_arrays(x.names, m_new)
 
 
 def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry):
@@ -434,33 +432,38 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     n_blocks = len(geometry)
     n_seeds = len(seeds)
 
-    if x0 is None:
-        x = [np.zeros((n_seeds,) + g.shape) for g in geometry]
-    else:
-        if tuple(x0.names) != tuple(names):
-            raise ValueError("x0 block names do not match the problem")
-        for a, g in zip(x0.arrays, geometry):
-            if a.shape != g.shape:
-                raise ValueError("x0 block shapes do not match the geometry")
-        x = [np.repeat(a[None], n_seeds, axis=0) for a in x0.arrays]
+    if x0 is not None:
+        problems.check_point(spec, x0)
+
+    # Each per-step quantity is one (R, n_params) array, seed r's blocks side by
+    # side in row r: elementwise stages run on it once per step, and the LMO
+    # and the oracle get (R, *shape) block views made once. Step constants are
+    # such arrays too, as numpy converts a Python float operand on every call.
+    n_params = sum(g.size for g in geometry)
+    offsets = np.cumsum([0] + [g.size for g in geometry])
+
+    def flat_and_blocks():
+        flat = np.empty((n_seeds, n_params))
+        return flat, [flat[:, a:b].reshape((n_seeds,) + g.shape, copy=False)
+                      for a, b, g in zip(offsets, offsets[1:], geometry)]
+
+    xf, x = flat_and_blocks()
+    xf[:] = 0.0 if x0 is None else x0.flatten()
+    (gf, g), (mf, m), (df, disp), (_, scratch), (_, scale) = (
+        flat_and_blocks() for _ in range(5))
+    c_1ma, c_alpha, c_keep = (np.empty((n_seeds, n_params)) for _ in range(3))
+    beta_filled = None
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    m = None
 
     # Noise is drawn for up to chunk_steps steps at once into one reused
     # (R, chunk_steps, n_params) buffer, within _NOISE_CHUNK_VALUES in all.
     # Seed r's generator fills buf[r, :n]: a draw of shape (n, n_params)
     # yields the same normals in the same order as n draws of n_params, and a
     # step's row splits into the blocks in block order.
-    n_params = sum(g.size for g in geometry)
-    chunk_values = _NOISE_CHUNK_VALUES // (max(1, n_seeds) * n_params)
+    chunk_values = _NOISE_CHUNK_VALUES // (n_seeds * n_params)
     chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, chunk_values))
     noise_buf = np.empty((n_seeds, chunk_steps, n_params))
-    offsets = np.cumsum([0] + [g.size for g in geometry])
-    noise = [
-        noise_buf[:, :, a:b].reshape((n_seeds, chunk_steps) + g.shape)
-        for a, b, g in zip(offsets, offsets[1:], geometry)
-    ]
 
     eval_every = config.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
@@ -475,13 +478,11 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     first_violation = [None] * n_seeds
     checked = [0] * n_seeds
 
-    scratch = [np.empty((n_seeds,) + g.shape) for g in geometry]
     # Per block, the nuclear norms of m that a spectral step returns.
     nuclear = [None] * n_blocks
-    # x and the step displacement are updated in place, so the views of each
-    # seed's blocks (zip(*blocks) yields them seed by seed) stay valid.
+    # The buffers are updated in place, so the views of each seed's blocks
+    # (zip(*blocks) yields them seed by seed) stay valid.
     x_seeds = list(zip(*x))
-    disp = [np.empty_like(xb) for xb in x]
     disp_seeds = list(zip(*disp))
     # Per-seed lists of per-block primal norms of x, kept until x moves: the
     # arming test and the checker compute them, and the next recorded row
@@ -494,11 +495,11 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     row = 0
     k_global = 0
     is_scg = config.variant == "scg"
+    loss_fn, grad_fn = problems.compiled(spec, n_seeds)
     for seg in segments:
-        loss_fn, grad_fn = problems.compiled(spec)
         sigma_pc = problems.per_coordinate_sigma(spec, seg.noise)
-        alpha = seg.alpha
-        one_minus_alpha = 1.0 - alpha
+        c_1ma.fill(1.0 - seg.alpha)
+        c_alpha.fill(seg.alpha)
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
         # it is armed per seed.
@@ -524,7 +525,7 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                 if x_norms is None:
                     x_norms = primal_norms(x_seeds)
                 x_primal_k = [max(norms) for norms in x_norms]
-            g = grad_fn(x)
+            grad_fn(x, g)
             if sigma_pc > 0.0:
                 j = k_local % chunk_steps
                 if j == 0:
@@ -532,32 +533,33 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                     for rng, buf in zip(rngs, noise_buf):
                         rng.standard_normal(out=buf[:n])
                     noise_buf[:, :n] *= sigma_pc
-                for gb, nb in zip(g, noise):
-                    gb += nb[:, j]
+                gf += noise_buf[:, j]
             if grads is not None:
                 for seed_grads, blocks in zip(grads, zip(*g)):
                     seed_grads.append(LayeredPoint.from_arrays(names, [b.copy() for b in blocks]))
             if record:
                 g_dual_k = [composite_dual_norm(blocks, kinds) for blocks in zip(*g)]
-            if m is None:
-                if config.momentum_init == "first_sample":
-                    m = [gb.copy() for gb in g]
-                else:
-                    m = [alpha * gb for gb in g]
+            if k_global > 0:
+                mf *= c_1ma
+                gf *= c_alpha
+                mf += gf
+            elif config.momentum_init == "first_sample":
+                np.copyto(mf, gf)
             else:
-                for mb, gb in zip(m, g):
-                    mb *= one_minus_alpha
-                    gb *= alpha
-                    mb += gb
+                np.multiply(gf, c_alpha, out=mf)
 
             need_disp = record or check
             if need_disp:
-                for db, xb in zip(disp, x):
-                    np.copyto(db, xb)
-            keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
+                np.copyto(df, xf)
+            if beta_k != beta_filled:
+                keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
+                c_keep.fill(keep)
+                for sb, eta in zip(scale, radii):
+                    sb.fill(step_scale * eta)
+                beta_filled = beta_k
+            xf *= c_keep
             for i in range(n_blocks):
-                nuclear[i] = _step_block(x[i], m[i], kinds[i], keep, step_scale * radii[i],
-                                         scratch[i])
+                nuclear[i] = _step_block(x[i], m[i], kinds[i], scale[i], scratch[i])
             x_norms = None
             if record:
                 # The composite dual norm of m, summed in block order; the
@@ -568,8 +570,7 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                     for r in range(n_seeds)
                 ]
             if need_disp:
-                for db, xb in zip(disp, x):
-                    np.subtract(xb, db, out=db)
+                np.subtract(xf, df, out=df)
                 disp_norms = primal_norms(disp_seeds)
 
             if check:
@@ -577,35 +578,27 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                 x_norms = primal_norms(x_seeds)
                 for r in armed:
                     checked[r] += 1
-                    for i in range(n_blocks):
-                        eta = radii[i]
-                        x_norm = x_norms[r][i]
-                        d = disp_norms[r][i]
+                    for eta, x_norm, d, name in zip(radii, x_norms[r], disp_norms[r], names):
                         x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
-                        ok_norm = x_norm <= x_bound
-                        ok_disp = d <= 2.0 * beta_k * eta + _INVARIANT_SLACK
-                        if not (ok_norm and ok_disp):
+                        if not (x_norm <= x_bound and d <= 2.0 * beta_k * eta + _INVARIANT_SLACK):
                             violations[r] += 1
                             if first_violation[r] is None:
                                 first_violation[r] = (
-                                    f"step {k_global} block {names[i]}: "
+                                    f"step {k_global} block {name}: "
                                     f"|x|={x_norm:.6g} bound={x_bound:.6g} "
                                     f"disp={d:.6g} disp_bound={2.0 * beta_k * eta:.6g}"
                                 )
 
             if record:
-                for r in range(n_seeds):
-                    # in RUNLOG_CSV_HEADER order
-                    values = (
-                        k_global, loss_k[r], x_primal_k[r], g_dual_k[r], m_dual_k[r], beta_k,
-                        max(disp_norms[r]), seg.stage_index,
-                    )
-                    for col, value in zip(columns, values):
-                        col[r, row] = value
+                values = (  # in RUNLOG_CSV_HEADER order, a value or one per seed
+                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_k,
+                    [max(norms) for norms in disp_norms], seg.stage_index,
+                )
+                for col, value in zip(columns, values):
+                    col[:, row] = value
                 row += 1
             k_global += 1
 
-    loss_fn, _ = problems.compiled(spec)
     logs = []
     for r, blocks in enumerate(x_seeds):
         final_loss = float(loss_fn(blocks))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -158,23 +158,32 @@ class LogisticRegression:
             raise ValueError("n_samples and dim must be positive")
         if self.margin_boost < 0:
             raise ValueError("margin_boost must be nonnegative")
-        rng = np.random.default_rng(self.data_seed)
-        A = rng.standard_normal((self.n_samples, self.dim)) / math.sqrt(self.dim)
-        w_true = rng.standard_normal(self.dim)
-        w_true /= np.linalg.norm(w_true)
-        margins = A @ w_true
-        # Nudge near-zero margins so labels are unambiguous and the data is
-        # strictly separable.
-        margins = np.where(np.abs(margins) < 1e-3, np.sign(margins + 1e-12) * 1e-3, margins)
-        y = np.sign(margins)
-        if self.margin_boost > 0:
-            A = A + np.outer(y * self.margin_boost, w_true)
-        object.__setattr__(self, "features", A)
-        object.__setattr__(self, "labels", y)
+        data = _logistic_data(self.n_samples, self.dim, self.data_seed, self.margin_boost)
+        object.__setattr__(self, "features", data[0])
+        object.__setattr__(self, "labels", data[1])
 
     @property
     def total_params(self) -> int:
         return self.dim
+
+
+@lru_cache(maxsize=16)
+def _logistic_data(n_samples: int, dim: int, data_seed: int, margin_boost: float):
+    """Read-only (features, labels), made once for the instances that share them."""
+    rng = np.random.default_rng(data_seed)
+    A = rng.standard_normal((n_samples, dim)) / math.sqrt(dim)
+    w_true = rng.standard_normal(dim)
+    w_true /= np.linalg.norm(w_true)
+    margins = A @ w_true
+    # Nudge near-zero margins so labels are unambiguous and the data is
+    # strictly separable.
+    margins = np.where(np.abs(margins) < 1e-3, np.sign(margins + 1e-12) * 1e-3, margins)
+    y = np.sign(margins)
+    if margin_boost > 0:
+        A = A + np.outer(y * margin_boost, w_true)
+    A.setflags(write=False)
+    y.setflags(write=False)
+    return A, y
 
 
 ProblemSpec = LayeredQuadratic | LogisticRegression
@@ -206,35 +215,45 @@ def _logistic_coeff(labels, products, n):
     return -(labels * s) / n
 
 
-def compiled(spec: ProblemSpec):
+def compiled(spec: ProblemSpec, n_points: int = 1):
     """Array-level (loss_fn, grad_fn) pair used by the iteration hot loop.
 
-    loss_fn takes the blocks of one point. grad_fn takes the blocks of R
-    points stacked as (R, *shape), one point per seed of a run, and returns
-    their gradients stacked the same way. Each gradient is bit-equal to that
-    of its point alone: the quadratic is elementwise, and the logistic
-    oracle's stacked matmuls with a column on the right make one
-    matrix-vector product per point (a lone point takes the plain products).
-    Stacked operands get constants with a leading axis of 1, as numpy
-    broadcasts an operand of fewer dimensions more slowly.
+    loss_fn takes the blocks of one point. grad_fn(arrays, out) takes the
+    blocks of R points stacked as (R, *shape), one point per seed of a run,
+    writes their gradients into the blocks of out, stacked the same way, and
+    returns out. Each gradient is bit-equal to that of its point alone: the
+    quadratic is elementwise, and the logistic oracle's stacked matmuls with a
+    column on the right make one matrix-vector product per point (a lone
+    point takes the plain products). Its constants are stacked n_points
+    times: any R works, and R = n_points, which numpy broadcasts least, costs
+    least.
     """
     if isinstance(spec, LayeredQuadratic):
-        terms = [(lam, theta[None]) for lam, theta in zip(spec.curvatures, spec.targets)]
-        return (
-            lambda arrays: _quadratic_loss_arrays(spec, arrays),
-            lambda arrays: [lam * (xb - theta) for xb, (lam, theta) in zip(arrays, terms)],
-        )
+        terms = [
+            (np.full((n_points,) + theta.shape, lam), np.repeat(theta[None], n_points, axis=0))
+            for lam, theta in zip(spec.curvatures, spec.targets)
+        ]
+
+        def grad_fn(arrays, out):
+            for xb, ob, (lam, theta) in zip(arrays, out, terms):
+                np.subtract(xb, theta, out=ob)
+                ob *= lam
+            return out
+
+        return lambda arrays: _quadratic_loss_arrays(spec, arrays), grad_fn
     if isinstance(spec, LogisticRegression):
         features, labels, n = spec.features, spec.labels, spec.n_samples
-        stacked_labels = labels[None]
+        stacked_labels = np.repeat(labels[None], n_points, axis=0)
 
-        def grad_fn(arrays):
-            w = arrays[0]
+        def grad_fn(arrays, out):
+            w, o = arrays[0], out[0]
             if len(w) == 1:  # one point: the plain products cost less
-                return [(features.T @ _logistic_coeff(labels, features @ w[0], n))[None]]
+                np.matmul(features.T, _logistic_coeff(labels, features @ w[0], n), out=o[0])
+                return out
             products = np.matmul(features, w[..., None])[..., 0]
             coeff = _logistic_coeff(stacked_labels, products, n)
-            return [np.matmul(features.T, coeff[..., None])[..., 0]]
+            np.matmul(features.T, coeff[..., None], out=o[..., None])
+            return out
 
         return lambda arrays: _logistic_loss_arrays(spec, arrays), grad_fn
     raise TypeError(f"unsupported problem kind {spec!r}")
@@ -242,12 +261,14 @@ def compiled(spec: ProblemSpec):
 
 def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
     """The exact gradient blocks at x, through the stacked grad_fn with R = 1."""
-    _check_point(spec, x)
+    check_point(spec, x)
     _, grad_fn = compiled(spec)
-    return [gb[0] for gb in grad_fn([a[None] for a in x.arrays])]
+    out = [np.empty((1,) + g.shape) for g in spec.geometry]
+    return [gb[0] for gb in grad_fn([a[None] for a in x.arrays], out)]
 
 
-def _check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
+def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
+    """Raise ValueError unless x has the block names and shapes of spec."""
     if tuple(x.names) != tuple(spec.block_names):
         raise ValueError("point block names do not match the problem")
     for a, g in zip(x.arrays, spec.geometry):
@@ -257,7 +278,7 @@ def _check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
 
 def loss(spec: ProblemSpec, x: LayeredPoint) -> float:
     """Exact objective value at x."""
-    _check_point(spec, x)
+    check_point(spec, x)
     loss_fn, _ = compiled(spec)
     return loss_fn(x.arrays)
 

@@ -166,6 +166,16 @@ class TestDrivers:
             (64.0, 1.0, 16, 0.0625, 0.026596822339518756, 0.0, 1.2688662037379044, 3, None),
         ]
 
+    def test_rate_study_losses_are_pinned(self):
+        # Recorded before the logistic data set was cached; the estimated
+        # constants and every run read the cached features and labels.
+        out = experiments.middle_regime_rates(t_exponents=(14, 17), repetitions=2)
+        assert out["critical_scales"] == [273, 1090]
+        assert out["losses"] == [
+            [0.00025877053767467704, 0.0004181612407887466],
+            [0.00013366388299210327, 0.00017409944990307404],
+        ]
+
     def test_regime_sweep_constants_match_problem(self):
         spec = experiments.regime_sweep_problem()
         analytic = problems.known_constants(spec)

@@ -31,6 +31,7 @@ from scgscale.optimizer import (
     Stage,
     StagePlan,
     WarmdownBeta,
+    beta_at,
     run,
     run_staged,
     scg_step,
@@ -362,3 +363,29 @@ def test_run_equals_stepping_by_hand(kind, variant):
         else:
             x, m = uscg_step(x, m, g, cfg.alpha, 1.0, radii, spec.geometry)
     assert np.array_equal(x.arrays[0], log.final_x.arrays[0])
+
+
+@pytest.mark.parametrize("variant", ["scg", "uscg"])
+def test_run_equals_stepping_by_hand_over_blocks(variant):
+    # Three blocks of three kinds side by side in the run's flat buffers, and
+    # a stepsize that changes every step of the warmdown tail: each block's
+    # offset and every refill of the step constants must match the step
+    # functions, which take their blocks one by one.
+    spec = mixed_quadratic()
+    schedule = WarmdownBeta(0.2, 80, 50)
+    cfg = ScgConfig(
+        alpha=0.3, beta=schedule, iters=80, seed=17, momentum_init="zeros", variant=variant,
+    )
+    log = run(spec, cfg)
+
+    rng = np.random.default_rng(cfg.seed)
+    x = LayeredPoint.zeros(spec.block_names, spec.geometry)
+    m = LayeredPoint.zeros(spec.block_names, spec.geometry)
+    radii = [g.radius_eta for g in spec.geometry]
+    for k in range(cfg.iters):
+        g = grad_sample(spec, x, rng)
+        if variant == "scg":
+            x, m = scg_step(x, m, g, cfg.alpha, beta_at(schedule, k), None, spec.geometry)
+        else:
+            x, m = uscg_step(x, m, g, cfg.alpha, 1.0, radii, spec.geometry)
+    assert x == log.final_x

@@ -27,6 +27,8 @@ from scgscale.optimizer import (
     scg_step,
     uscg_step,
 )
+from scgscale import problems
+from scgscale.experiments import rate_study_problem
 from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import prescribe_params
 
@@ -457,6 +459,49 @@ class TestStackedSeeds:
         if n_seeds > 1:
             assert logs[0].to_csv_string() != logs[1].to_csv_string()
 
+    @pytest.mark.parametrize("n_points", [1, 3])
+    @pytest.mark.parametrize("problem", ["mixed", "rate_study"])
+    def test_oracle_writes_into_the_given_buffers(self, problem, n_points):
+        # The out blocks are views of one (R, n_params) buffer, as in the run
+        # loop; each seed's gradient must be that of its point alone, whether
+        # the oracle's constants are stacked for R points or for one.
+        spec = mixed_quadratic() if problem == "mixed" else rate_study_problem()
+        rng = np.random.default_rng(8)
+        points = [
+            LayeredPoint.from_arrays(
+                spec.block_names, [rng.uniform(-0.3, 0.3, g.shape) for g in spec.geometry])
+            for _ in range(n_points)
+        ]
+        x = [np.stack(blocks) for blocks in zip(*(p.arrays for p in points))]
+        offsets = np.cumsum([0] + [g.size for g in spec.geometry])
+        for stacked_for in (1, n_points):
+            flat = np.full((n_points, spec.total_params), np.nan)
+            out = [
+                flat[:, a:b].reshape((n_points,) + g.shape, copy=False)
+                for a, b, g in zip(offsets, offsets[1:], spec.geometry)
+            ]
+            _, grad_fn = problems.compiled(spec, stacked_for)
+            result = grad_fn(x, out)
+            assert len(result) == len(out)
+            assert all(got is buf for got, buf in zip(result, out))
+            for r, point in enumerate(points):
+                exact = problems.grad(spec, point)
+                assert all(np.array_equal(b[r], e) for b, e in zip(out, exact.arrays))
+
+    def test_x0_and_final_x_are_not_aliased(self):
+        spec = mixed_quadratic()
+        x0 = small_point(spec)
+        before = [a.copy() for a in x0.arrays]
+        cfg = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=20, eval_every=3)
+        logs = [run(spec, cfg, x0=x0)] + list(run(spec, cfg, x0=x0, seeds=[1, 2, 3]))
+        assert all(np.array_equal(a, b) for a, b in zip(x0.arrays, before))
+        finals = [a for log in logs for a in log.final_x.arrays]
+        for i, a in enumerate(finals):
+            # A copy that owns its data cannot share the run's buffers.
+            assert a.flags.owndata
+            assert not any(np.shares_memory(a, b) for b in x0.arrays)
+            assert not any(np.shares_memory(a, b) for b in finals[i + 1:])
+
     def test_euclidean_step_handles_each_seed_alone(self):
         # A tiny and a zero momentum block take the rescaled
         # path of scaled_l2_norm; the others must not change because of them.
@@ -466,12 +511,12 @@ class TestStackedSeeds:
         m[2] = 0.0
         x = rng.standard_normal((5, 6))
         for rows in ([0, 3, 4], [0, 1, 2, 3, 4]):
-            xs, ms = x[rows].copy(), m[rows].copy()
-            _step_block(xs, ms, GeometryKind.EUCLIDEAN, 0.9, 0.1, np.empty_like(ms))
+            xs, ms = 0.9 * x[rows], m[rows].copy()
+            _step_block(xs, ms, GeometryKind.EUCLIDEAN, np.full_like(ms, 0.1), np.empty_like(ms))
             for r, got in zip(rows, xs):
-                lone = x[r:r + 1].copy()
-                _step_block(lone, m[r:r + 1].copy(), GeometryKind.EUCLIDEAN, 0.9, 0.1,
-                            np.empty((1, 6)))
+                lone = 0.9 * x[r:r + 1]
+                _step_block(lone, m[r:r + 1].copy(), GeometryKind.EUCLIDEAN,
+                            np.full((1, 6), 0.1), np.empty((1, 6)))
                 assert np.array_equal(got, lone[0])
         assert not np.any(np.isnan(xs))
 
@@ -485,12 +530,13 @@ class TestStackedSeeds:
         m[3] = 0.0
         x = rng.standard_normal((5, 6, 4))
         keep, scale = 0.9, 0.1
-        xs = x.copy()
-        nuclear = _step_block(xs, m, GeometryKind.SPECTRAL, keep, scale, np.empty_like(m))
+        xs = keep * x
+        nuclear = _step_block(xs, m, GeometryKind.SPECTRAL, np.full_like(m, scale),
+                              np.empty_like(m))
         for r in range(5):
-            lone = x[r:r + 1].copy()
-            lone_nuclear = _step_block(lone, m[r:r + 1], GeometryKind.SPECTRAL, keep, scale,
-                                       np.empty((1, 6, 4)))
+            lone = keep * x[r:r + 1]
+            lone_nuclear = _step_block(lone, m[r:r + 1], GeometryKind.SPECTRAL,
+                                       np.full((1, 6, 4), scale), np.empty((1, 6, 4)))
             assert np.array_equal(xs[r], lone[0]) and nuclear[r] == lone_nuclear[0]
             if r == 3:
                 assert np.array_equal(xs[r], keep * x[r]) and nuclear[r] == 0.0

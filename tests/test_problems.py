@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scgscale import problems
+from scgscale import experiments, problems
 from scgscale.estimation import estimate_L, estimate_mu
 from scgscale.geometry import (
     BlockGeometry,
@@ -341,6 +341,18 @@ class TestSerialization:
         assert np.array_equal(back.features, spec.features)
         assert np.array_equal(back.labels, spec.labels)
         assert back.noise == spec.noise
+
+    def test_replaced_logistic_shares_read_only_data(self):
+        # replace() with new noise, as the rate study does per budget, keeps
+        # the data set instead of generating it again.
+        spec = experiments.rate_study_problem()
+        other = replace(spec, noise=replace(spec.noise, B=64.0))
+        assert other.features is spec.features and other.labels is spec.labels
+        assert not spec.features.flags.writeable and not spec.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            other.features[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            other.labels[0] = -other.labels[0]
 
     def test_unknown_keys_rejected(self):
         d = quadratic_dict()
