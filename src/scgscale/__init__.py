@@ -7,7 +7,6 @@ from .geometry import (
     BlockGeometry,
     GeometryKind,
     LayeredPoint,
-    exact_polar,
     newton_schulz_polar,
 )
 from .optimizer import (
@@ -19,8 +18,6 @@ from .optimizer import (
     WarmdownBeta,
     run,
     run_staged,
-    scg_step,
-    uscg_step,
 )
 from .scaling import (
     ProblemConstants,

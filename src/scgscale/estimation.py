@@ -111,13 +111,6 @@ class VarianceCurve:
     points: tuple[tuple[float, float], ...]
     fitted: PowerLawModel
 
-    def __post_init__(self):
-        scales = [p[0] for p in self.points]
-        if any(b >= a for a, b in zip(scales[1:], scales)):
-            raise ValueError("scales must be strictly increasing")
-        if any(p[1] <= 0 for p in self.points):
-            raise ValueError("variances must be positive")
-
 
 @dataclass(frozen=True)
 class HuberFit:
@@ -345,9 +338,11 @@ def fit_power_law(
             raise ValueError(f"covariate {term.name!r} length mismatch")
         cols[term.name] = col
 
-    free_shift = [t.shift is None for t in shape]
-    free_exp = [t.exponent is None for t in shape]
-    n_free = 1 + sum(free_shift) + sum(free_exp)
+    # (term index, 0 for its shift or 1 for its exponent) per free parameter
+    # after the log coefficient: the free shifts first, then the exponents.
+    free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
+            if (t.shift, t.exponent)[j] is None]
+    n_free = 1 + len(free)
     if len(values) < n_free:
         raise ValueError(
             f"need at least {n_free} observations for {n_free} free parameters"
@@ -359,65 +354,37 @@ def fit_power_law(
     log_y = np.log(values)
 
     def unpack(params):
-        idx = 1
-        shifts, exps = [], []
-        for t, fs in zip(shape, free_shift):
-            if fs:
-                shifts.append(params[idx])
-                idx += 1
-            else:
-                shifts.append(t.shift)
-        for t, fe in zip(shape, free_exp):
-            if fe:
-                exps.append(params[idx])
-                idx += 1
-            else:
-                exps.append(t.exponent)
-        return params[0], shifts, exps
+        terms = [[t.shift, t.exponent] for t in shape]
+        for (i, j), p in zip(free, params[1:]):
+            terms[i][j] = p
+        return params[0], terms
 
     def residuals(params):
-        log_c, shifts, exps = unpack(params)
+        log_c, terms = unpack(params)
         pred = np.full_like(log_y, log_c)
-        for t, s, e in zip(shape, shifts, exps):
-            base = cols[t.name] + s
-            if np.any(base <= 0):
-                return np.full_like(log_y, 1e6)
-            pred = pred + e * np.log(base)
+        for t, (s, e) in zip(shape, terms):
+            pred = pred + e * np.log(cols[t.name] + s)
         return pred - log_y
 
-    lo = [-np.inf]
-    hi = [np.inf]
-    shift_lb = {}
-    for t, fs in zip(shape, free_shift):
-        if fs:
-            col_min = float(np.min(cols[t.name]))
-            shift_lb[t.name] = -col_min + 1e-9 * max(1.0, abs(col_min))
-            lo.append(shift_lb[t.name])
-            hi.append(np.inf)
-    for fe in free_exp:
-        if fe:
-            lo.append(-np.inf)
-            hi.append(np.inf)
+    # A free shift keeps every base of its covariate above zero.
+    mins = {i: float(np.min(cols[shape[i].name])) for i, j in free if j == 0}
+    shift_lb = {i: -c + 1e-9 * max(1.0, abs(c)) for i, c in mins.items()}
+    lo = [-np.inf] + [shift_lb[i] if j == 0 else -np.inf for i, j in free]
 
     rng = np.random.default_rng(seed)
     best = None
     mean_log_y = float(np.mean(log_y))
     for start in range(16):
         p0 = [mean_log_y]
-        for t, fs in zip(shape, free_shift):
-            if fs:
-                span = float(np.ptp(cols[t.name])) or 1.0
-                if start == 0:
-                    s0 = shift_lb[t.name] + 1e-3 * span
-                else:
-                    s0 = shift_lb[t.name] + rng.uniform(0.0, 1.0) * span
-                p0.append(s0)
-        for fe in free_exp:
-            if fe:
+        for i, j in free:
+            if j == 0:
+                span = float(np.ptp(cols[shape[i].name])) or 1.0
+                p0.append(shift_lb[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
+            else:
                 p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
         try:
             res = least_squares(
-                residuals, p0, loss="soft_l1", bounds=(lo, hi), max_nfev=20000
+                residuals, p0, loss="soft_l1", bounds=(lo, np.inf), max_nfev=20000
             )
         except Exception:
             continue
@@ -425,13 +392,10 @@ def fit_power_law(
             best = res
     if best is None:
         raise RuntimeError("power-law fit failed from every start")
-    log_c, shifts, exps = unpack(best.x)
+    log_c, terms = unpack(best.x)
     return PowerLawModel(
         coefficient=float(np.exp(log_c)),
-        terms=tuple(
-            PowerLawTerm(t.name, float(s), float(e))
-            for t, s, e in zip(shape, shifts, exps)
-        ),
+        terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, terms)),
     )
 
 

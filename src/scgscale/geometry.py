@@ -32,7 +32,6 @@ __all__ = [
     "composite_dual_norm",
     "lmo_block",
     "newton_schulz_polar",
-    "exact_polar",
     "NS_CUBIC",
     "NS_QUINTIC",
 ]
@@ -214,23 +213,6 @@ def newton_schulz_polar(
             B = B + c * (A @ A)
         X = a * X + B @ X
     return X.T if transposed else X
-
-
-def exact_polar(M: np.ndarray) -> np.ndarray:
-    """Exact polar factor U V^T from an SVD (test oracle for the LMO).
-
-    Directions with negligible singular value are dropped, so the result is
-    supported on the row/column space of the input, matching the rank
-    preservation of the Newton-Schulz iteration.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {M.shape}")
-    if not np.any(M):
-        raise ValueError("polar factor of the zero matrix is undefined")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > 1e-12 * s[0]
-    return U[:, keep] @ Vt[keep]
 
 
 def lmo_block(

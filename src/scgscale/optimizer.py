@@ -38,8 +38,6 @@ __all__ = [
     "Stage",
     "StagePlan",
     "RunLog",
-    "scg_step",
-    "uscg_step",
     "run",
     "run_staged",
     "RUNLOG_CSV_HEADER",
@@ -308,8 +306,8 @@ def _step_block(xb, mb, kind, scale, scratch):
     scratch, so those blocks allocate nothing per step. A spectral block takes
     one lmo_block call for the whole stack, and the step returns the R nuclear
     norms of mb that its SVD gives; other kinds return None. Each seed's
-    result is bit-equal to a lone R = 1 step: for R > 1 the stacked matmul
-    below forms the same dot products as the np.vdot of scaled_l2_norm on each
+    result is bit-equal to stepping its block alone: the stacked matmul below
+    forms the same dot product as the np.vdot of scaled_l2_norm on each
     seed's block, and the SVD and the polar product run matrix by matrix.
     """
     if kind is _SIGN:
@@ -317,11 +315,6 @@ def _step_block(xb, mb, kind, scale, scratch):
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:
-        if len(mb) == 1:
-            # A lone seed's block is the whole stack; this costs about half
-            # as much as the stacked path.
-            _euclidean_step(xb, mb, scale.item(0), scratch)
-            return
         flat = mb.reshape(len(mb), -1)
         sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
         if sq.min() >= _TINY:  # False for a NaN too
@@ -337,47 +330,6 @@ def _step_block(xb, mb, kind, scale, scratch):
         np.multiply(d, scale, out=scratch)
         xb += scratch
         return nuclear
-
-
-def _step(x, m, g_sample, alpha, keep, scales, geometry):
-    x_new = [a.copy() for a in x.arrays]
-    m_new = [a.copy() for a in m.arrays]
-    for xb, mb, gb, scale, geom in zip(x_new, m_new, g_sample.arrays, scales, geometry):
-        mb *= 1.0 - alpha
-        mb += alpha * gb
-        xb *= keep
-        _step_block(xb[None], mb[None], geom.kind, np.full((1,) + mb.shape, scale),
-                    np.empty((1,) + mb.shape))
-    return LayeredPoint.from_arrays(x.names, x_new), LayeredPoint.from_arrays(x.names, m_new)
-
-
-def scg_step(x, m, g_sample, alpha, beta_k, radii, geometry):
-    """One constrained step: returns (x', m') as new layered points.
-
-    m' = (1 - alpha) m + alpha g; d = lmo(m'); per block,
-    x' = (1 - beta_k) x + beta_k eta d.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 <= beta_k <= 1.0:
-        raise ValueError(f"beta_k must lie in [0, 1], got {beta_k}")
-    scales = [beta_k * eta for eta in _resolve_radii(radii, geometry)]
-    return _step(x, m, g_sample, alpha, 1.0 - beta_k, scales, geometry)
-
-
-def uscg_step(x, m, g_sample, alpha, eta, radii=None, geometry=None):
-    """One unconstrained step: additive update x' = x + eta d, no contraction.
-
-    eta is a global step scale; per-block radii multiply it when given.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if geometry is None:
-        raise ValueError("geometry is required")
-    scales = [eta] * len(geometry) if radii is None else [eta * r for r in radii]
-    return _step(x, m, g_sample, alpha, 1.0, scales, geometry)
 
 
 @dataclass(frozen=True)

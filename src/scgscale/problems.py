@@ -196,23 +196,18 @@ def per_coordinate_sigma(spec: ProblemSpec, noise: Optional[NoiseModel] = None) 
     return math.sqrt(var / spec.total_params) if var > 0 else 0.0
 
 
-def _quadratic_loss_arrays(spec: LayeredQuadratic, arrays) -> float:
-    total = 0.0
-    for xb, lam, theta in zip(arrays, spec.curvatures, spec.targets):
-        diff = xb - theta
-        total += 0.5 * lam * float(np.sum(diff * diff))
-    return total
-
-
-def _logistic_loss_arrays(spec: LogisticRegression, arrays) -> float:
-    z = spec.labels * (spec.features @ arrays[0])
-    return float(np.mean(np.logaddexp(0.0, -z)))
-
-
-def _logistic_coeff(labels, products, n):
-    """The loss's derivative in the products features @ w."""
-    s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
-    return -(labels * s) / n
+def _loss_arrays(spec: ProblemSpec, arrays) -> float:
+    """The objective at the point with blocks arrays."""
+    if isinstance(spec, LayeredQuadratic):
+        total = 0.0
+        for xb, lam, theta in zip(arrays, spec.curvatures, spec.targets):
+            diff = xb - theta
+            total += 0.5 * lam * float(np.sum(diff * diff))
+        return total
+    if isinstance(spec, LogisticRegression):
+        z = spec.labels * (spec.features @ arrays[0])
+        return float(np.mean(np.logaddexp(0.0, -z)))
+    raise TypeError(f"unsupported problem kind {spec!r}")
 
 
 def compiled(spec: ProblemSpec, n_points: int = 1):
@@ -223,10 +218,9 @@ def compiled(spec: ProblemSpec, n_points: int = 1):
     writes their gradients into the blocks of out, stacked the same way, and
     returns out. Each gradient is bit-equal to that of its point alone: the
     quadratic is elementwise, and the logistic oracle's stacked matmuls with a
-    column on the right make one matrix-vector product per point (a lone
-    point takes the plain products). Its constants are stacked n_points
-    times: any R works, and R = n_points, which numpy broadcasts least, costs
-    least.
+    column on the right make one matrix-vector product per point. Its
+    constants are stacked n_points times: any R works, and R = n_points,
+    which numpy broadcasts least, costs least.
     """
     if isinstance(spec, LayeredQuadratic):
         terms = [
@@ -240,23 +234,20 @@ def compiled(spec: ProblemSpec, n_points: int = 1):
                 ob *= lam
             return out
 
-        return lambda arrays: _quadratic_loss_arrays(spec, arrays), grad_fn
-    if isinstance(spec, LogisticRegression):
-        features, labels, n = spec.features, spec.labels, spec.n_samples
-        stacked_labels = np.repeat(labels[None], n_points, axis=0)
+    elif isinstance(spec, LogisticRegression):
+        features, n = spec.features, spec.n_samples
+        labels = np.repeat(spec.labels[None], n_points, axis=0)
 
         def grad_fn(arrays, out):
-            w, o = arrays[0], out[0]
-            if len(w) == 1:  # one point: the plain products cost less
-                np.matmul(features.T, _logistic_coeff(labels, features @ w[0], n), out=o[0])
-                return out
-            products = np.matmul(features, w[..., None])[..., 0]
-            coeff = _logistic_coeff(stacked_labels, products, n)
-            np.matmul(features.T, coeff[..., None], out=o[..., None])
+            products = np.matmul(features, arrays[0][..., None])[..., 0]
+            s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
+            # The loss's derivative in the products, back through features.
+            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[0][..., None])
             return out
 
-        return lambda arrays: _logistic_loss_arrays(spec, arrays), grad_fn
-    raise TypeError(f"unsupported problem kind {spec!r}")
+    else:
+        raise TypeError(f"unsupported problem kind {spec!r}")
+    return (lambda arrays: _loss_arrays(spec, arrays)), grad_fn
 
 
 def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
@@ -279,8 +270,7 @@ def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
 def loss(spec: ProblemSpec, x: LayeredPoint) -> float:
     """Exact objective value at x."""
     check_point(spec, x)
-    loss_fn, _ = compiled(spec)
-    return loss_fn(x.arrays)
+    return _loss_arrays(spec, x.arrays)
 
 
 def grad(spec: ProblemSpec, x: LayeredPoint) -> LayeredPoint:

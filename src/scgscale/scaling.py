@@ -253,20 +253,16 @@ def transfer_token_budget(
     The model stays the same so only the norm-equivalence constant moves, and
     it moves with the batch size itself: B1 = B0 ((T1/T0) rho(B1)/rho(B0))^(2/3)
     is solved as a fixed point damped by 1/2, to a relative tolerance of 1e-6
-    within 1000 iterations (sequence length held fixed). rho_model is either a
-    callable B -> rho or a power-law model evaluated at
-    {"batch_size": B, **fixed_covariates}. Returns (B1, beta1) with
-    beta1 = beta0 (sqrt(T0/T1) rho(B1)/rho(B0))^(2/3).
+    within 1000 iterations (sequence length held fixed). rho_model is a
+    power-law model evaluated at {"batch_size": B, **fixed_covariates}.
+    Returns (B1, beta1) with beta1 = beta0 (sqrt(T0/T1) rho(B1)/rho(B0))^(2/3).
     """
     if T1 <= 0:
         raise ValueError("T1 must be positive")
-    if callable(rho_model):
-        rho_of_b = rho_model
-    else:
-        extra = dict(fixed_covariates or {})
+    extra = dict(fixed_covariates or {})
 
-        def rho_of_b(b: float) -> float:
-            return rho_model.value({"batch_size": b, **extra})
+    def rho_of_b(b: float) -> float:
+        return rho_model.value({"batch_size": b, **extra})
 
     rho0 = rho_of_b(base.B0)
     if rho0 <= 0:

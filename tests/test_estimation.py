@@ -266,6 +266,14 @@ class TestFitPowerLaw:
         assert fitted.terms[0].shift == 1.0
         assert fitted.terms[0].exponent == pytest.approx(-0.5, abs=1e-6)
 
+    def test_fixed_exponent_respected(self):
+        x = np.linspace(1.0, 20.0, 15)
+        values = 2.0 * (x + 1.0) ** -0.5
+        fitted = fit_power_law({"x": x}, values, [FitTerm("x", exponent=-0.5)])
+        assert fitted.terms[0].exponent == -0.5
+        assert fitted.terms[0].shift == pytest.approx(1.0, abs=1e-6)
+        assert fitted.coefficient == pytest.approx(2.0, rel=1e-6)
+
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             fit_power_law({"x": np.array([1.0, 2.0])}, np.array([1.0, -1.0]), [FitTerm("x")])

@@ -34,8 +34,6 @@ from scgscale.optimizer import (
     beta_at,
     run,
     run_staged,
-    scg_step,
-    uscg_step,
 )
 from scgscale.problems import (
     LayeredQuadratic,
@@ -339,29 +337,56 @@ def single_block_quadratic(kind):
     )
 
 
-@pytest.mark.parametrize("variant", ["scg", "uscg"])
-@pytest.mark.parametrize("kind", ["sign", "euclidean", "spectral"])
-def test_run_equals_stepping_by_hand(kind, variant):
-    # With zero momentum init, run() is the step function applied to fresh
-    # gradient samples drawn in order from the seeded generator.
-    spec = single_block_quadratic(kind)
-    beta = 0.1
-    cfg = ScgConfig(
-        alpha=0.3, beta=ConstantBeta(beta), iters=60, seed=13, momentum_init="zeros",
-        variant=variant,
-    )
-    log = run(spec, cfg)
+def reference_step(x, m, g, alpha, keep, scales, kinds):
+    """One update in plain NumPy, block by block: returns (x', m').
 
+    m' = m (1 - alpha) + g alpha and x' = x keep - s d, with d the unit
+    direction whose negation the block's LMO returns: sign(m'),
+    m' / ||m'||_2, or the polar factor U V^T of m'. keep and s are 1 - beta
+    and beta eta for scg, 1 and eta for uscg.
+    """
+    x_new, m_new = [], []
+    for xb, mb, gb, s, kind in zip(x.arrays, m.arrays, g.arrays, scales, kinds):
+        mb = mb * (1.0 - alpha) + gb * alpha
+        if kind == "sign":
+            step = np.sign(mb) * s
+        elif kind == "euclidean":
+            step = mb * (s / np.sqrt(np.vdot(mb, mb)))
+        else:
+            U, _, Vt = np.linalg.svd(mb, full_matrices=False)
+            step = (U @ Vt) * s
+        x_new.append(xb * keep - step)
+        m_new.append(mb)
+    return LayeredPoint.from_arrays(x.names, x_new), LayeredPoint.from_arrays(m.names, m_new)
+
+
+def step_by_hand(spec, cfg, beta_of_k):
+    """The final iterate of cfg (zero momentum init) stepped by reference_step
+    on gradient samples drawn in order from the seeded generator."""
     rng = np.random.default_rng(cfg.seed)
     x = LayeredPoint.zeros(spec.block_names, spec.geometry)
     m = LayeredPoint.zeros(spec.block_names, spec.geometry)
-    radii = [g.radius_eta for g in spec.geometry]
-    for _ in range(cfg.iters):
-        g = grad_sample(spec, x, rng)
-        if variant == "scg":
-            x, m = scg_step(x, m, g, cfg.alpha, beta, None, spec.geometry)
-        else:
-            x, m = uscg_step(x, m, g, cfg.alpha, 1.0, radii, spec.geometry)
+    kinds = [g.kind for g in spec.geometry]
+    for k in range(cfg.iters):
+        beta = beta_of_k(k)
+        keep, step = (1.0 - beta, beta) if cfg.variant == "scg" else (1.0, 1.0)
+        scales = [step * g.radius_eta for g in spec.geometry]
+        x, m = reference_step(x, m, grad_sample(spec, x, rng), cfg.alpha, keep, scales, kinds)
+    return x
+
+
+@pytest.mark.parametrize("variant", ["scg", "uscg"])
+@pytest.mark.parametrize("kind", ["sign", "euclidean", "spectral"])
+def test_run_equals_stepping_by_hand(kind, variant):
+    # With zero momentum init, run() is the reference step applied to fresh
+    # gradient samples drawn in order from the seeded generator.
+    spec = single_block_quadratic(kind)
+    cfg = ScgConfig(
+        alpha=0.3, beta=ConstantBeta(0.1), iters=60, seed=13, momentum_init="zeros",
+        variant=variant,
+    )
+    log = run(spec, cfg)
+    x = step_by_hand(spec, cfg, lambda k: 0.1)
     assert np.array_equal(x.arrays[0], log.final_x.arrays[0])
 
 
@@ -369,23 +394,12 @@ def test_run_equals_stepping_by_hand(kind, variant):
 def test_run_equals_stepping_by_hand_over_blocks(variant):
     # Three blocks of three kinds side by side in the run's flat buffers, and
     # a stepsize that changes every step of the warmdown tail: each block's
-    # offset and every refill of the step constants must match the step
-    # functions, which take their blocks one by one.
+    # offset and every refill of the step constants must match the reference
+    # step, which takes the blocks one by one.
     spec = mixed_quadratic()
     schedule = WarmdownBeta(0.2, 80, 50)
     cfg = ScgConfig(
         alpha=0.3, beta=schedule, iters=80, seed=17, momentum_init="zeros", variant=variant,
     )
     log = run(spec, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    x = LayeredPoint.zeros(spec.block_names, spec.geometry)
-    m = LayeredPoint.zeros(spec.block_names, spec.geometry)
-    radii = [g.radius_eta for g in spec.geometry]
-    for k in range(cfg.iters):
-        g = grad_sample(spec, x, rng)
-        if variant == "scg":
-            x, m = scg_step(x, m, g, cfg.alpha, beta_at(schedule, k), None, spec.geometry)
-        else:
-            x, m = uscg_step(x, m, g, cfg.alpha, 1.0, radii, spec.geometry)
-    assert x == log.final_x
+    assert step_by_hand(spec, cfg, lambda k: beta_at(schedule, k)) == log.final_x

@@ -11,7 +11,6 @@ from scgscale.geometry import (
     GeometryKind,
     LayeredPoint,
     block_primal_norm,
-    exact_polar,
 )
 from scgscale.optimizer import (
     ConstantBeta,
@@ -24,10 +23,8 @@ from scgscale.optimizer import (
     beta_at,
     run,
     run_staged,
-    scg_step,
-    uscg_step,
 )
-from scgscale import problems
+from scgscale import optimizer, problems
 from scgscale.experiments import rate_study_problem
 from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import prescribe_params
@@ -80,74 +77,64 @@ class TestSchedules:
         assert sched.warmdown_steps == 28
 
 
+def one_step(spec, x0, alpha, beta=0.5, **config):
+    """The iterate after one run step from x0."""
+    cfg = ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=1, **config)
+    x0 = LayeredPoint([("w", np.asarray(x0, dtype=float))])
+    return run(spec, cfg, x0=x0).final_x.arrays[0]
+
+
+def euclidean_quadratic(target, radius):
+    """One euclidean block with unit curvature: the gradient is x - target."""
+    target = np.asarray(target, dtype=float)
+    return LayeredQuadratic(
+        geometry=(BlockGeometry("euclidean", target.shape, radius),),
+        block_names=("w",),
+        curvatures=(1.0,),
+        targets=(target,),
+        noise=NoiseModel(0.0),
+    )
+
+
 class TestSteps:
-    def test_alpha_one_copies_gradient(self):
-        g = [BlockGeometry("euclidean", (2,), 1.0)]
-        x = LayeredPoint([("w", np.zeros(2))])
-        m = LayeredPoint([("w", np.array([5.0, -5.0]))])
-        gs = LayeredPoint([("w", np.array([1.0, 2.0])) ])
-        _, m_new = scg_step(x, m, gs, alpha=1.0, beta_k=0.5, radii=None, geometry=g)
-        assert np.allclose(m_new.arrays[0], [1.0, 2.0])
-
-    def test_beta_zero_freezes_iterate(self):
-        g = [BlockGeometry("euclidean", (2,), 1.0)]
-        x = LayeredPoint([("w", np.array([0.3, -0.4]))])
-        m = LayeredPoint([("w", np.zeros(2))])
-        gs = LayeredPoint([("w", np.array([1.0, 2.0]))])
-        x_new, _ = scg_step(x, m, gs, alpha=0.5, beta_k=0.0, radii=None, geometry=g)
-        assert np.array_equal(x_new.arrays[0], x.arrays[0])
-
     def test_hand_evaluated_single_step(self):
         # f = (x - 10)^2 / 2 at x = 0: gradient -10, direction +1,
         # x' = 0.5 * 0 + 0.5 * 1 * 1 = 0.5
-        g = [BlockGeometry("euclidean", (1,), 1.0)]
-        x = LayeredPoint([("w", np.zeros(1))])
-        m = LayeredPoint([("w", np.array([123.0]))])  # irrelevant with alpha=1
-        gs = LayeredPoint([("w", np.array([-10.0]))])
-        x_new, _ = scg_step(x, m, gs, alpha=1.0, beta_k=0.5, radii=[1.0], geometry=g)
-        assert x_new.arrays[0][0] == pytest.approx(0.5)
+        x_new = one_step(quadratic_1d(), [0.0], alpha=1.0, radii=(1.0,))
+        assert x_new[0] == pytest.approx(0.5)
 
     def test_uscg_sign_block_step(self):
-        g = [BlockGeometry("sign", (4,), 1.0)]
-        x = LayeredPoint([("w", np.ones(4))])
-        m = LayeredPoint([("w", np.zeros(4))])
-        gs = LayeredPoint([("w", np.ones(4))])  # positive gradient -> d = -1
-        x_new, _ = uscg_step(x, m, gs, alpha=1.0, eta=0.1, geometry=g)
-        assert np.allclose(x_new.arrays[0], 0.9)
-
-    def test_uscg_zero_eta_freezes(self):
-        g = [BlockGeometry("euclidean", (2,), 1.0)]
-        x = LayeredPoint([("w", np.array([1.0, 2.0]))])
-        m = LayeredPoint([("w", np.zeros(2))])
-        gs = LayeredPoint([("w", np.array([3.0, 4.0]))])
-        x_new, _ = uscg_step(x, m, gs, alpha=1.0, eta=0.0, geometry=g)
-        assert np.array_equal(x_new.arrays[0], x.arrays[0])
+        spec = LayeredQuadratic(
+            geometry=(BlockGeometry("sign", (4,), 1.0),),
+            block_names=("w",),
+            curvatures=(1.0,),
+            targets=(np.zeros(4),),
+            noise=NoiseModel(0.0),
+        )
+        # the gradient x - 0 at x = 1 is positive -> d = -1
+        x_new = one_step(spec, np.ones(4), alpha=1.0, radii=(0.1,), variant="uscg")
+        assert np.allclose(x_new, 0.9)
 
     def test_uscg_hand_evaluated(self):
-        g = [BlockGeometry("euclidean", (1,), 1.0)]
-        x = LayeredPoint([("w", np.zeros(1))])
-        m = LayeredPoint([("w", np.zeros(1))])
-        gs = LayeredPoint([("w", np.array([-10.0]))])
-        x_new, _ = uscg_step(x, m, gs, alpha=1.0, eta=0.5, geometry=g)
-        assert x_new.arrays[0][0] == pytest.approx(0.5)
+        x_new = one_step(quadratic_1d(), [0.0], alpha=1.0, radii=(0.5,), variant="uscg")
+        assert x_new[0] == pytest.approx(0.5)
 
     @given(
         st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
         st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
         st.floats(0.01, 1.0),
-        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True),
     )
     @settings(max_examples=100, deadline=None)
     def test_update_contraction_bound(self, xs, gs, alpha, beta):
-        # per block: |x'| <= (1 - beta) |x| + beta * eta
+        # per block: |x'| <= (1 - beta) |x| + beta * eta, with the gradient
+        # xs - target = gs (up to rounding) at the start point
         eta = 2.0
-        g = [BlockGeometry("euclidean", (4,), eta)]
-        x = LayeredPoint([("w", np.array(xs))])
-        m = LayeredPoint([("w", np.zeros(4))])
-        grad = LayeredPoint([("w", np.array(gs))])
-        x_new, _ = scg_step(x, m, grad, alpha=alpha, beta_k=beta, radii=None, geometry=g)
-        lhs = block_primal_norm(x_new.arrays[0], GeometryKind.EUCLIDEAN)
-        rhs = (1.0 - beta) * block_primal_norm(x.arrays[0], GeometryKind.EUCLIDEAN) + beta * eta
+        x = np.array(xs)
+        spec = euclidean_quadratic(x - np.array(gs), radius=20.0)
+        x_new = one_step(spec, x, alpha, beta, radii=(eta,), momentum_init="zeros")
+        lhs = block_primal_norm(x_new, GeometryKind.EUCLIDEAN)
+        rhs = (1.0 - beta) * block_primal_norm(x, GeometryKind.EUCLIDEAN) + beta * eta
         assert lhs <= rhs + 1e-9
 
 
@@ -427,6 +414,14 @@ SEED_CASES = {
 }
 
 
+def overshoot(monkeypatch):
+    """Make every block of a run step three times its scale."""
+    step_block = optimizer._step_block
+    monkeypatch.setattr(
+        optimizer, "_step_block",
+        lambda xb, mb, kind, scale, scratch: step_block(xb, mb, kind, 3.0 * scale, scratch))
+
+
 class TestStackedSeeds:
     """Seeds stepped together give each seed the RunLog of a lone run."""
 
@@ -503,8 +498,9 @@ class TestStackedSeeds:
             assert not any(np.shares_memory(a, b) for b in finals[i + 1:])
 
     def test_euclidean_step_handles_each_seed_alone(self):
-        # A tiny and a zero momentum block take the rescaled
-        # path of scaled_l2_norm; the others must not change because of them.
+        # A tiny and a zero momentum block take the rescaled path of
+        # scaled_l2_norm; the others must not change because of them, and
+        # must be the plain normalized step.
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 6))
         m[1] *= 1e-160
@@ -518,6 +514,9 @@ class TestStackedSeeds:
                 _step_block(lone, m[r:r + 1].copy(), GeometryKind.EUCLIDEAN,
                             np.full((1, 6), 0.1), np.empty((1, 6)))
                 assert np.array_equal(got, lone[0])
+                if r not in (1, 2):
+                    expected = 0.9 * x[r] - m[r] * (0.1 / np.sqrt(np.vdot(m[r], m[r])))
+                    assert np.array_equal(got, expected)
         assert not np.any(np.isnan(xs))
 
     def test_spectral_step_handles_each_seed_alone(self):
@@ -541,9 +540,27 @@ class TestStackedSeeds:
             if r == 3:
                 assert np.array_equal(xs[r], keep * x[r]) and nuclear[r] == 0.0
             else:
-                assert np.array_equal(xs[r], keep * x[r] - scale * exact_polar(m[r]))
+                U, s, Vt = np.linalg.svd(m[r], full_matrices=False)
+                polar = U[:, s > 1e-12 * s[0]] @ Vt[s > 1e-12 * s[0]]
+                assert np.array_equal(xs[r], keep * x[r] - scale * polar)
                 assert nuclear[r] == pytest.approx(
                     np.linalg.svd(m[r], compute_uv=False).sum(), rel=1e-14)
+
+    def test_overshooting_steps_are_counted_per_seed(self, monkeypatch):
+        # Every block steps three times as far as beta eta: from x0 = 0 the
+        # first displacement, 3 beta eta, already breaks its bound 2 beta eta.
+        overshoot(monkeypatch)
+        spec = mixed_quadratic()
+        config = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=30, eval_every=4)
+        seeds = [3, 4, 5]
+        logs = run(spec, config, seeds=seeds)
+        for seed, log in zip(seeds, logs):
+            assert log.checked_steps == config.iters and log.invariant_violations > 0
+            assert log.first_violation.startswith("step 0 block ")
+            assert log.first_violation.split()[3].rstrip(":") in spec.block_names
+            lone = run(spec, replace(config, seed=seed))
+            assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
+                lone.checked_steps, lone.invariant_violations, lone.first_violation)
 
     @pytest.mark.parametrize("staged", [False, True])
     def test_empty_seed_list_rejected(self, staged):

@@ -195,6 +195,26 @@ class TestKnownConstants:
         assert out.constants.L == pytest.approx(18.0)  # lambda * n for l1 vs max
         assert out.constants.rho == pytest.approx(3.0)  # sqrt(n)
 
+    def test_spectral_block_gains(self):
+        rng = np.random.default_rng(12)
+        theta = rng.standard_normal((5, 3))
+        theta *= 0.7 / np.linalg.svd(theta, compute_uv=False)[0]
+        lam, eta, k = 1.5, 2.0, 3  # k = min(shape)
+        spec = LayeredQuadratic(
+            geometry=(BlockGeometry("spectral", (5, 3), eta),),
+            block_names=("W",),
+            curvatures=(lam,),
+            targets=(theta,),
+            noise=NoiseModel(0.0),
+        )
+        out = known_constants(spec)
+        assert out.constants.L == pytest.approx(lam * k)  # nuclear vs operator norm
+        assert out.constants.rho == pytest.approx(math.sqrt(k))  # nuclear vs Frobenius
+        # the farthest point of the ball lies eta sqrt(k) from theta in Frobenius
+        f_max = lam / 2 * (np.linalg.norm(theta) + eta * math.sqrt(k)) ** 2
+        assert out.f_max == pytest.approx(f_max)
+        assert out.constants.mu == pytest.approx(math.sqrt(2.0 * lam / f_max))
+
     def test_logistic_has_no_analytic_constants(self):
         spec = LogisticRegression(
             geometry=(BlockGeometry("euclidean", (4,), 10.0),),

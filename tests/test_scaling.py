@@ -180,7 +180,7 @@ class TestTransferModelSize:
 
 class TestTransferTokenBudget:
     def test_constant_rho_closed_form(self):
-        b1, beta1 = transfer_token_budget(BASE, lambda b: 3.0, T1=8.0 * BASE.T0)
+        b1, beta1 = transfer_token_budget(BASE, PowerLawModel(3.0, ()), T1=8.0 * BASE.T0)
         assert b1 == pytest.approx(BASE.B0 * 8.0 ** (2.0 / 3.0), rel=1e-6)
         assert beta1 == pytest.approx(BASE.beta0 * 8.0 ** (-1.0 / 3.0), rel=1e-6)
 
@@ -197,13 +197,14 @@ class TestTransferTokenBudget:
             assert abs(b1 - ref) / ref < 0.05
 
     def test_divergent_rho_fails(self):
+        cubic = PowerLawModel(1.0, (PowerLawTerm("batch_size", 0.0, 3.0),))
         with pytest.raises(RuntimeError, match="converge"):
-            transfer_token_budget(BASE, lambda b: b**3, T1=8.0 * BASE.T0)
+            transfer_token_budget(BASE, cubic, T1=8.0 * BASE.T0)
 
     @pytest.mark.parametrize("t1", [0.0, -1e9])
     def test_non_positive_budget_rejected(self, t1):
         with pytest.raises(ValueError, match="T1 must be positive"):
-            transfer_token_budget(BASE, lambda b: 3.0, T1=t1)
+            transfer_token_budget(BASE, PowerLawModel(3.0, ()), T1=t1)
 
 
 class TestPlanStages:
