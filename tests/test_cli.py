@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scgscale import cli, optimizer
+from scgscale import cli
 from scgscale.estimation import bundled_constant_laws
 from scgscale.optimizer import RunLog
 
@@ -412,13 +412,9 @@ class TestTrain:
         monkeypatch.setattr(cli, "run", tampered)
         assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 3
 
-    def test_overshooting_steps_exit_3(self, tmp_path, monkeypatch):
-        # The run's own checker counts the violations of steps three times
-        # too long, with nothing in the log tampered with.
-        step_block = optimizer._step_block
-        monkeypatch.setattr(
-            optimizer, "_step_block",
-            lambda xb, mb, kind, scale, scratch: step_block(xb, mb, kind, 3.0 * scale, scratch))
+    def test_overshooting_steps_exit_3(self, tmp_path, overshooting_steps):
+        # The run's own checker counts the violations, with nothing in the
+        # log tampered with.
         cfg_path = write_json(tmp_path / "cfg.json", train_config(iters=3))
         out = tmp_path / "o"
         assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 3

@@ -24,7 +24,7 @@ from scgscale.optimizer import (
     run,
     run_staged,
 )
-from scgscale import optimizer, problems
+from scgscale import problems
 from scgscale.experiments import rate_study_problem
 from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import prescribe_params
@@ -84,11 +84,11 @@ def one_step(spec, x0, alpha, beta=0.5, **config):
     return run(spec, cfg, x0=x0).final_x.arrays[0]
 
 
-def euclidean_quadratic(target, radius):
-    """One euclidean block with unit curvature: the gradient is x - target."""
+def unit_quadratic(kind, target, radius):
+    """One noiseless block with unit curvature: the gradient is x - target."""
     target = np.asarray(target, dtype=float)
     return LayeredQuadratic(
-        geometry=(BlockGeometry("euclidean", target.shape, radius),),
+        geometry=(BlockGeometry(kind, target.shape, radius),),
         block_names=("w",),
         curvatures=(1.0,),
         targets=(target,),
@@ -104,14 +104,8 @@ class TestSteps:
         assert x_new[0] == pytest.approx(0.5)
 
     def test_uscg_sign_block_step(self):
-        spec = LayeredQuadratic(
-            geometry=(BlockGeometry("sign", (4,), 1.0),),
-            block_names=("w",),
-            curvatures=(1.0,),
-            targets=(np.zeros(4),),
-            noise=NoiseModel(0.0),
-        )
         # the gradient x - 0 at x = 1 is positive -> d = -1
+        spec = unit_quadratic("sign", np.zeros(4), radius=1.0)
         x_new = one_step(spec, np.ones(4), alpha=1.0, radii=(0.1,), variant="uscg")
         assert np.allclose(x_new, 0.9)
 
@@ -131,7 +125,7 @@ class TestSteps:
         # xs - target = gs (up to rounding) at the start point
         eta = 2.0
         x = np.array(xs)
-        spec = euclidean_quadratic(x - np.array(gs), radius=20.0)
+        spec = unit_quadratic("euclidean", x - np.array(gs), radius=20.0)
         x_new = one_step(spec, x, alpha, beta, radii=(eta,), momentum_init="zeros")
         lhs = block_primal_norm(x_new, GeometryKind.EUCLIDEAN)
         rhs = (1.0 - beta) * block_primal_norm(x, GeometryKind.EUCLIDEAN) + beta * eta
@@ -414,14 +408,6 @@ SEED_CASES = {
 }
 
 
-def overshoot(monkeypatch):
-    """Make every block of a run step three times its scale."""
-    step_block = optimizer._step_block
-    monkeypatch.setattr(
-        optimizer, "_step_block",
-        lambda xb, mb, kind, scale, scratch: step_block(xb, mb, kind, 3.0 * scale, scratch))
-
-
 class TestStackedSeeds:
     """Seeds stepped together give each seed the RunLog of a lone run."""
 
@@ -546,10 +532,9 @@ class TestStackedSeeds:
                 assert nuclear[r] == pytest.approx(
                     np.linalg.svd(m[r], compute_uv=False).sum(), rel=1e-14)
 
-    def test_overshooting_steps_are_counted_per_seed(self, monkeypatch):
+    def test_overshooting_steps_are_counted_per_seed(self, overshooting_steps):
         # Every block steps three times as far as beta eta: from x0 = 0 the
         # first displacement, 3 beta eta, already breaks its bound 2 beta eta.
-        overshoot(monkeypatch)
         spec = mixed_quadratic()
         config = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=30, eval_every=4)
         seeds = [3, 4, 5]
