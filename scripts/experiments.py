@@ -44,13 +44,16 @@ def regime(args):
     losses = np.array([r.final_loss_mean for r in result.rows])
     idx = int(np.argmin(losses))
     window = bs > 8.0 * bs_star
-    slope = float(np.polyfit(np.log(bs[window]), np.log(losses[window]), 1)[0])
+    if np.count_nonzero(window) >= 2:
+        slope = f"{np.polyfit(np.log(bs[window]), np.log(losses[window]), 1)[0]:.2f}"
+    else:
+        slope = "undefined (fewer than 2 grid points)"
     return [
         f"constants: L={consts.L:.4g} mu={consts.mu:.4g} rho={consts.rho:.4g} "
         f"sigma*={consts.sigma_star:.4g}",
         f"critical scale 2^{math.log2(bs_star):.2f}, measured minimum at "
         f"2^{math.log2(bs[idx]):.0f} (factor {max(bs[idx]/bs_star, bs_star/bs[idx]):.2f})",
-        f"large-batch slope beyond 8x critical: {slope:.2f}",
+        f"large-batch slope beyond 8x critical: {slope}",
     ]
 
 

@@ -506,7 +506,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Non-finite values reach the exit codes through the run's divergence
+        # check and _dump_json, not as NumPy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -21,7 +21,7 @@ import numpy as np
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
-from .optimizer import ConstantBeta, ScgConfig, run, run_staged
+from .optimizer import ConstantBeta, ScgConfig, _write_csv, run, run_staged
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
     ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages, prescribed_alpha,
@@ -418,20 +418,4 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
 def sweep_rows_to_csv(result: SweepResult, path_or_buf) -> None:
     """Write one row per SweepRow: floats with 17 significant digits, ints as
     they are, a missing error as an empty cell."""
-    import csv
-
-    def cell(v):
-        if v is None:
-            return ""
-        return "{:.17g}".format(v) if isinstance(v, float) else v
-
-    def write(fh):
-        w = csv.writer(fh)
-        w.writerow(SWEEP_CSV_HEADER)
-        w.writerows([cell(v) for v in astuple(r)] for r in result.rows)
-
-    if hasattr(path_or_buf, "write"):
-        write(path_or_buf)
-    else:
-        with open(path_or_buf, "w", newline="") as fh:
-            write(fh)
+    _write_csv(path_or_buf, SWEEP_CSV_HEADER, (astuple(r) for r in result.rows))

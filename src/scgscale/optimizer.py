@@ -22,7 +22,6 @@ from .geometry import (
     LayeredPoint,
     block_dual_norm,
     block_primal_norm,
-    composite_dual_norm,
     lmo_block,
     scaled_l2_norm,
     _TINY,
@@ -192,7 +191,6 @@ class StagePlan:
 
 
 RUNLOG_CSV_HEADER = ["k", "loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp", "stage"]
-_INT_COLUMNS = ("k", "stage")
 
 
 @dataclass
@@ -220,66 +218,32 @@ class RunLog:
     checked_steps: int = 0
     gradients: Optional[list[LayeredPoint]] = None
 
-    def __post_init__(self):
-        n = len(self.k)
-        for name in RUNLOG_CSV_HEADER:
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} has mismatched length")
-        if n and not np.all(np.diff(self.k) > 0):
-            raise ValueError("step indices must be strictly increasing")
-        for name in RUNLOG_CSV_HEADER:
-            col = getattr(self, name)
-            if n and name not in _INT_COLUMNS and not (
-                np.all(np.isfinite(col)) and np.all(col >= 0)
-            ):
-                raise ValueError(f"column {name} must be finite and nonnegative")
-
     def __len__(self):
         return len(self.k)
 
     def to_csv(self, path_or_buf) -> None:
-        if hasattr(path_or_buf, "write"):
-            self._write(path_or_buf)
-        else:
-            with open(path_or_buf, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(RUNLOG_CSV_HEADER)
-        columns = [
-            [int(v) for v in getattr(self, name)] if name in _INT_COLUMNS
-            else [_FLOAT_FMT.format(v) for v in getattr(self, name)]
-            for name in RUNLOG_CSV_HEADER
-        ]
-        writer.writerows(zip(*columns))
+        columns = (getattr(self, name).tolist() for name in RUNLOG_CSV_HEADER)
+        _write_csv(path_or_buf, RUNLOG_CSV_HEADER, zip(*columns))
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
-        self._write(buf)
+        self.to_csv(buf)
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, path_or_buf) -> "RunLog":
-        if hasattr(path_or_buf, "read"):
-            rows = list(csv.reader(path_or_buf))
-        else:
-            with open(path_or_buf, newline="") as fh:
-                rows = list(csv.reader(fh))
-        if not rows or rows[0] != RUNLOG_CSV_HEADER:
-            raise ValueError(f"expected header {','.join(RUNLOG_CSV_HEADER)}")
-        body = rows[1:]
-        cols = {name: [] for name in RUNLOG_CSV_HEADER}
-        for lineno, row in enumerate(body, start=2):
-            if len(row) != len(RUNLOG_CSV_HEADER):
-                raise ValueError(f"line {lineno}: expected {len(RUNLOG_CSV_HEADER)} fields")
-            for name, val in zip(RUNLOG_CSV_HEADER, row):
-                cols[name].append(val)
-        return cls(**{
-            name: np.array([int(v) for v in vals], dtype=int) if name in _INT_COLUMNS
-            else np.array([float(v) for v in vals])
-            for name, vals in cols.items()
-        })
+
+def _write_csv(path_or_buf, header, rows) -> None:
+    """Write header and rows to a path or an open text file: floats with 17
+    significant digits, so that they read back bit-equal, None as an empty
+    cell and anything else as it is."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w", newline="") as fh:
+            return _write_csv(fh, header, rows)
+    writer = csv.writer(path_or_buf)
+    writer.writerow(header)
+    writer.writerows(
+        ["" if v is None else _FLOAT_FMT.format(v) if isinstance(v, float) else v for v in row]
+        for row in rows
+    )
 
 
 def _resolve_radii(config_radii, geometry) -> list[float]:
@@ -412,37 +376,41 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     # (R, chunk_steps, n_params) buffer, within _NOISE_CHUNK_VALUES in all.
     # Seed r's generator fills buf[r, :n]: a draw of shape (n, n_params)
     # yields the same normals in the same order as n draws of n_params, and a
-    # step's row splits into the blocks in block order.
+    # step's row splits into the blocks in block order. The buffer is reused,
+    # so each step's (R, n_params) view of it is made once.
     chunk_values = _NOISE_CHUNK_VALUES // (n_seeds * n_params)
     chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, chunk_values))
     noise_buf = np.empty((n_seeds, chunk_steps, n_params))
+    noise_rows = list(noise_buf.swapaxes(0, 1))
 
     eval_every = config.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
-    cols = {
-        name: np.empty((n_seeds, n_rows), dtype=int if name in _INT_COLUMNS else float)
+    columns = [  # in RUNLOG_CSV_HEADER order, one row per seed
+        np.empty((n_seeds, n_rows), dtype=int if name in ("k", "stage") else float)
         for name in RUNLOG_CSV_HEADER
-    }
-    columns = list(cols.values())
+    ]
     grads = [[] for _ in seeds] if config.store_gradients else None
 
-    violations = [0] * n_seeds
+    checked = np.zeros(n_seeds, dtype=int)
+    violations = np.zeros(n_seeds, dtype=int)
     first_violation = [None] * n_seeds
-    checked = [0] * n_seeds
+    eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
 
     # Per block, the nuclear norms of m that a spectral step returns.
     nuclear = [None] * n_blocks
-    # The buffers are updated in place, so the views of each seed's blocks
-    # (zip(*blocks) yields them seed by seed) stay valid.
-    x_seeds = list(zip(*x))
-    disp_seeds = list(zip(*disp))
-    # Per-seed lists of per-block primal norms of x, kept until x moves: the
-    # arming test and the checker compute them, and the next recorded row
-    # reads them.
+    # The (n_blocks, R) table of per-block primal norms of x, kept until x
+    # moves: the arming test and the checker compute it, and the next recorded
+    # row reads it.
     x_norms = None
 
-    def primal_norms(per_seed):
-        return [[block_primal_norm(b, kind) for b, kind in zip(blocks, kinds)] for blocks in per_seed]
+    def primal_norms(blocks):
+        return np.array([[block_primal_norm(b, kind) for b in stack]
+                         for stack, kind in zip(blocks, kinds)])
+
+    def dual_norm(blocks, known):
+        # The composite dual norms, summed in block order as sum() sums one seed's.
+        return sum(np.array([block_dual_norm(b, kind) for b in stack]) if nb is None else nb
+                   for stack, kind, nb in zip(blocks, kinds, known))
 
     row = 0
     k_global = 0
@@ -455,7 +423,7 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
         # it is armed per seed.
-        armed = []
+        armed = np.zeros(n_seeds, dtype=bool)
         if (
             config.check_invariants
             and is_scg
@@ -463,20 +431,17 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
             and seg.schedule.value <= 0.5
         ):
             if x_norms is None:
-                x_norms = primal_norms(x_seeds)
-            armed = [
-                r for r in range(n_seeds)
-                if all(2.0 * nrm <= eta for nrm, eta in zip(x_norms[r], radii))
-            ]
-        check = bool(armed)
+                x_norms = primal_norms(x)
+            armed = np.all(2.0 * x_norms <= eta, axis=0)
+        check = bool(armed.any())
         contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
         for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
             record = (k_local % eval_every) == 0
             if record:
-                loss_k = [loss_fn(blocks) for blocks in x_seeds]
+                loss_k = loss_fn(x)
                 if x_norms is None:
-                    x_norms = primal_norms(x_seeds)
-                x_primal_k = [max(norms) for norms in x_norms]
+                    x_norms = primal_norms(x)
+                x_primal_k = x_norms.max(axis=0)
             grad_fn(x, g)
             if sigma_pc > 0.0:
                 j = k_local % chunk_steps
@@ -485,12 +450,12 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                     for rng, buf in zip(rngs, noise_buf):
                         rng.standard_normal(out=buf[:n])
                     noise_buf[:, :n] *= sigma_pc
-                gf += noise_buf[:, j]
+                gf += noise_rows[j]
             if grads is not None:
-                for seed_grads, blocks in zip(grads, zip(*g)):
-                    seed_grads.append(LayeredPoint.from_arrays(names, [b.copy() for b in blocks]))
+                for r, seed_grads in enumerate(grads):
+                    seed_grads.append(LayeredPoint.from_arrays(names, [b[r].copy() for b in g]))
             if record:
-                g_dual_k = [composite_dual_norm(blocks, kinds) for blocks in zip(*g)]
+                g_dual_k = dual_norm(g, [None] * n_blocks)
             if k_global > 0:
                 mf *= c_1ma
                 gf *= c_alpha
@@ -506,72 +471,66 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
             if beta_k != beta_filled:
                 keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
                 c_keep.fill(keep)
-                for sb, eta in zip(scale, radii):
-                    sb.fill(step_scale * eta)
+                for sb, radius in zip(scale, radii):
+                    sb.fill(step_scale * radius)
                 beta_filled = beta_k
             xf *= c_keep
             for i in range(n_blocks):
                 nuclear[i] = _step_block(x[i], m[i], kinds[i], scale[i], scratch[i])
             x_norms = None
             if record:
-                # The composite dual norm of m, summed in block order; the
-                # spectral terms are the nuclear norms from the step's SVD.
-                m_dual_k = [
-                    sum(block_dual_norm(mb[r], kind) if nb is None else nb[r]
-                        for mb, kind, nb in zip(m, kinds, nuclear))
-                    for r in range(n_seeds)
-                ]
+                # The spectral terms are the nuclear norms from the step's SVD.
+                m_dual_k = dual_norm(m, nuclear)
             if need_disp:
                 np.subtract(xf, df, out=df)
-                disp_norms = primal_norms(disp_seeds)
+                disp_norms = primal_norms(disp)
 
             if check:
                 contraction *= 1.0 - beta_k  # now (1 - beta)^(k+1)
-                x_norms = primal_norms(x_seeds)
-                for r in armed:
-                    checked[r] += 1
-                    for eta, x_norm, d, name in zip(radii, x_norms[r], disp_norms[r], names):
-                        x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
-                        if not (x_norm <= x_bound and d <= 2.0 * beta_k * eta + _INVARIANT_SLACK):
-                            violations[r] += 1
-                            if first_violation[r] is None:
-                                first_violation[r] = (
-                                    f"step {k_global} block {name}: "
-                                    f"|x|={x_norm:.6g} bound={x_bound:.6g} "
-                                    f"disp={d:.6g} disp_bound={2.0 * beta_k * eta:.6g}"
-                                )
+                x_norms = primal_norms(x)
+                x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
+                disp_bound = 2.0 * beta_k * eta
+                failed = armed & ~(
+                    (x_norms <= x_bound) & (disp_norms <= disp_bound + _INVARIANT_SLACK))
+                checked += armed
+                violations += failed.sum(axis=0)
+                for r in np.nonzero(failed.any(axis=0))[0]:
+                    if first_violation[r] is None:
+                        i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
+                        first_violation[r] = (
+                            f"step {k_global} block {names[i]}: "
+                            f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, 0]:.6g} "
+                            f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, 0]:.6g}"
+                        )
 
             if record:
                 values = (  # in RUNLOG_CSV_HEADER order, a value or one per seed
                     k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_k,
-                    [max(norms) for norms in disp_norms], seg.stage_index,
+                    disp_norms.max(axis=0), seg.stage_index,
                 )
                 for col, value in zip(columns, values):
                     col[:, row] = value
                 row += 1
             k_global += 1
 
-    logs = []
-    for r, blocks in enumerate(x_seeds):
-        final_loss = float(loss_fn(blocks))
-        seed_cols = {name: col[r] for name, col in cols.items()}
-        if not (
-            math.isfinite(final_loss) and all(np.all(np.isfinite(c)) for c in seed_cols.values())
-        ):
-            raise FloatingPointError(
-                f"the run diverged: final loss {final_loss}, or a recorded loss or norm, "
-                "is not finite"
-            )
-        logs.append(RunLog(
-            **seed_cols,
-            final_loss=final_loss,
-            final_x=LayeredPoint.from_arrays(names, [b.copy() for b in blocks]),
-            invariant_violations=violations[r],
+    final_losses = loss_fn(x)
+    if not (np.all(np.isfinite(final_losses)) and all(np.all(np.isfinite(c)) for c in columns)):
+        raise FloatingPointError(
+            f"the run diverged: a final loss ({final_losses.tolist()}) or a recorded loss "
+            "or norm is not finite"
+        )
+    return [
+        RunLog(
+            **{name: col[r] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
+            final_loss=float(final_losses[r]),
+            final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x]),
+            invariant_violations=int(violations[r]),
             first_violation=first_violation[r],
-            checked_steps=checked[r],
+            checked_steps=int(checked[r]),
             gradients=None if grads is None else grads[r],
-        ))
-    return logs
+        )
+        for r in range(n_seeds)
+    ]
 
 
 class _SeedLogs(list):

@@ -196,31 +196,36 @@ def per_coordinate_sigma(spec: ProblemSpec, noise: Optional[NoiseModel] = None) 
     return math.sqrt(var / spec.total_params) if var > 0 else 0.0
 
 
-def _loss_arrays(spec: ProblemSpec, arrays) -> float:
-    """The objective at the point with blocks arrays."""
+def _loss_arrays(spec: ProblemSpec, arrays) -> np.ndarray:
+    """The objectives of the R points whose blocks arrays stacks as (R, *shape).
+
+    Each point's row is reduced on its own, so its loss has the bits it gets
+    when it is the only point of the stack.
+    """
     if isinstance(spec, LayeredQuadratic):
         total = 0.0
         for xb, lam, theta in zip(arrays, spec.curvatures, spec.targets):
-            diff = xb - theta
-            total += 0.5 * lam * float(np.sum(diff * diff))
+            diff = (xb - theta).reshape(len(xb), -1)
+            total += 0.5 * lam * np.sum(diff * diff, axis=1)
         return total
     if isinstance(spec, LogisticRegression):
-        z = spec.labels * (spec.features @ arrays[0])
-        return float(np.mean(np.logaddexp(0.0, -z)))
+        z = spec.labels * np.matmul(spec.features, arrays[0][..., None])[..., 0]
+        return np.mean(np.logaddexp(0.0, -z), axis=-1)
     raise TypeError(f"unsupported problem kind {spec!r}")
 
 
 def compiled(spec: ProblemSpec, n_points: int = 1):
     """Array-level (loss_fn, grad_fn) pair used by the iteration hot loop.
 
-    loss_fn takes the blocks of one point. grad_fn(arrays, out) takes the
-    blocks of R points stacked as (R, *shape), one point per seed of a run,
-    writes their gradients into the blocks of out, stacked the same way, and
-    returns out. Each gradient is bit-equal to that of its point alone: the
-    quadratic is elementwise, and the logistic oracle's stacked matmuls with a
-    column on the right make one matrix-vector product per point. Its
-    constants are stacked n_points times: any R works, and R = n_points,
-    which numpy broadcasts least, costs least.
+    Both take the blocks of R points stacked as (R, *shape), one point per
+    seed of a run. loss_fn returns their R losses. grad_fn(arrays, out) writes
+    their gradients into the blocks of out, stacked the same way, and returns
+    out. Each loss and gradient is bit-equal to that of its point alone: the
+    quadratic is elementwise and sums each point's row, and the logistic
+    oracle's stacked matmuls with a column on the right make one
+    matrix-vector product per point. grad_fn's constants are stacked n_points
+    times: any R works, and R = n_points, which numpy broadcasts least, costs
+    least.
     """
     if isinstance(spec, LayeredQuadratic):
         terms = [
@@ -270,7 +275,7 @@ def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
 def loss(spec: ProblemSpec, x: LayeredPoint) -> float:
     """Exact objective value at x."""
     check_point(spec, x)
-    return _loss_arrays(spec, x.arrays)
+    return float(_loss_arrays(spec, [a[None] for a in x.arrays])[0])
 
 
 def grad(spec: ProblemSpec, x: LayeredPoint) -> LayeredPoint:

@@ -1,3 +1,4 @@
+import csv
 import io
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ from scgscale.geometry import (
     block_primal_norm,
 )
 from scgscale.optimizer import (
+    RUNLOG_CSV_HEADER,
     ConstantBeta,
-    RunLog,
     ScgConfig,
     Stage,
     StagePlan,
@@ -224,19 +225,18 @@ class TestRun:
 
 class TestRunLogCsv:
     def test_round_trip_exact(self):
+        # Floats are written with 17 significant digits, so every one reads
+        # back bit-equal.
         spec = noisy_quadratic()
         cfg = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=25, seed=9)
         log = run(spec, cfg)
-        buf = io.StringIO(log.to_csv_string())
-        back = RunLog.from_csv(buf)
+        rows = list(csv.reader(io.StringIO(log.to_csv_string())))
+        assert rows[0] == RUNLOG_CSV_HEADER
+        back = dict(zip(rows[0], zip(*rows[1:])))
         for name in ("loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp"):
-            assert np.array_equal(getattr(log, name), getattr(back, name)), name
-        assert np.array_equal(log.k, back.k)
-        assert np.array_equal(log.stage, back.stage)
-
-    def test_header_enforced(self):
-        with pytest.raises(ValueError, match="header"):
-            RunLog.from_csv(io.StringIO("a,b\n1,2\n"))
+            assert np.array_equal(getattr(log, name), [float(v) for v in back[name]]), name
+        for name in ("k", "stage"):
+            assert np.array_equal(getattr(log, name), [int(v) for v in back[name]]), name
 
     def test_row_count_matches_iters(self):
         spec = noisy_quadratic()
@@ -468,6 +468,20 @@ class TestStackedSeeds:
             for r, point in enumerate(points):
                 exact = problems.grad(spec, point)
                 assert all(np.array_equal(b[r], e) for b, e in zip(out, exact.arrays))
+        # The stacked losses carry the bits of each point's loss alone, and
+        # of the loss reduced over whole blocks.
+        loss_fn, _ = problems.compiled(spec, n_points)
+        losses = loss_fn(x)
+        assert losses.shape == (n_points,)
+        assert [float(v) for v in losses] == [problems.loss(spec, p) for p in points]
+        if problem == "mixed":
+            whole = [sum(0.5 * lam * float(np.sum((a - t) * (a - t)))
+                         for a, lam, t in zip(p.arrays, spec.curvatures, spec.targets))
+                     for p in points]
+        else:
+            whole = [float(np.mean(np.logaddexp(0.0, -spec.labels * (spec.features @ p.arrays[0]))))
+                     for p in points]
+        assert [float(v) for v in losses] == whole
 
     def test_x0_and_final_x_are_not_aliased(self):
         spec = mixed_quadratic()
@@ -544,6 +558,32 @@ class TestStackedSeeds:
             assert log.first_violation.startswith("step 0 block ")
             assert log.first_violation.split()[3].rstrip(":") in spec.block_names
             lone = run(spec, replace(config, seed=seed))
+            assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
+                lone.checked_steps, lone.invariant_violations, lone.first_violation)
+
+    def test_second_stage_arms_the_seeds_it_may(self, overshooting_steps):
+        # The first stage starts outside the half ball (|x_s| = 0.9 against
+        # eta = 1), so no seed is checked there. Where each seed's iterate
+        # ends decides whether the second stage arms it.
+        spec = mixed_quadratic()
+        x0 = LayeredPoint.from_arrays(spec.block_names, [
+            np.full(g.shape, 0.9 if g.kind is GeometryKind.SIGN else 0.0) for g in spec.geometry])
+        plan = StagePlan((Stage(8.0 * 20, 2.0, 4.0, 0.05, 0.3), Stage(8.0 * 20, 2.0, 4.0, 0.02, 0.3)))
+        config = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=0, eval_every=5)
+        seeds = list(range(8))
+        logs = run_staged(spec, plan, config, x0, seeds=seeds)
+        armed = [log.checked_steps > 0 for log in logs]
+        assert any(armed) and not all(armed)
+        for seed, log, is_armed in zip(seeds, logs, armed):
+            if is_armed:
+                # Every block breaks its displacement bound at every checked
+                # step, so the first block in block order is named.
+                assert log.checked_steps == 20
+                assert log.invariant_violations == 20 * len(spec.geometry)
+                assert log.first_violation.startswith("step 20 block s: ")
+            else:
+                assert (log.invariant_violations, log.first_violation) == (0, None)
+            lone = run_staged(spec, plan, replace(config, seed=seed), x0)
             assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
                 lone.checked_steps, lone.invariant_violations, lone.first_violation)
 
