@@ -391,8 +391,7 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
     ]
     grads = [[] for _ in seeds] if config.store_gradients else None
 
-    checked = np.zeros(n_seeds, dtype=int)
-    violations = np.zeros(n_seeds, dtype=int)
+    checked, violations = np.zeros((2, n_seeds), dtype=int)
     first_violation = [None] * n_seeds
     eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
 
@@ -433,6 +432,7 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
             if x_norms is None:
                 x_norms = primal_norms(x)
             armed = np.all(2.0 * x_norms <= eta, axis=0)
+            disp_bound = 2.0 * seg.schedule.value * eta
         check = bool(armed.any())
         contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
         for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
@@ -489,19 +489,19 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                 contraction *= 1.0 - beta_k  # now (1 - beta)^(k+1)
                 x_norms = primal_norms(x)
                 x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
-                disp_bound = 2.0 * beta_k * eta
                 failed = armed & ~(
                     (x_norms <= x_bound) & (disp_norms <= disp_bound + _INVARIANT_SLACK))
                 checked += armed
-                violations += failed.sum(axis=0)
-                for r in np.nonzero(failed.any(axis=0))[0]:
-                    if first_violation[r] is None:
-                        i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
-                        first_violation[r] = (
-                            f"step {k_global} block {names[i]}: "
-                            f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, 0]:.6g} "
-                            f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, 0]:.6g}"
-                        )
+                if failed.any():
+                    violations += failed.sum(axis=0)
+                    for r in np.nonzero(failed.any(axis=0))[0]:
+                        if first_violation[r] is None:
+                            i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
+                            first_violation[r] = (
+                                f"step {k_global} block {names[i]}: "
+                                f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, 0]:.6g} "
+                                f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, 0]:.6g}"
+                            )
 
             if record:
                 values = (  # in RUNLOG_CSV_HEADER order, a value or one per seed
