@@ -40,6 +40,13 @@ def test_regime(monkeypatch, capsys, tmp_path, log2_budget, slope_defined):
     assert ("slope beyond 8x critical: undefined" in printed) != slope_defined
 
 
+def test_regime_rejects_an_empty_grid(monkeypatch, capsys, tmp_path):
+    with pytest.raises(SystemExit, match="at least 2"):
+        run_script(monkeypatch, capsys, "regime", "--log2-budget", "1",
+                   "--out", str(tmp_path / "regime.csv"))
+    assert not (tmp_path / "regime.csv").exists()
+
+
 def test_rates(monkeypatch, capsys, tmp_path):
     out = tmp_path / "rates.csv"
     printed = run_script(monkeypatch, capsys, "rates", "--log2-budgets", "10:12",
