@@ -19,12 +19,21 @@ every pair. The summary holds, per workload and seed and per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the ratio of
 the medians, and in how many pairs the change was better (by the metric's
 direction) or tied. Only the standard library is used.
+
+  python3 scripts/bench_pairs.py --trajectory [DIR]
+
+reads every BENCH_<n>.json in DIR (default: the current directory) in PR
+number order and prints, per workload and end-to-end metric, each file's
+parent and change medians. A file without the summary layout above is listed
+as skipped.
 """
 
 import argparse
+import glob
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -98,23 +107,64 @@ def summarize(runs, better):
     return summary
 
 
+def trajectory(directory):
+    """The lines that --trajectory prints for the BENCH files in directory."""
+    paths = {}
+    for path in glob.glob(os.path.join(directory, "BENCH_*.json")):
+        number = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+        if number:
+            paths[int(number.group(1))] = path
+    lines, table = [], {}  # workload -> metric -> [(file, key, parent, change)]
+    for number in sorted(paths):
+        name = os.path.basename(paths[number])
+        try:
+            with open(paths[number]) as fh:
+                summary = json.load(fh)["summary"]
+            medians = [(key, metric, stats["parent_median"], stats["change_median"])
+                       for key, entry in summary.items()
+                       for metric, stats in entry.items() if metric != "pairs"]
+        except (ValueError, KeyError, TypeError, AttributeError):
+            lines.append(f"skipped {name}: no summary of parent and change medians")
+            continue
+        for key, metric, parent, change in medians:
+            table.setdefault(key.split("/")[0], {}).setdefault(metric, []).append(
+                (name, key, parent, change))
+    for workload in sorted(table):
+        lines.append(workload)
+        for metric, rows in table[workload].items():
+            lines.append(f"  {metric}")
+            lines.extend(f"    {name:<14} {key:<22} parent {parent:<12.6g} change {change:.6g}"
+                         for name, key, parent, change in rows)
+    return lines
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, help="revision of the parent")
-    p.add_argument("--change", required=True, help="revision of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--trajectory", nargs="?", const=".", metavar="DIR",
+                   help="print the medians of every BENCH_<n>.json in DIR (default: .) and exit")
+    p.add_argument("--parent", help="revision of the parent")
+    p.add_argument("--change", help="revision of the change")
+    p.add_argument("--workload")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--pairs", type=int)
     p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--out", required=True, help="BENCH_<n>.json to write or extend")
+    p.add_argument("--out", help="BENCH_<n>.json to write or extend")
     p.add_argument("--what", default="", help="what the runs measure (new file only)")
     p.add_argument("--host", default="", help="host description (new file only)")
     p.add_argument("--claim", default="", help="the claimed effect (new file only)")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    missing = [f"--{name}" for name in ("parent", "change", "workload", "seed", "pairs", "out")
+               if getattr(args, name) is None]
+    if args.trajectory is None and missing:
+        p.error(f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv=None):
     args = parse_args(argv)
+    if args.trajectory is not None:
+        print("\n".join(trajectory(args.trajectory)))
+        return 0
     if args.pairs < 1:
         print("error: --pairs must be >= 1", file=sys.stderr)
         return 2

@@ -7,10 +7,18 @@ synthetic problems and hyperparameters used by the acceptance experiments:
 the three-regime sweep on a quadratic, the middle-regime rate study on a
 logistic objective with estimated constants, and the two-stage restart
 comparison.
+
+A row is one seed of one point (or budget): one unchecked constant-beta run
+with its own K, B, S, alpha and beta. _final_losses steps every row of a
+sweep, of the rate study or of the restart baseline in one stacked run loop
+(optimizer._run_segments), longest first, and a row retires when its K
+ends. Each row's final loss is bit-equal to that of a lone run, and a row
+that fails errors only its own point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -21,7 +29,9 @@ import numpy as np
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
-from .optimizer import ConstantBeta, ScgConfig, _write_csv, run, run_staged
+from .optimizer import (
+    ConstantBeta, ScgConfig, _check_finite, _run_segments, _write_csv, run, run_staged,
+)
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
     ProblemConstants, TunedConfig, critical_bs, error_law, plan_stages, prescribed_alpha,
@@ -148,50 +158,124 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
     return K, beta, alpha, law
 
 
-def _final_losses(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_ONLY):
-    """The final loss of one unchecked constant-beta run per seed, with the
-    noise of spec set to batch B and sequence length S; the seeds step
-    together in one loop."""
-    spec = replace(spec, noise=replace(spec.noise, B=B, S=S))
+# A stack holds at most this many values (rows x parameters), so that a grid
+# of large blocks does not allocate every row at once. Past it a row-step costs
+# more, not less: sign-16 rows took 0.44 us per row-step at 256 rows, 0.65 at
+# 1024 and 1.7 at 4096 (one core of a 2-core Xeon VM, NumPy 2.4 on OpenBLAS).
+_STACK_VALUES = 1 << 12
+
+
+def _row(spec, B, S, alpha, beta, iters, seed, eval_every=_FINAL_LOSS_ONLY):
+    """One unchecked constant-beta run, as _final_losses takes it: its config
+    and the noise of spec at batch B and sequence length S."""
     config = ScgConfig(
-        alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=eval_every,
+        alpha=alpha, beta=ConstantBeta(beta), iters=iters, seed=seed, eval_every=eval_every,
         check_invariants=False,
     )
-    return [log.final_loss for log in run(spec, config, seeds=seeds)]
+    return config, replace(spec.noise, B=B, S=S)
 
 
-def _sweep_point(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float) -> SweepRow:
-    try:
-        K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
-        seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
-        losses = _final_losses(
-            cfg.problem, B, S, alpha, beta, K, seeds, cfg.eval_stride or _FINAL_LOSS_ONLY
-        )
-        mean = float(np.mean(losses))
-        std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
-        return SweepRow(B, S, K, beta, mean, std, law.eps, law.regime)
-    except Exception as exc:  # row-level failure, not a sweep abort
-        return SweepRow(B, S, 0, math.nan, math.nan, math.nan, math.nan, 0, error=str(exc))
+def _final_losses(spec, rows):
+    """Per row of rows (see _row): (final loss, whether the run stayed finite),
+    or the exception that its stack raised.
+
+    The rows step together in stacks of at most _STACK_VALUES values, longest
+    first, and each row retires when its steps end; its final loss is
+    bit-equal to that of a lone run of its config. Rows whose noise variance
+    underflows to zero (a sigma_star below about 1e-154) run in stacks of
+    their own.
+    """
+    quiet = [problems.per_coordinate_sigma(spec, noise) == 0.0 for _, noise in rows]
+    order = sorted(range(len(rows)), key=lambda i: (quiet[i], -rows[i][0].iters))
+    size = max(1, _STACK_VALUES // spec.total_params)
+    stacks = []
+    for _, group in itertools.groupby(order, key=quiet.__getitem__):
+        group = list(group)
+        stacks += [group[lo:lo + size] for lo in range(0, len(group), size)]
+    out = [None] * len(rows)
+    for stack in stacks:
+        try:
+            logs, finite = _run_segments(
+                spec, [rows[i][0] for i in stack], noises=[rows[i][1] for i in stack])
+            results = [(log.final_loss, bool(ok)) for log, ok in zip(logs, finite)]
+        except Exception as exc:  # the stack's rows fail, not the caller
+            results = [exc] * len(stack)
+        for i, result in zip(stack, results):
+            out[i] = result
+    return out
+
+
+def _group_losses(results):
+    """The final losses of the rows of one point or budget, from their
+    _final_losses results; raises what a lone run of the group raises."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    losses = [loss for loss, _ in results]
+    _check_finite(losses, [ok for _, ok in results])
+    return losses
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
-    """Run every grid point; points are independent and run in parallel on
-    min(jobs, grid points) worker processes (jobs >= 1; one runs them here)."""
+    """Run every grid point, each over cfg.repetitions seeds.
+
+    A row, one seed of one point, is the unit of work: the rows of all points
+    step together (see _final_losses), on min(jobs, rows) worker processes
+    (jobs >= 1; one runs them here). A point whose hyperparameters or runs
+    fail gets an error row; the other points are unaffected.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not cfg.grid:
         return SweepResult(())
     consts = cfg.resolved_constants()
-    workers = min(jobs, len(cfg.grid))
+    eval_every = cfg.eval_stride or _FINAL_LOSS_ONLY
+    points, rows = [], []  # per point, its error row or its hyperparameters and rows
+    for B, S in cfg.grid:
+        try:
+            K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
+            point_rows = [
+                _row(cfg.problem, B, S, alpha, beta, K, point_seed(cfg.seed_base, B, S, rep),
+                     eval_every)
+                for rep in range(cfg.repetitions)
+            ]
+        except Exception as exc:  # row-level failure, not a sweep abort
+            points.append(_error_row(B, S, exc))
+            continue
+        points.append((B, S, K, beta, law, slice(len(rows), len(rows) + len(point_rows))))
+        rows.extend(point_rows)
+
+    workers = min(jobs, len(rows))
     if workers > 1:
-        # The pool forks all its workers at once, so it is sized to the grid.
+        # Worker w takes every workers-th row of the longest-first order, so
+        # that the workers' loops are about equally long. The pool forks all
+        # its workers at once, so it is sized to the rows.
+        order = sorted(range(len(rows)), key=lambda i: -rows[i][0].iters)
+        shares = [order[w::workers] for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(_sweep_point, *zip(*[(cfg, consts, b, s) for b, s in cfg.grid]))
-            )
+            done = pool.map(_final_losses, [cfg.problem] * workers,
+                            [[rows[i] for i in share] for share in shares])
+            by_row = dict(zip(itertools.chain(*shares), itertools.chain(*done)))
+        results = [by_row[i] for i in range(len(rows))]
     else:
-        rows = [_sweep_point(cfg, consts, b, s) for b, s in cfg.grid]
-    return SweepResult(tuple(rows))
+        results = _final_losses(cfg.problem, rows)
+    return SweepResult(tuple(
+        point if isinstance(point, SweepRow) else _point_row(*point, results)
+        for point in points
+    ))
+
+
+def _point_row(B, S, K, beta, law, rows: slice, results) -> SweepRow:
+    try:
+        losses = _group_losses(results[rows])
+    except Exception as exc:
+        return _error_row(B, S, exc)
+    std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
+    return SweepRow(B, S, K, beta, float(np.mean(losses)), std, law.eps, law.regime)
+
+
+def _error_row(B, S, exc) -> SweepRow:
+    return SweepRow(B, S, 0, math.nan, math.nan, math.nan, math.nan, 0, error=str(exc))
 
 
 # -- calibrated experiment drivers --------------------------------------------
@@ -353,18 +437,21 @@ def middle_regime_rates(
         raise ValueError("repetitions must be >= 1")
     spec = problem if problem is not None else rate_study_problem()
     consts = constants if constants is not None else estimate_logistic_constants(spec)
-    budgets, scales, means, all_losses = [], [], [], []
+    budgets, scales, rows = [], [], []
     for j in t_exponents:
         T = float(2**j)
         bs = max(1.0, round(critical_bs(T, consts)))
         K = int(T // bs)
         beta = min(0.5, RATE_STUDY_C / K)
         seeds = [point_seed(seed_base, bs, 1.0, rep + 1000 * j) for rep in range(repetitions)]
-        losses = _final_losses(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seeds)
+        rows += [_row(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seed) for seed in seeds]
         budgets.append(T)
         scales.append(bs)
-        means.append(float(np.mean(losses)))
-        all_losses.append(losses)
+    results = _final_losses(spec, rows)
+    all_losses = [
+        _group_losses(results[lo:lo + repetitions]) for lo in range(0, len(rows), repetitions)
+    ]
+    means = [float(np.mean(losses)) for losses in all_losses]
     slope = float(np.polyfit(np.log(budgets), np.log(means), 1)[0])
     return {
         "budgets": budgets,
@@ -405,7 +492,8 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         check_invariants=False,
     )
     staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
-    baseline_losses = _final_losses(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
+    baseline_losses = _group_losses(_final_losses(
+        spec, [_row(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seed) for seed in seeds]))
     return {
         "plan": plan,
         "tuned": base,

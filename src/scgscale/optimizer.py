@@ -9,7 +9,6 @@ m <- (1 - alpha) m + alpha g.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -225,11 +224,6 @@ class RunLog:
         columns = (getattr(self, name).tolist() for name in RUNLOG_CSV_HEADER)
         _write_csv(path_or_buf, RUNLOG_CSV_HEADER, zip(*columns))
 
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 def _write_csv(path_or_buf, header, rows) -> None:
     """Write header and rows to a path or an open text file: floats with 17
@@ -299,100 +293,176 @@ def _step_block(xb, mb, kind, scale, scratch):
 @dataclass(frozen=True)
 class _Segment:
     iters: int
-    schedule: BetaSchedule
-    alpha: float
-    noise: "problems.NoiseModel"
+    # Each holds one value for every row, or one per row: each row's constant
+    # beta, an (R, 1) alpha and an (R, 1, 1) per-coordinate noise std.
+    schedule: Union[BetaSchedule, np.ndarray]
+    alpha: Union[float, np.ndarray]
+    sigma: Union[float, np.ndarray]
     stage_index: int
 
 
-def _betas(schedule: BetaSchedule, iters: int):
-    """The stepsizes of steps 0 .. iters-1 of a segment, in order."""
+def _betas(schedule, iters: int):
+    """The stepsizes of steps 0 .. iters-1 of a segment, in order; an array of
+    per-row betas is the stepsize of every step."""
+    if isinstance(schedule, np.ndarray):
+        return itertools.repeat(schedule, iters)
     if isinstance(schedule, ConstantBeta):
         return itertools.repeat(schedule.value, iters)
     return (beta_at(schedule, k) for k in range(iters))
 
 
-def _segments(spec, config: ScgConfig, plan: Optional[StagePlan]) -> list[_Segment]:
-    if plan is None:
-        return [_Segment(config.iters, config.beta, config.alpha, spec.noise, 0)]
-    segments = []
-    for idx, stage in enumerate(plan.stages):
-        iters = stage.iters
-        if iters < 1:
-            raise ValueError(
-                f"stage {idx} allots {stage.token_allotment} tokens but needs "
-                f"at least B*S = {stage.B * stage.S}"
-            )
-        noise = replace(spec.noise, B=stage.B, S=stage.S)
-        segments.append(_Segment(iters, ConstantBeta(stage.beta), stage.alpha, noise, idx))
-    return segments
+def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment]:
+    if plan is not None:
+        segments = []
+        for idx, stage in enumerate(plan.stages):
+            iters = stage.iters
+            if iters < 1:
+                raise ValueError(
+                    f"stage {idx} allots {stage.token_allotment} tokens but needs "
+                    f"at least B*S = {stage.B * stage.S}"
+                )
+            sigma = problems.per_coordinate_sigma(spec, replace(spec.noise, B=stage.B, S=stage.S))
+            segments.append(_Segment(iters, ConstantBeta(stage.beta), stage.alpha, sigma, idx))
+        return segments
+    first = configs[0]
+    schedule = first.beta
+    if any(c.beta != schedule for c in configs):
+        schedule = np.array([c.beta.value for c in configs])
+    noises = noises or [spec.noise] * len(configs)
+    sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
+    if 0 < np.count_nonzero(sigma) < len(sigma):
+        raise ValueError("rows with and without gradient noise cannot step together")
+    alpha = np.array([c.alpha for c in configs])
+    return [_Segment(first.iters, schedule, alpha[:, None], sigma[:, None, None], 0)]
 
 
-def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = None,
-                  x0: Optional[LayeredPoint] = None) -> list[RunLog]:
-    """One run of config (or of the stages of plan, as run_staged) per seed.
+def _check_finite(final_losses, finite) -> None:
+    """Raise the error of a diverged run unless each of its rows (one flag of
+    finite each, one float of final_losses) kept a finite final loss, final
+    iterate and recorded values."""
+    if not all(finite):
+        raise FloatingPointError(
+            f"the run diverged: a final loss ({final_losses}), the final iterate or a recorded "
+            "loss or norm is not finite"
+        )
 
-    The seeds step together: every block is held as an (R, *shape) array for
-    the R seeds, and config.seed is not read. Seed r draws its noise from its
-    own generator, so its RunLog is bit-equal to that of a lone run with
-    config.seed = seeds[r]. Recording, the checker and stored gradients are
-    kept per seed.
+
+def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
+                  x0: Optional[LayeredPoint] = None, noises=None):
+    """One run per config in configs, its rows, stepped together as one stack.
+
+    Row r runs configs[r] (or the stages of plan, as run_staged) with the
+    noise of spec at noises[r] (spec.noise when noises is None), from x0. The
+    rows may differ in seed, iters, alpha and beta; every other setting is
+    read from configs[0], and rows with different betas need a constant beta
+    each and the checker off. Every block is held as an (R, *shape) array for the
+    R rows, and row r draws its noise from its own generator seeded with
+    configs[r].seed. So its RunLog is bit-equal to that of a lone run of
+    configs[r]: the ops are elementwise, or run row by row (the oracle's
+    matrix-vector products, the euclidean norms, the SVD).
+
+    Without a plan the rows come longest first. When a row's iters end, its
+    final loss and RunLog are taken and it retires: every array shrinks to the
+    rows still running, at most once per distinct iters.
+
+    Returns the RunLogs in row order and a bool array that says which rows
+    have a finite final loss, final iterate and recorded values; a diverging
+    row raises nothing here, and its RunLog has no final_x.
     """
-    if len(seeds) == 0:
+    if len(configs) == 0:
         raise ValueError("seeds must name at least one seed")
-    segments = _segments(spec, config, plan)
+    first = configs[0]
+    segments = _segments(spec, configs, plan, noises)
+    total = sum(s.iters for s in segments)
+    row_iters = [total] * len(configs) if plan is not None else [c.iters for c in configs]
+    if row_iters != sorted(row_iters, reverse=True):
+        raise ValueError("the rows of a stack must come longest first")
     geometry = spec.geometry
     names = spec.block_names
-    radii = _resolve_radii(config.radii, geometry)
+    radii = _resolve_radii(first.radii, geometry)
     kinds = [g.kind for g in geometry]
     n_blocks = len(geometry)
-    n_seeds = len(seeds)
+    n_seeds = len(configs)
 
     if x0 is not None:
         problems.check_point(spec, x0)
 
-    # Each per-step quantity is one (R, n_params) array, seed r's blocks side by
+    # Each per-step quantity is one (R, n_params) array, row r's blocks side by
     # side in row r: elementwise stages run on it once per step, and the LMO
-    # and the oracle get (R, *shape) block views made once. Step constants are
-    # such arrays too, as numpy converts a Python float operand on every call.
+    # and the oracle get (R, *shape) block views. Step constants are such
+    # arrays too, as numpy converts a Python float operand on every call.
+    # The nine are x, g, m, the displacement, scratch, the step scale,
+    # 1 - alpha, alpha and the kept share of x.
     n_params = sum(g.size for g in geometry)
     offsets = np.cumsum([0] + [g.size for g in geometry])
-
-    def flat_and_blocks():
-        flat = np.empty((n_seeds, n_params))
-        return flat, [flat[:, a:b].reshape((n_seeds,) + g.shape, copy=False)
-                      for a, b, g in zip(offsets, offsets[1:], geometry)]
-
-    xf, x = flat_and_blocks()
-    xf[:] = 0.0 if x0 is None else x0.flatten()
-    (gf, g), (mf, m), (df, disp), (_, scratch), (_, scale) = (
-        flat_and_blocks() for _ in range(5))
-    c_1ma, c_alpha, c_keep = (np.empty((n_seeds, n_params)) for _ in range(3))
+    spans = list(zip(offsets, offsets[1:]))
+    flats = np.empty((9, n_seeds, n_params))
+    flats[0] = 0.0 if x0 is None else x0.flatten()
+    beta_rows = np.empty(n_seeds)
+    sigma_rows = np.empty((n_seeds, 1, 1))
     beta_filled = None
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
 
     # Noise is drawn for up to chunk_steps steps at once into one reused
     # (R, chunk_steps, n_params) buffer, within _NOISE_CHUNK_VALUES in all.
-    # Seed r's generator fills buf[r, :n]: a draw of shape (n, n_params)
+    # Row r's generator fills buf[r, :n]: a draw of shape (n, n_params)
     # yields the same normals in the same order as n draws of n_params, and a
-    # step's row splits into the blocks in block order. The buffer is reused,
-    # so each step's (R, n_params) view of it is made once.
+    # step's row splits into the blocks in block order. A row that retires
+    # mid-chunk leaves the rest of its draw unread.
     chunk_values = _NOISE_CHUNK_VALUES // (n_seeds * n_params)
     chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, chunk_values))
     noise_buf = np.empty((n_seeds, chunk_steps, n_params))
-    noise_rows = list(noise_buf.swapaxes(0, 1))
 
-    eval_every = config.eval_every
+    eval_every = first.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
-    columns = [  # in RUNLOG_CSV_HEADER order, one row per seed
+    columns = [  # in RUNLOG_CSV_HEADER order, one row per stack row
         np.empty((n_seeds, n_rows), dtype=int if name in ("k", "stage") else float)
         for name in RUNLOG_CSV_HEADER
     ]
-    grads = [[] for _ in seeds] if config.store_gradients else None
-
-    checked, violations = np.zeros((2, n_seeds), dtype=int)
+    grads = [[] for _ in configs] if first.store_gradients else None
+    counts = np.zeros((2, n_seeds), dtype=int)  # checked steps and violations
     first_violation = [None] * n_seeds
+    logs, finite = [None] * n_seeds, np.zeros(n_seeds, dtype=bool)
+
+    def bind(n):
+        """Make the running rows 0 .. n-1 the views that the loop steps."""
+        nonlocal xf, gf, mf, df, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
+            beta_act, sigma_act, noise_act, noise_rows, cols, checked, violations, loss_fn, grad_fn
+        xf, gf, mf, df, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
+        x, g, m, disp, scratch, scale = (
+            [f[:, a:b].reshape((n,) + gb.shape, copy=False) for (a, b), gb in zip(spans, geometry)]
+            for f in (xf, gf, mf, df, sf, kf))
+        beta_act, sigma_act, noise_act = beta_rows[:n], sigma_rows[:n], noise_buf[:n]
+        noise_rows = list(noise_act.swapaxes(0, 1))
+        cols = [c[:n] for c in columns]
+        checked, violations = counts[:, :n]
+        loss_fn, grad_fn = problems.compiled(spec, n)
+
+    def finish(lo, hi):
+        """Take the final losses and RunLogs of rows lo .. hi-1, which end here."""
+        final = loss_fn([b[lo:hi] for b in x])
+        finite[lo:hi] = np.all(
+            [np.isfinite(final), np.isfinite(xf[lo:hi]).all(axis=1)]
+            + [np.isfinite(c[lo:hi, :row]).all(axis=1) for c in columns], axis=0)
+        for r in range(lo, hi):
+            logs[r] = RunLog(
+                **{name: col[r, :row] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
+                final_loss=float(final[r - lo]),
+                final_x=(LayeredPoint.from_arrays(names, [b[r].copy() for b in x])
+                         if finite[r] else None),
+                invariant_violations=int(counts[1, r]),
+                first_violation=first_violation[r],
+                checked_steps=int(counts[0, r]),
+                gradients=None if grads is None else grads[r],
+            )
+
+    xf = gf = mf = df = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
+    beta_act = sigma_act = noise_act = noise_rows = cols = checked = violations = None
+    loss_fn = grad_fn = None
+    bind(n_seeds)
+    next_end = row_iters[-1]  # the step at which the last running row ends
+
     eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
 
     # Per block, the nuclear norms of m that a spectral step returns.
@@ -407,24 +477,24 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                          for stack, kind in zip(blocks, kinds)])
 
     def dual_norm(blocks, known):
-        # The composite dual norms, summed in block order as sum() sums one seed's.
+        # The composite dual norms, summed in block order as sum() sums one row's.
         return sum(np.array([block_dual_norm(b, kind) for b in stack]) if nb is None else nb
                    for stack, kind, nb in zip(blocks, kinds, known))
 
     row = 0
     k_global = 0
-    is_scg = config.variant == "scg"
-    loss_fn, grad_fn = problems.compiled(spec, n_seeds)
+    is_scg = first.variant == "scg"
     for seg in segments:
-        sigma_pc = problems.per_coordinate_sigma(spec, seg.noise)
-        c_1ma.fill(1.0 - seg.alpha)
-        c_alpha.fill(seg.alpha)
+        sigma_rows[:] = seg.sigma
+        noisy = bool(sigma_rows.any())
+        np.subtract(1.0, seg.alpha, out=flats[6])
+        flats[7] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
-        # it is armed per seed.
-        armed = np.zeros(n_seeds, dtype=bool)
+        # it is armed per row.
+        armed = np.zeros(len(xf), dtype=bool)
         if (
-            config.check_invariants
+            first.check_invariants
             and is_scg
             and isinstance(seg.schedule, ConstantBeta)
             and seg.schedule.value <= 0.5
@@ -436,6 +506,11 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
         check = bool(armed.any())
         contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
         for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
+            if k_global == next_end:
+                n_keep = sum(i > k_global for i in row_iters)
+                finish(n_keep, len(xf))
+                bind(n_keep)
+                armed, x_norms, next_end = armed[:n_keep], None, row_iters[n_keep - 1]
             record = (k_local % eval_every) == 0
             if record:
                 loss_k = loss_fn(x)
@@ -443,24 +518,24 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                     x_norms = primal_norms(x)
                 x_primal_k = x_norms.max(axis=0)
             grad_fn(x, g)
-            if sigma_pc > 0.0:
+            if noisy:
                 j = k_local % chunk_steps
                 if j == 0:
                     n = min(chunk_steps, seg.iters - k_local)
-                    for rng, buf in zip(rngs, noise_buf):
+                    for rng, buf in zip(rngs, noise_act):
                         rng.standard_normal(out=buf[:n])
-                    noise_buf[:, :n] *= sigma_pc
+                    noise_act[:, :n] *= sigma_act
                 gf += noise_rows[j]
             if grads is not None:
-                for r, seed_grads in enumerate(grads):
-                    seed_grads.append(LayeredPoint.from_arrays(names, [b[r].copy() for b in g]))
+                for r, row_grads in enumerate(grads[:len(xf)]):
+                    row_grads.append(LayeredPoint.from_arrays(names, [b[r].copy() for b in g]))
             if record:
                 g_dual_k = dual_norm(g, [None] * n_blocks)
             if k_global > 0:
                 mf *= c_1ma
                 gf *= c_alpha
                 mf += gf
-            elif config.momentum_init == "first_sample":
+            elif first.momentum_init == "first_sample":
                 np.copyto(mf, gf)
             else:
                 np.multiply(gf, c_alpha, out=mf)
@@ -468,11 +543,14 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
             need_disp = record or check
             if need_disp:
                 np.copyto(df, xf)
-            if beta_k != beta_filled:
-                keep, step_scale = (1.0 - beta_k, beta_k) if is_scg else (1.0, 1.0)
-                c_keep.fill(keep)
-                for sb, radius in zip(scale, radii):
-                    sb.fill(step_scale * radius)
+            if beta_k is not beta_filled:
+                # Filled for every row of the stack; the running rows read
+                # their leading part.
+                beta_rows[:] = beta_k
+                step = beta_rows[:, None] if is_scg else 1.0
+                flats[8] = 1.0 - step if is_scg else 1.0
+                for (a, b), radius in zip(spans, radii):
+                    flats[5][:, a:b] = step * radius
                 beta_filled = beta_k
             xf *= c_keep
             for i in range(n_blocks):
@@ -504,33 +582,17 @@ def _run_segments(spec, config: ScgConfig, seeds, plan: Optional[StagePlan] = No
                             )
 
             if record:
-                values = (  # in RUNLOG_CSV_HEADER order, a value or one per seed
-                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_k,
+                values = (  # in RUNLOG_CSV_HEADER order, a value or one per row
+                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_act,
                     disp_norms.max(axis=0), seg.stage_index,
                 )
-                for col, value in zip(columns, values):
+                for col, value in zip(cols, values):
                     col[:, row] = value
                 row += 1
             k_global += 1
 
-    final_losses = loss_fn(x)
-    if not (np.all(np.isfinite(final_losses)) and all(np.all(np.isfinite(c)) for c in columns)):
-        raise FloatingPointError(
-            f"the run diverged: a final loss ({final_losses.tolist()}) or a recorded loss "
-            "or norm is not finite"
-        )
-    return [
-        RunLog(
-            **{name: col[r] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
-            final_loss=float(final_losses[r]),
-            final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x]),
-            invariant_violations=int(violations[r]),
-            first_violation=first_violation[r],
-            checked_steps=int(checked[r]),
-            gradients=None if grads is None else grads[r],
-        )
-        for r in range(n_seeds)
-    ]
+    finish(0, len(xf))
+    return logs, finite
 
 
 class _SeedLogs(list):
@@ -550,6 +612,10 @@ class _SeedLogs(list):
         return sum(log.invariant_violations for log in self)
 
 
+def _configs(config: ScgConfig, seeds):
+    return [config] if seeds is None else [replace(config, seed=seed) for seed in seeds]
+
+
 def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None, seeds=None):
     """Execute the iteration for config.iters steps; deterministic given seed.
 
@@ -558,9 +624,9 @@ def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None, seeds=None):
     in the same loop (config.seed is not read), and the result is the list of
     their RunLogs in seed order, each bit-equal to a lone run with that seed.
     """
-    if seeds is None:
-        return _run_segments(spec, config, [config.seed], x0=x0)[0]
-    return _SeedLogs(_run_segments(spec, config, seeds, x0=x0))
+    logs, finite = _run_segments(spec, _configs(config, seeds), x0=x0)
+    _check_finite([log.final_loss for log in logs], finite)
+    return logs[0] if seeds is None else _SeedLogs(logs)
 
 
 def run_staged(
@@ -578,6 +644,6 @@ def run_staged(
     across boundaries, so equal consecutive stages concatenate exactly.
     seeds works as in run.
     """
-    if seeds is None:
-        return _run_segments(spec, base_config, [base_config.seed], plan, x0)[0]
-    return _SeedLogs(_run_segments(spec, base_config, seeds, plan, x0))
+    logs, finite = _run_segments(spec, _configs(base_config, seeds), plan, x0)
+    _check_finite([log.final_loss for log in logs], finite)
+    return logs[0] if seeds is None else _SeedLogs(logs)

@@ -2,6 +2,7 @@
 (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,34 @@ def test_groups_by_workload_and_seed_and_skips_half_pairs():
     assert lone["steps_per_s"]["parent_median"] == lone["steps_per_s"]["parent_q3"] == 2.0
     assert lone["steps_per_s"]["median_ratio_change_over_parent"] == 1.5
     assert lone["steps_per_s"]["change_better_pairs"] == 1
+
+
+def bench_file(path, summary):
+    path.write_text(json.dumps({"what": "", "parent": "a", "change": "b", "summary": summary,
+                                "runs": []}))
+
+
+def entry(parent, change):
+    return {"pairs": 5, "steps_per_s": {"parent_median": parent, "change_median": change,
+                                        "parent_q1": 0.0}}
+
+
+def test_trajectory_lists_medians_in_pr_order(tmp_path):
+    bench_file(tmp_path / "BENCH_10.json", {"w/7": entry(120.0, 150.0)})
+    bench_file(tmp_path / "BENCH_9.json", {"w/7": entry(100.0, 120.0), "v/7": entry(3.0, 4.0)})
+    (tmp_path / "BENCH_11.json").write_text(json.dumps({"runs": []}))
+    lines = bench_pairs.trajectory(str(tmp_path))
+    assert lines[0] == "skipped BENCH_11.json: no summary of parent and change medians"
+    assert [line.split() for line in lines[1:]] == [
+        ["v"], ["steps_per_s"], ["BENCH_9.json", "v/7", "parent", "3", "change", "4"],
+        ["w"], ["steps_per_s"],
+        ["BENCH_9.json", "w/7", "parent", "100", "change", "120"],
+        ["BENCH_10.json", "w/7", "parent", "120", "change", "150"],
+    ]
+
+
+def test_trajectory_mode_needs_no_revisions(tmp_path, capsys):
+    assert bench_pairs.main(["--trajectory", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "\n"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD"])

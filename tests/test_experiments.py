@@ -1,10 +1,12 @@
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
-from scgscale import experiments, problems
-from scgscale.experiments import BetaRule, SweepConfig, point_seed, run_sweep
+from scgscale import experiments, optimizer, problems
+from scgscale.experiments import BetaRule, SweepConfig, SweepRow, point_seed, run_sweep
+from scgscale.optimizer import ConstantBeta, ScgConfig, run
 from scgscale.geometry import BlockGeometry
 from scgscale.problems import LayeredQuadratic, NoiseModel
 from scgscale.scaling import error_law, prescribe_params
@@ -112,7 +114,7 @@ class TestSweep:
         parallel = run_sweep(cfg, jobs=2)
         assert serial.rows == parallel.rows
 
-    def test_pool_never_outnumbers_the_grid(self, monkeypatch):
+    def test_pool_never_outnumbers_the_rows(self, monkeypatch):
         sizes = []
 
         class SerialPool:
@@ -129,11 +131,11 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])
+        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])  # 2 points x 2 repetitions
         assert run_sweep(cfg, jobs=8).rows == run_sweep(cfg, jobs=1).rows
-        assert sizes == [2]
-        run_sweep(sweep_config([(4.0, 1.0)]), jobs=8)
-        assert sizes == [2]  # one point runs in this process
+        assert sizes == [4]
+        run_sweep(sweep_config([(4.0, 1.0)], reps=1), jobs=8)
+        assert sizes == [4]  # one row runs in this process
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
@@ -151,6 +153,117 @@ class TestSweep:
     def test_grid_must_fit_budget(self):
         with pytest.raises(ValueError, match="budget"):
             sweep_config([(8192.0, 1.0)])
+
+
+def prescribed_sweep():
+    # The points differ in K, B, S, alpha and beta; (16, 1) and (2, 8) share K,
+    # alpha and beta but not the noise, and (2048, 1) has K = 2 < c.
+    return SweepConfig(
+        problem=small_problem(),
+        token_budget=4096.0,
+        grid=((1.0, 1.0), (4.0, 2.0), (16.0, 1.0), (2.0, 8.0), (64.0, 4.0), (2048.0, 1.0)),
+        rule=BetaRule(kind="prescribed", c=3.0),
+        repetitions=3,
+        seed_base=9,
+        eval_stride=7,
+    )
+
+
+def lone_point(cfg, B, S):
+    """The sweep row of one point from a lone run(seeds=...) of its seeds."""
+    try:
+        K, beta, alpha, law = experiments._point_hyperparameters(
+            cfg, cfg.resolved_constants(), B, S)
+        spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
+        config = ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=K,
+                           eval_every=cfg.eval_stride, check_invariants=False)
+        seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
+        losses = [log.final_loss for log in run(spec, config, seeds=seeds)]
+    except (ValueError, FloatingPointError) as exc:
+        return SweepRow(B, S, 0, math.nan, math.nan, math.nan, math.nan, 0, error=str(exc))
+    return SweepRow(B, S, K, beta, float(np.mean(losses)), float(np.std(losses, ddof=1)),
+                    law.eps, law.regime)
+
+
+def as_text(rows):
+    return [repr(astuple(row)) for row in rows]
+
+
+class TestStackedSweep:
+    """The rows of every point step together, each bit-equal to its lone run."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_point_matches_its_lone_run(self, jobs):
+        cfg = prescribed_sweep()
+        expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
+        assert len({(row.K, row.beta) for row in expected}) == 5
+        assert "below c" in expected[-1].error
+        assert as_text(run_sweep(cfg, jobs=jobs).rows) == as_text(expected)
+
+    def test_a_small_stack_cap_splits_the_rows(self, monkeypatch):
+        cfg = prescribed_sweep()
+        expected = run_sweep(cfg).rows
+        stacks = []
+
+        def counting(spec, configs, **kwargs):
+            stacks.append(len(configs))
+            return optimizer._run_segments(spec, configs, **kwargs)
+
+        monkeypatch.setattr(experiments, "_run_segments", counting)
+        monkeypatch.setattr(experiments, "_STACK_VALUES", 4 * cfg.problem.total_params)
+        assert as_text(run_sweep(cfg).rows) == as_text(expected)
+        assert stacks == [4, 4, 4, 3]  # 15 rows of 5 points, 4 to a stack
+
+    def test_rows_whose_noise_underflows_stack_apart(self):
+        # sigma_star^2 / (B S) is subnormal at B = 1 and zero at B = 8192.
+        cfg = replace(sweep_config(((1.0, 1.0), (8192.0, 1.0)), budget=8192.0),
+                      problem=small_problem(sigma=1e-160), eval_stride=64)
+        assert [problems.per_coordinate_sigma(cfg.problem, replace(cfg.problem.noise, B=B)) > 0
+                for B, _ in cfg.grid] == [True, False]
+        expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
+        assert all(row.error is None for row in expected)
+        assert as_text(run_sweep(cfg).rows) == as_text(expected)
+
+    def test_a_diverging_row_errors_only_its_point(self, monkeypatch):
+        cfg = prescribed_sweep()
+        clean = run_sweep(cfg).rows
+        # The rows of (4, 2) step with an infinite scale; no other point has
+        # its step scale beta * eta.
+        bad = next(row for row in clean if (row.B, row.S) == (4.0, 2.0))
+        target = bad.beta * 2.0
+        assert sum(row.beta * 2.0 == target for row in clean) == 1
+        step_block = optimizer._step_block
+        monkeypatch.setattr(
+            optimizer, "_step_block",
+            lambda xb, mb, kind, scale, scratch: step_block(
+                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        with np.errstate(all="ignore"):
+            rows = run_sweep(cfg).rows
+            lone = lone_point(cfg, 4.0, 2.0)
+        assert lone.error.startswith("the run diverged: a final loss ([")
+        assert lone.error.split("[")[1].split("]")[0].count(",") == 2  # its own 3 rows only
+        for row, before in zip(rows, clean):
+            if (row.B, row.S) == (4.0, 2.0):
+                assert row.error == lone.error
+            else:
+                assert as_text([row]) == as_text([before])
+
+    def test_rate_study_matches_per_budget_runs(self):
+        out = experiments.middle_regime_rates(t_exponents=(10, 11, 12), repetitions=2)
+        spec = experiments.rate_study_problem()
+        iters = []
+        for j, bs, losses in zip((10, 11, 12), out["critical_scales"], out["losses"]):
+            K = int(2**j // bs)
+            iters.append(K)
+            config = ScgConfig(
+                alpha=experiments.RATE_STUDY_ALPHA,
+                beta=ConstantBeta(min(0.5, experiments.RATE_STUDY_C / K)), iters=K,
+                eval_every=experiments._FINAL_LOSS_ONLY, check_invariants=False,
+            )
+            seeds = [point_seed(77, bs, 1.0, rep + 1000 * j) for rep in range(2)]
+            budget_spec = replace(spec, noise=replace(spec.noise, B=bs, S=1.0))
+            assert losses == [log.final_loss for log in run(budget_spec, config, seeds=seeds)]
+        assert len(set(iters)) == 3
 
 
 class TestDrivers:

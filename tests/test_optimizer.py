@@ -31,6 +31,12 @@ from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import prescribe_params
 
 
+def csv_text(log):
+    buf = io.StringIO()
+    log.to_csv(buf)
+    return buf.getvalue()
+
+
 def quadratic_1d(target=10.0, eta=12.0, lam=1.0, sigma=0.0):
     return LayeredQuadratic(
         geometry=(BlockGeometry("euclidean", (1,), eta),),
@@ -158,14 +164,14 @@ class TestRun:
         spec = noisy_quadratic()
         cfg = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=60, seed=42)
         a, b = run(spec, cfg), run(spec, cfg)
-        assert a.to_csv_string() == b.to_csv_string()
+        assert csv_text(a) == csv_text(b)
         assert np.array_equal(a.final_x.arrays[0], b.final_x.arrays[0])
 
     def test_different_seed_differs(self):
         spec = noisy_quadratic()
         cfg = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=60, seed=42)
         other = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=60, seed=43)
-        assert run(spec, cfg).to_csv_string() != run(spec, other).to_csv_string()
+        assert csv_text(run(spec, cfg)) != csv_text(run(spec, other))
 
     def test_momentum_telescopes_with_alpha_one(self):
         spec = noisy_quadratic()
@@ -230,7 +236,7 @@ class TestRunLogCsv:
         spec = noisy_quadratic()
         cfg = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=25, seed=9)
         log = run(spec, cfg)
-        rows = list(csv.reader(io.StringIO(log.to_csv_string())))
+        rows = list(csv.reader(io.StringIO(csv_text(log))))
         assert rows[0] == RUNLOG_CSV_HEADER
         back = dict(zip(rows[0], zip(*rows[1:])))
         for name in ("loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp"):
@@ -428,7 +434,7 @@ class TestStackedSeeds:
         for seed, log in zip(seeds, logs):
             seeded = replace(config, seed=seed)
             lone = run(spec, seeded, x0) if plan is None else run_staged(spec, plan, seeded, x0)
-            assert log.to_csv_string() == lone.to_csv_string()
+            assert csv_text(log) == csv_text(lone)
             assert log.final_loss == lone.final_loss
             assert log.final_x == lone.final_x
             assert log.checked_steps == lone.checked_steps
@@ -438,7 +444,7 @@ class TestStackedSeeds:
         if case == "every_row_checked":
             assert all(log.checked_steps == config.iters for log in logs)
         if n_seeds > 1:
-            assert logs[0].to_csv_string() != logs[1].to_csv_string()
+            assert csv_text(logs[0]) != csv_text(logs[1])
 
     @pytest.mark.parametrize("n_points", [1, 3])
     @pytest.mark.parametrize("problem", ["mixed", "rate_study"])
