@@ -8,17 +8,17 @@ the three-regime sweep on a quadratic, the middle-regime rate study on a
 logistic objective with estimated constants, and the two-stage restart
 comparison.
 
-A row is one seed of one point (or budget): one unchecked constant-beta run
-with its own K, B, S, alpha and beta. _final_losses steps every row of a
-sweep, of the rate study or of the restart baseline in one stacked run loop
-(optimizer._run_segments), longest first, and a row retires when its K
-ends. Each row's final loss is bit-equal to that of a lone run, and a row
-that fails errors only its own point.
+A group is the seeds of one point (or budget): one unchecked constant-beta
+run per seed, each a row with the group's K, B, S, alpha and beta.
+_final_losses steps the groups of a serial sweep, of the rate study or of
+the restart baseline in stacked run loops (optimizer._run_segments), longest
+first, and a row retires when its K ends. Each row's final loss is bit-equal
+to that of a lone run, and a group that fails or diverges errors only its
+own point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -30,7 +30,7 @@ from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
 from .optimizer import (
-    ConstantBeta, ScgConfig, _check_finite, _run_segments, _write_csv, run, run_staged,
+    ConstantBeta, ScgConfig, _diverged, _run_segments, _write_csv, run, run_staged,
 )
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
@@ -158,70 +158,97 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
     return K, beta, alpha, law
 
 
-# A stack holds at most this many values (rows x parameters), so that a grid
-# of large blocks does not allocate every row at once. Past it a row-step costs
-# more, not less: sign-16 rows took 0.44 us per row-step at 256 rows, 0.65 at
-# 1024 and 1.7 at 4096 (one core of a 2-core Xeon VM, NumPy 2.4 on OpenBLAS).
+# Past its first group a stack takes another only while it holds at most this
+# many values (rows x parameters), so that a grid of large blocks does not
+# allocate every row at once; a group is never split, so no stack is smaller
+# than a lone run(seeds=...) of one group. Past the cap a row-step costs more,
+# not less: sign-16 rows took 0.44 us per row-step at 256 rows, 0.65 at 1024
+# and 1.7 at 4096 (one core of a 2-core Xeon VM, NumPy 2.4 on OpenBLAS).
 _STACK_VALUES = 1 << 12
 
 
-def _row(spec, B, S, alpha, beta, iters, seed, eval_every=_FINAL_LOSS_ONLY):
-    """One unchecked constant-beta run, as _final_losses takes it: its config
-    and the noise of spec at batch B and sequence length S."""
+def _group(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_ONLY):
+    """The seeds of one point or budget, as _final_losses takes them: one
+    unchecked constant-beta run per seed, with the noise of spec set to batch
+    B and sequence length S."""
     config = ScgConfig(
-        alpha=alpha, beta=ConstantBeta(beta), iters=iters, seed=seed, eval_every=eval_every,
+        alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=eval_every,
         check_invariants=False,
     )
-    return config, replace(spec.noise, B=B, S=S)
+    return replace(spec, noise=replace(spec.noise, B=B, S=S)), config, list(seeds)
 
 
-def _final_losses(spec, rows):
-    """Per row of rows (see _row): (final loss, whether the run stayed finite),
-    or the exception that its stack raised.
+def _lone_losses(group):
+    """The final losses of a lone run(seeds=...) of group, or what it raises."""
+    spec, config, seeds = group
+    try:
+        return [log.final_loss for log in run(spec, config, seeds=seeds)]
+    except Exception as exc:  # the group fails, not the caller
+        return exc
 
-    The rows step together in stacks of at most _STACK_VALUES values, longest
-    first, and each row retires when its steps end; its final loss is
-    bit-equal to that of a lone run of its config. Rows whose noise variance
-    underflows to zero (a sigma_star below about 1e-154) run in stacks of
-    their own.
+
+def _stack_losses(groups):
+    """_lone_losses of each group, the groups stepping as one stack."""
+    if len(groups) == 1:
+        return [_lone_losses(groups[0])]
+    try:
+        logs, finite = _run_segments(
+            groups[0][0],
+            [replace(config, seed=seed) for _, config, seeds in groups for seed in seeds],
+            noises=[spec.noise for spec, _, seeds in groups for _ in seeds],
+        )
+    except Exception:  # rerun each group alone, so the error reaches only its own
+        return [_lone_losses(group) for group in groups]
+    out, lo = [], 0
+    for _, _, seeds in groups:
+        losses = [log.final_loss for log in logs[lo:lo + len(seeds)]]
+        out.append(losses if finite[lo:lo + len(seeds)].all() else _diverged(losses))
+        lo += len(seeds)
+    return out
+
+
+def _final_losses(groups):
+    """Per group (see _group): its final losses, one per seed, or the
+    exception that a lone run(seeds=...) of the group raises.
+
+    The groups step together in stacks, longest first, and each row retires
+    when its steps end; its final loss is bit-equal to that of a lone run. A
+    stack holds whole groups, more than one only within _STACK_VALUES values;
+    a stack of one group is its lone run. Groups whose noise variance
+    underflows to zero (a sigma_star below about 1e-154) stack apart.
     """
-    quiet = [problems.per_coordinate_sigma(spec, noise) == 0.0 for _, noise in rows]
-    order = sorted(range(len(rows)), key=lambda i: (quiet[i], -rows[i][0].iters))
-    size = max(1, _STACK_VALUES // spec.total_params)
-    stacks = []
-    for _, group in itertools.groupby(order, key=quiet.__getitem__):
-        group = list(group)
-        stacks += [group[lo:lo + size] for lo in range(0, len(group), size)]
-    out = [None] * len(rows)
+    quiet = [problems.per_coordinate_sigma(spec, spec.noise) == 0.0 for spec, _, _ in groups]
+    order = sorted(range(len(groups)), key=lambda i: (quiet[i], -groups[i][1].iters))
+    stacks, values = [], 0
+    for i in order:
+        spec, _, seeds = groups[i]
+        n = len(seeds) * spec.total_params
+        if stacks and quiet[stacks[-1][0]] == quiet[i] and values + n <= _STACK_VALUES:
+            stacks[-1].append(i)
+            values += n
+        else:
+            stacks.append([i])
+            values = n
+    out = [None] * len(groups)
     for stack in stacks:
-        try:
-            logs, finite = _run_segments(
-                spec, [rows[i][0] for i in stack], noises=[rows[i][1] for i in stack])
-            results = [(log.final_loss, bool(ok)) for log, ok in zip(logs, finite)]
-        except Exception as exc:  # the stack's rows fail, not the caller
-            results = [exc] * len(stack)
-        for i, result in zip(stack, results):
+        for i, result in zip(stack, _stack_losses([groups[i] for i in stack])):
             out[i] = result
     return out
 
 
-def _group_losses(results):
-    """The final losses of the rows of one point or budget, from their
-    _final_losses results; raises what a lone run of the group raises."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    losses = [loss for loss, _ in results]
-    _check_finite(losses, [ok for _, ok in results])
-    return losses
+def _raised(result):
+    """A group's final losses from _final_losses; raises its exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every grid point, each over cfg.repetitions seeds.
 
-    A row, one seed of one point, is the unit of work: the rows of all points
-    step together (see _final_losses), on min(jobs, rows) worker processes
-    (jobs >= 1; one runs them here). A point whose hyperparameters or runs
+    Here the seeds of all points step together (see _final_losses); with
+    jobs > 1 each point is one task, a lone run(seeds=...) of its seeds, on
+    min(jobs, points) worker processes. A point whose hyperparameters or runs
     fail gets an error row; the other points are unaffected.
     """
     if jobs < 1:
@@ -230,44 +257,33 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         return SweepResult(())
     consts = cfg.resolved_constants()
     eval_every = cfg.eval_stride or _FINAL_LOSS_ONLY
-    points, rows = [], []  # per point, its error row or its hyperparameters and rows
+    points, groups = [], []  # per point, its error row or its hyperparameters and group
     for B, S in cfg.grid:
         try:
             K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
-            point_rows = [
-                _row(cfg.problem, B, S, alpha, beta, K, point_seed(cfg.seed_base, B, S, rep),
-                     eval_every)
-                for rep in range(cfg.repetitions)
-            ]
+            seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
+            groups.append(_group(cfg.problem, B, S, alpha, beta, K, seeds, eval_every))
         except Exception as exc:  # row-level failure, not a sweep abort
             points.append(_error_row(B, S, exc))
             continue
-        points.append((B, S, K, beta, law, slice(len(rows), len(rows) + len(point_rows))))
-        rows.extend(point_rows)
+        points.append((B, S, K, beta, law, len(groups) - 1))
 
-    workers = min(jobs, len(rows))
+    workers = min(jobs, len(groups))
     if workers > 1:
-        # Worker w takes every workers-th row of the longest-first order, so
-        # that the workers' loops are about equally long. The pool forks all
-        # its workers at once, so it is sized to the rows.
-        order = sorted(range(len(rows)), key=lambda i: -rows[i][0].iters)
-        shares = [order[w::workers] for w in range(workers)]
+        # The pool forks all its workers at once, so it is sized to the points.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_final_losses, [cfg.problem] * workers,
-                            [[rows[i] for i in share] for share in shares])
-            by_row = dict(zip(itertools.chain(*shares), itertools.chain(*done)))
-        results = [by_row[i] for i in range(len(rows))]
+            results = list(pool.map(_lone_losses, groups))
     else:
-        results = _final_losses(cfg.problem, rows)
+        results = _final_losses(groups)
     return SweepResult(tuple(
         point if isinstance(point, SweepRow) else _point_row(*point, results)
         for point in points
     ))
 
 
-def _point_row(B, S, K, beta, law, rows: slice, results) -> SweepRow:
+def _point_row(B, S, K, beta, law, group: int, results) -> SweepRow:
     try:
-        losses = _group_losses(results[rows])
+        losses = _raised(results[group])
     except Exception as exc:
         return _error_row(B, S, exc)
     std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
@@ -437,20 +453,17 @@ def middle_regime_rates(
         raise ValueError("repetitions must be >= 1")
     spec = problem if problem is not None else rate_study_problem()
     consts = constants if constants is not None else estimate_logistic_constants(spec)
-    budgets, scales, rows = [], [], []
+    budgets, scales, groups = [], [], []
     for j in t_exponents:
         T = float(2**j)
         bs = max(1.0, round(critical_bs(T, consts)))
         K = int(T // bs)
         beta = min(0.5, RATE_STUDY_C / K)
         seeds = [point_seed(seed_base, bs, 1.0, rep + 1000 * j) for rep in range(repetitions)]
-        rows += [_row(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seed) for seed in seeds]
+        groups.append(_group(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seeds))
         budgets.append(T)
         scales.append(bs)
-    results = _final_losses(spec, rows)
-    all_losses = [
-        _group_losses(results[lo:lo + repetitions]) for lo in range(0, len(rows), repetitions)
-    ]
+    all_losses = [_raised(result) for result in _final_losses(groups)]
     means = [float(np.mean(losses)) for losses in all_losses]
     slope = float(np.polyfit(np.log(budgets), np.log(means), 1)[0])
     return {
@@ -492,8 +505,8 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         check_invariants=False,
     )
     staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
-    baseline_losses = _group_losses(_final_losses(
-        spec, [_row(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seed) for seed in seeds]))
+    baseline_losses = _raised(_final_losses(
+        [_group(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)])[0])
     return {
         "plan": plan,
         "tuned": base,

@@ -336,15 +336,20 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
     return [_Segment(first.iters, schedule, alpha[:, None], sigma[:, None, None], 0)]
 
 
+def _diverged(final_losses) -> FloatingPointError:
+    """The error of a diverged run whose rows ended with final_losses."""
+    return FloatingPointError(
+        f"the run diverged: a final loss ({final_losses}), the final iterate or a recorded "
+        "loss or norm is not finite"
+    )
+
+
 def _check_finite(final_losses, finite) -> None:
     """Raise the error of a diverged run unless each of its rows (one flag of
     finite each, one float of final_losses) kept a finite final loss, final
     iterate and recorded values."""
     if not all(finite):
-        raise FloatingPointError(
-            f"the run diverged: a final loss ({final_losses}), the final iterate or a recorded "
-            "loss or norm is not finite"
-        )
+        raise _diverged(final_losses)
 
 
 def _run_segments(spec, configs, plan: Optional[StagePlan] = None,

@@ -114,7 +114,7 @@ class TestSweep:
         parallel = run_sweep(cfg, jobs=2)
         assert serial.rows == parallel.rows
 
-    def test_pool_never_outnumbers_the_rows(self, monkeypatch):
+    def test_pool_never_outnumbers_the_grid(self, monkeypatch):
         sizes = []
 
         class SerialPool:
@@ -131,11 +131,11 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
-        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])  # 2 points x 2 repetitions
+        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])
         assert run_sweep(cfg, jobs=8).rows == run_sweep(cfg, jobs=1).rows
-        assert sizes == [4]
-        run_sweep(sweep_config([(4.0, 1.0)], reps=1), jobs=8)
-        assert sizes == [4]  # one row runs in this process
+        assert sizes == [2]
+        run_sweep(sweep_config([(4.0, 1.0)]), jobs=8)
+        assert sizes == [2]  # one point runs in this process
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
@@ -153,6 +153,16 @@ class TestSweep:
     def test_grid_must_fit_budget(self):
         with pytest.raises(ValueError, match="budget"):
             sweep_config([(8192.0, 1.0)])
+
+
+def spectral_problem():
+    return LayeredQuadratic(
+        geometry=(BlockGeometry("spectral", (3, 2), 2.0), BlockGeometry("sign", (2,), 0.5)),
+        block_names=("W", "b"),
+        curvatures=(1.0, 0.5),
+        targets=(np.array([[0.5, 0.0], [0.0, 0.3], [0.1, 0.0]]), np.array([0.2, -0.4])),
+        noise=NoiseModel(0.2),
+    )
 
 
 def prescribed_sweep():
@@ -176,10 +186,11 @@ def lone_point(cfg, B, S):
             cfg, cfg.resolved_constants(), B, S)
         spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
         config = ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=K,
-                           eval_every=cfg.eval_stride, check_invariants=False)
+                           eval_every=cfg.eval_stride or experiments._FINAL_LOSS_ONLY,
+                           check_invariants=False)
         seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
         losses = [log.final_loss for log in run(spec, config, seeds=seeds)]
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
         return SweepRow(B, S, 0, math.nan, math.nan, math.nan, math.nan, 0, error=str(exc))
     return SweepRow(B, S, K, beta, float(np.mean(losses)), float(np.std(losses, ddof=1)),
                     law.eps, law.regime)
@@ -200,19 +211,39 @@ class TestStackedSweep:
         assert "below c" in expected[-1].error
         assert as_text(run_sweep(cfg, jobs=jobs).rows) == as_text(expected)
 
-    def test_a_small_stack_cap_splits_the_rows(self, monkeypatch):
+    def test_a_small_stack_cap_splits_between_points(self, monkeypatch):
         cfg = prescribed_sweep()
         expected = run_sweep(cfg).rows
-        stacks = []
+        stacks, lone = [], []
 
         def counting(spec, configs, **kwargs):
             stacks.append(len(configs))
             return optimizer._run_segments(spec, configs, **kwargs)
 
+        def lone_run(spec, config, seeds):
+            lone.append(len(seeds))
+            return run(spec, config, seeds=seeds)
+
         monkeypatch.setattr(experiments, "_run_segments", counting)
-        monkeypatch.setattr(experiments, "_STACK_VALUES", 4 * cfg.problem.total_params)
+        monkeypatch.setattr(experiments, "run", lone_run)
+        monkeypatch.setattr(experiments, "_STACK_VALUES", 6 * cfg.problem.total_params)
         assert as_text(run_sweep(cfg).rows) == as_text(expected)
-        assert stacks == [4, 4, 4, 3]  # 15 rows of 5 points, 4 to a stack
+        # 5 points of 3 rows, 2 points to a stack; the last point runs alone.
+        assert (stacks, lone) == ([6, 6], [3])
+
+    def test_a_stack_never_splits_a_point(self, monkeypatch):
+        cfg = prescribed_sweep()
+        expected = run_sweep(cfg).rows
+        lone = []
+
+        def lone_run(spec, config, seeds):
+            lone.append(len(seeds))
+            return run(spec, config, seeds=seeds)
+
+        monkeypatch.setattr(experiments, "run", lone_run)
+        monkeypatch.setattr(experiments, "_STACK_VALUES", 1)
+        assert as_text(run_sweep(cfg).rows) == as_text(expected)
+        assert lone == [3] * 5  # each point's 3 repetitions step together
 
     def test_rows_whose_noise_underflows_stack_apart(self):
         # sigma_star^2 / (B S) is subnormal at B = 1 and zero at B = 8192.
@@ -242,6 +273,37 @@ class TestStackedSweep:
             lone = lone_point(cfg, 4.0, 2.0)
         assert lone.error.startswith("the run diverged: a final loss ([")
         assert lone.error.split("[")[1].split("]")[0].count(",") == 2  # its own 3 rows only
+        for row, before in zip(rows, clean):
+            if (row.B, row.S) == (4.0, 2.0):
+                assert row.error == lone.error
+            else:
+                assert as_text([row]) == as_text([before])
+
+    def test_a_failing_spectral_point_errors_only_itself(self, monkeypatch):
+        # A diverging row puts NaN into the stacked SVD, which raises for the
+        # whole stack; the other points' rows must not take that error.
+        cfg = replace(prescribed_sweep(), problem=spectral_problem(), eval_stride=None)
+        clean = run_sweep(cfg).rows
+        bad = next(row for row in clean if (row.B, row.S) == (4.0, 2.0))
+        target = bad.beta * 2.0  # the scale of its spectral block, which no other block has
+        assert sum(row.beta * eta == target for row in clean for eta in (2.0, 0.5)) == 1
+        stacks = []
+
+        def counting(spec, configs, **kwargs):
+            stacks.append(len(configs))
+            return optimizer._run_segments(spec, configs, **kwargs)
+
+        step_block = optimizer._step_block
+        monkeypatch.setattr(
+            optimizer, "_step_block",
+            lambda xb, mb, kind, scale, scratch: step_block(
+                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        monkeypatch.setattr(experiments, "_run_segments", counting)
+        with np.errstate(all="ignore"):
+            rows = run_sweep(cfg).rows
+            lone = lone_point(cfg, 4.0, 2.0)
+        assert stacks == [15]  # the 5 points shared one stack
+        assert lone.error == "SVD did not converge"
         for row, before in zip(rows, clean):
             if (row.B, row.S) == (4.0, 2.0):
                 assert row.error == lone.error
