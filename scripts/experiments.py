@@ -11,7 +11,9 @@
            the tuned small batch: final losses across seeds
 
 Each command writes its curve to --out (CSV, or JSON for restart) and prints
-the headline numbers. Example: python3 scripts/experiments.py regime --jobs 4
+the headline numbers; an argument the library rejects ends the run with one
+"error: ..." line and exit code 2. Example:
+python3 scripts/experiments.py regime --jobs 4
 """
 
 import argparse
@@ -128,7 +130,10 @@ def main():
     p.add_argument("--budget-factor", type=float, default=8.0)
 
     args = ap.parse_args()
-    lines = args.func(args)
+    try:
+        lines = args.func(args)
+    except ValueError as exc:  # an argument the library rejects
+        ap.exit(2, f"error: {exc}\n")
     print(f"wrote {args.out}")
     for line in lines:
         print(line)

@@ -117,7 +117,6 @@ class HuberFit:
     slope: float
     intercept: float
     n_points: int
-    iterations: int
 
 
 def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
@@ -149,9 +148,8 @@ def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
         return slope, my - slope * mx
 
     slope, intercept = weighted_fit(np.ones_like(x))
-    iterations = 0
     y_scale = max(float(np.max(np.abs(y))), 1e-300)
-    for iterations in range(1, 201):
+    for _ in range(200):
         r = y - slope * x - intercept
         scale = 1.4826 * float(np.median(np.abs(r)))
         if scale < 1e-14 * y_scale or not math.isfinite(delta):
@@ -164,7 +162,7 @@ def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
             slope, intercept = new_slope, new_intercept
             break
         slope, intercept = new_slope, new_intercept
-    return HuberFit(float(slope), float(intercept), len(x), iterations)
+    return HuberFit(float(slope), float(intercept), len(x))
 
 
 def estimate_mu(

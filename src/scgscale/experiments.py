@@ -13,8 +13,9 @@ run per seed, each a row with the group's K, B, S, alpha and beta.
 _final_losses steps the groups of a serial sweep, of the rate study or of
 the restart baseline in stacked run loops (optimizer._run_segments), longest
 first, and a row retires when its K ends. Each row's final loss is bit-equal
-to that of a lone run, and a group that fails or diverges errors only its
-own point.
+to that of a lone run. A group that diverges in a stack runs again alone, as
+does every group of a stack that raises, so a group's losses or error are
+those of its lone run, and a failing group errors only its own point.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
 from .optimizer import (
-    ConstantBeta, ScgConfig, _diverged, _run_segments, _write_csv, run, run_staged,
+    ConstantBeta, ScgConfig, _run_segments, _write_csv, run, run_staged,
 )
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
@@ -187,43 +188,24 @@ def _lone_losses(group):
         return exc
 
 
-def _stack_losses(groups):
-    """_lone_losses of each group, the groups stepping as one stack."""
-    if len(groups) == 1:
-        return [_lone_losses(groups[0])]
-    try:
-        logs, finite = _run_segments(
-            groups[0][0],
-            [replace(config, seed=seed) for _, config, seeds in groups for seed in seeds],
-            noises=[spec.noise for spec, _, seeds in groups for _ in seeds],
-        )
-    except Exception:  # rerun each group alone, so the error reaches only its own
-        return [_lone_losses(group) for group in groups]
-    out, lo = [], 0
-    for _, _, seeds in groups:
-        losses = [log.final_loss for log in logs[lo:lo + len(seeds)]]
-        out.append(losses if finite[lo:lo + len(seeds)].all() else _diverged(losses))
-        lo += len(seeds)
-    return out
-
-
 def _final_losses(groups):
-    """Per group (see _group): its final losses, one per seed, or the
-    exception that a lone run(seeds=...) of the group raises.
+    """Per group (see _group): _lone_losses of the group.
 
-    The groups step together in stacks, longest first, and each row retires
-    when its steps end; its final loss is bit-equal to that of a lone run. A
-    stack holds whole groups, more than one only within _STACK_VALUES values;
-    a stack of one group is its lone run. Groups whose noise variance
-    underflows to zero (a sigma_star below about 1e-154) stack apart.
+    The groups step together in stacks (optimizer._run_segments), longest
+    first, and each row retires when its steps end; its final loss is
+    bit-equal to that of a lone run. A stack holds whole groups, more than
+    one only within _STACK_VALUES values; a stack of one group is its lone
+    run. A group that diverges in a stack runs again alone, as does every
+    group of a stack that raises or that _run_segments refuses (rows with and
+    without gradient noise), so a group's losses or error are always those of
+    its lone run.
     """
-    quiet = [problems.per_coordinate_sigma(spec, spec.noise) == 0.0 for spec, _, _ in groups]
-    order = sorted(range(len(groups)), key=lambda i: (quiet[i], -groups[i][1].iters))
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][1].iters)
     stacks, values = [], 0
     for i in order:
         spec, _, seeds = groups[i]
         n = len(seeds) * spec.total_params
-        if stacks and quiet[stacks[-1][0]] == quiet[i] and values + n <= _STACK_VALUES:
+        if stacks and values + n <= _STACK_VALUES:
             stacks[-1].append(i)
             values += n
         else:
@@ -231,16 +213,24 @@ def _final_losses(groups):
             values = n
     out = [None] * len(groups)
     for stack in stacks:
-        for i, result in zip(stack, _stack_losses([groups[i] for i in stack])):
-            out[i] = result
+        if len(stack) > 1:
+            members = [groups[i] for i in stack]
+            try:
+                logs = _run_segments(
+                    members[0][0],
+                    [replace(config, seed=seed) for _, config, seeds in members for seed in seeds],
+                    noises=[spec.noise for spec, _, seeds in members for _ in seeds],
+                )
+            except Exception:  # a stack that raised or was refused: each group alone
+                logs = []
+            for i, (_, _, seeds) in zip(stack, members):
+                own, logs = logs[:len(seeds)], logs[len(seeds):]
+                if own and all(log.final_x is not None for log in own):
+                    out[i] = [log.final_loss for log in own]
+        for i in stack:
+            if out[i] is None:
+                out[i] = _lone_losses(groups[i])
     return out
-
-
-def _raised(result):
-    """A group's final losses from _final_losses; raises its exception."""
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
@@ -282,10 +272,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
 
 
 def _point_row(B, S, K, beta, law, group: int, results) -> SweepRow:
-    try:
-        losses = _raised(results[group])
-    except Exception as exc:
-        return _error_row(B, S, exc)
+    losses = results[group]
+    if isinstance(losses, Exception):
+        return _error_row(B, S, losses)
     std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
     return SweepRow(B, S, K, beta, float(np.mean(losses)), std, law.eps, law.regime)
 
@@ -451,6 +440,8 @@ def middle_regime_rates(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if len(set(t_exponents)) < 2:
+        raise ValueError(f"t_exponents must name at least 2 distinct budgets, got {t_exponents}")
     spec = problem if problem is not None else rate_study_problem()
     consts = constants if constants is not None else estimate_logistic_constants(spec)
     budgets, scales, groups = [], [], []
@@ -463,7 +454,10 @@ def middle_regime_rates(
         groups.append(_group(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seeds))
         budgets.append(T)
         scales.append(bs)
-    all_losses = [_raised(result) for result in _final_losses(groups)]
+    all_losses = _final_losses(groups)
+    for result in all_losses:
+        if isinstance(result, Exception):
+            raise result
     means = [float(np.mean(losses)) for losses in all_losses]
     slope = float(np.polyfit(np.log(budgets), np.log(means), 1)[0])
     return {
@@ -491,6 +485,8 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not budget_factor > 1.0:
+        raise ValueError(f"budget_factor must exceed 1, got {budget_factor}")
     spec = regime_sweep_problem(sigma_star=RESTART_SIGMA_STAR)
     consts = replace(problems.known_constants(spec).constants, c=RESTART_C)
     bs0 = max(1.0, round(critical_bs(RESTART_T0, consts)))
@@ -505,8 +501,9 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         check_invariants=False,
     )
     staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
-    baseline_losses = _raised(_final_losses(
-        [_group(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)])[0])
+    baseline_spec, baseline_cfg, _ = _group(
+        spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
+    baseline_losses = [log.final_loss for log in run(baseline_spec, baseline_cfg, seeds=seeds)]
     return {
         "plan": plan,
         "tuned": base,

@@ -184,10 +184,6 @@ class StagePlan:
             raise ValueError("a stage plan needs at least one stage")
         object.__setattr__(self, "stages", tuple(self.stages))
 
-    @property
-    def total_tokens(self) -> float:
-        return sum(s.token_allotment for s in self.stages)
-
 
 RUNLOG_CSV_HEADER = ["k", "loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp", "stage"]
 
@@ -336,22 +332,6 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
     return [_Segment(first.iters, schedule, alpha[:, None], sigma[:, None, None], 0)]
 
 
-def _diverged(final_losses) -> FloatingPointError:
-    """The error of a diverged run whose rows ended with final_losses."""
-    return FloatingPointError(
-        f"the run diverged: a final loss ({final_losses}), the final iterate or a recorded "
-        "loss or norm is not finite"
-    )
-
-
-def _check_finite(final_losses, finite) -> None:
-    """Raise the error of a diverged run unless each of its rows (one flag of
-    finite each, one float of final_losses) kept a finite final loss, final
-    iterate and recorded values."""
-    if not all(finite):
-        raise _diverged(final_losses)
-
-
 def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                   x0: Optional[LayeredPoint] = None, noises=None):
     """One run per config in configs, its rows, stepped together as one stack.
@@ -370,9 +350,9 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     final loss and RunLog are taken and it retires: every array shrinks to the
     rows still running, at most once per distinct iters.
 
-    Returns the RunLogs in row order and a bool array that says which rows
-    have a finite final loss, final iterate and recorded values; a diverging
-    row raises nothing here, and its RunLog has no final_x.
+    Returns the RunLogs in row order. A row whose final loss, final iterate
+    or recorded values are not finite has diverged: it raises nothing here,
+    and its RunLog has final_x None.
     """
     if len(configs) == 0:
         raise ValueError("seeds must name at least one seed")
@@ -428,7 +408,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     grads = [[] for _ in configs] if first.store_gradients else None
     counts = np.zeros((2, n_seeds), dtype=int)  # checked steps and violations
     first_violation = [None] * n_seeds
-    logs, finite = [None] * n_seeds, np.zeros(n_seeds, dtype=bool)
+    logs = [None] * n_seeds
 
     def bind(n):
         """Make the running rows 0 .. n-1 the views that the loop steps."""
@@ -447,7 +427,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     def finish(lo, hi):
         """Take the final losses and RunLogs of rows lo .. hi-1, which end here."""
         final = loss_fn([b[lo:hi] for b in x])
-        finite[lo:hi] = np.all(
+        finite = np.all(
             [np.isfinite(final), np.isfinite(xf[lo:hi]).all(axis=1)]
             + [np.isfinite(c[lo:hi, :row]).all(axis=1) for c in columns], axis=0)
         for r in range(lo, hi):
@@ -455,7 +435,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 **{name: col[r, :row] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
                 final_loss=float(final[r - lo]),
                 final_x=(LayeredPoint.from_arrays(names, [b[r].copy() for b in x])
-                         if finite[r] else None),
+                         if finite[r - lo] else None),
                 invariant_violations=int(counts[1, r]),
                 first_violation=first_violation[r],
                 checked_steps=int(counts[0, r]),
@@ -597,7 +577,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             k_global += 1
 
     finish(0, len(xf))
-    return logs, finite
+    return logs
 
 
 class _SeedLogs(list):
@@ -621,6 +601,18 @@ def _configs(config: ScgConfig, seeds):
     return [config] if seeds is None else [replace(config, seed=seed) for seed in seeds]
 
 
+def _returned(logs, seeds):
+    """What run and run_staged return for the RunLogs of their rows: the lone
+    RunLog, or given seeds all of them. Raises the divergence error when a
+    row diverged (its RunLog has no final_x)."""
+    if any(log.final_x is None for log in logs):
+        raise FloatingPointError(
+            f"the run diverged: a final loss ({[log.final_loss for log in logs]}), the final "
+            "iterate or a recorded loss or norm is not finite"
+        )
+    return logs[0] if seeds is None else _SeedLogs(logs)
+
+
 def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None, seeds=None):
     """Execute the iteration for config.iters steps; deterministic given seed.
 
@@ -629,9 +621,7 @@ def run(spec, config: ScgConfig, x0: Optional[LayeredPoint] = None, seeds=None):
     in the same loop (config.seed is not read), and the result is the list of
     their RunLogs in seed order, each bit-equal to a lone run with that seed.
     """
-    logs, finite = _run_segments(spec, _configs(config, seeds), x0=x0)
-    _check_finite([log.final_loss for log in logs], finite)
-    return logs[0] if seeds is None else _SeedLogs(logs)
+    return _returned(_run_segments(spec, _configs(config, seeds), x0=x0), seeds)
 
 
 def run_staged(
@@ -649,6 +639,4 @@ def run_staged(
     across boundaries, so equal consecutive stages concatenate exactly.
     seeds works as in run.
     """
-    logs, finite = _run_segments(spec, _configs(base_config, seeds), plan, x0)
-    _check_finite([log.final_loss for log in logs], finite)
-    return logs[0] if seeds is None else _SeedLogs(logs)
+    return _returned(_run_segments(spec, _configs(base_config, seeds), plan, x0), seeds)

@@ -303,11 +303,11 @@ def initial_point(spec: ProblemSpec) -> LayeredPoint:
 
 @dataclass(frozen=True)
 class AnalyticConstants:
-    """Closed-form constants plus the sublevel region they are valid on."""
+    """Closed-form constants plus f_max, the largest objective value on the
+    radius ball: they are valid on the sublevel set f <= f_max."""
 
     constants: ProblemConstants
     f_max: float
-    region: str
 
 
 def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
@@ -355,11 +355,7 @@ def known_constants(spec: ProblemSpec) -> AnalyticConstants:
         sigma_star=spec.noise.sigma_star,
         delta0=delta0,
     )
-    return AnalyticConstants(
-        constants=consts,
-        f_max=f_max,
-        region=f"sublevel set f <= {f_max:.6g} (objective values on the radius ball)",
-    )
+    return AnalyticConstants(constants=consts, f_max=f_max)
 
 
 # -- JSON (de)serialization ---------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -245,15 +246,24 @@ class TestStackedSweep:
         assert as_text(run_sweep(cfg).rows) == as_text(expected)
         assert lone == [3] * 5  # each point's 3 repetitions step together
 
-    def test_rows_whose_noise_underflows_stack_apart(self):
+    def test_rows_whose_noise_underflows_stack_apart(self, monkeypatch):
         # sigma_star^2 / (B S) is subnormal at B = 1 and zero at B = 8192.
+        # _run_segments refuses to stack the two, so each runs alone.
         cfg = replace(sweep_config(((1.0, 1.0), (8192.0, 1.0)), budget=8192.0),
                       problem=small_problem(sigma=1e-160), eval_stride=64)
         assert [problems.per_coordinate_sigma(cfg.problem, replace(cfg.problem.noise, B=B)) > 0
                 for B, _ in cfg.grid] == [True, False]
         expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
         assert all(row.error is None for row in expected)
+        lone = []
+
+        def lone_run(spec, config, seeds):
+            lone.append(spec.noise.B)
+            return run(spec, config, seeds=seeds)
+
+        monkeypatch.setattr(experiments, "run", lone_run)
         assert as_text(run_sweep(cfg).rows) == as_text(expected)
+        assert sorted(lone) == [1.0, 8192.0]
 
     def test_a_diverging_row_errors_only_its_point(self, monkeypatch):
         cfg = prescribed_sweep()
@@ -268,9 +278,17 @@ class TestStackedSweep:
             optimizer, "_step_block",
             lambda xb, mb, kind, scale, scratch: step_block(
                 xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        lone_runs = []
+
+        def lone_run(spec, config, seeds):
+            lone_runs.append(len(seeds))
+            return run(spec, config, seeds=seeds)
+
+        monkeypatch.setattr(experiments, "run", lone_run)
         with np.errstate(all="ignore"):
             rows = run_sweep(cfg).rows
             lone = lone_point(cfg, 4.0, 2.0)
+        assert lone_runs == [3]  # the 5 points shared one stack; (4, 2) ran again alone
         assert lone.error.startswith("the run diverged: a final loss ([")
         assert lone.error.split("[")[1].split("]")[0].count(",") == 2  # its own 3 rows only
         for row, before in zip(rows, clean):
@@ -278,6 +296,36 @@ class TestStackedSweep:
                 assert row.error == lone.error
             else:
                 assert as_text([row]) == as_text([before])
+
+    def test_a_diverging_row_keeps_no_final_x(self, monkeypatch):
+        # Three rows of a stack, with their own seed, K and beta; the middle
+        # one steps with an infinite scale (its beta * eta, which no other row
+        # has). It raises nothing in the stack, and the others are untouched.
+        spec = small_problem()
+        configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(beta), iters=iters, seed=seed,
+                             eval_every=5, check_invariants=False)
+                   for beta, iters, seed in ((0.02, 60, 1), (0.05, 40, 2), (0.1, 20, 3))]
+        target = 0.05 * 2.0
+        step_block = optimizer._step_block
+        monkeypatch.setattr(
+            optimizer, "_step_block",
+            lambda xb, mb, kind, scale, scratch: step_block(
+                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        with np.errstate(all="ignore"):
+            logs = optimizer._run_segments(spec, configs)
+            assert len(logs) == 3
+            assert logs[1].final_x is None and not math.isfinite(logs[1].final_loss)
+            for r in (0, 2):
+                lone = run(spec, configs[r])
+                assert logs[r].final_x == lone.final_x and logs[r].final_x is not None
+                assert logs[r].final_loss == lone.final_loss
+                for name in optimizer.RUNLOG_CSV_HEADER:
+                    assert np.array_equal(getattr(logs[r], name), getattr(lone, name))
+            with pytest.raises(FloatingPointError) as exc_info:
+                run(spec, configs[1], seeds=[2, 5])
+        assert re.fullmatch(
+            r"the run diverged: a final loss \(\[[^],]*, [^],]*\]\), the final iterate "
+            r"or a recorded loss or norm is not finite", str(exc_info.value))
 
     def test_a_failing_spectral_point_errors_only_itself(self, monkeypatch):
         # A diverging row puts NaN into the stacked SVD, which raises for the
@@ -372,6 +420,20 @@ class TestDrivers:
     def test_rates_need_a_repetition(self):
         with pytest.raises(ValueError, match="repetitions"):
             experiments.middle_regime_rates(t_exponents=(14, 15), repetitions=0)
+
+    @pytest.mark.parametrize("t_exponents", [(), (14,), (14, 14)])
+    def test_rates_need_two_budgets(self, monkeypatch, t_exponents):
+        def pilot(spec):
+            raise AssertionError("the pilot ran")
+
+        monkeypatch.setattr(experiments, "estimate_logistic_constants", pilot)
+        with pytest.raises(ValueError, match="t_exponents"):
+            experiments.middle_regime_rates(t_exponents=t_exponents)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5, math.nan])
+    def test_restart_needs_a_growing_budget(self, factor):
+        with pytest.raises(ValueError, match="budget_factor"):
+            experiments.restart_comparison(budget_factor=factor, trials=1)
 
     def test_restart_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials"):

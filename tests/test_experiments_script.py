@@ -1,5 +1,6 @@
 """Smoke runs of the three scripts/experiments.py subcommands on tiny
-arguments: each must finish and write output that parses."""
+arguments: each must finish and write output that parses, or end an argument
+that the library rejects with one error line."""
 
 import csv
 import importlib.util
@@ -65,3 +66,18 @@ def test_restart(monkeypatch, capsys, tmp_path):
     assert doc["stages"]
     assert len(doc["staged_final_losses"]) == len(doc["baseline_final_losses"]) == 2
     assert "staged wins" in printed
+
+
+@pytest.mark.parametrize("args, name", [
+    (("restart", "--budget-factor", "1"), "budget_factor"),
+    (("rates", "--log2-budgets", "14:15"), "t_exponents"),
+])
+def test_rejected_arguments_end_in_one_error_line(monkeypatch, capsys, tmp_path, args, name):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        run_script(monkeypatch, capsys, *args, "--out", str(out))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()

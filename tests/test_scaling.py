@@ -221,7 +221,7 @@ class TestPlanStages:
         s1, s2 = plan.stages
         assert s2.B * s2.S == pytest.approx(4.0 * s1.B * s1.S, rel=1e-9)
         assert s2.beta == pytest.approx(0.5 * s1.beta, rel=1e-9)
-        assert plan.total_tokens == pytest.approx(8.0 * BASE.T0)
+        assert sum(s.token_allotment for s in plan.stages) == pytest.approx(8.0 * BASE.T0)
 
     def test_three_stages_compose_multiplicatively(self):
         plan = plan_stages(BASE, UNIT, UNIT, [BASE.T0, 8 * BASE.T0, 64 * BASE.T0])
