@@ -11,8 +11,10 @@
            the tuned small batch: final losses across seeds
 
 Each command writes its curve to --out (CSV, or JSON for restart) and prints
-the headline numbers; an argument the library rejects ends the run with one
-"error: ..." line and exit code 2. Example:
+the headline numbers. An argument the library rejects ends the run with one
+"error: ..." line and exit code 2; a numeric failure (an ArithmeticError, such
+as an overflow from a budget too large to step, or a MemoryError) ends it with
+one "error: ..." line and exit code 4, as in the scgscale CLI. Example:
 python3 scripts/experiments.py regime --jobs 4
 """
 
@@ -134,6 +136,8 @@ def main():
         lines = args.func(args)
     except ValueError as exc:  # an argument the library rejects
         ap.exit(2, f"error: {exc}\n")
+    except (ArithmeticError, MemoryError) as exc:
+        ap.exit(4, f"error: {exc}\n")
     print(f"wrote {args.out}")
     for line in lines:
         print(line)

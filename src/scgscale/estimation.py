@@ -308,6 +308,45 @@ def estimate_variance(
     return VarianceCurve(points=tuple(points), fitted=fitted)
 
 
+def _log_residuals(shape, cols, log_y):
+    """Log residuals of a shifted power law and their exact Jacobian.
+
+    The residual at point k is log C + sum over terms of
+    e * log(x_k + s) - log y_k. The parameter vector is log C followed by
+    the free parameters in the order of free, a list of (term index, 0 for
+    its shift or 1 for its exponent): the free shifts first, then the free
+    exponents. Returns (free, unpack, residuals, jacobian); unpack maps a
+    parameter vector to log C and a [shift, exponent] pair per term.
+    """
+    free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
+            if (t.shift, t.exponent)[j] is None]
+
+    def unpack(params):
+        terms = [[t.shift, t.exponent] for t in shape]
+        for (i, j), p in zip(free, params[1:]):
+            terms[i][j] = p
+        return params[0], terms
+
+    def residuals(params):
+        log_c, terms = unpack(params)
+        pred = np.full_like(log_y, log_c)
+        for t, (s, e) in zip(shape, terms):
+            pred = pred + e * np.log(cols[t.name] + s)
+        return pred - log_y
+
+    def jacobian(params):
+        # d/d log C = 1, d/d e = log(x + s), d/d s = e / (x + s)
+        _, terms = unpack(params)
+        jac = np.ones((len(log_y), 1 + len(free)))
+        for k, (i, j) in enumerate(free, 1):
+            s, e = terms[i]
+            base = cols[shape[i].name] + s
+            jac[:, k] = np.log(base) if j else e / base
+        return jac
+
+    return free, unpack, residuals, jacobian
+
+
 def fit_power_law(
     covariates: Mapping[str, Sequence[float]],
     values: Sequence[float],
@@ -316,9 +355,10 @@ def fit_power_law(
 ) -> PowerLawModel:
     """Fit a shifted power law by robust least squares on log residuals.
 
-    Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1) over the log
-    coefficient and the free shifts and exponents, restarting from 16
-    initial points and keeping the best. Shifts are constrained so every
+    Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1), the soft-l1
+    loss, over the log coefficient and the free shifts and exponents, with
+    the exact Jacobian of the log residuals, restarting from 16 initial
+    points and keeping the best. Shifts are constrained so every
     covariate + shift stays positive on the data.
     """
     values = np.asarray(values, dtype=float)
@@ -336,10 +376,8 @@ def fit_power_law(
             raise ValueError(f"covariate {term.name!r} length mismatch")
         cols[term.name] = col
 
-    # (term index, 0 for its shift or 1 for its exponent) per free parameter
-    # after the log coefficient: the free shifts first, then the exponents.
-    free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
-            if (t.shift, t.exponent)[j] is None]
+    log_y = np.log(values)
+    free, unpack, residuals, jacobian = _log_residuals(shape, cols, log_y)
     n_free = 1 + len(free)
     if len(values) < n_free:
         raise ValueError(
@@ -348,21 +386,6 @@ def fit_power_law(
     for t in shape:
         if t.shift is not None and np.any(cols[t.name] + t.shift <= 0):
             raise ValueError(f"fixed shift for {t.name!r} makes a base non-positive")
-
-    log_y = np.log(values)
-
-    def unpack(params):
-        terms = [[t.shift, t.exponent] for t in shape]
-        for (i, j), p in zip(free, params[1:]):
-            terms[i][j] = p
-        return params[0], terms
-
-    def residuals(params):
-        log_c, terms = unpack(params)
-        pred = np.full_like(log_y, log_c)
-        for t, (s, e) in zip(shape, terms):
-            pred = pred + e * np.log(cols[t.name] + s)
-        return pred - log_y
 
     # A free shift keeps every base of its covariate above zero.
     mins = {i: float(np.min(cols[shape[i].name])) for i, j in free if j == 0}
@@ -382,7 +405,8 @@ def fit_power_law(
                 p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
         try:
             res = least_squares(
-                residuals, p0, loss="soft_l1", bounds=(lo, np.inf), max_nfev=20000
+                residuals, p0, jac=jacobian, loss="soft_l1", bounds=(lo, np.inf),
+                max_nfev=20000,
             )
         except Exception:
             continue

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scgscale.estimation import (
     FitTerm,
+    _log_residuals,
     PowerLawModel,
     PowerLawTerm,
     bundled_constant_laws,
@@ -298,3 +299,40 @@ class TestFitPowerLaw:
         by_name = {t.name: t for t in fitted.terms}
         assert by_name["n_layer"].exponent == pytest.approx(0.2, abs=0.02)
         assert by_name["n_embd"].exponent == pytest.approx(0.35, abs=0.02)
+
+    def test_recovers_planted_variance_law_to_1e9(self):
+        # the golden variance data, 4 / (b + 3) for b = 8 ... 256
+        b = 2.0 ** np.arange(3, 9)
+        fitted = fit_power_law({"scale": b}, 4.0 / (b + 3.0), [FitTerm("scale")])
+        term = fitted.terms[0]
+        assert fitted.coefficient == pytest.approx(4.0, rel=1e-9, abs=0)
+        assert term.shift == pytest.approx(3.0, rel=1e-9, abs=0)
+        assert term.exponent == pytest.approx(-1.0, rel=1e-9, abs=0)
+
+
+class TestLogResiduals:
+    @pytest.mark.parametrize("shape", [
+        [FitTerm("x")],
+        [FitTerm("x", shift=2.0)],
+        [FitTerm("x", exponent=-0.5)],
+        [FitTerm("x"), FitTerm("z")],
+    ], ids=["free", "fixed_shift", "fixed_exponent", "two_terms"])
+    def test_jacobian_matches_central_difference(self, shape):
+        rng = np.random.default_rng(11)
+        cols = {"x": rng.uniform(1.0, 50.0, 12), "z": rng.uniform(100.0, 900.0, 12)}
+        log_y = rng.normal(size=12)
+        free, _, residuals, jacobian = _log_residuals(shape, cols, log_y)
+        assert len(free) == sum((t.shift is None) + (t.exponent is None) for t in shape)
+        for _ in range(5):
+            # Bases stay at 0.5 or more and exponents at 0.2 or more in size,
+            # so the central difference with step 1e-4 is good to about 3e-8.
+            params = np.array([rng.normal()] + [
+                rng.uniform(-0.5, 5.0) if j == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
+                for _, j in free
+            ])
+            jac = jacobian(params)
+            assert jac.shape == (12, 1 + len(free))
+            central = np.empty_like(jac)
+            for k, step in enumerate(1e-4 * np.eye(len(params))):
+                central[:, k] = (residuals(params + step) - residuals(params - step)) / 2e-4
+            np.testing.assert_allclose(jac, central, rtol=1e-6, atol=0)

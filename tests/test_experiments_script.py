@@ -1,6 +1,7 @@
 """Smoke runs of the three scripts/experiments.py subcommands on tiny
 arguments: each must finish and write output that parses, or end an argument
-that the library rejects with one error line."""
+that the library rejects, or one that overflows a run, with one error line and
+its exit code."""
 
 import csv
 import importlib.util
@@ -68,16 +69,19 @@ def test_restart(monkeypatch, capsys, tmp_path):
     assert "staged wins" in printed
 
 
-@pytest.mark.parametrize("args, name", [
-    (("restart", "--budget-factor", "1"), "budget_factor"),
-    (("rates", "--log2-budgets", "14:15"), "t_exponents"),
+@pytest.mark.parametrize("args, code, message", [
+    (("restart", "--budget-factor", "1"), 2, "budget_factor"),
+    (("rates", "--log2-budgets", "14:15"), 2, "t_exponents"),
+    # the second stage's step count overflows the run loop
+    (("restart", "--trials", "1", "--budget-factor", "1e300"), 4, "too large"),
 ])
-def test_rejected_arguments_end_in_one_error_line(monkeypatch, capsys, tmp_path, args, name):
+def test_rejected_arguments_end_in_one_error_line(monkeypatch, capsys, tmp_path, args, code,
+                                                  message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
         run_script(monkeypatch, capsys, *args, "--out", str(out))
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == code
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and name in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
