@@ -309,15 +309,10 @@ def estimate_variance(
 
 
 def _log_residuals(shape, cols, log_y):
-    """Log residuals of a shifted power law and their exact Jacobian.
-
-    The residual at point k is log C + sum over terms of
-    e * log(x_k + s) - log y_k. The parameter vector is log C followed by
-    the free parameters in the order of free, a list of (term index, 0 for
-    its shift or 1 for its exponent): the free shifts first, then the free
-    exponents. Returns (free, unpack, residuals, jacobian); unpack maps a
-    parameter vector to log C and a [shift, exponent] pair per term.
-    """
+    """(free, unpack, residuals, jacobian) of the log residuals
+    log C + sum over terms of e * log(x + s) - log y. The parameters are
+    log C, then one per (term index, 0 for its shift or 1 for its exponent)
+    in free: the free shifts first, then the free exponents."""
     free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
             if (t.shift, t.exponent)[j] is None]
 
