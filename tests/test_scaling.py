@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from scgscale.scaling import (
     round_scale,
     sqrt_rule,
     prescribe_params,
+    prescribed_alpha,
     transfer_model_size,
     transfer_token_budget,
 )
@@ -110,6 +113,87 @@ class TestErrorLaw:
     def test_budget_below_one_step_rejected(self):
         with pytest.raises(ValueError):
             error_law(4.0, 8.0, 1.0, UNIT)
+
+
+# Constants covering both sides of every max in the laws, with and without
+# noise. The asymptotic outputs over this grid are pinned bit for bit by the
+# sha256 of their float.hex() text; the exact outputs at a few points to 1e-12.
+PIN_GRID = [
+    ProblemConstants(L, mu, rho, sigma, delta0, c)
+    for L, mu, rho, sigma, delta0, c in itertools.product(
+        (0.3, 1.0, 7.2), (0.05, 0.5, 3.1), (1.0, 3.0, 62.7), (0.0, 0.1, 2.5),
+        (1.0, 40.0), (0.5, 1.0, 2.0))
+]
+PIN_A = ProblemConstants(L=7.2, mu=3.1, rho=62.7, sigma_star=0.1, delta0=40.0, c=1.0)
+PIN_B = ProblemConstants(L=0.3, mu=0.5, rho=3.0, sigma_star=2.5, delta0=1.0, c=2.0)
+PIN_C = ProblemConstants(L=1.0, mu=1.0, rho=1.0, sigma_star=1e-3, delta0=10.0, c=1.0)
+PIN_D = ProblemConstants(L=0.01, mu=50.0, rho=1.0, sigma_star=0.0, delta0=1.0, c=0.5)
+
+
+def hex_digest(values):
+    text = " ".join(v.hex() if isinstance(v, float) else str(v) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedLaws:
+    def test_asymptotic_error_law_bits(self):
+        values = []
+        for consts, T, (B, S) in itertools.product(
+                PIN_GRID, (2.0**10, 2.0**20, 1.3e9),
+                ((1.0, 1.0), (3.0, 1.0), (64.0, 2.0), (1000.0, 1.0))):
+            law = error_law(T, B, S, consts, mode="asymptotic")
+            values += [law.eps, *law.terms, law.regime]
+        assert hex_digest(values) == (
+            "69bdcd027f317af21144b618639a66fd2734b4803359226195d57962b6e43c77")
+
+    def test_asymptotic_prescription_bits(self):
+        params, alphas = [], []
+        for consts, eps, bs in itertools.product(PIN_GRID, (0.01, 0.3, 1.5), (1.0, 4.0, 1000.0)):
+            p = prescribe_params(consts, eps, bs, mode="asymptotic")
+            params += [p.beta, p.eta, p.alpha, p.iters]
+            alphas.append(prescribed_alpha(consts, eps, bs, "asymptotic"))
+        assert hex_digest(params) == (
+            "40df45b2aaebb14cfad810a7823a36a29ce2177bf4e2fbd358cbe161fd57874c")
+        assert hex_digest(alphas) == (
+            "8726570565749dfac63cc1694478aebc8176449f9e91bc9aa991fcd862c5fd73")
+
+    @pytest.mark.parametrize("T,B,S,consts,terms,regime", [
+        (2.0**20, 64.0, 2.0, PIN_A, (0.23513245617675463, 5.3666001162991, 1.2718305384671074), 2),
+        (2.0**30, 1.0, 1.0, PIN_C,
+         (2.3943825868591862e-06, 0.003665436070154549, 0.00014005278344806458), 2),
+        (2.0**20, 2.0**19, 1.0, PIN_C,
+         (1285.4743630840105, 0.03694528049465325, 0.00015720393418054362), 3),
+        (4.0, 1.0, 1.0, PIN_B, (15491.665670121027, 11292.302250525247, 6073.485784311564), 3),
+    ])
+    def test_exact_error_law_points(self, T, B, S, consts, terms, regime):
+        law = error_law(T, B, S, consts, mode="exact")
+        assert law.terms == pytest.approx(terms, rel=1e-12, abs=0.0)
+        assert law.eps == max(law.terms)
+        assert law.regime == regime
+
+    @pytest.mark.parametrize("consts,eps,bs,eta,alpha,iters", [
+        (PIN_C, 5.0, 16.0, 12.425880573004607, 1.0, 713),
+        (PIN_C, 1.0, 1e6, 26.851881176091844, 1.0, 7702),
+        (PIN_D, 1.0, 1.0, 0.11739140742083463, 1.0, 1),
+        (PIN_A, 30.0, 1e4, 2.8359817697358074, 1.0, 63),
+        (PIN_B, 1.5, 1000.0, 11.556497776738787, 2.4206564225257412e-05, 490960435),
+    ])
+    def test_exact_prescription_points(self, consts, eps, bs, eta, alpha, iters):
+        p = prescribe_params(consts, eps, bs, mode="exact")
+        assert p.eta == pytest.approx(eta, rel=1e-12, abs=0.0)
+        assert p.alpha == pytest.approx(alpha, rel=1e-12, abs=0.0)
+        assert prescribed_alpha(consts, eps, bs, "exact") == p.alpha
+        assert p.iters == iters
+        assert p.beta == consts.c / iters
+
+    @pytest.mark.parametrize("call", [
+        lambda: error_law(8.0, 1.0, 1.0, UNIT, mode="banana"),
+        lambda: prescribe_params(UNIT, 0.5, mode="banana"),
+        lambda: prescribed_alpha(UNIT, 0.5, 1.0, "banana"),
+    ], ids=["error_law", "prescribe_params", "prescribed_alpha"])
+    def test_unknown_mode_rejected(self, call):
+        with pytest.raises(ValueError, match="unknown mode 'banana'"):
+            call()
 
 
 class TestCriticalBs:
