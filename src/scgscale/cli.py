@@ -212,9 +212,9 @@ def _plan_constants(args, which: str) -> ProblemConstants:
 
 
 def _plan_model_size(args, base, consts0, consts1):
-    res = scaling.transfer_model_size(base, consts0, consts1, T1=args.t1)
-    bs1 = res.bs1 if args.round == "none" else scaling.round_scale(res.bs1, args.round)
-    result = {"BS1": bs1, "beta1": res.beta1, "alpha1": res.alpha1}
+    bs1, beta1 = scaling.transfer_model_size(base, consts0, consts1, T1=args.t1)
+    bs1 = bs1 if args.round == "none" else scaling.round_scale(bs1, args.round)
+    result = {"BS1": bs1, "beta1": beta1, "alpha1": base.alpha0}
     return result, {"T1": args.t1, "round": args.round}, consts1
 
 

@@ -90,7 +90,6 @@ class SweepConfig:
     repetitions: int = 1
     seed_base: int = 0
     constants: Optional[ProblemConstants] = None
-    eval_stride: Optional[int] = None
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -168,12 +167,12 @@ def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float,
 _STACK_VALUES = 1 << 12
 
 
-def _group(spec, B, S, alpha, beta, iters, seeds, eval_every=_FINAL_LOSS_ONLY):
+def _group(spec, B, S, alpha, beta, iters, seeds):
     """The seeds of one point or budget, as _final_losses takes them: one
     unchecked constant-beta run per seed, with the noise of spec set to batch
     B and sequence length S."""
     config = ScgConfig(
-        alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=eval_every,
+        alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=_FINAL_LOSS_ONLY,
         check_invariants=False,
     )
     return replace(spec, noise=replace(spec.noise, B=B, S=S)), config, list(seeds)
@@ -246,13 +245,12 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     if not cfg.grid:
         return SweepResult(())
     consts = cfg.resolved_constants()
-    eval_every = cfg.eval_stride or _FINAL_LOSS_ONLY
     points, groups = [], []  # per point, its error row or its hyperparameters and group
     for B, S in cfg.grid:
         try:
             K, beta, alpha, law = _point_hyperparameters(cfg, consts, B, S)
             seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
-            groups.append(_group(cfg.problem, B, S, alpha, beta, K, seeds, eval_every))
+            groups.append(_group(cfg.problem, B, S, alpha, beta, K, seeds))
         except Exception as exc:  # row-level failure, not a sweep abort
             points.append(_error_row(B, S, exc))
             continue
@@ -393,7 +391,8 @@ def estimate_logistic_constants(
     Smoothness comes from consecutive gradient samples of a stored-gradient
     run (B = 64, beta = 0.002), the error-bound slope from the loss vs
     dual-norm trace, and the norm-equivalence gain from 200
-    minibatch-vs-reference residuals sampled along the same trajectory.
+    minibatch-vs-reference residuals, all drawn at the start point: the noise
+    is additive, so a residual does not depend on the point it is drawn at.
     """
     pilot_spec = replace(spec, noise=replace(spec.noise, B=64.0, S=1.0))
     cfg = ScgConfig(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -358,6 +359,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         raise ValueError("seeds must name at least one seed")
     first = configs[0]
     segments = _segments(spec, configs, plan, noises)
+    for s in segments:  # the row tables below are sized from the step counts
+        if s.iters > sys.maxsize:
+            raise OverflowError(
+                f"stage {s.stage_index} takes {s.iters:.4g} steps, too large for one run")
     total = sum(s.iters for s in segments)
     row_iters = [total] * len(configs) if plan is not None else [c.iters for c in configs]
     if row_iters != sorted(row_iters, reverse=True):

@@ -7,10 +7,13 @@ where the middle and iteration-starved regimes meet, hyperparameter transfer
 across model sizes and token budgets, multi-stage restart planning, and the
 square-root and nonconvex baseline rules.
 
-Two constant modes are supported. "exact" evaluates the full prescriptions
-with their numeric prefactors and exp(c) factors; "asymptotic" sets every
-numeric prefactor and exp factor to 1, which is the right lens for regime
-studies where only the powers of T and BS matter.
+Two constant modes are supported. "exact" is the paper's law: L carries
+the factor a = 128 exp(3c) and rho sigma_star the factor b = 32 exp(1.5c),
+and the prescription adds the factor 2 exp(1.5c)/c to eta, a floor of 1/2
+and the factor log(2 delta0/eps) to K. "asymptotic" sets a = b = 1 and drops
+the three prescription extras, which is the right lens for regime studies
+where only the powers of T and BS matter. Each term is written once, with
+the factors a and b in it.
 """
 
 from __future__ import annotations
@@ -96,20 +99,26 @@ def _log_term(consts: ProblemConstants, eps: float) -> float:
     return math.log(2.0 * consts.delta0 / eps)
 
 
+def _factors(consts: ProblemConstants, mode: str) -> tuple[float, float]:
+    """The factors (a, b) of the law in mode: a on L and b on rho sigma_star,
+    (128 exp(3c), 32 exp(1.5c)) when exact and (1, 1) when asymptotic."""
+    if mode == "asymptotic":
+        return 1.0, 1.0
+    if mode == "exact":
+        e15 = math.exp(1.5 * consts.c)
+        return 128.0 * e15**2, 32.0 * e15
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def prescribed_alpha(consts: ProblemConstants, eps: float, bs: float, mode: str) -> float:
     """Momentum parameter of the prescription for target error eps at batch
-    scale bs: 1 without noise, else (eps mu / (rho sigma))^2 capped at 1,
-    with sigma = sigma_star / sqrt(bs) and, in exact mode, rho sigma scaled
-    by 32 exp(1.5 c)."""
+    scale bs: 1 without noise, else (eps mu / (b rho sigma))^2 capped at 1,
+    with sigma = sigma_star / sqrt(bs) and b the mode's factor."""
+    _, b = _factors(consts, mode)
     sigma = consts.sigma_star / math.sqrt(bs)
     if sigma == 0.0:
         return 1.0
-    eps_mu, rho = eps * consts.mu, consts.rho
-    if mode == "exact":
-        return min(1.0, eps_mu ** 2 / ((32.0 * rho * sigma) ** 2 * math.exp(1.5 * consts.c) ** 2))
-    if mode == "asymptotic":
-        return min(1.0, eps_mu ** 2 / (rho * sigma) ** 2)
-    raise ValueError(f"unknown mode {mode!r}")
+    return min(1.0, (eps * consts.mu) ** 2 / (b * consts.rho * sigma) ** 2)
 
 
 def prescribe_params(
@@ -123,33 +132,22 @@ def prescribe_params(
     """
     if bs < 1:
         raise ValueError("bs must be >= 1")
-    c, mu, L, rho = consts.c, consts.mu, consts.L, consts.rho
-    sigma = consts.sigma_star / math.sqrt(bs)
+    c, mu = consts.c, consts.mu
+    a, b = _factors(consts, mode)
+    aL, noise = a * consts.L, b * consts.rho * (consts.sigma_star / math.sqrt(bs))
     log_term = _log_term(consts, eps)
     alpha = prescribed_alpha(consts, eps, bs, mode)
-    if mode == "exact":
-        e15 = math.exp(1.5 * c)
-        eta = (2.0 * e15 / (mu * c)) * log_term
-        inner = max(
-            0.5,
-            128.0 * L * e15**2 / (eps * mu**2),
-            32.0 * rho * sigma * e15 / (eps * mu),
-            128.0 * L * e15**4 * (32.0 * rho * sigma) ** 2 / (mu * (eps * mu) ** 3),
-            (32.0 * rho * sigma * e15) ** 3 / (eps * mu) ** 3,
-        )
-        k_real = max(2.0 * c, inner * log_term)
-    elif mode == "asymptotic":
-        eta = log_term / mu
-        inner = max(
-            L / (eps * mu**2),
-            rho * sigma / (eps * mu),
-            L * (rho * sigma) ** 2 / (mu * (eps * mu) ** 3),
-            (rho * sigma) ** 3 / (eps * mu) ** 3,
-        )
-        k_real = max(2.0 * c, inner)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    iters = max(1, math.ceil(k_real))
+    eta = log_term / mu
+    inner = max(
+        aL / (eps * mu**2),
+        noise / (eps * mu),
+        aL * noise**2 / (mu * (eps * mu) ** 3),
+        noise**3 / (eps * mu) ** 3,
+    )
+    if a != 1.0:  # exact mode, whose a = 128 exp(3c) exceeds 1
+        eta = (2.0 * math.exp(1.5 * c) / c) * eta
+        inner = max(0.5, inner) * log_term
+    iters = max(1, math.ceil(max(2.0 * c, inner)))
     return Prescription(beta=c / iters, eta=eta, alpha=alpha, iters=iters)
 
 
@@ -160,12 +158,12 @@ class ErrorLaw:
     terms[0] grows linearly in BS (iteration starved), terms[1] is
     BS-independent (the T^(-1/3) middle regime), terms[2] decays with BS
     (noise dominated). regime labels which zone the point sits in: 1 for
-    noise dominated, 2 for the flat middle, 3 for iteration starved.
+    noise dominated, 2 for the flat middle, 3 for iteration starved, so
+    eps == terms[3 - regime].
     """
 
     eps: float
     terms: tuple[float, float, float]
-    dominant_term: int
     regime: int
 
 
@@ -175,27 +173,15 @@ def error_law(T, B, S, consts: ProblemConstants, mode: str = "asymptotic") -> Er
         raise ValueError("B * S must be >= 1")
     if T < bs:
         raise ValueError(f"token budget T={T} is below one step of BS={bs}")
-    L, mu, rho, sigma_star, c = consts.L, consts.mu, consts.rho, consts.sigma_star, consts.c
-    if mode == "exact":
-        e15 = math.exp(1.5 * c)
-        t1 = 128.0 * L * bs * e15**2 / (mu**2 * T)
-        t2 = (128.0 * L * e15**4 * (32.0 * rho * sigma_star) ** 2 / (mu**4 * T)) ** (1.0 / 3.0)
-        t3 = 32.0 * e15 * rho * sigma_star / (mu * (T**2 * bs) ** (1.0 / 6.0))
-    elif mode == "asymptotic":
-        t1 = L * bs / (mu**2 * T)
-        t2 = (L * rho**2 * sigma_star**2 / (mu**4 * T)) ** (1.0 / 3.0)
-        t3 = rho * sigma_star / (mu * (T**2 * bs) ** (1.0 / 6.0))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    L, mu, rho, sigma_star = consts.L, consts.mu, consts.rho, consts.sigma_star
+    a, b = _factors(consts, mode)
+    t1 = a * L * bs / (mu**2 * T)
+    t2 = (a * L * (b * rho) ** 2 * sigma_star**2 / (mu**4 * T)) ** (1.0 / 3.0)
+    t3 = b * rho * sigma_star / (mu * (T**2 * bs) ** (1.0 / 6.0))
     # Tie-break toward the larger-batch regime so the regime label is
     # nondecreasing when sweeping BS upward.
-    if t1 >= t2 and t1 >= t3:
-        dominant, regime = 1, 3
-    elif t2 >= t3:
-        dominant, regime = 2, 2
-    else:
-        dominant, regime = 3, 1
-    return ErrorLaw(eps=max(t1, t2, t3), terms=(t1, t2, t3), dominant_term=dominant, regime=regime)
+    regime = 3 if t1 >= t2 and t1 >= t3 else 2 if t2 >= t3 else 1
+    return ErrorLaw(eps=max(t1, t2, t3), terms=(t1, t2, t3), regime=regime)
 
 
 def critical_bs(T: float, consts: ProblemConstants) -> float:
@@ -210,36 +196,25 @@ def critical_bs(T: float, consts: ProblemConstants) -> float:
     return (T * consts.mu * consts.rho * consts.sigma_star / consts.L) ** (2.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class TransferResult:
-    bs1: float
-    beta1: float
-    alpha1: float
-
-
-def _ratio_factor(consts0: ProblemConstants, consts1: ProblemConstants) -> float:
-    return (consts1.mu / consts0.mu) * (consts1.rho / consts0.rho) / (consts1.L / consts0.L)
-
-
 def transfer_model_size(
     base: TunedConfig,
     consts0: ProblemConstants,
     consts1: ProblemConstants,
     T1: float,
-) -> TransferResult:
+) -> tuple[float, float]:
     """Move a tuned operating point to a new model size and token budget.
 
-    BS1 = B0 S0 ((T1/T0)(mu1/mu0)(rho1/rho0)/(L1/L0))^(2/3) and
-    beta1 = beta0 (sqrt(T0/T1)(mu1/mu0)(rho1/rho0)/(L1/L0))^(2/3);
-    the momentum parameter transfers unchanged.
+    Returns (BS1, beta1) with BS1 = B0 S0 ((T1/T0)(mu1/mu0)(rho1/rho0)/(L1/L0))^(2/3)
+    and beta1 = beta0 (sqrt(T0/T1)(mu1/mu0)(rho1/rho0)/(L1/L0))^(2/3); the
+    momentum parameter transfers unchanged.
     """
     T0 = base.T0
     if T1 <= 0:
         raise ValueError("token budgets must be positive")
-    ratios = _ratio_factor(consts0, consts1)
+    ratios = (consts1.mu / consts0.mu) * (consts1.rho / consts0.rho) / (consts1.L / consts0.L)
     bs1 = base.B0 * base.S0 * ((T1 / T0) * ratios) ** (2.0 / 3.0)
     beta1 = base.beta0 * (math.sqrt(T0 / T1) * ratios) ** (2.0 / 3.0)
-    return TransferResult(bs1=bs1, beta1=beta1, alpha1=base.alpha0)
+    return bs1, beta1
 
 
 def transfer_token_budget(
@@ -326,11 +301,11 @@ def plan_stages(
     """Build a restart schedule over cumulative token budgets.
 
     budgets are the cumulative totals available by the end of each stage
-    (strictly increasing; the first equals the initial allotment). The first
-    stage keeps the tuned scale apart from the constant-ratio correction;
-    each later stage re-derives (BS, beta) from the cumulative budget
-    available by its end. The batch-sequence product is split with the
-    sequence length held at S0.
+    (strictly increasing; the first equals the initial allotment). Each
+    stage's (BS, beta) is transfer_model_size's: the first stage's at the
+    tuned budget T0, which applies only the constant-ratio correction, each
+    later stage's at the cumulative budget available by its end. The
+    batch-sequence product is split with the sequence length held at S0.
     """
     from .optimizer import Stage, StagePlan  # local import to avoid a cycle
 
@@ -339,18 +314,12 @@ def plan_stages(
         raise ValueError("budgets must be positive and finite")
     if any(b1 <= b0 for b0, b1 in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly increasing")
-    ratios = _ratio_factor(consts0, consts1)
     stages = []
     prev_total = 0.0
     for idx, total in enumerate(budgets):
-        if idx == 0:
-            bs = base.B0 * base.S0 * ratios ** (2.0 / 3.0)
-            beta = base.beta0 * ratios ** (2.0 / 3.0)
-            note = "initial stage: tuned scale corrected by constant ratios"
-        else:
-            res = transfer_model_size(base, consts0, consts1, T1=total)
-            bs, beta = res.bs1, res.beta1
-            note = f"restart with cumulative budget {total:g}"
+        bs, beta = transfer_model_size(base, consts0, consts1, T1=total if idx else base.T0)
+        note = (f"restart with cumulative budget {total:g}" if idx
+                else "initial stage: tuned scale corrected by constant ratios")
         stages.append(
             Stage(
                 token_allotment=total - prev_total,

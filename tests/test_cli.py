@@ -66,7 +66,6 @@ def sweep_config():
         "repetitions": 2,
         "seed_base": 3,
         "constants": {"L": 1.0, "mu": 0.5, "rho": 1.5, "sigma_star": 0.1, "delta0": 1.0, "c": 2.0},
-        "eval_stride": 2,
     }
 
 
@@ -113,7 +112,7 @@ class TestMalformedConfigs:
 
     @pytest.mark.parametrize(
         "where,key,value",
-        [("", "repetitions", 2.5), ("", "token_budget", "64"), ("", "eval_stride", 1.5),
+        [("", "repetitions", 2.5), ("", "token_budget", "64"),
          ("rule", "c", "2"), ("constants", "L", [1.0]), ("", "grid", [["4.0", 2.0]]),
          ("", "grid", [[4.0, True]]), ("", "grid", [[4.0]]), ("", "grid", 4.0)],
     )
@@ -465,6 +464,14 @@ class TestSweepCli:
         }
         cfg_path = write_json(tmp_path / "sweep.json", cfg)
         assert cli.main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_eval_stride_is_an_unknown_key(self, tmp_path):
+        cfg = sweep_config()
+        cfg["eval_stride"] = 2
+        rc, err = run_config("sweep", cfg, tmp_path / "o")
+        assert rc == 2
+        assert "unknown keys in sweep config: ['eval_stride']" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_rule_mode_exits_2(self, tmp_path):
         cfg = sweep_config()

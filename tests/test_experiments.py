@@ -143,14 +143,6 @@ class TestSweep:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_sweep(sweep_config([(4.0, 1.0)]), jobs=jobs)
 
-    def test_eval_stride_does_not_change_rows(self):
-        # Points keep only the final loss, so how often a run records rows
-        # cannot move any number in a sweep row.
-        grid = ((2.0, 1.0), (8.0, 1.0), (64.0, 1.0))
-        default = run_sweep(sweep_config(grid))
-        every_step = run_sweep(replace(sweep_config(grid), eval_stride=1))
-        assert default.rows == every_step.rows
-
     def test_grid_must_fit_budget(self):
         with pytest.raises(ValueError, match="budget"):
             sweep_config([(8192.0, 1.0)])
@@ -176,7 +168,6 @@ def prescribed_sweep():
         rule=BetaRule(kind="prescribed", c=3.0),
         repetitions=3,
         seed_base=9,
-        eval_stride=7,
     )
 
 
@@ -187,8 +178,7 @@ def lone_point(cfg, B, S):
             cfg, cfg.resolved_constants(), B, S)
         spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
         config = ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=K,
-                           eval_every=cfg.eval_stride or experiments._FINAL_LOSS_ONLY,
-                           check_invariants=False)
+                           eval_every=experiments._FINAL_LOSS_ONLY, check_invariants=False)
         seeds = [point_seed(cfg.seed_base, B, S, rep) for rep in range(cfg.repetitions)]
         losses = [log.final_loss for log in run(spec, config, seeds=seeds)]
     except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
@@ -250,7 +240,7 @@ class TestStackedSweep:
         # sigma_star^2 / (B S) is subnormal at B = 1 and zero at B = 8192.
         # _run_segments refuses to stack the two, so each runs alone.
         cfg = replace(sweep_config(((1.0, 1.0), (8192.0, 1.0)), budget=8192.0),
-                      problem=small_problem(sigma=1e-160), eval_stride=64)
+                      problem=small_problem(sigma=1e-160))
         assert [problems.per_coordinate_sigma(cfg.problem, replace(cfg.problem.noise, B=B)) > 0
                 for B, _ in cfg.grid] == [True, False]
         expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
@@ -330,7 +320,7 @@ class TestStackedSweep:
     def test_a_failing_spectral_point_errors_only_itself(self, monkeypatch):
         # A diverging row puts NaN into the stacked SVD, which raises for the
         # whole stack; the other points' rows must not take that error.
-        cfg = replace(prescribed_sweep(), problem=spectral_problem(), eval_stride=None)
+        cfg = replace(prescribed_sweep(), problem=spectral_problem())
         clean = run_sweep(cfg).rows
         bad = next(row for row in clean if (row.B, row.S) == (4.0, 2.0))
         target = bad.beta * 2.0  # the scale of its spectral block, which no other block has
@@ -434,6 +424,11 @@ class TestDrivers:
     def test_restart_needs_a_growing_budget(self, factor):
         with pytest.raises(ValueError, match="budget_factor"):
             experiments.restart_comparison(budget_factor=factor, trials=1)
+
+    def test_restart_names_a_stage_too_large_to_run(self):
+        # Stage 1 of a 1e300-fold budget takes about 4e102 steps.
+        with pytest.raises(OverflowError, match=r"^stage 1 takes .* steps, too large"):
+            experiments.restart_comparison(trials=1, budget_factor=1e300)
 
     def test_restart_needs_a_trial(self):
         with pytest.raises(ValueError, match="trials"):

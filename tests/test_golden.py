@@ -315,7 +315,6 @@ GOLDEN_SWEEP_CONFIG = {
     "repetitions": 2,
     "seed_base": 11,
     "constants": {"L": 4.0, "mu": 0.5, "rho": 3, "sigma_star": 0.3},
-    "eval_stride": 4,
 }
 GOLDEN_SWEEP_HASH = "885694251870aae53a9e5b37a0eda063410645637c28ef8c551187d78ac10ef1"
 
