@@ -129,7 +129,6 @@ def cmd_train(args) -> int:
     cfg = problems.from_dict(
         _TrainConfig, cfg_dict, "train config", schema_version=_schema_version,
         problem=problems.spec_from_dict, optimizer=_optimizer_config,
-        stages=problems.list_of(Stage, "stages"),
     )
     if cfg.stages is None:
         log = run(cfg.problem, cfg.optimizer)
@@ -164,8 +163,6 @@ def cmd_sweep(args) -> int:
         {k: v for k, v in cfg_dict.items() if k != "schema_version"},
         "sweep config",
         problem=problems.spec_from_dict,
-        rule=partial(problems.from_dict, experiments.BetaRule, where="sweep rule"),
-        constants=partial(problems.from_dict, ProblemConstants, where="constants"),
     )
     result = experiments.run_sweep(cfg, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
@@ -226,10 +223,7 @@ def _plan_token_budget(args, base, consts0, consts1):
     else:
         rho_model = PowerLawModel.from_dict(_load_json(args.rho_law))
         fixed = {}
-    try:
-        b1, beta1 = scaling.transfer_token_budget(base, rho_model, args.t1, fixed_covariates=fixed)
-    except RuntimeError as exc:
-        raise FloatingPointError(str(exc))
+    b1, beta1 = scaling.transfer_token_budget(base, rho_model, args.t1, fixed_covariates=fixed)
     result = {"BS1": b1 * base.S0, "B1": b1, "beta1": beta1, "alpha1": base.alpha0}
     regime_consts = _bundled_consts(args.n_layer, args.n_embd, b1) if bundled else None
     return result, {"T1": args.t1, "rho_law": args.rho_law}, regime_consts
@@ -382,10 +376,7 @@ def _estimate_variance(cols, args):
     order = np.argsort(cols["scale"])
     scales = cols["scale"][order]
     variances = cols["variance"][order]
-    try:
-        model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
-    except RuntimeError as exc:
-        raise FloatingPointError(str(exc))
+    model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
     return {"window": None, "model": model.to_dict(), "n_points": len(scales)}
 
 
@@ -407,24 +398,20 @@ def cmd_estimate(args) -> int:
 
 @dataclass
 class _FitShape:
-    terms: tuple
+    terms: tuple[FitTerm, ...]
     value_column: str = "value"
     schema_version: int = 1
 
 
 def cmd_fit(args) -> int:
     shape = problems.from_dict(
-        _FitShape, _load_json(args.shape), "fit shape",
-        schema_version=_schema_version, terms=problems.list_of(FitTerm, "terms"),
+        _FitShape, _load_json(args.shape), "fit shape", schema_version=_schema_version
     )
     terms, value_column = shape.terms, shape.value_column
     cols = _read_csv_columns(args.infile, {value_column} | {t.name for t in terms})
-    try:
-        model = estimation.fit_power_law(
-            {t.name: cols[t.name] for t in terms}, cols[value_column], terms, seed=args.seed
-        )
-    except RuntimeError as exc:
-        raise FloatingPointError(str(exc))
+    model = estimation.fit_power_law(
+        {t.name: cols[t.name] for t in terms}, cols[value_column], terms, seed=args.seed
+    )
     _dump_json(
         {
             "estimator": "power_law",

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .geometry import composite_dual_norm
-from .problems import from_dict, list_of
+from .problems import from_dict
 
 __all__ = [
     "PowerLawTerm",
@@ -85,14 +85,14 @@ class PowerLawModel:
     @classmethod
     def from_dict(cls, d) -> "PowerLawModel":
         """Read the JSON object that to_dict writes; errors are ValueErrors."""
-        law = from_dict(_PowerLawLayout, d, "power law", terms=list_of(PowerLawTerm, "terms"))
+        law = from_dict(_PowerLawLayout, d, "power law")
         return cls(law.C, law.terms)
 
 
 @dataclass
 class _PowerLawLayout:
     C: float
-    terms: tuple
+    terms: tuple[PowerLawTerm, ...]
 
 
 @dataclass(frozen=True)
@@ -408,7 +408,7 @@ def fit_power_law(
         if best is None or res.cost < best.cost:
             best = res
     if best is None:
-        raise RuntimeError("power-law fit failed from every start")
+        raise FloatingPointError("power-law fit failed from every start")
     log_c, terms = unpack(best.x)
     return PowerLawModel(
         coefficient=float(np.exp(log_c)),

@@ -12,9 +12,9 @@ T = K * B * S is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache, partial
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "known_constants",
     "per_coordinate_sigma",
     "compiled",
-    "json_value",
     "from_dict",
-    "list_of",
     "spec_from_dict",
 ]
 
@@ -62,8 +60,8 @@ class NoiseModel:
     s_shift: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_star < math.inf:
-            raise ValueError(f"sigma_star must be nonnegative and finite, got {self.sigma_star}")
+        if not (0.0 <= self.sigma_star and math.isfinite(self.sigma_star * self.sigma_star)):
+            raise ValueError(f"sigma_star must be >= 0 with a finite square, got {self.sigma_star}")
         if not (
             1.0 <= self.B < math.inf and 1.0 <= self.S < math.inf
             and abs(self.b_shift) < math.inf and abs(self.s_shift) < math.inf
@@ -360,52 +358,70 @@ def known_constants(spec: ProblemSpec) -> AnalyticConstants:
 
 # -- JSON (de)serialization ---------------------------------------------------
 
-def json_value(value, hint: str, where: str, name: str):
-    """The JSON value of the field name, checked against its annotation hint.
+_type_hints = lru_cache(maxsize=None)(get_type_hints)
+
+
+def _json_value(value, hint, where: str, name: str):
+    """The JSON value of the field name, read as its resolved type hint.
 
     str needs a JSON string, float a JSON number, int an integral number,
-    bool true or false, and tuple[...] a list of such values (of any length
-    for tuple[X, ...]); each comes back as that type. Values of other hints
-    pass as they are. Errors are ValueErrors that name where and name.
+    bool true or false, tuple[...] a list of such values (of any length for
+    tuple[X, ...]), np.ndarray an array of numbers, a dataclass a JSON object
+    (read by from_dict as name, or as name[i] when entry i of a list), and
+    Optional[X] null or an X; each comes back as that type. Values of other
+    hints pass as they are. Errors are ValueErrors that name where and name.
     """
-    if hint == "str":
+    if hint is str:
         if not isinstance(value, str):
             raise ValueError(f"{where}: {name} must be a string, got {value!r}")
-    elif hint == "bool":
+    elif hint is bool:
         if not isinstance(value, bool):
             raise ValueError(f"{where}: {name} must be true or false, got {value!r}")
-    elif hint in ("int", "float"):
+    elif hint in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{where}: {name} must be a number, got {value!r}")
-        if hint == "int" and isinstance(value, float) and not value.is_integer():
+        if hint is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(f"{where}: {name} must be an integer, got {value!r}")
         try:
-            value = int(value) if hint == "int" else float(value)
+            value = hint(value)
         except OverflowError:  # an integer beyond the float range
             raise ValueError(f"{where}: {name} must be a number within the float range") from None
-    elif hint.startswith("tuple["):
-        inner = hint[len("tuple["):-1]
+    elif get_origin(hint) is Union and type(None) in get_args(hint):  # Optional[X]
+        if value is not None:
+            value = _json_value(value, get_args(hint)[0], where, name)
+    elif get_origin(hint) is tuple:
+        args = get_args(hint)
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{where}: {name} must be a list, got {value!r}")
-        if inner.endswith(", ..."):
-            hints = [inner[:-len(", ...")]] * len(value)
-        else:
-            hints = inner.split(", ")
+        hints = [args[0]] * len(value) if args[1:] == (...,) else args
         if len(value) != len(hints):
+            inner = repr(hint)[len("tuple["):-1]
             raise ValueError(f"{where}: {name} must be a list of {inner}, got {value!r}")
-        value = tuple(json_value(v, h, where, name) for v, h in zip(value, hints))
+        value = tuple(
+            _json_value(v, h, where, f"{name}[{i}]" if is_dataclass(h) else name)
+            for i, (v, h) in enumerate(zip(value, hints))
+        )
+    elif hint is np.ndarray:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(
+                f"{where}: {name} must be an array of numbers, got an array of {arr.dtype.name}"
+            )
+        value = arr.astype(float)
+    elif is_dataclass(hint):
+        value = from_dict(hint, value, name)
     return value
 
 
 def from_dict(cls, d, where: str, **parsers):
     """Build the dataclass cls from the JSON object d, keyed by its init fields.
 
-    Fields without a default are required. parsers maps a field to the
-    function that builds it from its JSON value (a nested object or list).
-    Other fields are checked by json_value against their annotation (an
-    Optional one may also be null) and the rest reach cls as they are, for
-    its own checks. Every error, those of cls included, is a ValueError that
-    names where.
+    Fields without a default are required. parsers maps a field whose value
+    is not plain data to the function that builds it from its JSON value.
+    Every other field is read by _json_value as its resolved type hint, so a
+    nested object or list is read by its field's type and any Optional field
+    may be null; the values then reach cls, for its own checks. Every error,
+    those of cls included, is a ValueError that names where.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -420,51 +436,18 @@ def from_dict(cls, d, where: str, **parsers):
     if missing:
         raise ValueError(f"missing keys in {where}: {sorted(missing)}")
     kwargs = {}
-    for f in init:
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        # Annotations are strings: every module postpones their evaluation.
-        hint = f.type
-        optional = hint.startswith("Optional[")
-        if optional:
-            hint = hint[len("Optional["):-1]
-        if f.name in parsers:
-            value = parsers[f.name](value)
-        elif not (value is None and optional):
-            value = json_value(value, hint, where, f.name)
-        kwargs[f.name] = value
+    for name, value in d.items():  # each key is an init field by now
+        if name in parsers:
+            kwargs[name] = parsers[name](value)
+        else:
+            kwargs[name] = _json_value(value, _type_hints(cls)[name], where, name)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def list_of(cls, where: str, **parsers):
-    """Parser of a JSON list of cls objects, called where in errors.
-
-    Entry i is read by from_dict(cls, entry, f"{where}[{i}]", **parsers),
-    and the entries come back as a tuple.
-    """
-    def parse(value) -> tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{where} must be a JSON list, got {type(value).__name__}")
-        return tuple(from_dict(cls, d, f"{where}[{i}]", **parsers) for i, d in enumerate(value))
-    return parse
-
-
 # -- JSON layouts of the problem kinds -----------------------------------------
-
-def _target(value) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"target must be an array of numbers, got an array of {arr.dtype.name}")
-    return arr.astype(float)
-
-
-_geometry = partial(from_dict, BlockGeometry, where="geometry")
-_noise = partial(from_dict, NoiseModel, where="noise")
-
 
 @dataclass
 class _QuadraticBlock:
@@ -483,10 +466,8 @@ class _LogisticBlock:
 @dataclass
 class _QuadraticLayout:
     kind: str
-    blocks: tuple
+    blocks: tuple[_QuadraticBlock, ...]
     noise: NoiseModel
-
-    parsers = {"blocks": list_of(_QuadraticBlock, "blocks", geometry=_geometry, target=_target)}
 
     def build(self) -> LayeredQuadratic:
         return LayeredQuadratic(
@@ -501,14 +482,12 @@ class _QuadraticLayout:
 @dataclass
 class _LogisticLayout:
     kind: str
-    blocks: tuple
+    blocks: tuple[_LogisticBlock, ...]
     n_samples: int
     dim: int
     data_seed: int
     noise: NoiseModel
     margin_boost: float = 0.0
-
-    parsers = {"blocks": list_of(_LogisticBlock, "blocks", geometry=_geometry)}
 
     def build(self) -> LogisticRegression:
         # every block goes in, so LogisticRegression itself rejects a count other than one
@@ -535,5 +514,4 @@ def spec_from_dict(d: dict) -> ProblemSpec:
     kind = d.get("kind")
     if not (isinstance(kind, str) and kind in _LAYOUTS):
         raise ValueError(f"unknown problem kind {kind!r}")
-    layout = _LAYOUTS[kind]
-    return from_dict(layout, d, "problem", noise=_noise, **layout.parsers).build()
+    return from_dict(_LAYOUTS[kind], d, "problem").build()

@@ -61,8 +61,8 @@ class ProblemConstants:
         for name in ("L", "mu", "rho", "delta0", "c"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.sigma_star < math.inf:
-            raise ValueError(f"sigma_star must be nonnegative and finite, got {self.sigma_star}")
+        if not (0.0 <= self.sigma_star and math.isfinite(self.sigma_star * self.sigma_star)):
+            raise ValueError(f"sigma_star must be >= 0 with a finite square, got {self.sigma_star}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def transfer_token_budget(
         return base.B0 * (t_ratio * rho_of_b(b) / rho0) ** (2.0 / 3.0)
 
     b = base.B0 * t_ratio ** (2.0 / 3.0)
-    diverged = RuntimeError("token-budget fixed point did not converge within 1000 iterations")
+    diverged = FloatingPointError("token-budget fixed point did not converge within 1000 iterations")
     for _ in range(1000):
         try:
             b_next = 0.5 * b + 0.5 * step(b)

@@ -194,6 +194,21 @@ class TestMalformedConfigs:
         assert key in err
         assert not (tmp_path / "o").exists()
 
+    def test_bad_stage_names_its_entry(self, tmp_path):
+        stages = [{"token_allotment": "40", "B": 4.0, "S": 2.0, "beta": 0.1, "alpha": 0.5}]
+        rc, err = run_config("train", train_config(stages=stages), tmp_path / "o")
+        assert rc == 2
+        assert "stages[0]: token_allotment must be a number" in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_sigma_star_with_overflowing_square_exits_2(self, command, tmp_path):
+        cfg = train_config() if command == "train" else sweep_config()
+        cfg["problem"]["noise"]["sigma_star"] = 1e200
+        rc, err = run_config(command, cfg, tmp_path / "o")
+        assert rc == 2
+        assert "sigma_star must be >= 0 with a finite square" in err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = train_config(iters=10)
         cfg["optimizer"]["iters"] = 10.0
@@ -330,6 +345,16 @@ class TestTrain:
         assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 0
         assert {row["stage"] for row in read_runlog(out / "runlog.csv")} == {"0", "1"}
 
+    def test_null_stages_trains_unstaged(self, tmp_path):
+        cfg = train_config(iters=25)
+        rc, _ = run_config("train", cfg, tmp_path / "plain")
+        assert rc == 0
+        cfg["stages"] = None
+        rc, _ = run_config("train", cfg, tmp_path / "null")
+        assert rc == 0
+        plain = (tmp_path / "plain" / "runlog.csv").read_bytes()
+        assert (tmp_path / "null" / "runlog.csv").read_bytes() == plain
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -445,6 +470,17 @@ class TestSweepCli:
         assert float(rows[0]["final_loss_mean"]) >= 0.0
         assert rows[0]["error"] == ""
         assert int(rows[0]["K"]) == 64
+
+    def test_null_constants_uses_the_analytic_ones(self, tmp_path):
+        cfg = sweep_config()
+        del cfg["constants"]
+        rc, _ = run_config("sweep", cfg, tmp_path / "omitted")
+        assert rc == 0
+        cfg["constants"] = None
+        rc, _ = run_config("sweep", cfg, tmp_path / "null")
+        assert rc == 0
+        omitted = (tmp_path / "omitted" / "sweep.csv").read_bytes()
+        assert (tmp_path / "null" / "sweep.csv").read_bytes() == omitted
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
@@ -624,6 +660,14 @@ class TestPlanCli:
              "--consts1", "1,1,1"]
         )
         assert rc == 2
+
+    def test_sigma_star_with_overflowing_square_exits_2(self, capsys):
+        rc = cli.main(
+            ["plan", "--rule", "model_size", *self.BASE, "--t1", "1e10",
+             "--consts0", "1,1,1", "--consts1", "1,1,1", "--sigma-star", "1e200"]
+        )
+        assert rc == 2
+        assert "sigma_star must be >= 0 with a finite square" in capsys.readouterr().err
 
     def test_overflow_exits_4(self, capsys):
         rc = cli.main(

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -330,6 +330,13 @@ def quadratic_dict():
     }
 
 
+@dataclass
+class _PairAndCount:
+    """A field of nested fixed tuples, as from_dict reads it from JSON."""
+
+    value: tuple[tuple[float, float], int]
+
+
 class TestSerialization:
     def test_quadratic_round_trip(self):
         spec = simple_quadratic(lam=2.0, dist=1.0, sigma=0.3)
@@ -373,6 +380,24 @@ class TestSerialization:
             other.features[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             other.labels[0] = -other.labels[0]
+
+    def test_nested_fixed_tuple_field(self):
+        read = problems.from_dict(_PairAndCount, {"value": [[1.0, 2], 3]}, "pair")
+        assert read.value == ((1.0, 2.0), 3)
+        assert isinstance(read.value[0][1], float) and isinstance(read.value[1], int)
+        with pytest.raises(ValueError, match=r"pair: value must be a list of float, float"):
+            problems.from_dict(_PairAndCount, {"value": [[1.0], 3]}, "pair")
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("curvature", "1.0", "curvature must be a number"),
+         ("target", "x", "target must be an array of numbers")],
+    )
+    def test_bad_second_block_names_its_entry(self, key, value, message):
+        d = quadratic_dict()
+        d["blocks"].append(dict(d["blocks"][0], name="v", **{key: value}))
+        with pytest.raises(ValueError, match=rf"blocks\[1\]: {message}"):
+            spec_from_dict(d)
 
     def test_unknown_keys_rejected(self):
         d = quadratic_dict()

@@ -276,7 +276,7 @@ class TestTransferTokenBudget:
 
     def test_divergent_rho_fails(self):
         cubic = PowerLawModel(1.0, (PowerLawTerm("batch_size", 0.0, 3.0),))
-        with pytest.raises(RuntimeError, match="converge"):
+        with pytest.raises(FloatingPointError, match="converge"):
             transfer_token_budget(BASE, cubic, T1=8.0 * BASE.T0)
 
     @pytest.mark.parametrize("t1", [0.0, -1e9])
