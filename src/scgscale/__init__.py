@@ -13,14 +13,14 @@ from .optimizer import (
     ConstantBeta,
     RunLog,
     ScgConfig,
-    Stage,
-    StagePlan,
     WarmdownBeta,
     run,
     run_staged,
 )
 from .scaling import (
     ProblemConstants,
+    Stage,
+    StagePlan,
     TunedConfig,
     critical_bs,
     error_law,

@@ -31,14 +31,12 @@ from .estimation import FitTerm, PowerLawModel, bundled_constant_laws
 from .optimizer import (
     ConstantBeta,
     ScgConfig,
-    Stage,
-    StagePlan,
     WarmdownBeta,
     run,
     run_staged,
 )
 from .problems import ProblemSpec
-from .scaling import ProblemConstants, TunedConfig
+from .scaling import ProblemConstants, Stage, StagePlan, TunedConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

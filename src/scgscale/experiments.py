@@ -101,11 +101,6 @@ class SweepConfig:
                     f"grid point B={b:g} S={s:g} exceeds the token budget"
                 )
 
-    def resolved_constants(self) -> ProblemConstants:
-        if self.constants is not None:
-            return self.constants
-        return problems.known_constants(self.problem).constants
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -244,7 +239,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if not cfg.grid:
         return SweepResult(())
-    consts = cfg.resolved_constants()
+    consts = cfg.constants if cfg.constants is not None else problems.known_constants(cfg.problem)
     points, groups = [], []  # per point, its error row or its hyperparameters and group
     for B, S in cfg.grid:
         try:
@@ -339,8 +334,7 @@ def regime_sweep(
     final losses fall with BS up to an interior minimum and rise past it.
     """
     spec = problem if problem is not None else regime_sweep_problem()
-    analytic = problems.known_constants(spec)
-    consts = replace(analytic.constants, c=REGIME_SWEEP_C)
+    consts = replace(problems.known_constants(spec), c=REGIME_SWEEP_C)
     cfg = SweepConfig(
         problem=spec,
         token_budget=T,
@@ -487,7 +481,7 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
     if not budget_factor > 1.0:
         raise ValueError(f"budget_factor must exceed 1, got {budget_factor}")
     spec = regime_sweep_problem(sigma_star=RESTART_SIGMA_STAR)
-    consts = replace(problems.known_constants(spec).constants, c=RESTART_C)
+    consts = replace(problems.known_constants(spec), c=RESTART_C)
     bs0 = max(1.0, round(critical_bs(RESTART_T0, consts)))
     beta0 = RESTART_C / int(RESTART_T0 // bs0)
     base = TunedConfig(B0=bs0, S0=1.0, beta0=beta0, alpha0=RESTART_ALPHA, T0=RESTART_T0)

@@ -27,6 +27,7 @@ from .geometry import (
     _TINY,
 )
 from . import problems
+from .scaling import StagePlan
 
 __all__ = [
     "ConstantBeta",
@@ -34,8 +35,6 @@ __all__ = [
     "BetaSchedule",
     "beta_at",
     "ScgConfig",
-    "Stage",
-    "StagePlan",
     "RunLog",
     "run",
     "run_staged",
@@ -150,40 +149,6 @@ class ScgConfig:
                 f"warmdown schedule covers {self.beta.total_steps} steps "
                 f"but the run takes iters={self.iters}"
             )
-
-
-@dataclass(frozen=True)
-class Stage:
-    token_allotment: float
-    B: float
-    S: float
-    beta: float
-    alpha: float
-    note: str = ""
-
-    def __post_init__(self):
-        if self.token_allotment <= 0:
-            raise ValueError("token_allotment must be positive")
-        if self.B < 1 or self.S < 1:
-            raise ValueError("B and S must be >= 1")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"stage beta must lie in (0, 1], got {self.beta}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"stage alpha must lie in (0, 1], got {self.alpha}")
-
-    @property
-    def iters(self) -> int:
-        return int(self.token_allotment // (self.B * self.S))
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    stages: tuple[Stage, ...]
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ValueError("a stage plan needs at least one stage")
-        object.__setattr__(self, "stages", tuple(self.stages))
 
 
 RUNLOG_CSV_HEADER = ["k", "loss", "x_primal", "g_dual", "m_dual", "beta", "step_disp", "stage"]

@@ -31,7 +31,6 @@ __all__ = [
     "LayeredQuadratic",
     "LogisticRegression",
     "ProblemSpec",
-    "AnalyticConstants",
     "loss",
     "grad",
     "grad_sample",
@@ -48,30 +47,21 @@ class NoiseModel:
     """Additive gradient-noise parameters.
 
     Per-sample noise has mean zero and total squared-Euclidean variance
-    sigma_star^2 / (B * S). The optional shifts reproduce the empirically
-    observed shifted power-law decay, variance = sigma_star^2 /
-    ((B + b_shift) * (S + s_shift)); both default to the pure form.
+    sigma_star^2 / (B * S), the variance the scaling law assumes.
     """
 
     sigma_star: float
     B: float = 1.0
     S: float = 1.0
-    b_shift: float = 0.0
-    s_shift: float = 0.0
 
     def __post_init__(self):
         if not (0.0 <= self.sigma_star and math.isfinite(self.sigma_star * self.sigma_star)):
             raise ValueError(f"sigma_star must be >= 0 with a finite square, got {self.sigma_star}")
-        if not (
-            1.0 <= self.B < math.inf and 1.0 <= self.S < math.inf
-            and abs(self.b_shift) < math.inf and abs(self.s_shift) < math.inf
-        ):
-            raise ValueError(f"B and S must be finite and >= 1 and the shifts finite, got {self}")
-        if not (self.B + self.b_shift > 0 and self.S + self.s_shift > 0):
-            raise ValueError(f"the shifted B and S must stay positive, got {self}")
+        if not (1.0 <= self.B < math.inf and 1.0 <= self.S < math.inf):
+            raise ValueError(f"B and S must be finite and >= 1, got {self}")
 
     def variance(self) -> float:
-        return self.sigma_star**2 / ((self.B + self.b_shift) * (self.S + self.s_shift))
+        return self.sigma_star**2 / (self.B * self.S)
 
 
 @dataclass(frozen=True)
@@ -299,15 +289,6 @@ def initial_point(spec: ProblemSpec) -> LayeredPoint:
     return LayeredPoint.zeros(spec.block_names, spec.geometry)
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Closed-form constants plus f_max, the largest objective value on the
-    radius ball: they are valid on the sublevel set f <= f_max."""
-
-    constants: ProblemConstants
-    f_max: float
-
-
 def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
     """Max l2 distance from theta over the block's primal ball of radius eta."""
     eta = geom.radius_eta
@@ -318,16 +299,17 @@ def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
     return float(np.linalg.norm(theta)) + eta
 
 
-def known_constants(spec: ProblemSpec) -> AnalyticConstants:
+def known_constants(spec: ProblemSpec) -> ProblemConstants:
     """Analytic (L, mu, rho, sigma_star) for the layered quadratic.
 
     L sums the per-block curvature times the dual-vs-primal norm gain, which
     is tight for the composite norms. The error-bound slope is certified only
     on the sublevel set reachable from the radius ball: mu = sqrt(2 min
     lambda) / sqrt(f_max), where f_max is the largest objective value on the
-    ball. rho is the exact dual-vs-euclidean gain of the composite norm, and
-    delta0 the loss at the zero start point (initial_point). Logistic
-    problems have no analytic constants and raise.
+    ball, so the constants hold on the sublevel set f <= f_max. rho is the
+    exact dual-vs-euclidean gain of the composite norm, and delta0 the loss
+    at the zero start point (initial_point). Logistic problems have no
+    analytic constants and raise.
     """
     if isinstance(spec, LogisticRegression):
         raise ValueError(
@@ -346,14 +328,13 @@ def known_constants(spec: ProblemSpec) -> AnalyticConstants:
     delta0 = loss(spec, initial_point(spec))
     if delta0 <= 0.0:
         raise ValueError("the zero start point is already optimal (zero initial suboptimality)")
-    consts = ProblemConstants(
+    return ProblemConstants(
         L=L,
         mu=mu,
         rho=rho,
         sigma_star=spec.noise.sigma_star,
         delta0=delta0,
     )
-    return AnalyticConstants(constants=consts, f_max=f_max)
 
 
 # -- JSON (de)serialization ---------------------------------------------------

@@ -4,8 +4,9 @@ Everything here is pure arithmetic on problem constants: the parameter
 prescription that guarantees a target error, the achievable-error law under a
 fixed token budget with its three regimes, the critical batch-sequence scale
 where the middle and iteration-starved regimes meet, hyperparameter transfer
-across model sizes and token budgets, multi-stage restart planning, and the
-square-root and nonconvex baseline rules.
+across model sizes and token budgets, multi-stage restart planning into the
+StagePlan that optimizer.run_staged runs, and the square-root and nonconvex
+baseline rules. The module imports nothing from the package.
 
 Two constant modes are supported. "exact" is the paper's law: L carries
 the factor a = 128 exp(3c) and rho sigma_star the factor b = 32 exp(1.5c),
@@ -25,6 +26,8 @@ from typing import Optional, Sequence
 __all__ = [
     "ProblemConstants",
     "TunedConfig",
+    "Stage",
+    "StagePlan",
     "Prescription",
     "ErrorLaw",
     "prescribe_params",
@@ -81,6 +84,40 @@ class TunedConfig:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 < self.beta0 < 1.0:
             raise ValueError(f"beta0 must lie in (0, 1), got {self.beta0}")
+
+
+@dataclass(frozen=True)
+class Stage:
+    token_allotment: float
+    B: float
+    S: float
+    beta: float
+    alpha: float
+    note: str = ""
+
+    def __post_init__(self):
+        if self.token_allotment <= 0:
+            raise ValueError("token_allotment must be positive")
+        if self.B < 1 or self.S < 1:
+            raise ValueError("B and S must be >= 1")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError(f"stage beta must lie in (0, 1], got {self.beta}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"stage alpha must lie in (0, 1], got {self.alpha}")
+
+    @property
+    def iters(self) -> int:
+        return int(self.token_allotment // (self.B * self.S))
+
+
+@dataclass(frozen=True)
+class StagePlan:
+    stages: tuple[Stage, ...]
+
+    def __post_init__(self):
+        if not self.stages:
+            raise ValueError("a stage plan needs at least one stage")
+        object.__setattr__(self, "stages", tuple(self.stages))
 
 
 @dataclass(frozen=True)
@@ -297,7 +334,7 @@ def plan_stages(
     consts0: ProblemConstants,
     consts1: ProblemConstants,
     budgets: Sequence[float],
-):
+) -> StagePlan:
     """Build a restart schedule over cumulative token budgets.
 
     budgets are the cumulative totals available by the end of each stage
@@ -307,8 +344,6 @@ def plan_stages(
     later stage's at the cumulative budget available by its end. The
     batch-sequence product is split with the sequence length held at S0.
     """
-    from .optimizer import Stage, StagePlan  # local import to avoid a cycle
-
     budgets = [float(t) for t in budgets]
     if not budgets or not all(0.0 < t < math.inf for t in budgets):
         raise ValueError("budgets must be positive and finite")

@@ -227,7 +227,7 @@ def logistic_train_config():
             "dim": 3,
             "data_seed": 1,
             "margin_boost": 0.1,
-            "noise": {"sigma_star": 0.2, "B": 2.0, "S": 1.0, "b_shift": 0.0, "s_shift": 0.0},
+            "noise": {"sigma_star": 0.2, "B": 2.0, "S": 1.0},
         },
         "optimizer": {
             "variant": "scg",

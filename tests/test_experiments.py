@@ -56,7 +56,7 @@ class TestBetaRule:
         spec = experiments.regime_sweep_problem()
         # delta0 is raised so that the exact-mode error of the point lies
         # below 2*delta0, where the prescription is defined.
-        consts = replace(problems.known_constants(spec).constants, delta0=100.0)
+        consts = replace(problems.known_constants(spec), delta0=100.0)
         cfg = SweepConfig(
             problem=spec, token_budget=2.0**20, grid=((64.0, 1.0),),
             rule=BetaRule(kind="prescribed", mode=mode), constants=consts,
@@ -69,7 +69,7 @@ class TestBetaRule:
 class TestSweep:
     def test_predictions_are_error_law_outputs(self):
         cfg = sweep_config([(4.0, 1.0), (64.0, 1.0)])
-        consts = cfg.resolved_constants()
+        consts = problems.known_constants(cfg.problem)
         result = run_sweep(cfg)
         for row in result.rows:
             law = error_law(cfg.token_budget, row.B, row.S, consts)
@@ -175,7 +175,7 @@ def lone_point(cfg, B, S):
     """The sweep row of one point from a lone run(seeds=...) of its seeds."""
     try:
         K, beta, alpha, law = experiments._point_hyperparameters(
-            cfg, cfg.resolved_constants(), B, S)
+            cfg, problems.known_constants(cfg.problem), B, S)
         spec = replace(cfg.problem, noise=replace(cfg.problem.noise, B=B, S=S))
         config = ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=K,
                            eval_every=experiments._FINAL_LOSS_ONLY, check_invariants=False)
@@ -395,7 +395,7 @@ class TestDrivers:
         _, consts, bs_star = experiments.regime_sweep(
             T=2**10, exponents=(1, 2, 3), repetitions=1
         )
-        assert consts.L == analytic.constants.L
+        assert consts.L == analytic.L
         assert bs_star == pytest.approx(
             (2**10 * consts.mu * consts.rho * consts.sigma_star / consts.L) ** (2 / 3)
         )

@@ -29,8 +29,6 @@ from scgscale.geometry import BlockGeometry, LayeredPoint
 from scgscale.optimizer import (
     ConstantBeta,
     ScgConfig,
-    Stage,
-    StagePlan,
     WarmdownBeta,
     beta_at,
     run,
@@ -42,6 +40,7 @@ from scgscale.problems import (
     NoiseModel,
     grad_sample,
 )
+from scgscale.scaling import Stage, StagePlan
 
 
 def spectral_quadratic(shape=(64, 64), eta=1.0, sigma=0.2, seed=4):

@@ -17,8 +17,6 @@ from scgscale.optimizer import (
     RUNLOG_CSV_HEADER,
     ConstantBeta,
     ScgConfig,
-    Stage,
-    StagePlan,
     WarmdownBeta,
     _step_block,
     beta_at,
@@ -28,7 +26,7 @@ from scgscale.optimizer import (
 from scgscale import problems
 from scgscale.experiments import rate_study_problem
 from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
-from scgscale.scaling import prescribe_params
+from scgscale.scaling import Stage, StagePlan, prescribe_params
 
 
 def csv_text(log):
@@ -152,7 +150,7 @@ class TestRun:
         from scgscale.problems import known_constants
 
         spec = noisy_quadratic(sigma=0.0)
-        params = prescribe_params(known_constants(spec).constants, eps=1e-3)
+        params = prescribe_params(known_constants(spec), eps=1e-3)
         k = min(params.iters, 500)
         cfg = ScgConfig(
             alpha=params.alpha, beta=ConstantBeta(min(params.beta, 0.5)), iters=k, seed=0

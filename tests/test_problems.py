@@ -40,7 +40,7 @@ def simple_quadratic(lam=2.0, dist=1.0, eta=3.0, sigma=0.0, dim=1):
 _VALID_FIELDS = {
     ProblemConstants: dict(L=1.0, mu=1.0, rho=1.0, sigma_star=1.0, delta0=1.0, c=1.0),
     TunedConfig: dict(B0=4.0, S0=2.0, beta0=0.1, alpha0=0.5, T0=100.0),
-    NoiseModel: dict(sigma_star=0.1, B=2.0, S=2.0, b_shift=0.0, s_shift=0.0),
+    NoiseModel: dict(sigma_star=0.1, B=2.0, S=2.0),
 }
 
 
@@ -73,17 +73,11 @@ class TestNoiseModel:
         nm = NoiseModel(2.0, B=4.0, S=2.0)
         assert nm.variance() == pytest.approx(0.5)
 
-    def test_shifted_variant(self):
-        nm = NoiseModel(2.0, B=10.0, S=1.0, b_shift=90.0, s_shift=35.0)
-        assert nm.variance() == pytest.approx(4.0 / (100.0 * 36.0))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(-1.0)
         with pytest.raises(ValueError):
             NoiseModel(1.0, B=0.5)
-        with pytest.raises(ValueError, match="shifted"):
-            NoiseModel(1.0, S=1.0, s_shift=-1.0)
 
 
 class TestLoss:
@@ -162,10 +156,9 @@ class TestKnownConstants:
         # eta + |theta| = 2 so f_max = (1/2) * 2^2 = 2 and mu = sqrt(2/2) = 1
         spec = simple_quadratic(lam=1.0, dist=0.5, eta=1.5)
         out = known_constants(spec)
-        assert out.f_max == pytest.approx(2.0)
-        assert out.constants.mu == pytest.approx(1.0)
-        assert out.constants.rho == pytest.approx(1.0)
-        assert out.constants.L == pytest.approx(1.0)
+        assert out.mu == pytest.approx(1.0)
+        assert out.rho == pytest.approx(1.0)
+        assert out.L == pytest.approx(1.0)
 
     def test_composite_L_sums_blocks(self):
         spec = LayeredQuadratic(
@@ -180,8 +173,8 @@ class TestKnownConstants:
         )
         out = known_constants(spec)
         # dual norm is a sum over blocks, so the tight constant adds up
-        assert out.constants.L == pytest.approx(5.0)
-        assert out.constants.rho == pytest.approx(math.sqrt(2.0))
+        assert out.L == pytest.approx(5.0)
+        assert out.rho == pytest.approx(math.sqrt(2.0))
 
     def test_sign_block_gains(self):
         spec = LayeredQuadratic(
@@ -192,8 +185,8 @@ class TestKnownConstants:
             noise=NoiseModel(0.0),
         )
         out = known_constants(spec)
-        assert out.constants.L == pytest.approx(18.0)  # lambda * n for l1 vs max
-        assert out.constants.rho == pytest.approx(3.0)  # sqrt(n)
+        assert out.L == pytest.approx(18.0)  # lambda * n for l1 vs max
+        assert out.rho == pytest.approx(3.0)  # sqrt(n)
 
     def test_spectral_block_gains(self):
         rng = np.random.default_rng(12)
@@ -208,12 +201,11 @@ class TestKnownConstants:
             noise=NoiseModel(0.0),
         )
         out = known_constants(spec)
-        assert out.constants.L == pytest.approx(lam * k)  # nuclear vs operator norm
-        assert out.constants.rho == pytest.approx(math.sqrt(k))  # nuclear vs Frobenius
+        assert out.L == pytest.approx(lam * k)  # nuclear vs operator norm
+        assert out.rho == pytest.approx(math.sqrt(k))  # nuclear vs Frobenius
         # the farthest point of the ball lies eta sqrt(k) from theta in Frobenius
         f_max = lam / 2 * (np.linalg.norm(theta) + eta * math.sqrt(k)) ** 2
-        assert out.f_max == pytest.approx(f_max)
-        assert out.constants.mu == pytest.approx(math.sqrt(2.0 * lam / f_max))
+        assert out.mu == pytest.approx(math.sqrt(2.0 * lam / f_max))
 
     def test_logistic_has_no_analytic_constants(self):
         spec = LogisticRegression(
@@ -240,7 +232,7 @@ class TestKnownConstants:
             noise=NoiseModel(0.0),
         )
         out = known_constants(spec)
-        mu = out.constants.mu
+        mu = out.mu
         kinds = [g.kind for g in spec.geometry]
         for _ in range(1000):
             blocks = []
@@ -269,7 +261,7 @@ class TestKnownConstants:
             targets=(np.full(4, 0.3), np.full(3, 0.3)),
             noise=NoiseModel(0.0),
         )
-        L = known_constants(spec).constants.L
+        L = known_constants(spec).L
         kinds = [g.kind for g in spec.geometry]
         for _ in range(300):
             xa = LayeredPoint([("a", rng.standard_normal(4)), ("b", rng.standard_normal(3))])
@@ -285,7 +277,7 @@ class TestKnownConstants:
 
     def test_single_euclid_block_smoothness_is_exact(self):
         spec = simple_quadratic(lam=3.0, dist=1.0, eta=2.0, dim=4)
-        L = known_constants(spec).constants.L
+        L = known_constants(spec).L
         rng = np.random.default_rng(2)
         for _ in range(50):
             d = rng.standard_normal(4)
@@ -311,11 +303,11 @@ class TestDogfooding:
         )
         log = run(spec, cfg)
         L_hat = estimate_L(log, spec.geometry)
-        assert L_hat == pytest.approx(out.constants.L, rel=0.1)
+        assert L_hat == pytest.approx(out.L, rel=0.1)
         # the analytic error-bound slope is certified on the whole ball, so
         # the slope measured along a low-loss trajectory must dominate it
         mu_hat = estimate_mu(log.loss, log.g_dual, loss_cap=float("inf")).slope
-        assert mu_hat >= 0.9 * out.constants.mu
+        assert mu_hat >= 0.9 * out.mu
 
 
 def quadratic_dict():
@@ -326,7 +318,7 @@ def quadratic_dict():
             {"name": "w", "geometry": {"kind": "euclidean", "shape": [1], "radius_eta": 3.0},
              "curvature": 2.0, "target": [1.0]},
         ],
-        "noise": {"sigma_star": 0.3, "B": 1.0, "S": 1.0, "b_shift": 0.0, "s_shift": 0.0},
+        "noise": {"sigma_star": 0.3, "B": 1.0, "S": 1.0},
     }
 
 
