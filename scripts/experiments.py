@@ -36,7 +36,7 @@ def regime(args):
     point over seeds, and write the measured-vs-predicted rows in the
     sweep.csv layout."""
     if args.log2_budget < 2:
-        raise SystemExit("--log2-budget must be at least 2: the grid is BS = 2^0 .. 2^(budget-2)")
+        raise ValueError("--log2-budget must be at least 2: the grid is BS = 2^0 .. 2^(budget-2)")
     result, consts, bs_star = experiments.regime_sweep(
         T=float(2**args.log2_budget),
         exponents=tuple(range(0, min(19, args.log2_budget - 1))),

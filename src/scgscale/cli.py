@@ -7,9 +7,11 @@ Exit codes: 0 success, 2 config or input error, 3 invariant violation,
 run too large to allocate.
 Below main, a ValueError (or KeyError, TypeError) means exit 2 and an
 ArithmeticError, such as FloatingPointError, or a MemoryError exit 4.
-NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2)
-and never written. JSON floats take their shortest exact form, CSV floats 17
-significant digits.
+NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2).
+A non-finite result exits 4 instead of being written, but a failing sweep point
+does not stop its sweep: its row in sweep.csv has nan in its float cells, 0 in
+K and predicted_regime, and the reason in error. JSON floats take their
+shortest exact form, CSV floats 17 significant digits.
 """
 
 from __future__ import annotations

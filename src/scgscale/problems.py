@@ -212,8 +212,8 @@ def compiled(spec: ProblemSpec, n_points: int = 1):
     quadratic is elementwise and sums each point's row, and the logistic
     oracle's stacked matmuls with a column on the right make one
     matrix-vector product per point. grad_fn's constants are stacked n_points
-    times: any R works, and R = n_points, which numpy broadcasts least, costs
-    least.
+    times, so its R must equal n_points, unless n_points is 1, which numpy
+    broadcasts to any R; loss_fn takes any R.
     """
     if isinstance(spec, LayeredQuadratic):
         terms = [
@@ -383,7 +383,10 @@ def _json_value(value, hint, where: str, name: str):
             for i, (v, h) in enumerate(zip(value, hints))
         )
     elif hint is np.ndarray:
-        arr = np.asarray(value)
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # lists of different lengths at one depth
+            raise ValueError(f"{where}: {name} must be a rectangular array of numbers") from None
         if arr.dtype.kind not in "iuf":
             raise ValueError(
                 f"{where}: {name} must be an array of numbers, got an array of {arr.dtype.name}"

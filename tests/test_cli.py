@@ -209,6 +209,15 @@ class TestMalformedConfigs:
         assert "sigma_star must be >= 0 with a finite square" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key", ["b_shift", "s_shift"])
+    def test_noise_shift_is_an_unknown_key(self, key, tmp_path):
+        cfg = train_config()
+        cfg["problem"]["noise"][key] = 0.0
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert f"unknown keys in noise: ['{key}']" in err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = train_config(iters=10)
         cfg["optimizer"]["iters"] = 10.0
@@ -368,6 +377,12 @@ class TestTrain:
         )
         out = tmp_path / "o"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(tmp_path / "absent.json"), "--out", str(out)]) == 2
+        assert "config file not found" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_key_exits_2(self, tmp_path):
@@ -615,6 +630,17 @@ class TestPlanCli:
     def test_missing_constants_exits_2(self):
         assert cli.main(["plan", "--rule", "model_size", *self.BASE, "--t1", "1e9"]) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--t1", "1e9", "--shape0", "12,768", "--consts1", "1,1,1"],
+         "--shape0 needs --batch0"),
+        (["--t1", "1e9", "--consts0", "1,2", "--consts1", "1,1,1"],
+         "--consts0 must be 'L,mu,rho', got '1,2'"),
+        (["--consts0", "1,1,1", "--consts1", "1,1,1"], "--t1 is required for rule model_size"),
+    ], ids=["shape-without-batch", "two-constants", "no-t1"])
+    def test_incomplete_model_size_flags_exit_2(self, flags, message, capsys):
+        assert cli.main(["plan", "--rule", "model_size", *self.BASE, *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_regime_label_and_rounding(self, tmp_path):
         out = tmp_path / "plan.json"
         rc = cli.main(
@@ -788,6 +814,18 @@ class TestEstimateCli:
         )
         assert cli.main(["estimate", "--kind", "mu", "--in", path]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "input file not found"),
+        ("loss,g_dual\n1.0,2.0\n3.0\n", "short row (line 3)"),
+        ("loss,other\n1.0,2.0\n3.0,4.0\n", "need columns loss and g_dual"),
+    ], ids=["missing-file", "short-row", "no-g-dual"])
+    def test_unreadable_input_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        if text is not None:
+            path.write_text(text)
+        assert cli.main(["estimate", "--kind", "mu", "--in", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_exits_2(self, tmp_path, cell, capsys):

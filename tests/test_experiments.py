@@ -104,6 +104,17 @@ class TestSweep:
         assert bad.error is not None
         assert "beta" in bad.error
 
+    def test_fixed_rule_sets_every_point(self):
+        cfg = sweep_config([(4.0, 1.0), (64.0, 1.0)],
+                           rule=BetaRule(kind="fixed", beta=0.05, alpha=0.3))
+        rows = run_sweep(cfg).rows
+        assert [(row.K, row.beta, row.error) for row in rows] == [(1024, 0.05, None),
+                                                                  (64, 0.05, None)]
+        assert as_text(rows) == as_text([lone_point(cfg, B, S) for B, S in cfg.grid])
+
+    def test_empty_grid_has_no_rows(self):
+        assert run_sweep(sweep_config(())).rows == ()
+
     def test_repetition_std_reported(self):
         cfg = sweep_config([(16.0, 1.0)], reps=3)
         row = run_sweep(cfg).rows[0]
@@ -158,11 +169,11 @@ def spectral_problem():
     )
 
 
-def prescribed_sweep():
+def prescribed_sweep(problem=small_problem):
     # The points differ in K, B, S, alpha and beta; (16, 1) and (2, 8) share K,
     # alpha and beta but not the noise, and (2048, 1) has K = 2 < c.
     return SweepConfig(
-        problem=small_problem(),
+        problem=problem(),
         token_budget=4096.0,
         grid=((1.0, 1.0), (4.0, 2.0), (16.0, 1.0), (2.0, 8.0), (64.0, 4.0), (2048.0, 1.0)),
         rule=BetaRule(kind="prescribed", c=3.0),
@@ -194,9 +205,14 @@ def as_text(rows):
 class TestStackedSweep:
     """The rows of every point step together, each bit-equal to its lone run."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_every_point_matches_its_lone_run(self, jobs):
-        cfg = prescribed_sweep()
+    @pytest.mark.parametrize("problem, jobs", [
+        pytest.param(small_problem, 1, id="1"),
+        pytest.param(small_problem, 2, id="2"),
+        pytest.param(spectral_problem, 1, id="spectral-1"),
+        pytest.param(spectral_problem, 2, id="spectral-2"),
+    ])
+    def test_every_point_matches_its_lone_run(self, problem, jobs):
+        cfg = prescribed_sweep(problem)
         expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
         assert len({(row.K, row.beta) for row in expected}) == 5
         assert "below c" in expected[-1].error

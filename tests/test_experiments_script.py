@@ -43,9 +43,10 @@ def test_regime(monkeypatch, capsys, tmp_path, log2_budget, slope_defined):
 
 
 def test_regime_rejects_an_empty_grid(monkeypatch, capsys, tmp_path):
-    with pytest.raises(SystemExit, match="at least 2"):
+    with pytest.raises(SystemExit) as exit_info:
         run_script(monkeypatch, capsys, "regime", "--log2-budget", "1",
                    "--out", str(tmp_path / "regime.csv"))
+    assert exit_info.value.code == 2 and "at least 2" in capsys.readouterr().err
     assert not (tmp_path / "regime.csv").exists()
 
 
@@ -74,6 +75,8 @@ def test_restart(monkeypatch, capsys, tmp_path):
     (("rates", "--log2-budgets", "14:15"), 2, "t_exponents"),
     # the second stage's step count overflows the run loop
     (("restart", "--trials", "1", "--budget-factor", "1e300"), 4, "too large"),
+    # the grid BS = 2^0 .. 2^(budget - 2) would be empty
+    (("regime", "--log2-budget", "1"), 2, "--log2-budget must be at least 2"),
 ])
 def test_rejected_arguments_end_in_one_error_line(monkeypatch, capsys, tmp_path, args, code,
                                                   message):

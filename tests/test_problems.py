@@ -383,7 +383,8 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "key,value,message",
         [("curvature", "1.0", "curvature must be a number"),
-         ("target", "x", "target must be an array of numbers")],
+         ("target", "x", "target must be an array of numbers"),
+         ("target", [[0.1, 0.0], [0.5]], "target must be a rectangular array of numbers")],
     )
     def test_bad_second_block_names_its_entry(self, key, value, message):
         d = quadratic_dict()
