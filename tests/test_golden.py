@@ -3,8 +3,8 @@ equivalence.
 
 The hashes pin every byte of ``runlog.csv`` for seven fixed configurations:
 a refactor of the iteration loop that moves any recorded number by one ulp
-fails here. The CLI hashes pin the exit code and stdout of fixed ``plan``
-and ``estimate`` calls, and the ``sweep.csv`` hash pins the bytes of one
+fails here. The CLI hashes pin the exit code and stdout of fixed ``plan``,
+``estimate`` and ``fit`` calls, and the ``sweep.csv`` hash pins the bytes of one
 small ``sweep`` (with an error row) at one and two jobs, so a refactor of the
 planner, the estimators, the config parsing or the row writer that changes
 any emitted byte fails too. They were recorded with NumPy on OpenBLAS/LAPACK on x86-64. The
@@ -218,6 +218,25 @@ CLI_FILES = {
     ),
     "rho_degenerate.csv": _csv(["diff_dual", "diff_euclid"], [(1.0, 0.0), (2.0, 0.0)]),
     "variance.csv": _csv(["scale", "variance"], [(b, 4.0 / (b + 3.0)) for b in (8, 16, 32, 64, 128, 256)]),
+    # n_layer is free; batch_size enters with a fixed shift and exponent
+    "fit_shape.json": json.dumps(
+        {
+            "schema_version": 1,
+            "terms": [
+                {"name": "n_layer"},
+                {"name": "batch_size", "shift": 0.0, "exponent": 0.1},
+            ],
+            "value_column": "rho",
+        }
+    ),
+    "fit.csv": _csv(
+        ["n_layer", "batch_size", "rho"],
+        [
+            (n, b, 3.0 * (n + 1.5) ** 0.3 * b**0.1 * (1.0 + 0.02 * np.sin(n * b)))
+            for n in (2, 4, 6, 8, 12, 16)
+            for b in (32, 128)
+        ],
+    ),
 }
 
 _BASE = ["--b0", "256", "--s0", "1024", "--beta0", "3.6e-4", "--alpha0", "0.1", "--t0", "1.3e9"]
@@ -277,6 +296,7 @@ GOLDEN_CLI = {
     "estimate_rho": (["estimate", "--kind", "rho", "--in", "rho.csv", "--window", "25"], "6b5295be94f3728c00ccaf65dfe535c3b98edb0fdd1064d8cbbae81ad231c33b"),
     "estimate_rho_degenerate": (["estimate", "--kind", "rho", "--in", "rho_degenerate.csv"], "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3"),
     "estimate_variance": (["estimate", "--kind", "variance", "--in", "variance.csv"], "a87c3c9c8c3c10c65fb4d4f1d161f9f52af9297cb53bb18d1845da8eb0865c89"),
+    "fit": (["fit", "--shape", "fit_shape.json", "--in", "fit.csv"], "b2c05cb18683b21ef7841973dbd979f4084a9712ba3139fa435ccc2c830db0f4"),
 }
 
 
