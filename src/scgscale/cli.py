@@ -5,8 +5,8 @@ mistyped hyperparameter fails loudly instead of silently using a default.
 Exit codes: 0 success, 2 config or input error, 3 invariant violation,
 4 numeric failure, including a run that diverges, a non-finite result and a
 run too large to allocate.
-Below main, a ValueError (or KeyError, TypeError) means exit 2 and an
-ArithmeticError, such as FloatingPointError, or a MemoryError exit 4.
+Below main, a ValueError (or KeyError, TypeError) means exit 2, and an
+ArithmeticError (such as FloatingPointError), MemoryError or LinAlgError exit 4.
 NaN and infinity in JSON files, CSV cells and plan flags are rejected (exit 2).
 A non-finite result exits 4 instead of being written, but a failing sweep point
 does not stop its sweep: its row in sweep.csv has nan in its float cells, 0 in
@@ -374,10 +374,8 @@ def _estimate_rho(cols, args):
 
 def _estimate_variance(cols, args):
     order = np.argsort(cols["scale"])
-    scales = cols["scale"][order]
-    variances = cols["variance"][order]
-    model = estimation.fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
-    return {"window": None, "model": model.to_dict(), "n_points": len(scales)}
+    curve = estimation.VarianceCurve.fit(cols["scale"][order], cols["variance"][order])
+    return {"window": None, "model": curve.fitted.to_dict(), "n_points": len(curve.points)}
 
 
 # kind -> (required CSV columns, estimator)
@@ -497,7 +495,7 @@ def main(argv=None) -> int:
         # check and _dump_json, not as NumPy warnings on stderr.
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (ArithmeticError, MemoryError) as exc:
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, TypeError) as exc:

@@ -11,7 +11,7 @@ empirical minibatch-gradient variances at a fixed sample pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,19 +49,19 @@ class PowerLawTerm:
 class PowerLawModel:
     """value = C * prod over terms of (covariate + shift) ^ exponent."""
 
-    coefficient: float
+    C: float
     terms: tuple[PowerLawTerm, ...]
 
     def __post_init__(self):
-        if self.coefficient <= 0:
-            raise ValueError("coefficient must be positive")
+        if self.C <= 0:
+            raise ValueError("C must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
             raise ValueError("covariate names must be unique")
 
     def value(self, covariates: Mapping[str, float]) -> float:
-        out = self.coefficient
+        out = self.C
         for t in self.terms:
             if t.name not in covariates:
                 raise KeyError(f"missing covariate {t.name!r}")
@@ -74,25 +74,12 @@ class PowerLawModel:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "C": self.coefficient,
-            "terms": [
-                {"name": t.name, "shift": t.shift, "exponent": t.exponent}
-                for t in self.terms
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d) -> "PowerLawModel":
         """Read the JSON object that to_dict writes; errors are ValueErrors."""
-        law = from_dict(_PowerLawLayout, d, "power law")
-        return cls(law.C, law.terms)
-
-
-@dataclass
-class _PowerLawLayout:
-    C: float
-    terms: tuple[PowerLawTerm, ...]
+        return from_dict(cls, d, "power law")
 
 
 @dataclass(frozen=True)
@@ -110,6 +97,16 @@ class VarianceCurve:
 
     points: tuple[tuple[float, float], ...]
     fitted: PowerLawModel
+
+    @classmethod
+    def fit(cls, scales, variances) -> "VarianceCurve":
+        """Fit a one-term shifted power law in the covariate "scale" to the
+        measured (scale, variance) points."""
+        points = tuple((float(b), float(v)) for b, v in zip(scales, variances))
+        if any(v <= 0 for _, v in points):
+            raise ValueError("degenerate variance data: a variance is not positive")
+        fitted = fit_power_law({"scale": scales}, variances, [FitTerm("scale")])
+        return cls(points=points, fitted=fitted)
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ def estimate_variance(
     scales = [float(b) for b in scales]
     if any(b2 <= b1 for b1, b2 in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
-    points = []
+    variances = []
     for b_idx, b in enumerate(scales):
         if pool_size % int(b) != 0:
             raise ValueError(f"pool_size {pool_size} is not divisible by scale {b:g}")
@@ -297,15 +294,8 @@ def estimate_variance(
         mean = draws.mean(axis=0)
         dev = draws - mean
         var = float(np.sum(dev * dev) / (m - 1))
-        points.append((b, var))
-    if any(v <= 0 for _, v in points):
-        raise ValueError("degenerate variance data: a scale produced zero variance")
-    fitted = fit_power_law(
-        {"scale": np.array([p[0] for p in points])},
-        np.array([p[1] for p in points]),
-        [FitTerm("scale")],
-    )
-    return VarianceCurve(points=tuple(points), fitted=fitted)
+        variances.append(var)
+    return VarianceCurve.fit(scales, variances)
 
 
 def _log_residuals(shape, cols, log_y):
@@ -351,10 +341,10 @@ def fit_power_law(
     """Fit a shifted power law by robust least squares on log residuals.
 
     Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1), the soft-l1
-    loss, over the log coefficient and the free shifts and exponents, with
-    the exact Jacobian of the log residuals, restarting from 16 initial
-    points and keeping the best. Shifts are constrained so every
-    covariate + shift stays positive on the data.
+    loss, over log C and the free shifts and exponents, with the exact
+    Jacobian of the log residuals, restarting from 16 initial points and
+    keeping the best. Shifts are constrained so every covariate + shift
+    stays positive on the data.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
@@ -411,7 +401,7 @@ def fit_power_law(
         raise FloatingPointError("power-law fit failed from every start")
     log_c, terms = unpack(best.x)
     return PowerLawModel(
-        coefficient=float(np.exp(log_c)),
+        C=float(np.exp(log_c)),
         terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, terms)),
     )
 

@@ -139,6 +139,8 @@ def point_seed(seed_base: int, B: float, S: float, rep: int) -> int:
 def _point_hyperparameters(cfg: SweepConfig, consts: ProblemConstants, B: float, S: float):
     K = int(cfg.token_budget // (B * S))
     law = error_law(cfg.token_budget, B, S, consts, mode=cfg.rule.mode)
+    if not math.isfinite(law.eps):
+        raise FloatingPointError(f"the error law is not finite: eps = {law.eps}")
     rule = cfg.rule
     if rule.kind == "fixed":
         beta, alpha = rule.beta, rule.alpha

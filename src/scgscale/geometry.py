@@ -176,7 +176,7 @@ def composite_dual_norm(arrays, kinds) -> float:
     return sum(block_dual_norm(a, kind) for a, kind in zip(arrays, kinds))
 
 
-# Newton-Schulz coefficient sets: (a, b, c) applied each iteration as
+# Newton-Schulz coefficients (a, b, c), applied each iteration as
 # X <- a X + b (X X^T) X + c (X X^T)^2 X. The cubic set keeps all singular
 # values of the iterate inside [0, 1]; the quintic set converges faster but
 # can transiently overshoot 1.

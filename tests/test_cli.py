@@ -418,6 +418,22 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverging_spectral_run_exits_4(self, tmp_path, capsys):
+        # The momentum overflows, so the LMO's SVD raises a LinAlgError (a
+        # ValueError) before the run's own divergence check is reached.
+        cfg = train_config(iters=5)
+        cfg["problem"]["blocks"][0].update(
+            geometry={"kind": "spectral", "shape": [4, 4], "radius_eta": 1e10},
+            curvature=1e300,
+            target=(0.1 * np.eye(4)).tolist(),
+        )
+        cfg["optimizer"].update(variant="uscg", check_invariants=False)
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "numeric failure: SVD did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unallocatable_run_exits_4(self, tmp_path, capsys):
         # 10**17 recorded rows need 800 PB, more than a 57-bit virtual address
         # space (128 PiB) maps, so the allocation fails under any allocator.
@@ -581,7 +597,8 @@ class TestPlanCli:
          ({"terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.0, "typo": 3}]}, "typo"),
          ({"extra": 1}, "extra"),
          ({"terms": 5}, "terms"),
-         ({"terms": None}, "terms")],
+         ({"terms": None}, "terms"),
+         ({"C": 0.0}, "error: power law: C must be positive")],
     )
     def test_malformed_rho_law_exits_2(self, law, key, tmp_path, capsys):
         d = {"C": 5.0, "terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.0}], **law}
@@ -635,8 +652,10 @@ class TestPlanCli:
          "--shape0 needs --batch0"),
         (["--t1", "1e9", "--consts0", "1,2", "--consts1", "1,1,1"],
          "--consts0 must be 'L,mu,rho', got '1,2'"),
+        (["--t1", "1e9", "--consts0", "a,b,c", "--consts1", "1,1,1"],
+         "error: --consts0: could not convert string to float: 'a'"),
         (["--consts0", "1,1,1", "--consts1", "1,1,1"], "--t1 is required for rule model_size"),
-    ], ids=["shape-without-batch", "two-constants", "no-t1"])
+    ], ids=["shape-without-batch", "two-constants", "non-numeric-constants", "no-t1"])
     def test_incomplete_model_size_flags_exit_2(self, flags, message, capsys):
         assert cli.main(["plan", "--rule", "model_size", *self.BASE, *flags]) == 2
         assert message in capsys.readouterr().err

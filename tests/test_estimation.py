@@ -51,6 +51,31 @@ class TestPowerLawModel:
         assert laws["L"].value(cov) == pytest.approx(7.2, abs=0.1)
 
 
+_FIT_COLUMNS = {"x": [1.0, 2.0, 4.0]}
+_FIT_VALUES = [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: PowerLawModel(0.0, ()), ValueError, "C must be positive", id="law-C"),
+    pytest.param(lambda: PowerLawModel(1.0, (PowerLawTerm("x", 0.0, 1.0),) * 2),
+                 ValueError, "covariate names must be unique", id="law-names"),
+    pytest.param(lambda: estimate_variance(None, None, [4.0, 2.0], 64),
+                 ValueError, "scales must be strictly increasing", id="variance-scales"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, []),
+                 ValueError, "shape needs at least one term", id="fit-empty-shape"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("y")]),
+                 KeyError, "missing covariate column 'y'", id="fit-missing-column"),
+    pytest.param(lambda: fit_power_law({"x": [1.0, 2.0]}, _FIT_VALUES, [FitTerm("x")]),
+                 ValueError, "covariate 'x' length mismatch", id="fit-length"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x", shift=-1.0)]),
+                 ValueError, "fixed shift for 'x' makes a base non-positive", id="fit-shift"),
+])
+def test_input_checks_raise_their_message(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert info.value.args == (message,)
+
+
 class TestHuberLineFit:
     def test_exact_line(self):
         x = np.linspace(0.0, 4.0, 40)
@@ -247,7 +272,7 @@ class TestFitPowerLaw:
         values = np.array([law.value({"n_layer": n}) for n in n_layer])
         fitted = fit_power_law({"n_layer": n_layer}, values, [FitTerm("n_layer")])
         term = fitted.terms[0]
-        assert fitted.coefficient == pytest.approx(5.2, rel=0.05)
+        assert fitted.C == pytest.approx(5.2, rel=0.05)
         assert term.shift == pytest.approx(1.7, rel=0.05)
         assert term.exponent == pytest.approx(-0.2, rel=0.05)
 
@@ -273,7 +298,7 @@ class TestFitPowerLaw:
         fitted = fit_power_law({"x": x}, values, [FitTerm("x", exponent=-0.5)])
         assert fitted.terms[0].exponent == -0.5
         assert fitted.terms[0].shift == pytest.approx(1.0, abs=1e-6)
-        assert fitted.coefficient == pytest.approx(2.0, rel=1e-6)
+        assert fitted.C == pytest.approx(2.0, rel=1e-6)
 
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError, match="positive"):
@@ -305,7 +330,7 @@ class TestFitPowerLaw:
         b = 2.0 ** np.arange(3, 9)
         fitted = fit_power_law({"scale": b}, 4.0 / (b + 3.0), [FitTerm("scale")])
         term = fitted.terms[0]
-        assert fitted.coefficient == pytest.approx(4.0, rel=1e-9, abs=0)
+        assert fitted.C == pytest.approx(4.0, rel=1e-9, abs=0)
         assert term.shift == pytest.approx(3.0, rel=1e-9, abs=0)
         assert term.exponent == pytest.approx(-1.0, rel=1e-9, abs=0)
 

@@ -10,7 +10,7 @@ from scgscale.experiments import BetaRule, SweepConfig, SweepRow, point_seed, ru
 from scgscale.optimizer import ConstantBeta, ScgConfig, run
 from scgscale.geometry import BlockGeometry
 from scgscale.problems import LayeredQuadratic, NoiseModel
-from scgscale.scaling import error_law, prescribe_params
+from scgscale.scaling import ProblemConstants, error_law, prescribe_params
 
 
 def small_problem(sigma=0.2):
@@ -103,6 +103,18 @@ class TestSweep:
         assert good.error is None
         assert bad.error is not None
         assert "beta" in bad.error
+
+    def test_a_non_finite_law_errors_only_its_point(self):
+        # L * BS overflows at BS = 2048 only, so eps is inf at that point.
+        consts = ProblemConstants(L=1e306, mu=1.0, rho=1.0, sigma_star=0.1)
+        cfg = replace(sweep_config([(4.0, 1.0), (2048.0, 1.0)]), constants=consts)
+        good, bad = run_sweep(cfg).rows
+        error = "the error law is not finite: eps = inf"
+        assert as_text([bad]) == as_text(
+            [SweepRow(2048.0, 1.0, 0, math.nan, math.nan, math.nan, math.nan, 0, error=error)]
+        )
+        assert good.error is None and math.isfinite(good.predicted_eps)
+        assert good == run_sweep(replace(cfg, grid=((4.0, 1.0),))).rows[0]
 
     def test_fixed_rule_sets_every_point(self):
         cfg = sweep_config([(4.0, 1.0), (64.0, 1.0)],

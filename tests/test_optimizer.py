@@ -1,6 +1,8 @@
 import csv
 import io
+import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -80,6 +82,40 @@ class TestSchedules:
     def test_warmdown_default_tail_is_28_percent(self):
         sched = WarmdownBeta(0.1, 100)
         assert sched.warmdown_steps == 28
+
+
+_scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: _scg(variant="fw"),
+                 "unknown variant 'fw'", id="variant"),
+    pytest.param(lambda: _scg(alpha=0.0),
+                 "alpha must lie in (0, 1], got 0.0", id="alpha-zero"),
+    pytest.param(lambda: _scg(alpha=1.5),
+                 "alpha must lie in (0, 1], got 1.5", id="alpha-above-one"),
+    pytest.param(lambda: _scg(iters=-1),
+                 "iters must be nonnegative, got -1", id="iters"),
+    pytest.param(lambda: _scg(eval_every=0),
+                 "eval_every must be >= 1", id="eval_every"),
+    pytest.param(lambda: _scg(momentum_init="ones"),
+                 "unknown momentum_init 'ones'", id="momentum_init"),
+    pytest.param(lambda: _scg(radii=(1.0, 0.0)),
+                 "all radii must be positive", id="radius"),
+    pytest.param(lambda: run(quadratic_1d(), _scg(radii=(1.0, 2.0))),
+                 "radii must be parallel to the block list", id="radii-length"),
+    pytest.param(lambda: ConstantBeta.horizon(c=0.0, iters=10),
+                 "c must be positive, got 0.0", id="horizon-c"),
+    pytest.param(lambda: WarmdownBeta(0.1, total_steps=10, warmdown_steps=11),
+                 "warmdown_steps must lie in [0, total_steps]", id="warmdown-long"),
+    pytest.param(lambda: WarmdownBeta(0.1, total_steps=10, warmdown_steps=-1),
+                 "warmdown_steps must lie in [0, total_steps]", id="warmdown-negative"),
+    pytest.param(lambda: WarmdownBeta(0.0, total_steps=10),
+                 "gamma must lie in (0, 1], got 0.0", id="warmdown-gamma"),
+])
+def test_input_checks_raise_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def one_step(spec, x0, alpha, beta=0.5, **config):

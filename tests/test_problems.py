@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -59,6 +61,32 @@ NON_FINITE_CASES["LayeredQuadratic.curvatures"] = lambda bad: replace(
 NON_FINITE_CASES["LayeredQuadratic.targets"] = lambda bad: replace(
     simple_quadratic(dim=2), targets=(np.array([0.5, bad]),)
 )
+
+
+_EUCLID_4 = BlockGeometry("euclidean", (4,), 10.0)
+_logistic = partial(LogisticRegression, geometry=(_EUCLID_4,), block_names=("w",), n_samples=8,
+                    dim=4, data_seed=0, noise=NoiseModel(0.0))
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: replace(simple_quadratic(), curvatures=(1.0, 2.0)),
+                 "geometry, names, curvatures, and targets must be parallel", id="quadratic-parallel"),
+    pytest.param(lambda: replace(simple_quadratic(), geometry=(_EUCLID_4, _EUCLID_4),
+                                 block_names=("w", "w"), curvatures=(1.0, 1.0),
+                                 targets=(np.zeros(4), np.zeros(4))),
+                 "block names must be unique", id="quadratic-names"),
+    pytest.param(lambda: _logistic(block_names=("w", "v")),
+                 "logistic regression uses a single weight block", id="logistic-blocks"),
+    pytest.param(lambda: _logistic(dim=5),
+                 "weight block must be euclidean with shape (dim,)", id="logistic-shape"),
+    pytest.param(lambda: _logistic(n_samples=0),
+                 "n_samples and dim must be positive", id="logistic-samples"),
+    pytest.param(lambda: _logistic(margin_boost=-0.1),
+                 "margin_boost must be nonnegative", id="logistic-margin"),
+])
+def test_input_checks_raise_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scgscale.estimation import PowerLawModel, PowerLawTerm
 from scgscale.scaling import (
     ProblemConstants,
+    Stage,
     TunedConfig,
     critical_bs,
     error_law,
@@ -314,6 +317,31 @@ class TestPlanStages:
     def test_alpha_constant_across_stages(self):
         plan = plan_stages(BASE, UNIT, UNIT, [BASE.T0, 3 * BASE.T0, 9 * BASE.T0])
         assert all(s.alpha == BASE.alpha0 for s in plan.stages)
+
+
+_stage = partial(Stage, token_allotment=64.0, B=2.0, S=2.0, beta=0.1, alpha=0.5)
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: _stage(token_allotment=0.0),
+                 "token_allotment must be positive", id="stage-tokens"),
+    pytest.param(lambda: _stage(B=0.5), "B and S must be >= 1", id="stage-B"),
+    pytest.param(lambda: _stage(S=0.5), "B and S must be >= 1", id="stage-S"),
+    pytest.param(lambda: _stage(beta=1.5),
+                 "stage beta must lie in (0, 1], got 1.5", id="stage-beta"),
+    pytest.param(lambda: _stage(alpha=0.0),
+                 "stage alpha must lie in (0, 1], got 0.0", id="stage-alpha"),
+    pytest.param(lambda: plan_stages(BASE, UNIT, UNIT, [BASE.T0, math.inf]),
+                 "budgets must be positive and finite", id="plan-inf"),
+    pytest.param(lambda: plan_stages(BASE, UNIT, UNIT, [math.nan]),
+                 "budgets must be positive and finite", id="plan-nan"),
+    pytest.param(lambda: round_scale(0.0, "pow2"), "value must be positive", id="round-zero"),
+    pytest.param(lambda: round_scale(64.0, "mult64"),
+                 "unknown rounding policy 'mult64'", id="round-policy"),
+])
+def test_input_checks_raise_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestBaselineRules:
