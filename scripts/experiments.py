@@ -6,7 +6,7 @@
            the predicted critical scale and the large-batch tail slope
   rates    token-budget rate study on the logistic objective with BS pinned
            at the critical scale: the log-log slope of loss against budget
-           (the flat regime predicts -1/3)
+           (the flat regime predicts -1/3) and the range of steps per run K
   restart  two-stage restart schedule against spending the whole budget at
            the tuned small batch: final losses across seeds
 
@@ -73,15 +73,17 @@ def rates(args):
         repetitions=args.repetitions,
         seed_base=args.seed_base,
     )
+    steps = [int(T // bs) for T, bs in zip(out["budgets"], out["critical_scales"])]
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["T", "BS", "K", "final_loss_mean"])
-        for T, bs, m in zip(out["budgets"], out["critical_scales"], out["mean_losses"]):
-            w.writerow([FMT(T), FMT(bs), int(T // bs), FMT(m)])
+        for T, bs, K, m in zip(out["budgets"], out["critical_scales"], steps, out["mean_losses"]):
+            w.writerow([FMT(T), FMT(bs), K, FMT(m)])
     c = out["constants"]
     return [
         f"estimated constants: L={c.L:.4g} mu={c.mu:.4g} rho={c.rho:.4g}",
-        f"log-log slope of final loss vs budget: {out['slope']:.3f} (predicted -1/3)",
+        f"log-log slope of final loss vs budget: {out['slope']:.3f} (predicted -1/3) "
+        f"over K = {min(steps)}-{max(steps)} steps per run",
     ]
 
 

@@ -10,8 +10,8 @@ comparison.
 
 A group is the seeds of one point (or budget): one unchecked constant-beta
 run per seed, each a row with the group's K, B, S, alpha and beta.
-_final_losses steps the groups of a serial sweep, of the rate study or of
-the restart baseline in stacked run loops (optimizer._run_segments), longest
+_final_losses steps the groups of a serial sweep or of the rate study in
+stacked run loops (optimizer._run_segments) of one problem each, longest
 first, and a row retires when its K ends. Each row's final loss is bit-equal
 to that of a lone run. A group that diverges in a stack runs again alone, as
 does every group of a stack that raises, so a group's losses or error are
@@ -165,21 +165,21 @@ _STACK_VALUES = 1 << 12
 
 
 def _group(spec, B, S, alpha, beta, iters, seeds):
-    """The seeds of one point or budget, as _final_losses takes them: one
-    unchecked constant-beta run per seed, with the noise of spec set to batch
-    B and sequence length S."""
+    """The seeds of one point or budget, as _final_losses takes them: spec,
+    its noise at batch B and sequence length S, and one unchecked
+    constant-beta run per seed."""
     config = ScgConfig(
         alpha=alpha, beta=ConstantBeta(beta), iters=iters, eval_every=_FINAL_LOSS_ONLY,
         check_invariants=False,
     )
-    return replace(spec, noise=replace(spec.noise, B=B, S=S)), config, list(seeds)
+    return spec, replace(spec.noise, B=B, S=S), config, list(seeds)
 
 
 def _lone_losses(group):
     """The final losses of a lone run(seeds=...) of group, or what it raises."""
-    spec, config, seeds = group
+    spec, noise, config, seeds = group
     try:
-        return [log.final_loss for log in run(spec, config, seeds=seeds)]
+        return [log.final_loss for log in run(replace(spec, noise=noise), config, seeds=seeds)]
     except Exception as exc:  # the group fails, not the caller
         return exc
 
@@ -189,19 +189,19 @@ def _final_losses(groups):
 
     The groups step together in stacks (optimizer._run_segments), longest
     first, and each row retires when its steps end; its final loss is
-    bit-equal to that of a lone run. A stack holds whole groups, more than
-    one only within _STACK_VALUES values; a stack of one group is its lone
-    run. A group that diverges in a stack runs again alone, as does every
-    group of a stack that raises or that _run_segments refuses (rows with and
-    without gradient noise), so a group's losses or error are always those of
-    its lone run.
+    bit-equal to that of a lone run. A stack holds whole groups of one
+    problem (the same spec object), more than one only within _STACK_VALUES
+    values; a stack of one group is its lone run. A group that diverges in a
+    stack runs again alone, as does every group of a stack that raises or
+    that _run_segments refuses (rows with and without gradient noise), so a
+    group's losses or error are always those of its lone run.
     """
-    order = sorted(range(len(groups)), key=lambda i: -groups[i][1].iters)
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][2].iters)
     stacks, values = [], 0
     for i in order:
-        spec, _, seeds = groups[i]
+        spec, _, _, seeds = groups[i]
         n = len(seeds) * spec.total_params
-        if stacks and values + n <= _STACK_VALUES:
+        if stacks and values + n <= _STACK_VALUES and spec is groups[stacks[-1][0]][0]:
             stacks[-1].append(i)
             values += n
         else:
@@ -214,12 +214,12 @@ def _final_losses(groups):
             try:
                 logs = _run_segments(
                     members[0][0],
-                    [replace(config, seed=seed) for _, config, seeds in members for seed in seeds],
-                    noises=[spec.noise for spec, _, seeds in members for _ in seeds],
+                    [replace(config, seed=seed) for *_, config, seeds in members for seed in seeds],
+                    noises=[noise for _, noise, _, seeds in members for _ in seeds],
                 )
             except Exception:  # a stack that raised or was refused: each group alone
                 logs = []
-            for i, (_, _, seeds) in zip(stack, members):
+            for i, (*_, seeds) in zip(stack, members):
                 own, logs = logs[:len(seeds)], logs[len(seeds):]
                 if own and all(log.final_x is not None for log in own):
                     out[i] = [log.final_loss for log in own]
@@ -496,9 +496,9 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
         check_invariants=False,
     )
     staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
-    baseline_spec, baseline_cfg, _ = _group(
-        spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
-    baseline_losses = [log.final_loss for log in run(baseline_spec, baseline_cfg, seeds=seeds)]
+    _, noise, baseline_cfg, _ = _group(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
+    baseline_losses = [log.final_loss for log in run(
+        replace(spec, noise=noise), baseline_cfg, seeds=seeds)]
     return {
         "plan": plan,
         "tuned": base,

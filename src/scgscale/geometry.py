@@ -6,10 +6,13 @@ primal norm of a layered point is the max of the per-block primal norms; the
 composite dual norm is the sum of the per-block dual norms. Linear
 minimization oracles (LMOs) over the per-block unit balls drive the
 conditional-gradient update: sign of the buffer for sign blocks, polar factor
-for spectral blocks, normalized buffer for euclidean blocks.
+for spectral blocks, normalized buffer for euclidean blocks. _step_block
+takes that step in place on the blocks of a run; lmo_block is its one-block
+view.
 
-Everything here is a pure function over value inputs with no shared mutable
-state, so concurrent calls are safe.
+Everything here but _step_block, which writes into the arrays it is given, is
+a pure function over value inputs with no shared mutable state, so concurrent
+calls are safe.
 """
 
 from __future__ import annotations
@@ -72,13 +75,9 @@ class BlockGeometry:
         """Largest ratio of the block dual norm to the block l2 norm.
 
         sign: sqrt(n) (l1 vs l2), spectral: sqrt(min(rows, cols)) (nuclear vs
-        Frobenius), euclidean: 1.
+        Frobenius), euclidean: 1; the square root of lipschitz_gain.
         """
-        if self.kind is GeometryKind.SIGN:
-            return math.sqrt(self.size)
-        if self.kind is GeometryKind.SPECTRAL:
-            return math.sqrt(min(self.shape))
-        return 1.0
+        return math.sqrt(self.lipschitz_gain())
 
     def lipschitz_gain(self) -> float:
         """Largest ratio of the block dual norm to the block primal norm."""
@@ -87,6 +86,13 @@ class BlockGeometry:
         if self.kind is GeometryKind.SPECTRAL:
             return float(min(self.shape))  # nuclear vs operator norm
         return 1.0
+
+    def max_l2_distance(self, theta: np.ndarray) -> float:
+        """Max l2 distance from theta over the block's primal ball of radius eta."""
+        if self.kind is GeometryKind.SIGN:
+            return float(np.linalg.norm(np.abs(theta) + self.radius_eta))
+        # The ball's point of largest l2 norm lies dual_gain * eta from 0.
+        return float(np.linalg.norm(theta)) + self.radius_eta * self.dual_gain()
 
 
 class LayeredPoint:
@@ -142,24 +148,6 @@ def block_primal_norm(values: np.ndarray, kind: GeometryKind) -> float:
     if kind is GeometryKind.SPECTRAL:
         return float(np.linalg.svd(values, compute_uv=False)[0])
     return float(np.linalg.norm(values.ravel()))
-
-
-def scaled_l2_norm(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """(v, n): a positive multiple v of the block and its l2 norm n.
-
-    v is the block itself unless the sum of squares falls below the smallest
-    normal float, where the squares have lost precision or underflowed to
-    zero; then v is the block divided by max|values|. Either way v / n is the
-    unit vector along the block, and n is 0 only for a zero block.
-    """
-    sq = float(np.vdot(values, values))
-    if sq >= _TINY:
-        return values, math.sqrt(sq)
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return values, 0.0
-    scaled = values / peak
-    return scaled, math.sqrt(float(np.vdot(scaled, scaled)))
 
 
 def block_dual_norm(values: np.ndarray, kind: GeometryKind) -> float:
@@ -225,27 +213,85 @@ def lmo_block(
     """(d, n): the minimizer d of <values, d> over the unit ball of the block
     norm, and the block's dual norm n = -<values, d>.
 
-    A zero block returns the zero block: any feasible point minimizes the
-    trivial objective and zero avoids a spurious step. With the exact method
-    a spectral block may be a stack (R, rows, cols) of matrices: one SVD call
-    covers the stack, each matrix gets its own polar factor (singular values
-    below 1e-12 of its largest are dropped, so a zero matrix gets zero), and
-    n is the array of their nuclear norms, taken from the same SVD.
+    A sign or euclidean d is the one-block view of _step_block, the step that
+    runs take: the step from zero at unit scale. A zero block returns the
+    zero block, with either spectral method too: any feasible point minimizes
+    the trivial objective and zero avoids a spurious step. So does a
+    euclidean block with a NaN, as a run does not step on one. With the exact
+    method a spectral block may be a stack (R, rows, cols) of matrices: one
+    SVD call covers the stack, each matrix gets its own polar factor
+    (singular values below 1e-12 of its largest are dropped, so a zero matrix
+    gets zero), and n is the array of their nuclear norms, taken from the
+    same SVD.
     """
-    if kind is GeometryKind.SPECTRAL and spectral_method == "exact":
+    if kind is not GeometryKind.SPECTRAL:
+        d = np.zeros((1,) + np.shape(values))
+        _step_block(d, np.asarray(values)[None], kind, np.ones_like(d), np.empty_like(d))
+        return d[0], block_dual_norm(values, kind)
+    if spectral_method == "exact":
         U, s, Vt = np.linalg.svd(values, full_matrices=False)
         keep = s > 1e-12 * s[..., :1]
         d = (U * keep[..., None, :]) @ Vt
         return np.negative(d, out=d), s.sum(-1)
-    if kind is GeometryKind.SPECTRAL and spectral_method != "newton_schulz":
+    if spectral_method != "newton_schulz":
         raise ValueError(f"unknown spectral_method {spectral_method!r}")
     if not np.any(values):
         return np.zeros_like(values), 0.0
-    if kind is GeometryKind.SIGN:
-        d = -np.sign(values)
-    elif kind is GeometryKind.EUCLIDEAN:
-        v, nrm = scaled_l2_norm(values)
-        d = -v / nrm
-    else:
-        d = -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
+    d = -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
     return d, block_dual_norm(values, kind)
+
+
+# Bound once: looking up an Enum member costs more than the identity test
+# against it, and the block update does that test every step.
+_SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
+
+
+def _euclidean_step(xb, mb, scale, scratch):
+    """In place, xb <- xb - scale * mb / ||mb||; a zero or NaN mb leaves xb as
+    it is. Where the sum of squares falls below the smallest normal float, the
+    squares have lost precision or underflowed to zero, so mb / max|mb| takes
+    the place of mb: the same direction, with a sum of squares of at least 1.
+    """
+    sq = float(np.vdot(mb, mb))
+    if not sq >= _TINY:  # also for a NaN
+        peak = float(np.max(np.abs(mb)))
+        if not peak > 0.0:
+            return
+        mb = mb / peak
+        sq = float(np.vdot(mb, mb))
+    np.multiply(mb, scale / math.sqrt(sq), out=scratch)
+    xb -= scratch
+
+
+def _step_block(xb, mb, kind, scale, scratch):
+    """In place, xb[r] <- xb[r] + scale[r] * lmo(mb[r]) for every seed r.
+
+    xb, mb, scale and scratch hold one block per seed, stacked as (R, *shape);
+    scale[r] holds one value. Sign and euclidean directions are formed in
+    scratch, so those blocks allocate nothing per step. A spectral block takes
+    one lmo_block call for the whole stack, and the step returns the R nuclear
+    norms of mb that its SVD gives; other kinds return None. Each seed's
+    result is bit-equal to stepping its block alone: the stacked matmul below
+    forms the same dot product as the np.vdot of _euclidean_step on each
+    seed's block, and the SVD and the polar product run matrix by matrix.
+    """
+    if kind is _SIGN:
+        np.sign(mb, out=scratch)
+        scratch *= scale
+        xb -= scratch
+    elif kind is _EUCLIDEAN:
+        flat = mb.reshape(len(mb), -1)
+        sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
+        if sq.min() >= _TINY:  # False for a NaN too
+            factor = scale.reshape(len(mb), -1)[:, 0] / np.sqrt(sq)
+            np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)
+            xb -= scratch
+            return
+        # Some seed's block is tiny, zero or not finite: seed by seed.
+        for xr, mr, cr, sr in zip(xb, mb, scale, scratch):
+            _euclidean_step(xr, mr, cr.item(0), sr)
+    else:
+        d, nuclear = lmo_block(mb, kind)
+        np.multiply(d, scale, out=scratch)
+        xb += scratch
+        return nuclear

@@ -17,15 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import (
-    GeometryKind,
-    LayeredPoint,
-    block_dual_norm,
-    block_primal_norm,
-    lmo_block,
-    scaled_l2_norm,
-    _TINY,
-)
+from .geometry import LayeredPoint, block_dual_norm, block_primal_norm, _step_block
 from . import problems
 from .scaling import StagePlan
 
@@ -43,9 +35,6 @@ __all__ = [
 
 _FLOAT_FMT = "{:.17g}"
 _INVARIANT_SLACK = 1e-9
-# Bound once: looking up an Enum member costs more than the identity test
-# against it, and the block update does that test every step.
-_SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
 # A run draws its gradient noise for at most this many steps at once, and at
 # most this many values (512 KiB of doubles) per draw.
 _NOISE_CHUNK_STEPS = 256
@@ -208,48 +197,6 @@ def _resolve_radii(config_radii, geometry) -> list[float]:
     if len(config_radii) != len(geometry):
         raise ValueError("radii must be parallel to the block list")
     return list(config_radii)
-
-
-def _euclidean_step(xb, mb, scale, scratch):
-    """In place, xb <- xb - scale * mb / ||mb||; a zero mb leaves xb as it is."""
-    v, nrm = scaled_l2_norm(mb)
-    if nrm > 0.0:
-        np.multiply(v, scale / nrm, out=scratch)
-        xb -= scratch
-
-
-def _step_block(xb, mb, kind, scale, scratch):
-    """In place, xb[r] <- xb[r] + scale[r] * lmo(mb[r]) for every seed r.
-
-    xb, mb, scale and scratch hold one block per seed, stacked as (R, *shape);
-    scale[r] holds one value. Sign and euclidean directions are formed in
-    scratch, so those blocks allocate nothing per step. A spectral block takes
-    one lmo_block call for the whole stack, and the step returns the R nuclear
-    norms of mb that its SVD gives; other kinds return None. Each seed's
-    result is bit-equal to stepping its block alone: the stacked matmul below
-    forms the same dot product as the np.vdot of scaled_l2_norm on each
-    seed's block, and the SVD and the polar product run matrix by matrix.
-    """
-    if kind is _SIGN:
-        np.sign(mb, out=scratch)
-        scratch *= scale
-        xb -= scratch
-    elif kind is _EUCLIDEAN:
-        flat = mb.reshape(len(mb), -1)
-        sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
-        if sq.min() >= _TINY:  # False for a NaN too
-            factor = scale.reshape(len(mb), -1)[:, 0] / np.sqrt(sq)
-            np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)
-            xb -= scratch
-            return
-        # Some seed's block is tiny, zero or not finite: seed by seed.
-        for xr, mr, cr, sr in zip(xb, mb, scale, scratch):
-            _euclidean_step(xr, mr, cr.item(0), sr)
-    else:
-        d, nuclear = lmo_block(mb, kind)
-        np.multiply(d, scale, out=scratch)
-        xb += scratch
-        return nuclear
 
 
 @dataclass(frozen=True)

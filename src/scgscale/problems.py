@@ -109,6 +109,29 @@ class LayeredQuadratic:
     def total_params(self) -> int:
         return sum(g.size for g in self.geometry)
 
+    def losses(self, arrays) -> np.ndarray:
+        """The loss_fn of compiled: each point's row is summed on its own."""
+        total = 0.0
+        for xb, lam, theta in zip(arrays, self.curvatures, self.targets):
+            diff = (xb - theta).reshape(len(xb), -1)
+            total += 0.5 * lam * np.sum(diff * diff, axis=1)
+        return total
+
+    def grad_fn(self, n_points: int):
+        """The grad_fn of compiled, elementwise."""
+        terms = [
+            (np.full((n_points,) + theta.shape, lam), np.repeat(theta[None], n_points, axis=0))
+            for lam, theta in zip(self.curvatures, self.targets)
+        ]
+
+        def grad_fn(arrays, out):
+            for xb, ob, (lam, theta) in zip(arrays, out, terms):
+                np.subtract(xb, theta, out=ob)
+                ob *= lam
+            return out
+
+        return grad_fn
+
 
 @dataclass(frozen=True)
 class LogisticRegression:
@@ -154,6 +177,25 @@ class LogisticRegression:
     def total_params(self) -> int:
         return self.dim
 
+    def losses(self, arrays) -> np.ndarray:
+        """The loss_fn of compiled: one matrix-vector product per point."""
+        z = self.labels * np.matmul(self.features, arrays[0][..., None])[..., 0]
+        return np.mean(np.logaddexp(0.0, -z), axis=-1)
+
+    def grad_fn(self, n_points: int):
+        """The grad_fn of compiled: one matrix-vector product per point each way."""
+        features, n = self.features, self.n_samples
+        labels = np.repeat(self.labels[None], n_points, axis=0)
+
+        def grad_fn(arrays, out):
+            products = np.matmul(features, arrays[0][..., None])[..., 0]
+            s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
+            # The loss's derivative in the products, back through features.
+            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[0][..., None])
+            return out
+
+        return grad_fn
+
 
 @lru_cache(maxsize=16)
 def _logistic_data(n_samples: int, dim: int, data_seed: int, margin_boost: float):
@@ -184,24 +226,6 @@ def per_coordinate_sigma(spec: ProblemSpec, noise: Optional[NoiseModel] = None) 
     return math.sqrt(var / spec.total_params) if var > 0 else 0.0
 
 
-def _loss_arrays(spec: ProblemSpec, arrays) -> np.ndarray:
-    """The objectives of the R points whose blocks arrays stacks as (R, *shape).
-
-    Each point's row is reduced on its own, so its loss has the bits it gets
-    when it is the only point of the stack.
-    """
-    if isinstance(spec, LayeredQuadratic):
-        total = 0.0
-        for xb, lam, theta in zip(arrays, spec.curvatures, spec.targets):
-            diff = (xb - theta).reshape(len(xb), -1)
-            total += 0.5 * lam * np.sum(diff * diff, axis=1)
-        return total
-    if isinstance(spec, LogisticRegression):
-        z = spec.labels * np.matmul(spec.features, arrays[0][..., None])[..., 0]
-        return np.mean(np.logaddexp(0.0, -z), axis=-1)
-    raise TypeError(f"unsupported problem kind {spec!r}")
-
-
 def compiled(spec: ProblemSpec, n_points: int = 1):
     """Array-level (loss_fn, grad_fn) pair used by the iteration hot loop.
 
@@ -215,32 +239,7 @@ def compiled(spec: ProblemSpec, n_points: int = 1):
     times, so its R must equal n_points, unless n_points is 1, which numpy
     broadcasts to any R; loss_fn takes any R.
     """
-    if isinstance(spec, LayeredQuadratic):
-        terms = [
-            (np.full((n_points,) + theta.shape, lam), np.repeat(theta[None], n_points, axis=0))
-            for lam, theta in zip(spec.curvatures, spec.targets)
-        ]
-
-        def grad_fn(arrays, out):
-            for xb, ob, (lam, theta) in zip(arrays, out, terms):
-                np.subtract(xb, theta, out=ob)
-                ob *= lam
-            return out
-
-    elif isinstance(spec, LogisticRegression):
-        features, n = spec.features, spec.n_samples
-        labels = np.repeat(spec.labels[None], n_points, axis=0)
-
-        def grad_fn(arrays, out):
-            products = np.matmul(features, arrays[0][..., None])[..., 0]
-            s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
-            # The loss's derivative in the products, back through features.
-            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[0][..., None])
-            return out
-
-    else:
-        raise TypeError(f"unsupported problem kind {spec!r}")
-    return (lambda arrays: _loss_arrays(spec, arrays)), grad_fn
+    return spec.losses, spec.grad_fn(n_points)
 
 
 def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
@@ -263,7 +262,7 @@ def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
 def loss(spec: ProblemSpec, x: LayeredPoint) -> float:
     """Exact objective value at x."""
     check_point(spec, x)
-    return float(_loss_arrays(spec, [a[None] for a in x.arrays])[0])
+    return float(spec.losses([a[None] for a in x.arrays])[0])
 
 
 def grad(spec: ProblemSpec, x: LayeredPoint) -> LayeredPoint:
@@ -289,16 +288,6 @@ def initial_point(spec: ProblemSpec) -> LayeredPoint:
     return LayeredPoint.zeros(spec.block_names, spec.geometry)
 
 
-def _max_l2_distance(theta: np.ndarray, geom: BlockGeometry) -> float:
-    """Max l2 distance from theta over the block's primal ball of radius eta."""
-    eta = geom.radius_eta
-    if geom.kind is GeometryKind.SIGN:
-        return float(np.linalg.norm(np.abs(theta) + eta))
-    if geom.kind is GeometryKind.SPECTRAL:
-        return float(np.linalg.norm(theta)) + eta * math.sqrt(min(geom.shape))
-    return float(np.linalg.norm(theta)) + eta
-
-
 def known_constants(spec: ProblemSpec) -> ProblemConstants:
     """Analytic (L, mu, rho, sigma_star) for the layered quadratic.
 
@@ -316,11 +305,9 @@ def known_constants(spec: ProblemSpec) -> ProblemConstants:
             "constants for logistic regression are not analytic; "
             "estimate them from a trajectory instead"
         )
-    if not isinstance(spec, LayeredQuadratic):
-        raise TypeError(f"unsupported problem kind {spec!r}")
     L = sum(lam * g.lipschitz_gain() for lam, g in zip(spec.curvatures, spec.geometry))
     f_max = sum(
-        0.5 * lam * _max_l2_distance(theta, g) ** 2
+        0.5 * lam * g.max_l2_distance(theta) ** 2
         for lam, theta, g in zip(spec.curvatures, spec.targets, spec.geometry)
     )
     mu = math.sqrt(2.0 * min(spec.curvatures)) / math.sqrt(f_max)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scgscale import estimation
 from scgscale.estimation import (
     FitTerm,
     _log_residuals,
@@ -51,6 +52,15 @@ class TestPowerLawModel:
         assert laws["L"].value(cov) == pytest.approx(7.2, abs=0.1)
 
 
+def _sparse_gradient_log():
+    """A log that stores every step's gradient but records every other step,
+    and its geometry."""
+    spec = run_quadratic(iters=1)[0]
+    cfg = ScgConfig(alpha=0.5, beta=ConstantBeta(0.02), iters=4, eval_every=2,
+                    store_gradients=True)
+    return run(spec, cfg), spec.geometry
+
+
 _FIT_COLUMNS = {"x": [1.0, 2.0, 4.0]}
 _FIT_VALUES = [1.0, 2.0, 3.0]
 
@@ -69,6 +79,24 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
                  ValueError, "covariate 'x' length mismatch", id="fit-length"),
     pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x", shift=-1.0)]),
                  ValueError, "fixed shift for 'x' makes a base non-positive", id="fit-shift"),
+    pytest.param(lambda: huber_line_fit([1.0, 2.0], [1.0, 2.0, 3.0]),
+                 ValueError, "x and y must be 1-D arrays of equal length", id="huber-shape"),
+    pytest.param(lambda: huber_line_fit([1.0], [1.0]),
+                 ValueError, "need at least 2 points", id="huber-one-point"),
+    # The weights of the reweighted fit underflow, and with them sum w (x - mean)^2.
+    pytest.param(lambda: huber_line_fit([0.0, 0.1, 0.2, 0.3], [0.0, 10.0, -10.0, 0.0],
+                                        delta=5e-324),
+                 ValueError, "degenerate weighted fit", id="huber-degenerate"),
+    pytest.param(lambda: smoothness_from_steps([1.0, 2.0], [1.0]),
+                 ValueError, "inputs must be 1-D arrays of equal length", id="smoothness-shape"),
+    pytest.param(lambda: smoothness_from_steps([], []),
+                 ValueError, "need at least one consecutive step", id="smoothness-empty"),
+    pytest.param(lambda: estimate_L(*_sparse_gradient_log()), ValueError,
+                 "smoothness estimation needs a log recorded at every step", id="L-sparse-log"),
+    pytest.param(lambda: estimate_rho(
+        [(LayeredPoint([("w", [1.0])]), LayeredPoint([("v", [0.0])]))],
+        [BlockGeometry("euclidean", (1,))]),
+                 ValueError, "pair block names do not match", id="rho-names"),
 ])
 def test_input_checks_raise_their_message(make, error, message):
     with pytest.raises(error) as info:
@@ -303,6 +331,14 @@ class TestFitPowerLaw:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             fit_power_law({"x": np.array([1.0, 2.0])}, np.array([1.0, -1.0]), [FitTerm("x")])
+
+    def test_every_start_failing_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("residuals are not finite")
+
+        monkeypatch.setattr(estimation, "least_squares", failing)
+        with pytest.raises(FloatingPointError, match="^power-law fit failed from every start$"):
+            fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x")])
 
     def test_insufficient_observations(self):
         with pytest.raises(ValueError, match="observations"):

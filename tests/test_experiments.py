@@ -166,6 +166,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             run_sweep(sweep_config([(4.0, 1.0)]), jobs=jobs)
 
+    def test_needs_a_repetition(self):
+        with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
+            sweep_config([(4.0, 1.0)], reps=0)
+
     def test_grid_must_fit_budget(self):
         with pytest.raises(ValueError, match="budget"):
             sweep_config([(8192.0, 1.0)])
@@ -376,6 +380,16 @@ class TestStackedSweep:
             else:
                 assert as_text([row]) == as_text([before])
 
+    def test_groups_of_two_problems_keep_their_lone_losses(self):
+        # A stack steps the problem of its first group, so a group of another
+        # problem of the same layout and noise must step in its own stack.
+        spec = experiments.regime_sweep_problem()
+        flipped = replace(spec, targets=tuple(-t for t in spec.targets))
+        groups = [experiments._group(p, 4.0, 1.0, 0.09, 0.01, 300, [1, 2]) for p in (spec, flipped)]
+        lone = [experiments._lone_losses(group) for group in groups]
+        assert lone[0] != lone[1]
+        assert experiments._final_losses(groups) == lone
+
     def test_rate_study_matches_per_budget_runs(self):
         out = experiments.middle_regime_rates(t_exponents=(10, 11, 12), repetitions=2)
         spec = experiments.rate_study_problem()
@@ -438,6 +452,17 @@ class TestDrivers:
     def test_rates_need_a_repetition(self):
         with pytest.raises(ValueError, match="repetitions"):
             experiments.middle_regime_rates(t_exponents=(14, 15), repetitions=0)
+
+    def test_rates_raise_what_a_budget_raises(self, monkeypatch):
+        # Every row diverges, in the stack and then alone; the first budget's
+        # lone-run error reaches the caller.
+        step_block = optimizer._step_block
+        monkeypatch.setattr(
+            optimizer, "_step_block",
+            lambda xb, mb, kind, scale, scratch: step_block(xb, mb, kind, np.inf * scale, scratch))
+        consts = ProblemConstants(L=1.0, mu=1.0, rho=1.0, sigma_star=0.01, c=2.0)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="^the run diverged"):
+            experiments.middle_regime_rates(t_exponents=(6, 7), repetitions=1, constants=consts)
 
     @pytest.mark.parametrize("t_exponents", [(), (14,), (14, 14)])
     def test_rates_need_two_budgets(self, monkeypatch, t_exponents):

@@ -60,6 +60,14 @@ def test_rates(monkeypatch, capsys, tmp_path):
     assert "log-log slope" in printed
 
 
+def test_rates_prints_the_steps_per_run(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "rates.csv"
+    printed = run_script(monkeypatch, capsys, "rates", "--log2-budgets", "6:12",
+                         "--repetitions", "2", "--out", str(out))
+    assert [int(r["K"]) for r in read_csv(out)] == [9, 11, 15, 18, 23, 30]
+    assert "(predicted -1/3) over K = 9-30 steps per run" in printed
+
+
 def test_restart(monkeypatch, capsys, tmp_path):
     out = tmp_path / "restart.json"
     printed = run_script(monkeypatch, capsys, "restart", "--trials", "2",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scgscale.geometry import (
     block_dual_norm,
     block_primal_norm,
     composite_dual_norm,
+    _step_block,
     lmo_block,
     newton_schulz_polar,
 )
@@ -63,6 +65,13 @@ class TestNorms:
         with pytest.raises(ValueError, match="unique"):
             point(("w", [1.0]), ("w", [2.0]))
 
+    def test_equality_and_repr(self):
+        x = point(("w", [1.0, 2.0]), ("b", np.zeros((2, 3))))
+        assert x == point(("w", [1.0, 2.0]), ("b", np.zeros((2, 3))))
+        assert x != point(("w", [1.0, 2.0]), ("c", np.zeros((2, 3))))
+        assert x != [1.0, 2.0]  # not a point: equal only to itself
+        assert repr(x) == "LayeredPoint(w:(2,), b:(2, 3))"
+
 
 class TestBlockGeometry:
     def test_spectral_needs_2d(self):
@@ -101,6 +110,22 @@ class TestLmo:
             corners = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
             best = np.min(corners @ m)
             assert float(m @ d) == pytest.approx(best, abs=1e-12)
+
+    def test_newton_schulz_zero_block_stays_zero(self):
+        d, dual = lmo_block(np.zeros((2, 3)), SPECTRAL, spectral_method="newton_schulz")
+        assert d.shape == (2, 3) and not np.any(d) and dual == 0.0
+
+    def test_sign_and_euclidean_are_the_run_step_from_zero(self):
+        # lmo_block is the one-block view of _step_block: the step from zero at
+        # unit scale, bit for bit; a euclidean block with a NaN takes no step.
+        rng = np.random.default_rng(8)
+        blocks = [(SIGN, rng.standard_normal(5)), (EUCLIDEAN, rng.standard_normal((2, 3))),
+                  (EUCLIDEAN, np.array([3e-160, -4e-160])), (EUCLIDEAN, np.array([1.0, np.nan]))]
+        for kind, m in blocks:
+            x = np.zeros((1,) + m.shape)
+            _step_block(x, m[None], kind, np.ones_like(x), np.empty_like(x))
+            assert np.array_equal(lmo_block(m, kind)[0], x[0])
+        assert not np.any(x)
 
     def test_unknown_spectral_method(self):
         with pytest.raises(ValueError, match="spectral_method"):
@@ -259,6 +284,14 @@ class TestNewtonSchulz:
         P = newton_schulz_polar(M, 5, coefficients=NS_QUINTIC)
         nuclear = np.linalg.svd(M, compute_uv=False).sum()
         assert np.sum(M * P) >= 0.9 * nuclear
+
+    @pytest.mark.parametrize("M, iters, message", [
+        (np.ones(3), 5, "expected a 2-D matrix, got shape (3,)"),
+        (np.eye(2), 0, "iters must be >= 1"),
+    ])
+    def test_input_checks_raise_their_message(self, M, iters, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            newton_schulz_polar(M, iters)
 
     def test_zero_matrix_raises(self):
         with pytest.raises(ValueError, match="zero"):

@@ -20,6 +20,7 @@ from scgscale.optimizer import (
     ConstantBeta,
     ScgConfig,
     WarmdownBeta,
+    _run_segments,
     _step_block,
     beta_at,
     run,
@@ -83,6 +84,10 @@ class TestSchedules:
         sched = WarmdownBeta(0.1, 100)
         assert sched.warmdown_steps == 28
 
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(TypeError, match="^unknown beta schedule 0.1$"):
+            beta_at(0.1, 0)
+
 
 _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
 
@@ -112,6 +117,8 @@ _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
                  "warmdown_steps must lie in [0, total_steps]", id="warmdown-negative"),
     pytest.param(lambda: WarmdownBeta(0.0, total_steps=10),
                  "gamma must lie in (0, 1], got 0.0", id="warmdown-gamma"),
+    pytest.param(lambda: _run_segments(quadratic_1d(), [_scg(iters=2), _scg(iters=3)]),
+                 "the rows of a stack must come longest first", id="stack-order"),
 ])
 def test_input_checks_raise_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

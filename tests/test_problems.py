@@ -83,6 +83,11 @@ _logistic = partial(LogisticRegression, geometry=(_EUCLID_4,), block_names=("w",
                  "n_samples and dim must be positive", id="logistic-samples"),
     pytest.param(lambda: _logistic(margin_boost=-0.1),
                  "margin_boost must be nonnegative", id="logistic-margin"),
+    pytest.param(lambda: loss(simple_quadratic(), LayeredPoint([("v", [0.0])])),
+                 "point block names do not match the problem", id="point-names"),
+    pytest.param(lambda: known_constants(simple_quadratic(dist=0.0)),
+                 "the zero start point is already optimal (zero initial suboptimality)",
+                 id="constants-optimal-start"),
 ])
 def test_input_checks_raise_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

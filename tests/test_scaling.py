@@ -282,6 +282,17 @@ class TestTransferTokenBudget:
         with pytest.raises(FloatingPointError, match="converge"):
             transfer_token_budget(BASE, cubic, T1=8.0 * BASE.T0)
 
+    @pytest.mark.parametrize("exponent, factor", [
+        pytest.param(120.0, 8.0, id="rho-overflows"),  # rho(B0) is finite, rho(4 B0) is not
+        # Each damped step multiplies B by about 1.01: after 1000 it is still
+        # moving and far below the divergence cap.
+        pytest.param(1.5, 1.02 ** 1.5, id="never-settles"),
+    ])
+    def test_fixed_point_that_fails_to_settle(self, exponent, factor):
+        model = PowerLawModel(1.0, (PowerLawTerm("batch_size", 0.0, exponent),))
+        with pytest.raises(FloatingPointError, match="^token-budget fixed point did not converge"):
+            transfer_token_budget(BASE, model, T1=factor * BASE.T0)
+
     @pytest.mark.parametrize("t1", [0.0, -1e9])
     def test_non_positive_budget_rejected(self, t1):
         with pytest.raises(ValueError, match="T1 must be positive"):
@@ -338,6 +349,18 @@ _stage = partial(Stage, token_allotment=64.0, B=2.0, S=2.0, beta=0.1, alpha=0.5)
     pytest.param(lambda: round_scale(0.0, "pow2"), "value must be positive", id="round-zero"),
     pytest.param(lambda: round_scale(64.0, "mult64"),
                  "unknown rounding policy 'mult64'", id="round-policy"),
+    pytest.param(lambda: prescribe_params(UNIT, eps=0.1, bs=0.5), "bs must be >= 1",
+                 id="prescribe-bs"),
+    pytest.param(lambda: critical_bs(0.0, UNIT), "T must be positive", id="critical-T"),
+    pytest.param(lambda: transfer_model_size(BASE, UNIT, UNIT, T1=0.0),
+                 "token budgets must be positive", id="model-size-T1"),
+    # 1e-300 * 256^-100 underflows to zero.
+    pytest.param(lambda: transfer_token_budget(
+        BASE, PowerLawModel(1e-300, (PowerLawTerm("batch_size", 0.0, -100.0),)), T1=BASE.T0),
+                 "rho at the base batch size must be positive", id="token-budget-rho0"),
+    pytest.param(lambda: sqrt_rule(BASE, 0.0), "T1 must be positive", id="sqrt-T1"),
+    pytest.param(lambda: nonconvex_rule(BASE, UNIT, UNIT, D0=0.0, D1=1.0),
+                 "model sizes must be positive", id="nonconvex-D"),
 ])
 def test_input_checks_raise_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
