@@ -125,7 +125,7 @@ class TestLmo:
             x = np.zeros((1,) + m.shape)
             _step_block(x, m[None], kind, np.ones_like(x), np.empty_like(x))
             assert np.array_equal(lmo_block(m, kind)[0], x[0])
-        assert not np.any(x)
+        assert not np.any(x)  # the NaN block's
 
     def test_unknown_spectral_method(self):
         with pytest.raises(ValueError, match="spectral_method"):
@@ -286,8 +286,8 @@ class TestNewtonSchulz:
         assert np.sum(M * P) >= 0.9 * nuclear
 
     @pytest.mark.parametrize("M, iters, message", [
-        (np.ones(3), 5, "expected a 2-D matrix, got shape (3,)"),
-        (np.eye(2), 0, "iters must be >= 1"),
+        pytest.param(np.ones(3), 5, "expected a 2-D matrix, got shape (3,)", id="not-2d"),
+        pytest.param(np.eye(2), 0, "iters must be >= 1", id="iters"),
     ])
     def test_input_checks_raise_their_message(self, M, iters, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
