@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .geometry import composite_dual_norm
 from .problems import from_dict
@@ -377,6 +376,7 @@ def fit_power_law(
     shift_lb = {i: -c + 1e-9 * max(1.0, abs(c)) for i, c in mins.items()}
     lo = [-np.inf] + [shift_lb[i] if j == 0 else -np.inf for i, j in free]
 
+    from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
     best = None
     mean_log_y = float(np.mean(log_y))

@@ -11,8 +11,8 @@ comparison.
 A group is the seeds of one point (or budget): one unchecked constant-beta
 run per seed, each a row with the group's K, B, S, alpha and beta.
 _final_losses steps the groups of a serial sweep or of the rate study in
-stacked run loops (optimizer._run_segments) of one problem each, longest
-first, and a row retires when its K ends. Each row's final loss is bit-equal
+stacked run loops (optimizer._run_segments), one problem at a time, longest
+first; a row retires when its K ends. Each row's final loss is bit-equal
 to that of a lone run. A group that diverges in a stack runs again alone, as
 does every group of a stack that raises, so a group's losses or error are
 those of its lone run, and a failing group errors only its own point.
@@ -187,16 +187,17 @@ def _lone_losses(group):
 def _final_losses(groups):
     """Per group (see _group): _lone_losses of the group.
 
-    The groups step together in stacks (optimizer._run_segments), longest
-    first, and each row retires when its steps end; its final loss is
-    bit-equal to that of a lone run. A stack holds whole groups of one
-    problem (the same spec object), more than one only within _STACK_VALUES
-    values; a stack of one group is its lone run. A group that diverges in a
-    stack runs again alone, as does every group of a stack that raises or
-    that _run_segments refuses (rows with and without gradient noise), so a
-    group's losses or error are always those of its lone run.
+    The groups step together in stacks (optimizer._run_segments), by problem
+    (the same spec object, in order of first appearance), then longest first;
+    each row retires when its steps end, its final loss bit-equal to that of
+    a lone run. A stack holds whole groups of one problem, more than one only
+    within _STACK_VALUES values; a stack of one group is its lone run. A
+    group that diverges in a stack runs again alone, as does every group of a
+    stack that raises or that _run_segments refuses (rows with and without
+    gradient noise), so a group's losses or error are those of its lone run.
     """
-    order = sorted(range(len(groups)), key=lambda i: -groups[i][2].iters)
+    rank = {id(spec): i for i, (spec, *_) in reversed(list(enumerate(groups)))}
+    order = sorted(range(len(groups)), key=lambda i: (rank[id(groups[i][0])], -groups[i][2].iters))
     stacks, values = [], 0
     for i in order:
         spec, _, _, seeds = groups[i]

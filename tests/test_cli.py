@@ -3,6 +3,9 @@ import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -926,3 +929,26 @@ class TestFitCli:
         shape = write_json(tmp_path / "s.json", {"terms": [{"name": "n_layer"}], **layout})
         assert cli.main(["fit", "--shape", shape, "--in", data]) == 2
         assert key in capsys.readouterr().err
+
+
+def test_scipy_loads_only_at_the_first_fit(tmp_path):
+    # A fresh interpreter: importing the package and running a plan that
+    # evaluates the bundled rho law must not import SciPy; a fit must.
+    script = f"""
+import json, sys
+import scgscale, scgscale.cli
+from scgscale import cli, estimation
+rc = cli.main(["plan", "--rule", "token_budget", {", ".join(map(repr, TestPlanCli.BASE))},
+               "--t1", "1.04e10", "--out", {str(tmp_path / "plan.json")!r}])
+scipy_after_plan = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+law = estimation.fit_power_law({{"x": [1.0, 2.0, 4.0, 8.0]}}, [4.0, 2.0, 1.0, 0.5],
+                               [estimation.FitTerm("x", shift=0.0)])
+print(json.dumps([rc, scipy_after_plan, law.terms[0].exponent, "scipy.optimize" in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, scipy_after_plan, exponent, optimize_loaded = json.loads(proc.stdout)
+    assert (rc, scipy_after_plan) == (0, [])
+    assert exponent == pytest.approx(-1.0, abs=1e-6)
+    assert optimize_loaded

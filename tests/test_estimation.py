@@ -336,7 +336,7 @@ class TestFitPowerLaw:
         def failing(*args, **kwargs):
             raise ValueError("residuals are not finite")
 
-        monkeypatch.setattr(estimation, "least_squares", failing)
+        monkeypatch.setattr("scipy.optimize.least_squares", failing)
         with pytest.raises(FloatingPointError, match="^power-law fit failed from every start$"):
             fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x")])
 

@@ -390,6 +390,28 @@ class TestStackedSweep:
         assert lone[0] != lone[1]
         assert experiments._final_losses(groups) == lone
 
+    def test_groups_of_two_problems_stack_by_problem(self, monkeypatch):
+        # The problems alternate in K; each problem's groups still share a stack.
+        spec = experiments.regime_sweep_problem()
+        flipped = replace(spec, targets=tuple(-t for t in spec.targets))
+        groups = [experiments._group(p, 4.0, 1.0, 0.09, 0.01, K, [1, 2])
+                  for p, K in ((spec, 300), (flipped, 200), (spec, 100), (flipped, 50))]
+        lone = [experiments._lone_losses(group) for group in groups]
+        stacks, lone_runs = [], []
+
+        def counting(spec, configs, **kwargs):
+            stacks.append(len(configs))
+            return optimizer._run_segments(spec, configs, **kwargs)
+
+        def lone_run(spec, config, seeds):
+            lone_runs.append(len(seeds))
+            return run(spec, config, seeds=seeds)
+
+        monkeypatch.setattr(experiments, "_run_segments", counting)
+        monkeypatch.setattr(experiments, "run", lone_run)
+        assert experiments._final_losses(groups) == lone
+        assert (stacks, lone_runs) == ([4, 4], [])
+
     def test_rate_study_matches_per_budget_runs(self):
         out = experiments.middle_regime_rates(t_exponents=(10, 11, 12), repetitions=2)
         spec = experiments.rate_study_problem()

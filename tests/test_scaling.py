@@ -117,6 +117,10 @@ class TestErrorLaw:
         with pytest.raises(ValueError):
             error_law(4.0, 8.0, 1.0, UNIT)
 
+    def test_step_below_one_token_rejected(self):
+        with pytest.raises(ValueError, match=r"^B \* S must be >= 1$"):
+            error_law(4.0, 0.5, 1.0, UNIT)
+
 
 # Constants covering both sides of every max in the laws, with and without
 # noise. The asymptotic outputs over this grid are pinned bit for bit by the
