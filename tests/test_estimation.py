@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgscale import estimation
 from scgscale.estimation import (
     FitTerm,
     _log_residuals,
