@@ -65,8 +65,9 @@ def regime(args):
 
 def rates(args):
     """Estimate the logistic constants from a pilot run, then train once per
-    budget with BS = critical(T) and the 1/K stepsize rule; write
-    (T, BS, K, mean loss) rows."""
+    budget with BS = critical(T) and the c/K stepsize rule, which a budget
+    with fewer than 2c steps per run fails; write (T, BS, K, mean loss)
+    rows."""
     lo, hi = (int(v) for v in args.log2_budgets.split(":"))
     out = experiments.middle_regime_rates(
         t_exponents=tuple(range(lo, hi)),

@@ -430,9 +430,11 @@ def middle_regime_rates(
 ):
     """Final loss against token budget with BS pinned at the critical scale.
 
-    Returns a dict with the budgets, per-budget critical scales, mean final
-    losses, and the fitted log-log slope (the flat-regime prediction decays
-    as the cube root of the budget).
+    Each run takes K = T // BS steps at beta = c / K, the rule
+    ConstantBeta.horizon states, so a budget with K below 2c raises a
+    ValueError. Returns a dict with the budgets, per-budget critical scales,
+    mean final losses, and the fitted log-log slope (the flat-regime
+    prediction decays as the cube root of the budget).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -445,7 +447,7 @@ def middle_regime_rates(
         T = float(2**j)
         bs = max(1.0, round(critical_bs(T, consts)))
         K = int(T // bs)
-        beta = min(0.5, RATE_STUDY_C / K)
+        beta = ConstantBeta.horizon(RATE_STUDY_C, K).value
         seeds = [point_seed(seed_base, bs, 1.0, rep + 1000 * j) for rep in range(repetitions)]
         groups.append(_group(spec, bs, 1.0, RATE_STUDY_ALPHA, beta, K, seeds))
         budgets.append(T)
@@ -486,7 +488,7 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
     spec = regime_sweep_problem(sigma_star=RESTART_SIGMA_STAR)
     consts = replace(problems.known_constants(spec), c=RESTART_C)
     bs0 = max(1.0, round(critical_bs(RESTART_T0, consts)))
-    beta0 = RESTART_C / int(RESTART_T0 // bs0)
+    beta0 = ConstantBeta.horizon(RESTART_C, int(RESTART_T0 // bs0)).value
     base = TunedConfig(B0=bs0, S0=1.0, beta0=beta0, alpha0=RESTART_ALPHA, T0=RESTART_T0)
     T1 = budget_factor * RESTART_T0
     plan = plan_stages(base, consts, consts, [RESTART_T0, T1])

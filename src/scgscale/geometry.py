@@ -203,42 +203,28 @@ def newton_schulz_polar(
     return X.T if transposed else X
 
 
-def lmo_block(
-    values: np.ndarray,
-    kind: GeometryKind,
-    spectral_method: str = "exact",
-    ns_iters: int = 5,
-    ns_coefficients: tuple[float, float, float] = NS_CUBIC,
-):
+def lmo_block(values: np.ndarray, kind: GeometryKind):
     """(d, n): the minimizer d of <values, d> over the unit ball of the block
     norm, and the block's dual norm n = -<values, d>.
 
     A sign or euclidean d is the one-block view of _step_block, the step that
     runs take: the step from zero at unit scale. A zero block returns the
-    zero block, with either spectral method too: any feasible point minimizes
-    the trivial objective and zero avoids a spurious step. So does a
-    euclidean block with a NaN, as a run does not step on one. With the exact
-    method a spectral block may be a stack (R, rows, cols) of matrices: one
-    SVD call covers the stack, each matrix gets its own polar factor
-    (singular values below 1e-12 of its largest are dropped, so a zero matrix
-    gets zero), and n is the array of their nuclear norms, taken from the
-    same SVD.
+    zero block: any feasible point minimizes the trivial objective and zero
+    avoids a spurious step. So does a euclidean block with a NaN, as a run
+    does not step on one. A spectral d is the exact polar factor, and the
+    block may be a stack (R, rows, cols) of matrices: one SVD call covers the
+    stack, each matrix gets its own polar factor (singular values below
+    1e-12 of its largest are dropped, so a zero matrix gets zero), and n is
+    the array of their nuclear norms, taken from the same SVD.
     """
     if kind is not GeometryKind.SPECTRAL:
         d = np.zeros((1,) + np.shape(values))
         _step_block(d, np.asarray(values)[None], kind, np.ones_like(d), np.empty_like(d))
         return d[0], block_dual_norm(values, kind)
-    if spectral_method == "exact":
-        U, s, Vt = np.linalg.svd(values, full_matrices=False)
-        keep = s > 1e-12 * s[..., :1]
-        d = (U * keep[..., None, :]) @ Vt
-        return np.negative(d, out=d), s.sum(-1)
-    if spectral_method != "newton_schulz":
-        raise ValueError(f"unknown spectral_method {spectral_method!r}")
-    if not np.any(values):
-        return np.zeros_like(values), 0.0
-    d = -newton_schulz_polar(values, iters=ns_iters, coefficients=ns_coefficients)
-    return d, block_dual_norm(values, kind)
+    U, s, Vt = np.linalg.svd(values, full_matrices=False)
+    keep = s > 1e-12 * s[..., :1]
+    d = (U * keep[..., None, :]) @ Vt
+    return np.negative(d, out=d), s.sum(-1)
 
 
 # Bound once: looking up an Enum member costs more than the identity test

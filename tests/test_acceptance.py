@@ -198,7 +198,7 @@ def test_c07_lmo_oracle_equivalence():
     for _ in range(1000):
         rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         M = rng.standard_normal((rows, cols))
-        d = lmo_block(M, GeometryKind.SPECTRAL, spectral_method="exact")[0]
+        d = lmo_block(M, GeometryKind.SPECTRAL)[0]
         nuclear = float(np.linalg.svd(M, compute_uv=False).sum())
         if abs(float(np.sum(M * d)) + nuclear) > 1e-8 * max(1.0, nuclear):
             spectral_fail += 1

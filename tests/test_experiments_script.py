@@ -81,6 +81,9 @@ def test_restart(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("args, code, message", [
     (("restart", "--budget-factor", "1"), 2, "budget_factor"),
     (("rates", "--log2-budgets", "14:15"), 2, "t_exponents"),
+    # budgets 2^1 .. 2^3 leave K = 2 .. 4 steps per run, below the 2c = 4 the
+    # c/K stepsize needs
+    (("rates", "--log2-budgets", "1:4", "--repetitions", "1"), 2, "iters must be at least 2c"),
     # the second stage's step count overflows the run loop
     (("restart", "--trials", "1", "--budget-factor", "1e300"), 4, "too large"),
     # the grid BS = 2^0 .. 2^(budget - 2) would be empty
