@@ -129,6 +129,28 @@ class TestLmo:
             m = rng.standard_normal(shape)
             assert lmo_block(m, kind)[1] == pytest.approx(block_dual_norm(m, kind), rel=1e-14)
 
+    def test_spectral_direction_is_a_partial_isometry(self):
+        # The exact polar factor has singular value 1 on the range of the
+        # block and 0 off it, so it lies on the unit sphere of the spectral norm.
+        rng = np.random.default_rng(12)
+        full = rng.standard_normal((5, 3))
+        low = np.outer(rng.standard_normal(4), rng.standard_normal(6))
+        for m, rank in [(full, 3), (full.T, 3), (low, 1)]:
+            s = np.linalg.svd(lmo_block(m, SPECTRAL)[0], compute_uv=False)
+            assert np.allclose(s[:rank], 1.0, atol=1e-12)
+            assert np.all(np.abs(s[rank:]) < 1e-12)
+
+    def test_spectral_transpose_consistency(self):
+        # The LMO of the transpose is the transposed direction, with the
+        # same dual norm, for wide and tall blocks alike.
+        rng = np.random.default_rng(14)
+        for shape in [(3, 7), (7, 3), (4, 4)]:
+            m = rng.standard_normal(shape)
+            d, dual = lmo_block(m, SPECTRAL)
+            d_t, dual_t = lmo_block(m.T, SPECTRAL)
+            assert np.allclose(d_t, d.T, atol=1e-12)
+            assert dual_t == pytest.approx(dual, rel=1e-12)
+
     def test_spectral_stack_is_matrix_by_matrix(self):
         # One call on a stack gives each matrix its lone-call direction and
         # nuclear norm bit for bit; a zero or rank-deficient matrix included.
