@@ -4,13 +4,14 @@
   python3 scripts/bench_pairs.py --parent REV --change REV \\
       --workload parallel_sweep --seed 707 --pairs 10 --out BENCH_9.json
 
-Each revision is extracted with ``git archive`` into its own temporary
-directory, and the script refuses to run when ``perfbench/`` or
-``BENCHMARK.json`` differ between the two, since the numbers would then come
-from different benchmarks. Pair i runs ``perfbench/run.py --trace 0`` once
-on each side, the parent first in odd pairs and the change first in even
-ones, and keeps each side's full result record
-(``perfbench/out/result-<workload>-trace0.json``).
+The script refuses to run when ``perfbench/`` or ``BENCHMARK.json`` differ
+between the two revisions, since the numbers would then come from different
+benchmarks. Pair i runs ``perfbench/run.py --trace 0`` once on each side, the
+parent first in odd pairs and the change first in even ones, and keeps each
+side's full result record (``perfbench/out/result-<workload>-trace0.json``).
+Before each run the side's temporary directory is removed and its revision
+extracted afresh with ``git archive``, so no run finds the files or outputs
+of an earlier one and both sides' files are equally new.
 
 The output file has the layout what, parent, change, host, claim, summary,
 runs. Given an existing --out, new runs are appended (pair numbers continue)
@@ -34,6 +35,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -192,13 +194,14 @@ def main(argv=None):
     first_pair = max(done, default=0) + 1
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {side: os.path.join(tmp, side) for side in SIDES}
-        for side, rev in zip(SIDES, (parent, change)):
-            extract(rev, roots[side], repo)
+        revs = dict(zip(SIDES, (parent, change)))
         for pair in range(first_pair, first_pair + args.pairs):
             order = SIDES if pair % 2 else SIDES[::-1]
             for side in order:
-                result = run_side(roots[side], args.workload, args.seed, args.seconds)
+                root = os.path.join(tmp, side)
+                shutil.rmtree(root, ignore_errors=True)
+                extract(revs[side], root, repo)
+                result = run_side(root, args.workload, args.seed, args.seconds)
                 bench["runs"].append({
                     "workload": args.workload, "seed": args.seed, "pair": pair,
                     "side": side, "ran_first": side == order[0], "result": result,

@@ -24,8 +24,6 @@ from .scaling import StagePlan
 __all__ = [
     "ConstantBeta",
     "WarmdownBeta",
-    "BetaSchedule",
-    "beta_at",
     "ScgConfig",
     "RunLog",
     "run",
@@ -82,20 +80,6 @@ class WarmdownBeta:
             raise ValueError("warmdown_steps must lie in [0, total_steps]")
 
 
-BetaSchedule = Union[ConstantBeta, WarmdownBeta]
-
-
-def beta_at(schedule: BetaSchedule, k: int) -> float:
-    if isinstance(schedule, ConstantBeta):
-        return schedule.value
-    if isinstance(schedule, WarmdownBeta):
-        n, m = schedule.total_steps, schedule.warmdown_steps
-        if k < n - m:
-            return schedule.gamma
-        return schedule.gamma * (n - k) / m
-    raise TypeError(f"unknown beta schedule {schedule!r}")
-
-
 @dataclass(frozen=True)
 class ScgConfig:
     """All optimizer hyperparameters for one run.
@@ -108,7 +92,7 @@ class ScgConfig:
     """
 
     alpha: float
-    beta: BetaSchedule
+    beta: Union[ConstantBeta, WarmdownBeta]
     iters: int
     seed: int = 0
     radii: Optional[tuple[float, ...]] = None
@@ -202,9 +186,10 @@ def _resolve_radii(config_radii, geometry) -> list[float]:
 @dataclass(frozen=True)
 class _Segment:
     iters: int
-    # Each holds one value for every row, or one per row: each row's constant
-    # beta, an (R, 1) alpha and an (R, 1, 1) per-coordinate noise std.
-    schedule: Union[BetaSchedule, np.ndarray]
+    # The stepsizes are the (R,) constant betas of the rows, or one warmdown
+    # for every row. alpha and sigma hold one value for every row, or one per
+    # row: an (R, 1) alpha and an (R, 1, 1) per-coordinate noise std.
+    schedule: Union[np.ndarray, WarmdownBeta]
     alpha: Union[float, np.ndarray]
     sigma: Union[float, np.ndarray]
     stage_index: int
@@ -215,9 +200,8 @@ def _betas(schedule, iters: int):
     per-row betas is the stepsize of every step."""
     if isinstance(schedule, np.ndarray):
         return itertools.repeat(schedule, iters)
-    if isinstance(schedule, ConstantBeta):
-        return itertools.repeat(schedule.value, iters)
-    return (beta_at(schedule, k) for k in range(iters))
+    gamma, n, m = schedule.gamma, schedule.total_steps, schedule.warmdown_steps
+    return (gamma if k < n - m else gamma * (n - k) / m for k in range(iters))
 
 
 def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment]:
@@ -231,11 +215,12 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
                     f"at least B*S = {stage.B * stage.S}"
                 )
             sigma = problems.per_coordinate_sigma(spec, replace(spec.noise, B=stage.B, S=stage.S))
-            segments.append(_Segment(iters, ConstantBeta(stage.beta), stage.alpha, sigma, idx))
+            betas = np.full(len(configs), stage.beta)
+            segments.append(_Segment(iters, betas, stage.alpha, sigma, idx))
         return segments
     first = configs[0]
     schedule = first.beta
-    if any(c.beta != schedule for c in configs):
+    if isinstance(schedule, ConstantBeta) or any(c.beta != schedule for c in configs):
         schedule = np.array([c.beta.value for c in configs])
     noises = noises or [spec.noise] * len(configs)
     sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
@@ -251,10 +236,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     Row r runs configs[r] (or the stages of plan, as run_staged) with the
     noise of spec at noises[r] (spec.noise when noises is None), from x0. The
-    rows may differ in seed, iters, alpha and beta; every other setting is
-    read from configs[0], and rows with different betas need a constant beta
-    each and the checker off. Every block is held as an (R, *shape) array for the
-    R rows, and row r draws its noise from its own generator seeded with
+    rows may differ in seed, iters, alpha and constant beta; the rows of one
+    stack share one warmdown, and every other setting is read from
+    configs[0]. Every block is held as an (R, *shape) array for the R rows,
+    and row r draws its noise from its own generator seeded with
     configs[r].seed. So its RunLog is bit-equal to that of a lone run of
     configs[r]: the ops are elementwise, or run row by row (the oracle's
     matrix-vector products, the euclidean norms, the SVD).
@@ -393,26 +378,23 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         flats[7] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
-        # it is armed per row.
+        # it is armed per row, against the row's own (n_blocks, R) bounds.
         armed = np.zeros(len(xf), dtype=bool)
-        if (
-            first.check_invariants
-            and is_scg
-            and isinstance(seg.schedule, ConstantBeta)
-            and seg.schedule.value <= 0.5
-        ):
+        if first.check_invariants and is_scg and isinstance(seg.schedule, np.ndarray):
             if x_norms is None:
                 x_norms = primal_norms(x)
-            armed = np.all(2.0 * x_norms <= eta, axis=0)
-            disp_bound = 2.0 * seg.schedule.value * eta
+            armed = np.all(2.0 * x_norms <= eta, axis=0) & (seg.schedule <= 0.5)
+            disp_bound = 2.0 * seg.schedule * eta
+            contraction = np.ones(len(xf))  # (1 - beta)^k per row
         check = bool(armed.any())
-        contraction = 1.0  # (1 - beta)^k, tracked while the checker is armed
         for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
             if k_global == next_end:
                 n_keep = sum(i > k_global for i in row_iters)
                 finish(n_keep, len(xf))
                 bind(n_keep)
                 armed, x_norms, next_end = armed[:n_keep], None, row_iters[n_keep - 1]
+                if check:
+                    disp_bound, contraction = disp_bound[:, :n_keep], contraction[:n_keep]
             record = (k_local % eval_every) == 0
             if record:
                 loss_k = loss_fn(x)
@@ -466,7 +448,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 disp_norms = primal_norms(disp)
 
             if check:
-                contraction *= 1.0 - beta_k  # now (1 - beta)^(k+1)
+                contraction *= 1.0 - beta_act  # now (1 - beta)^(k+1)
                 x_norms = primal_norms(x)
                 x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
                 failed = armed & ~(
@@ -479,8 +461,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                             i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
                             first_violation[r] = (
                                 f"step {k_global} block {names[i]}: "
-                                f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, 0]:.6g} "
-                                f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, 0]:.6g}"
+                                f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, r]:.6g} "
+                                f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, r]:.6g}"
                             )
 
             if record:

@@ -1,8 +1,9 @@
-"""The summary arithmetic of scripts/bench_pairs.py, on canned run records
-(no benchmark is run)."""
+"""The summary arithmetic and the pair loop of scripts/bench_pairs.py, on
+canned run records (no benchmark is run)."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,40 @@ def test_trajectory_mode_needs_no_revisions(tmp_path, capsys):
     assert capsys.readouterr().out == "\n"
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", "HEAD"])
+
+
+def test_each_run_extracts_its_side_afresh(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "steps_per_s", "better": "higher"}]}))
+    events = []
+
+    def git(*args, cwd=None):
+        return (str(repo) if args[0] == "rev-parse" and args[1] == "--show-toplevel"
+                else args[-1]).encode()
+
+    def extract(rev, dest, _repo):
+        assert not os.path.exists(dest)  # the side's earlier files are gone
+        os.makedirs(dest)
+        events.append(("extract", rev, dest))
+
+    def run_side(root, workload, seed, seconds):
+        events.append(("run", root))
+        return {"metrics": {"steps_per_s": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "benchmark_differs", lambda *args: False)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "BENCH_1.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--workload", "w",
+                             "--seed", "7", "--pairs", "3", "--out", str(out)]) == 0
+    assert len(events) == 2 * 2 * 3
+    extracts, runs = events[0::2], events[1::2]
+    assert all(e[0] == "extract" for e in extracts) and all(r[0] == "run" for r in runs)
+    # each run is in the directory extracted just before it, parent first in
+    # odd pairs and change first in even ones
+    assert [r[1] for r in runs] == [e[2] for e in extracts]
+    assert [e[1] for e in extracts] == ["p", "c", "c", "p", "p", "c"]
+    assert json.loads(out.read_text())["summary"]["w/7"]["pairs"] == 3

@@ -158,6 +158,14 @@ class TestMalformedConfigs:
         rc, _ = run_config("train", cfg, tmp_path / "o")
         assert rc == 0
 
+    def test_unknown_problem_kind_exits_2(self, tmp_path):
+        cfg = train_config()
+        cfg["problem"]["kind"] = "banana"
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert "unknown problem kind 'banana'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "base,path,value,key",
         [("quadratic", ("blocks", 0, "curvature"), "1.5", "curvature"),
@@ -356,6 +364,23 @@ class TestTrain:
         out = tmp_path / "out"
         assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 0
         assert {row["stage"] for row in read_runlog(out / "runlog.csv")} == {"0", "1"}
+
+    def test_staged_run_ignores_the_unstaged_step_settings(self, tmp_path):
+        # Each stage brings its own B, S, beta, alpha and step count.
+        stages = [
+            {"token_allotment": 40.0, "B": 4.0, "S": 2.0, "beta": 0.1, "alpha": 0.5},
+            {"token_allotment": 80.0, "B": 8.0, "S": 2.0, "beta": 0.05, "alpha": 0.3},
+        ]
+        cfg = train_config(iters=5, seed=4, stages=stages)
+        rc, _ = run_config("train", cfg, tmp_path / "a")
+        assert rc == 0
+        cfg["optimizer"].update(
+            alpha=0.9, beta={"type": "warmdown", "gamma": 0.3, "total_steps": 999}, iters=999)
+        cfg["problem"]["noise"].update(B=37.0, S=5.0)
+        rc, _ = run_config("train", cfg, tmp_path / "b")
+        assert rc == 0
+        runlog = (tmp_path / "a" / "runlog.csv").read_bytes()
+        assert (tmp_path / "b" / "runlog.csv").read_bytes() == runlog
 
     def test_null_stages_trains_unstaged(self, tmp_path):
         cfg = train_config(iters=25)

@@ -210,12 +210,29 @@ class TestLmoProperties:
 
     @given(random_block(), st.floats(1e-3, 1e3))
     @example((SIGN, np.array([5e-324])), 0.5)  # the scaled entry underflows to 0
+    @example((SPECTRAL, np.diag([3.0, 3e-12])), 977.2810889379965)  # crosses the cutoff
     @settings(max_examples=100, deadline=None)
     def test_positive_scaling_invariance(self, block, scale):
         kind, m = block
         # The property needs every nonzero entry to stay nonzero when scaled.
         assume(np.count_nonzero(scale * m) == np.count_nonzero(m))
-        assert np.allclose(lmo_block(m, kind)[0], lmo_block(scale * m, kind)[0], atol=1e-9)
+        d, d_scaled = lmo_block(m, kind)[0], lmo_block(scale * m, kind)[0]
+        if kind is SPECTRAL:
+            # Both are LMO answers for m: feasible, and each pairs with m to
+            # within the singular values it may drop of minus its nuclear norm.
+            s = np.linalg.svd(m, compute_uv=False)
+            for direction in (d, d_scaled):
+                assert block_primal_norm(direction, SPECTRAL) <= 1.0 + 1e-8
+                assert np.sum(m * direction) == pytest.approx(
+                    -s.sum(), abs=1e-11 * s[0] + 1e-300)
+            # The SVDs of m and of scale * m round a singular value s_i by
+            # about 1e-16 * s[0]. So near the cutoff 1e-12 * s[0] they may
+            # keep different values, and a kept s_i far below s[0] leaves the
+            # direction only about 1e-16 * s[0] / s_i accurate.
+            ratios = s[s > 0] / s[0] if s[0] > 0 else s[:0]
+            if np.any((ratios > 1e-12 * (1 - 1e-2)) & (ratios < 1e-5)):
+                return
+        assert np.allclose(d, d_scaled, atol=1e-9)
 
     @given(random_block())
     @settings(max_examples=100, deadline=None)
@@ -230,6 +247,14 @@ class TestLmoProperties:
 
 class TestExactPolar:
     # The polar factor U V^T is the negated direction of the exact spectral LMO.
+    def test_scaling_can_cross_the_cutoff(self):
+        # The second singular value is 1e-12 of the first, the cutoff itself:
+        # the SVD of the block drops it, that of the block times 977.28...
+        # rounds it just above the cutoff and keeps it.
+        m = np.diag([3.0, 3e-12])
+        assert np.array_equal(lmo_block(m, SPECTRAL)[0], -np.diag([1.0, 0.0]))
+        assert np.array_equal(lmo_block(977.2810889379965 * m, SPECTRAL)[0], -np.eye(2))
+
     def test_positive_diagonal(self):
         assert np.allclose(-lmo_block(np.diag([2.0, 3.0]), SPECTRAL)[0], np.eye(2))
 

@@ -30,7 +30,6 @@ from scgscale.optimizer import (
     ConstantBeta,
     ScgConfig,
     WarmdownBeta,
-    beta_at,
     run,
     run_staged,
 )
@@ -422,9 +421,11 @@ def test_run_equals_stepping_by_hand_over_blocks(variant):
     # offset and every refill of the step constants must match the reference
     # step, which takes the blocks one by one.
     spec = mixed_quadratic()
-    schedule = WarmdownBeta(0.2, 80, 50)
     cfg = ScgConfig(
-        alpha=0.3, beta=schedule, iters=80, seed=17, momentum_init="zeros", variant=variant,
+        alpha=0.3, beta=WarmdownBeta(0.2, 80, 50), iters=80, seed=17, momentum_init="zeros",
+        variant=variant,
     )
     log = run(spec, cfg)
-    assert step_by_hand(spec, cfg, lambda k: beta_at(schedule, k)) == log.final_x
+    # The warmdown, written out: 0.2 for 30 steps, then down to 0.2 / 50.
+    assert step_by_hand(spec, cfg, lambda k: 0.2 if k < 30 else 0.2 * (80 - k) / 50) \
+        == log.final_x

@@ -22,7 +22,6 @@ from scgscale.optimizer import (
     WarmdownBeta,
     _run_segments,
     _step_block,
-    beta_at,
     run,
     run_staged,
 )
@@ -71,11 +70,12 @@ class TestSchedules:
     def test_horizon_schedule_requires_enough_iters(self):
         with pytest.raises(ValueError, match="2c"):
             ConstantBeta.horizon(c=2.0, iters=3)
-        assert beta_at(ConstantBeta.horizon(c=2.0, iters=10), 5) == pytest.approx(0.2)
+        assert ConstantBeta.horizon(c=2.0, iters=10).value == pytest.approx(0.2)
 
     def test_warmdown_values(self):
         sched = WarmdownBeta(gamma=0.4, total_steps=10, warmdown_steps=4)
-        values = [beta_at(sched, k) for k in range(10)]
+        config = ScgConfig(alpha=0.5, beta=sched, iters=10, eval_every=1)
+        values = run(quadratic_1d(), config).beta.tolist()
         assert values[:6] == [0.4] * 6
         assert values[6:] == pytest.approx([0.4 * x / 4 for x in (4, 3, 2, 1)])
         assert all(0.0 < v <= 1.0 for v in values)
@@ -83,10 +83,6 @@ class TestSchedules:
     def test_warmdown_default_tail_is_28_percent(self):
         sched = WarmdownBeta(0.1, 100)
         assert sched.warmdown_steps == 28
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(TypeError, match="^unknown beta schedule 0.1$"):
-            beta_at(0.1, 0)
 
 
 _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
@@ -633,6 +629,27 @@ class TestStackedSeeds:
             lone = run_staged(spec, plan, replace(config, seed=seed), x0)
             assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
                 lone.checked_steps, lone.invariant_violations, lone.first_violation)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([(0.05, 60), (0.1, 40), (0.25, 20)], id="three-betas"),
+        pytest.param([(0.6, 30), (0.1, 30)], id="one-beta-above-half"),
+    ])
+    def test_rows_with_different_betas_are_checked_per_row(self, overshooting_steps, rows):
+        # Each row is armed on its own beta and checked against its own bounds
+        # 2 beta eta, as a lone run is; in the first case the two shorter rows
+        # retire while the checker is armed, and a beta above 1/2 leaves its
+        # row unchecked.
+        spec = mixed_quadratic()
+        configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(beta), iters=iters, seed=3 + r,
+                             eval_every=3)
+                   for r, (beta, iters) in enumerate(rows)]
+        logs = _run_segments(spec, configs)
+        for config, log in zip(configs, logs):
+            lone = run(spec, config)
+            assert log.checked_steps == (config.iters if config.beta.value <= 0.5 else 0)
+            assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
+                lone.checked_steps, lone.invariant_violations, lone.first_violation)
+            assert csv_text(log) == csv_text(lone)
 
     @pytest.mark.parametrize("staged", [False, True])
     def test_empty_seed_list_rejected(self, staged):
