@@ -427,5 +427,5 @@ def test_run_equals_stepping_by_hand_over_blocks(variant):
     )
     log = run(spec, cfg)
     # The warmdown, written out: 0.2 for 30 steps, then down to 0.2 / 50.
-    assert step_by_hand(spec, cfg, lambda k: 0.2 if k < 30 else 0.2 * (80 - k) / 50) \
-        == log.final_x
+    expected = step_by_hand(spec, cfg, lambda k: 0.2 if k < 30 else 0.2 * (80 - k) / 50)
+    assert expected == log.final_x
