@@ -345,6 +345,7 @@ def regime_sweep(
         rule=BetaRule(kind="critical", c=REGIME_SWEEP_C, alpha=REGIME_SWEEP_ALPHA),
         repetitions=repetitions,
         seed_base=seed_base,
+        constants=consts,
     )
     result = run_sweep(cfg, jobs=jobs)
     return result, consts, critical_bs(T, consts)

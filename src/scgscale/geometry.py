@@ -69,7 +69,7 @@ class BlockGeometry:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def dual_gain(self) -> float:
         """Largest ratio of the block dual norm to the block l2 norm.

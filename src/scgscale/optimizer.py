@@ -9,7 +9,6 @@ m <- (1 - alpha) m + alpha g.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -195,13 +194,12 @@ class _Segment:
     stage_index: int
 
 
-def _betas(schedule, iters: int):
-    """The stepsizes of steps 0 .. iters-1 of a segment, in order; an array of
-    per-row betas is the stepsize of every step."""
+def _beta(schedule, k: int):
+    """The stepsize of step k of a segment: its per-row betas, or its warmdown's."""
     if isinstance(schedule, np.ndarray):
-        return itertools.repeat(schedule, iters)
+        return schedule
     gamma, n, m = schedule.gamma, schedule.total_steps, schedule.warmdown_steps
-    return (gamma if k < n - m else gamma * (n - k) / m for k in range(iters))
+    return gamma if k < n - m else gamma * (n - k) / m
 
 
 def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment]:
@@ -220,8 +218,11 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
         return segments
     first = configs[0]
     schedule = first.beta
-    if isinstance(schedule, ConstantBeta) or any(c.beta != schedule for c in configs):
+    if all(isinstance(c.beta, ConstantBeta) for c in configs):
         schedule = np.array([c.beta.value for c in configs])
+    elif any(c.beta != schedule for c in configs):
+        raise ValueError(
+            f"the rows of one stack share one warmdown, got {[c.beta for c in configs]}")
     noises = noises or [spec.noise] * len(configs)
     sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
     if 0 < np.count_nonzero(sigma) < len(sigma):
@@ -246,7 +247,9 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     Without a plan the rows come longest first. When a row's iters end, its
     final loss and RunLog are taken and it retires: every array shrinks to the
-    rows still running, at most once per distinct iters.
+    rows still running, at most once per distinct iters. Step 0 and the steps
+    that record, check, store, refill noise, change beta or retire are event
+    steps; any other step costs one integer comparison beside its update.
 
     Returns the RunLogs in row order. A row whose final loss, final iterate
     or recorded values are not finite has diverged: it raises nothing here,
@@ -287,7 +290,6 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     flats[0] = 0.0 if x0 is None else x0.flatten()
     beta_rows = np.empty(n_seeds)
     sigma_rows = np.empty((n_seeds, 1, 1))
-    beta_filled = None
 
     rngs = [np.random.default_rng(c.seed) for c in configs]
 
@@ -314,7 +316,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     def bind(n):
         """Make the running rows 0 .. n-1 the views that the loop steps."""
-        nonlocal xf, gf, mf, df, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
+        nonlocal xf, gf, mf, df, sf, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
             beta_act, sigma_act, noise_act, noise_rows, cols, checked, violations, loss_fn, grad_fn
         xf, gf, mf, df, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
         x, g, m, disp, scratch, scale = (
@@ -344,7 +346,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 gradients=None if grads is None else grads[r],
             )
 
-    xf = gf = mf = df = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
+    xf = gf = mf = df = sf = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
     beta_act = sigma_act = noise_act = noise_rows = cols = checked = violations = None
     loss_fn = grad_fn = None
     bind(n_seeds)
@@ -369,7 +371,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                    for stack, kind, nb in zip(blocks, kinds, known))
 
     row = 0
-    k_global = 0
+    k0 = 0  # the global index of the segment's step 0
     is_scg = first.variant == "scg"
     for seg in segments:
         sigma_rows[:] = seg.sigma
@@ -387,66 +389,84 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             disp_bound = 2.0 * seg.schedule * eta
             contraction = np.ones(len(xf))  # (1 - beta)^k per row
         check = bool(armed.any())
-        for k_local, beta_k in enumerate(_betas(seg.schedule, seg.iters)):
-            if k_global == next_end:
-                n_keep = sum(i > k_global for i in row_iters)
-                finish(n_keep, len(xf))
-                bind(n_keep)
-                armed, x_norms, next_end = armed[:n_keep], None, row_iters[n_keep - 1]
-                if check:
-                    disp_bound, contraction = disp_bound[:, :n_keep], contraction[:n_keep]
-            record = (k_local % eval_every) == 0
-            if record:
-                loss_k = loss_fn(x)
-                if x_norms is None:
-                    x_norms = primal_norms(x)
-                x_primal_k = x_norms.max(axis=0)
-            grad_fn(x, g)
-            if noisy:
-                j = k_local % chunk_steps
-                if j == 0:
-                    n = min(chunk_steps, seg.iters - k_local)
-                    for rng, buf in zip(rngs, noise_act):
-                        rng.standard_normal(out=buf[:n])
-                    noise_act[:, :n] *= sigma_act
-                gf += noise_rows[j]
+        # From step tail on, a warmdown changes the stepsize at every step.
+        tail = (seg.iters if isinstance(seg.schedule, np.ndarray)
+                else seg.schedule.total_steps - seg.schedule.warmdown_steps)
+        # A plain step records, checks, stores, refills and retires nothing,
+        # and keeps beta: it runs only the update below. Every other step is
+        # an event step, and each event step works out the next one.
+        next_event = 0
+        for k in range(seg.iters):
+            event = k == next_event
+            if event:
+                k_global = k0 + k
+                if k_global == next_end:
+                    n_keep = sum(i > k_global for i in row_iters)
+                    finish(n_keep, len(xf))
+                    bind(n_keep)
+                    armed, x_norms, next_end = armed[:n_keep], None, row_iters[n_keep - 1]
+                    if check:
+                        disp_bound, contraction = disp_bound[:, :n_keep], contraction[:n_keep]
+                if k == 0 or k >= tail:
+                    # Filled for every row of the stack; the running rows read
+                    # their leading part.
+                    beta_rows[:] = _beta(seg.schedule, k)
+                    step = beta_rows[:, None] if is_scg else 1.0
+                    flats[8] = 1.0 - step if is_scg else 1.0
+                    for (a, b), radius in zip(spans, radii):
+                        flats[5][:, a:b] = step * radius
+                if k % chunk_steps == 0:
+                    n = min(chunk_steps, seg.iters - k)
+                    if noisy:
+                        for rng, buf in zip(rngs, noise_act):
+                            rng.standard_normal(out=buf[:n])
+                        noise_act[:, :n] *= sigma_act
+                    else:  # g + (-0.0) is g, bit for bit
+                        noise_act[:, :n] = -0.0
+                if k_global == 0:
+                    # (1 - alpha) (-0.0) + a g is a g, bit for bit: the update
+                    # seeds m with the first sample (a = 1) or alpha times it.
+                    mf[:] = -0.0
+                    if first.momentum_init == "first_sample":
+                        flats[7] = 1.0
+                record = (k % eval_every) == 0
+                if record:
+                    loss_k = loss_fn(x)
+                    if x_norms is None:
+                        x_norms = primal_norms(x)
+                    x_primal_k = x_norms.max(axis=0)
+                need_disp = record or check
+                if need_disp:
+                    np.copyto(df, xf)
+                next_event = k + 1 if check or grads is not None else min(
+                    k - k % eval_every + eval_every, k - k % chunk_steps + chunk_steps,
+                    next_end - k0, max(k + 1, tail))
+
+            # The update; alpha g goes to the scratch row, so g keeps the sample.
+            grad_fn(xf, gf)
+            gf += noise_rows[k % chunk_steps]
+            mf *= c_1ma
+            np.multiply(gf, c_alpha, out=sf)
+            mf += sf
+            xf *= c_keep
+            for i in range(n_blocks):
+                nuclear[i] = _step_block(x[i], m[i], kinds[i], scale[i], scratch[i])
+
+            if not event:
+                continue
+            x_norms = None
+            if k_global == 0:
+                flats[7] = seg.alpha
             if grads is not None:
                 for r, row_grads in enumerate(grads[:len(xf)]):
                     row_grads.append(LayeredPoint.from_arrays(names, [b[r].copy() for b in g]))
             if record:
                 g_dual_k = dual_norm(g, [None] * n_blocks)
-            if k_global > 0:
-                mf *= c_1ma
-                gf *= c_alpha
-                mf += gf
-            elif first.momentum_init == "first_sample":
-                np.copyto(mf, gf)
-            else:
-                np.multiply(gf, c_alpha, out=mf)
-
-            need_disp = record or check
-            if need_disp:
-                np.copyto(df, xf)
-            if beta_k is not beta_filled:
-                # Filled for every row of the stack; the running rows read
-                # their leading part.
-                beta_rows[:] = beta_k
-                step = beta_rows[:, None] if is_scg else 1.0
-                flats[8] = 1.0 - step if is_scg else 1.0
-                for (a, b), radius in zip(spans, radii):
-                    flats[5][:, a:b] = step * radius
-                beta_filled = beta_k
-            xf *= c_keep
-            for i in range(n_blocks):
-                nuclear[i] = _step_block(x[i], m[i], kinds[i], scale[i], scratch[i])
-            x_norms = None
-            if record:
                 # The spectral terms are the nuclear norms from the step's SVD.
                 m_dual_k = dual_norm(m, nuclear)
             if need_disp:
                 np.subtract(xf, df, out=df)
                 disp_norms = primal_norms(disp)
-
             if check:
                 contraction *= 1.0 - beta_act  # now (1 - beta)^(k+1)
                 x_norms = primal_norms(x)
@@ -464,7 +484,6 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                                 f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, r]:.6g} "
                                 f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, r]:.6g}"
                             )
-
             if record:
                 values = (  # in RUNLOG_CSV_HEADER order, a value or one per row
                     k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_act,
@@ -473,7 +492,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 for col, value in zip(cols, values):
                     col[:, row] = value
                 row += 1
-            k_global += 1
+        k0 += seg.iters
 
     finish(0, len(xf))
     return logs

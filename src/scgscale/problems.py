@@ -118,16 +118,14 @@ class LayeredQuadratic:
         return total
 
     def grad_fn(self, n_points: int):
-        """The grad_fn of compiled, elementwise."""
-        terms = [
-            (np.full((n_points,) + theta.shape, lam), np.repeat(theta[None], n_points, axis=0))
-            for lam, theta in zip(self.curvatures, self.targets)
-        ]
+        """The grad_fn of compiled, elementwise over the flat parameters."""
+        lam = np.concatenate([np.full(t.size, c) for c, t in zip(self.curvatures, self.targets)])
+        theta = np.concatenate([t.ravel() for t in self.targets])
+        lam, theta = np.tile(lam, (n_points, 1)), np.tile(theta, (n_points, 1))
 
-        def grad_fn(arrays, out):
-            for xb, ob, (lam, theta) in zip(arrays, out, terms):
-                np.subtract(xb, theta, out=ob)
-                ob *= lam
+        def grad_fn(xf, out):
+            np.subtract(xf, theta, out=out)
+            out *= lam
             return out
 
         return grad_fn
@@ -187,11 +185,11 @@ class LogisticRegression:
         features, n = self.features, self.n_samples
         labels = np.repeat(self.labels[None], n_points, axis=0)
 
-        def grad_fn(arrays, out):
-            products = np.matmul(features, arrays[0][..., None])[..., 0]
+        def grad_fn(xf, out):
+            products = np.matmul(features, xf[..., None])[..., 0]
             s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
             # The loss's derivative in the products, back through features.
-            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[0][..., None])
+            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[..., None])
             return out
 
         return grad_fn
@@ -229,25 +227,27 @@ def per_coordinate_sigma(spec: ProblemSpec, noise: Optional[NoiseModel] = None) 
 def compiled(spec: ProblemSpec, n_points: int = 1):
     """Array-level (loss_fn, grad_fn) pair used by the iteration hot loop.
 
-    Both take the blocks of R points stacked as (R, *shape), one point per
-    seed of a run. loss_fn returns their R losses. grad_fn(arrays, out) writes
-    their gradients into the blocks of out, stacked the same way, and returns
-    out. Each loss and gradient is bit-equal to that of its point alone: the
-    quadratic is elementwise and sums each point's row, and the logistic
-    oracle's stacked matmuls with a column on the right make one
-    matrix-vector product per point. grad_fn's constants are stacked n_points
-    times, so its R must equal n_points, unless n_points is 1, which numpy
-    broadcasts to any R; loss_fn takes any R.
+    loss_fn takes the blocks of R points stacked as (R, *shape) and returns
+    their R losses. grad_fn(xf, out) takes the R points flat, row r of the
+    (R, n_params) array xf holding point r's blocks raveled in block order,
+    writes their gradients into out, laid out the same way, and returns out.
+    Each loss and gradient is bit-equal to that of its point alone: the
+    quadratic is elementwise (two ufunc calls for any number of blocks) and
+    sums each point's blocks one by one, and the logistic oracle's stacked
+    matmuls with a column on the right make one matrix-vector product per
+    point. grad_fn's constants are stacked n_points times, so its R must equal
+    n_points, unless n_points is 1, which numpy broadcasts to any R.
     """
     return spec.losses, spec.grad_fn(n_points)
 
 
 def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
-    """The exact gradient blocks at x, through the stacked grad_fn with R = 1."""
+    """The exact gradient blocks at x, through the flat grad_fn with R = 1."""
     check_point(spec, x)
     _, grad_fn = compiled(spec)
-    out = [np.empty((1,) + g.shape) for g in spec.geometry]
-    return [gb[0] for gb in grad_fn([a[None] for a in x.arrays], out)]
+    flat = grad_fn(x.flatten()[None], np.empty((1, spec.total_params)))[0]
+    ends = np.cumsum([g.size for g in spec.geometry])
+    return [b.reshape(g.shape) for b, g in zip(np.split(flat, ends[:-1]), spec.geometry)]
 
 
 def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:

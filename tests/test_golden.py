@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scgscale import cli
+from scgscale import cli, optimizer
 from scgscale.experiments import regime_sweep_problem
 from scgscale.geometry import BlockGeometry, LayeredPoint
 from scgscale.optimizer import (
@@ -399,15 +399,31 @@ def step_by_hand(spec, cfg, beta_of_k):
     return x
 
 
+# Every step an event step (a row per step, the checker armed), or plain steps
+# between sparse events: step 0, the warmdown tail, and the refills of a noise
+# chunk shortened to 16 steps.
+STEPPING = {
+    "every-step": {},
+    "plain-steps": dict(eval_every=1 << 30, check_invariants=False),
+}
+
+
+@pytest.fixture(params=list(STEPPING))
+def stepping(request, monkeypatch):
+    if request.param == "plain-steps":
+        monkeypatch.setattr(optimizer, "_NOISE_CHUNK_STEPS", 16)
+    return STEPPING[request.param]
+
+
 @pytest.mark.parametrize("variant", ["scg", "uscg"])
 @pytest.mark.parametrize("kind", ["sign", "euclidean", "spectral"])
-def test_run_equals_stepping_by_hand(kind, variant):
+def test_run_equals_stepping_by_hand(kind, variant, stepping):
     # With zero momentum init, run() is the reference step applied to fresh
     # gradient samples drawn in order from the seeded generator.
     spec = single_block_quadratic(kind)
     cfg = ScgConfig(
         alpha=0.3, beta=ConstantBeta(0.1), iters=60, seed=13, momentum_init="zeros",
-        variant=variant,
+        variant=variant, **stepping,
     )
     log = run(spec, cfg)
     x = step_by_hand(spec, cfg, lambda k: 0.1)
@@ -415,7 +431,7 @@ def test_run_equals_stepping_by_hand(kind, variant):
 
 
 @pytest.mark.parametrize("variant", ["scg", "uscg"])
-def test_run_equals_stepping_by_hand_over_blocks(variant):
+def test_run_equals_stepping_by_hand_over_blocks(variant, stepping):
     # Three blocks of three kinds side by side in the run's flat buffers, and
     # a stepsize that changes every step of the warmdown tail: each block's
     # offset and every refill of the step constants must match the reference
@@ -423,7 +439,7 @@ def test_run_equals_stepping_by_hand_over_blocks(variant):
     spec = mixed_quadratic()
     cfg = ScgConfig(
         alpha=0.3, beta=WarmdownBeta(0.2, 80, 50), iters=80, seed=17, momentum_init="zeros",
-        variant=variant,
+        variant=variant, **stepping,
     )
     log = run(spec, cfg)
     # The warmdown, written out: 0.2 for 30 steps, then down to 0.2 / 50.

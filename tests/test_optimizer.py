@@ -486,9 +486,10 @@ class TestStackedSeeds:
     @pytest.mark.parametrize("n_points", [1, 3])
     @pytest.mark.parametrize("problem", ["mixed", "rate_study"])
     def test_oracle_writes_into_the_given_buffers(self, problem, n_points):
-        # The out blocks are views of one (R, n_params) buffer, as in the run
-        # loop; each seed's gradient must be that of its point alone, whether
-        # the oracle's constants are stacked for R points or for one.
+        # The oracle takes and fills flat (R, n_params) arrays, each row a
+        # point's blocks side by side, as in the run loop; each point's
+        # gradient must be that of its point alone, whether the oracle's
+        # constants are stacked for R points or for one.
         spec = mixed_quadratic() if problem == "mixed" else rate_study_problem()
         rng = np.random.default_rng(8)
         points = [
@@ -497,20 +498,13 @@ class TestStackedSeeds:
             for _ in range(n_points)
         ]
         x = [np.stack(blocks) for blocks in zip(*(p.arrays for p in points))]
-        offsets = np.cumsum([0] + [g.size for g in spec.geometry])
+        xf = np.stack([p.flatten() for p in points])
         for stacked_for in (1, n_points):
-            flat = np.full((n_points, spec.total_params), np.nan)
-            out = [
-                flat[:, a:b].reshape((n_points,) + g.shape, copy=False)
-                for a, b, g in zip(offsets, offsets[1:], spec.geometry)
-            ]
+            out = np.full((n_points, spec.total_params), np.nan)
             _, grad_fn = problems.compiled(spec, stacked_for)
-            result = grad_fn(x, out)
-            assert len(result) == len(out)
-            assert all(got is buf for got, buf in zip(result, out))
+            assert grad_fn(xf, out) is out
             for r, point in enumerate(points):
-                exact = problems.grad(spec, point)
-                assert all(np.array_equal(b[r], e) for b, e in zip(out, exact.arrays))
+                assert np.array_equal(out[r], problems.grad(spec, point).flatten())
         # The stacked losses carry the bits of each point's loss alone, and
         # of the loss reduced over whole blocks.
         loss_fn, _ = problems.compiled(spec, n_points)
@@ -630,26 +624,43 @@ class TestStackedSeeds:
             assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
                 lone.checked_steps, lone.invariant_violations, lone.first_violation)
 
-    @pytest.mark.parametrize("rows", [
-        pytest.param([(0.05, 60), (0.1, 40), (0.25, 20)], id="three-betas"),
-        pytest.param([(0.6, 30), (0.1, 30)], id="one-beta-above-half"),
+    @pytest.mark.parametrize("rows, settings", [
+        pytest.param([(0.05, 60), (0.1, 40), (0.25, 20)], {}, id="three-betas"),
+        pytest.param([(0.6, 30), (0.1, 30)], {}, id="one-beta-above-half"),
+        pytest.param([(0.05, 600), (0.1, 256)], dict(eval_every=64, check_invariants=False),
+                     id="unchecked-retire-record-refill"),
     ])
-    def test_rows_with_different_betas_are_checked_per_row(self, overshooting_steps, rows):
+    def test_rows_with_different_betas_are_checked_per_row(self, overshooting_steps, rows,
+                                                           settings):
         # Each row is armed on its own beta and checked against its own bounds
         # 2 beta eta, as a lone run is; in the first case the two shorter rows
         # retire while the checker is armed, and a beta above 1/2 leaves its
-        # row unchecked.
+        # row unchecked. In the last, unchecked case the steps between events
+        # are plain, and at step 256 the shorter row retires, the longer one
+        # records a row and the noise chunk is refilled.
         spec = mixed_quadratic()
         configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(beta), iters=iters, seed=3 + r,
-                             eval_every=3)
+                             **{"eval_every": 3, **settings})
                    for r, (beta, iters) in enumerate(rows)]
         logs = _run_segments(spec, configs)
         for config, log in zip(configs, logs):
             lone = run(spec, config)
-            assert log.checked_steps == (config.iters if config.beta.value <= 0.5 else 0)
+            checked = config.check_invariants and config.beta.value <= 0.5
+            assert log.checked_steps == (config.iters if checked else 0)
             assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
                 lone.checked_steps, lone.invariant_violations, lone.first_violation)
             assert csv_text(log) == csv_text(lone)
+
+    @pytest.mark.parametrize("betas", [
+        pytest.param((WarmdownBeta(0.1, 30, 10), WarmdownBeta(0.1, 30, 5)), id="two-warmdowns"),
+        pytest.param((WarmdownBeta(0.1, 30, 10), ConstantBeta(0.1)), id="warmdown-and-constant"),
+        pytest.param((ConstantBeta(0.1), WarmdownBeta(0.1, 30, 10)), id="constant-and-warmdown"),
+    ])
+    def test_rows_of_a_stack_share_one_warmdown(self, betas):
+        spec = sign_quadratic()
+        configs = [ScgConfig(alpha=0.3, beta=beta, iters=30, seed=r) for r, beta in enumerate(betas)]
+        with pytest.raises(ValueError, match="the rows of one stack share one warmdown"):
+            _run_segments(spec, configs)
 
     @pytest.mark.parametrize("staged", [False, True])
     def test_empty_seed_list_rejected(self, staged):
