@@ -221,8 +221,7 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
     if all(isinstance(c.beta, ConstantBeta) for c in configs):
         schedule = np.array([c.beta.value for c in configs])
     elif any(c.beta != schedule for c in configs):
-        raise ValueError(
-            f"the rows of one stack share one warmdown, got {[c.beta for c in configs]}")
+        raise ValueError(f"the rows of one stack share one warmdown, got {[c.beta for c in configs]}")
     noises = noises or [spec.noise] * len(configs)
     sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
     if 0 < np.count_nonzero(sigma) < len(sigma):

@@ -11,6 +11,7 @@ T = K * B * S is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache
@@ -119,9 +120,9 @@ class LayeredQuadratic:
 
     def grad_fn(self, n_points: int):
         """The grad_fn of compiled, elementwise over the flat parameters."""
-        lam = np.concatenate([np.full(t.size, c) for c, t in zip(self.curvatures, self.targets)])
+        lam = np.array(self.curvatures).repeat([t.size for t in self.targets])
         theta = np.concatenate([t.ravel() for t in self.targets])
-        lam, theta = np.tile(lam, (n_points, 1)), np.tile(theta, (n_points, 1))
+        lam, theta = lam[None].repeat(n_points, axis=0), theta[None].repeat(n_points, axis=0)
 
         def grad_fn(xf, out):
             np.subtract(xf, theta, out=out)
@@ -246,8 +247,8 @@ def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
     check_point(spec, x)
     _, grad_fn = compiled(spec)
     flat = grad_fn(x.flatten()[None], np.empty((1, spec.total_params)))[0]
-    ends = np.cumsum([g.size for g in spec.geometry])
-    return [b.reshape(g.shape) for b, g in zip(np.split(flat, ends[:-1]), spec.geometry)]
+    ends = itertools.accumulate(g.size for g in spec.geometry)
+    return [flat[e - g.size:e].reshape(g.shape) for e, g in zip(ends, spec.geometry)]
 
 
 def check_point(spec: ProblemSpec, x: LayeredPoint) -> None:
