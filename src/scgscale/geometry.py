@@ -262,7 +262,7 @@ def _step_block(xb, mb, kind, scale, scratch):
     seed's block, and the SVD and the polar product run matrix by matrix.
     """
     if kind is _SIGN:
-        np.sign(mb, out=scratch)
+        np.sign(mb, scratch)
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:

@@ -445,7 +445,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             grad_fn(xf, gf)
             gf += noise_rows[k % chunk_steps]
             mf *= c_1ma
-            np.multiply(gf, c_alpha, out=sf)
+            np.multiply(gf, c_alpha, sf)
             mf += sf
             xf *= c_keep
             for i in range(n_blocks):

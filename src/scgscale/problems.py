@@ -125,7 +125,7 @@ class LayeredQuadratic:
         lam, theta = lam[None].repeat(n_points, axis=0), theta[None].repeat(n_points, axis=0)
 
         def grad_fn(xf, out):
-            np.subtract(xf, theta, out=out)
+            np.subtract(xf, theta, out)
             out *= lam
             return out
 
