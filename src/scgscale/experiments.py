@@ -495,14 +495,11 @@ def restart_comparison(budget_factor: float = 8.0, trials: int = 5, seed_base: i
     plan = plan_stages(base, consts, consts, [RESTART_T0, T1])
 
     seeds = [point_seed(seed_base, bs0, 1.0, trial) for trial in range(trials)]
-    base_cfg = ScgConfig(
-        alpha=RESTART_ALPHA, beta=ConstantBeta(beta0), iters=0, eval_every=_FINAL_LOSS_ONLY,
-        check_invariants=False,
-    )
-    staged_losses = [log.final_loss for log in run_staged(spec, plan, base_cfg, seeds=seeds)]
-    _, noise, baseline_cfg, _ = _group(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
-    baseline_losses = [log.final_loss for log in run(
-        replace(spec, noise=noise), baseline_cfg, seeds=seeds)]
+    _, noise, config, _ = _group(spec, bs0, 1.0, RESTART_ALPHA, beta0, int(T1 // bs0), seeds)
+    # The staged run reads neither the config's iters nor its alpha or beta.
+    staged_losses = [log.final_loss for log in run_staged(spec, plan, config, seeds=seeds)]
+    baseline_losses = [
+        log.final_loss for log in run(replace(spec, noise=noise), config, seeds=seeds)]
     return {
         "plan": plan,
         "tuned": base,

@@ -244,15 +244,17 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     configs[r]: the ops are elementwise, or run row by row (the oracle's
     matrix-vector products, the euclidean norms, the SVD).
 
-    Without a plan the rows come longest first. When a row's iters end, its
-    final loss and RunLog are taken and it retires: every array shrinks to the
-    rows still running, at most once per distinct iters. Step 0 and the steps
-    that record, check, store, refill noise, change beta or retire are event
+    Without a plan the rows come longest first. Per-row state lives in
+    arrays of all R rows, read on the leading rows still running; when a
+    row's iters end it retires, and bind remakes the views that a plain step
+    reads, at most once per distinct iters. Step 0 and the steps that
+    record, check, store, refill noise, change beta or retire are event
     steps; any other step costs one integer comparison beside its update.
 
-    Returns the RunLogs in row order. A row whose final loss, final iterate
-    or recorded values are not finite has diverged: it raises nothing here,
-    and its RunLog has final_x None.
+    Returns the RunLogs in row order. A row becomes Python objects only in
+    finish, where one finiteness test over its final loss, final iterate,
+    recorded values and stored gradients decides divergence: a diverged row
+    raises nothing here, and its RunLog has final_x and gradients None.
     """
     if len(configs) == 0:
         raise ValueError("seeds must name at least one seed")
@@ -278,7 +280,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     # Each per-step quantity is one (R, n_params) array, row r's blocks side by
     # side in row r: elementwise stages run on it once per step, and the LMO
-    # and the oracle get (R, *shape) block views. Step constants are such
+    # and the loss get (R, *shape) block views. Step constants are such
     # arrays too, as numpy converts a Python float operand on every call.
     # The nine are x, g, m, the displacement, scratch, the step scale,
     # 1 - alpha, alpha and the kept share of x.
@@ -308,48 +310,49 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         np.empty((n_seeds, n_rows), dtype=int if name in ("k", "stage") else float)
         for name in RUNLOG_CSV_HEADER
     ]
-    grads = [[] for _ in configs] if first.store_gradients else None
+    # Row r's gradient sample of step k is grads[r, k], kept only when stored.
+    store = first.store_gradients
+    grads = np.empty((n_seeds, row_iters[0] if store else 0, n_params))
     counts = np.zeros((2, n_seeds), dtype=int)  # checked steps and violations
     first_violation = [None] * n_seeds
     logs = [None] * n_seeds
 
+    def blocks(f):
+        """The (n, *shape) block views of a flat (n, n_params) array."""
+        return [f[:, a:b].reshape((len(f),) + gb.shape, copy=False)
+                for (a, b), gb in zip(spans, geometry)]
+
     def bind(n):
-        """Make the running rows 0 .. n-1 the views that the loop steps."""
-        nonlocal xf, gf, mf, df, sf, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
-            beta_act, sigma_act, noise_act, noise_rows, cols, checked, violations, loss_fn, grad_fn
-        xf, gf, mf, df, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
-        x, g, m, disp, scratch, scale = (
-            [f[:, a:b].reshape((n,) + gb.shape, copy=False) for (a, b), gb in zip(spans, geometry)]
-            for f in (xf, gf, mf, df, sf, kf))
-        beta_act, sigma_act, noise_act = beta_rows[:n], sigma_rows[:n], noise_buf[:n]
-        noise_rows = list(noise_act.swapaxes(0, 1))
-        cols = [c[:n] for c in columns]
-        checked, violations = counts[:, :n]
+        """Make the running rows 0 .. n-1 the views that a plain step reads."""
+        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, m, scratch, scale, noise_rows, \
+            loss_fn, grad_fn
+        xf, gf, mf, _, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
+        x, m, scratch, scale = map(blocks, (xf, mf, sf, kf))
+        noise_rows = list(noise_buf[:n].swapaxes(0, 1))
         loss_fn, grad_fn = problems.compiled(spec, n)
 
     def finish(lo, hi):
         """Take the final losses and RunLogs of rows lo .. hi-1, which end here."""
         final = loss_fn([b[lo:hi] for b in x])
         finite = np.all(
-            [np.isfinite(final), np.isfinite(xf[lo:hi]).all(axis=1)]
+            [np.isfinite(final), np.isfinite(xf[lo:hi]).all(axis=1),
+             np.isfinite(grads[lo:hi, :row_iters[lo]]).all(axis=(1, 2))]
             + [np.isfinite(c[lo:hi, :row]).all(axis=1) for c in columns], axis=0)
-        for r in range(lo, hi):
+        for r, ok, final_loss in zip(range(lo, hi), finite, final):
             logs[r] = RunLog(
                 **{name: col[r, :row] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
-                final_loss=float(final[r - lo]),
-                final_x=(LayeredPoint.from_arrays(names, [b[r].copy() for b in x])
-                         if finite[r - lo] else None),
+                final_loss=float(final_loss),
+                final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x]) if ok else None,
                 invariant_violations=int(counts[1, r]),
                 first_violation=first_violation[r],
                 checked_steps=int(counts[0, r]),
-                gradients=None if grads is None else grads[r],
+                gradients=[LayeredPoint.from_arrays(names, arrays) for arrays in
+                           zip(*blocks(grads[r, :row_iters[r]]))] if store and ok else None,
             )
 
-    xf = gf = mf = df = sf = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
-    beta_act = sigma_act = noise_act = noise_rows = cols = checked = violations = None
+    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = m = scratch = scale = noise_rows = None
     loss_fn = grad_fn = None
     bind(n_seeds)
-    next_end = row_iters[-1]  # the step at which the last running row ends
 
     eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
 
@@ -360,14 +363,14 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     # row reads it.
     x_norms = None
 
-    def primal_norms(blocks):
+    def primal_norms(stacks):
         return np.array([[block_primal_norm(b, kind) for b in stack]
-                         for stack, kind in zip(blocks, kinds)])
+                         for stack, kind in zip(stacks, kinds)])
 
-    def dual_norm(blocks, known):
+    def dual_norm(stacks, known):
         # The composite dual norms, summed in block order as sum() sums one row's.
         return sum(np.array([block_dual_norm(b, kind) for b in stack]) if nb is None else nb
-                   for stack, kind, nb in zip(blocks, kinds, known))
+                   for stack, kind, nb in zip(stacks, kinds, known))
 
     row = 0
     k0 = 0  # the global index of the segment's step 0
@@ -380,13 +383,13 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
         # it is armed per row, against the row's own (n_blocks, R) bounds.
-        armed = np.zeros(len(xf), dtype=bool)
+        armed = np.zeros(n_seeds, dtype=bool)
         if first.check_invariants and is_scg and isinstance(seg.schedule, np.ndarray):
             if x_norms is None:
                 x_norms = primal_norms(x)
             armed = np.all(2.0 * x_norms <= eta, axis=0) & (seg.schedule <= 0.5)
             disp_bound = 2.0 * seg.schedule * eta
-            contraction = np.ones(len(xf))  # (1 - beta)^k per row
+            contraction = np.ones(n_seeds)  # (1 - beta)^k per row
         check = bool(armed.any())
         # From step tail on, a warmdown changes the stepsize at every step.
         tail = (seg.iters if isinstance(seg.schedule, np.ndarray)
@@ -399,13 +402,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             event = k == next_event
             if event:
                 k_global = k0 + k
-                if k_global == next_end:
-                    n_keep = sum(i > k_global for i in row_iters)
-                    finish(n_keep, len(xf))
-                    bind(n_keep)
-                    armed, x_norms, next_end = armed[:n_keep], None, row_iters[n_keep - 1]
-                    if check:
-                        disp_bound, contraction = disp_bound[:, :n_keep], contraction[:n_keep]
+                n = len(xf)  # the running rows are 0 .. n-1
+                if k_global == row_iters[n - 1]:  # the last of them end here
+                    n = sum(i > k_global for i in row_iters)
+                    finish(n, len(xf))
+                    bind(n)
+                    x_norms = None
                 if k == 0 or k >= tail:
                     # Filled for every row of the stack; the running rows read
                     # their leading part.
@@ -415,13 +417,13 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     for (a, b), radius in zip(spans, radii):
                         flats[5][:, a:b] = step * radius
                 if k % chunk_steps == 0:
-                    n = min(chunk_steps, seg.iters - k)
+                    noise = noise_buf[:n, :min(chunk_steps, seg.iters - k)]
                     if noisy:
-                        for rng, buf in zip(rngs, noise_act):
-                            rng.standard_normal(out=buf[:n])
-                        noise_act[:, :n] *= sigma_act
+                        for rng, buf in zip(rngs, noise):
+                            rng.standard_normal(out=buf)
+                        noise *= sigma_rows[:n]
                     else:  # g + (-0.0) is g, bit for bit
-                        noise_act[:, :n] = -0.0
+                        noise[...] = -0.0
                 if k_global == 0:
                     # (1 - alpha) (-0.0) + a g is a g, bit for bit: the update
                     # seeds m with the first sample (a = 1) or alpha times it.
@@ -436,10 +438,11 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     x_primal_k = x_norms.max(axis=0)
                 need_disp = record or check
                 if need_disp:
+                    df = flats[3, :n]
                     np.copyto(df, xf)
-                next_event = k + 1 if check or grads is not None else min(
+                next_event = k + 1 if check or store else min(
                     k - k % eval_every + eval_every, k - k % chunk_steps + chunk_steps,
-                    next_end - k0, max(k + 1, tail))
+                    row_iters[n - 1] - k0, max(k + 1, tail))
 
             # The update; alpha g goes to the scratch row, so g keeps the sample.
             grad_fn(xf, gf)
@@ -456,25 +459,24 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             x_norms = None
             if k_global == 0:
                 flats[7] = seg.alpha
-            if grads is not None:
-                for r, row_grads in enumerate(grads[:len(xf)]):
-                    row_grads.append(LayeredPoint.from_arrays(names, [b[r].copy() for b in g]))
+            if store:
+                grads[:n, k_global] = gf
             if record:
-                g_dual_k = dual_norm(g, [None] * n_blocks)
+                g_dual_k = dual_norm(blocks(gf), [None] * n_blocks)
                 # The spectral terms are the nuclear norms from the step's SVD.
                 m_dual_k = dual_norm(m, nuclear)
             if need_disp:
                 np.subtract(xf, df, out=df)
-                disp_norms = primal_norms(disp)
+                disp_norms = primal_norms(blocks(df))
             if check:
-                contraction *= 1.0 - beta_act  # now (1 - beta)^(k+1)
+                contraction[:n] *= 1.0 - beta_rows[:n]  # now (1 - beta)^(k+1)
                 x_norms = primal_norms(x)
-                x_bound = eta * (1.0 - 0.5 * contraction) + _INVARIANT_SLACK
-                failed = armed & ~(
-                    (x_norms <= x_bound) & (disp_norms <= disp_bound + _INVARIANT_SLACK))
-                checked += armed
+                x_bound = eta * (1.0 - 0.5 * contraction[:n]) + _INVARIANT_SLACK
+                failed = armed[:n] & ~(
+                    (x_norms <= x_bound) & (disp_norms <= disp_bound[:, :n] + _INVARIANT_SLACK))
+                counts[0, :n] += armed[:n]
                 if failed.any():
-                    violations += failed.sum(axis=0)
+                    counts[1, :n] += failed.sum(axis=0)
                     for r in np.nonzero(failed.any(axis=0))[0]:
                         if first_violation[r] is None:
                             i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
@@ -485,11 +487,11 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                             )
             if record:
                 values = (  # in RUNLOG_CSV_HEADER order, a value or one per row
-                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_act,
+                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_rows[:n],
                     disp_norms.max(axis=0), seg.stage_index,
                 )
-                for col, value in zip(cols, values):
-                    col[:, row] = value
+                for col, value in zip(columns, values):
+                    col[:n, row] = value
                 row += 1
         k0 += seg.iters
 

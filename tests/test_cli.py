@@ -446,6 +446,26 @@ class TestTrain:
         assert "diverged" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("store_gradients", [False, True])
+    def test_diverging_run_with_stored_gradients_exits_4(self, store_gradients, tmp_path, capsys):
+        # The iterate overflows within 20 steps; the stored gradient samples
+        # are no longer finite either, and the run is still a divergence, not
+        # a config error.
+        cfg = train_config(iters=20, seed=1)
+        cfg["problem"]["blocks"][0].update(
+            geometry={"kind": "euclidean", "shape": [4], "radius_eta": 1e300},
+            curvature=1e10,
+            target=[0.1, 0.0, 0.0, 0.0],
+        )
+        cfg["problem"]["noise"] = {"sigma_star": 0.1}
+        cfg["optimizer"].update(
+            beta={"type": "constant", "value": 0.5}, variant="uscg", store_gradients=store_gradients)
+        cfg_path = write_json(tmp_path / "cfg.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 4
+        assert "numeric failure: the run diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_spectral_run_exits_4(self, tmp_path, capsys):
         # The momentum overflows, so the LMO's SVD raises a LinAlgError (a
         # ValueError) before the run's own divergence check is reached.

@@ -256,6 +256,24 @@ class TestRun:
         # additive steps of size 0.05 toward 0.5 converge to a small cycle
         assert log.final_loss < 1e-2
 
+    @pytest.mark.parametrize("store_gradients", [False, True])
+    @pytest.mark.parametrize("seeds", [None, [1, 2]])
+    def test_diverging_run_raises_the_divergence_error(self, seeds, store_gradients):
+        # The iterate overflows within 20 steps, and so do the stored
+        # gradient samples: a diverging run raises the same error whether or
+        # not it stores them.
+        spec = LayeredQuadratic(
+            geometry=(BlockGeometry("euclidean", (4,), 1e300),),
+            block_names=("w",),
+            curvatures=(1e10,),
+            targets=(np.array([0.1, 0.0, 0.0, 0.0]),),
+            noise=NoiseModel(0.1),
+        )
+        cfg = ScgConfig(alpha=0.5, beta=ConstantBeta(0.5), iters=20, seed=1, variant="uscg",
+                        store_gradients=store_gradients)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="^the run diverged"):
+            run(spec, cfg, seeds=seeds)
+
     def test_zero_momentum_init(self):
         spec = quadratic_1d()
         cfg = ScgConfig(
@@ -629,6 +647,8 @@ class TestStackedSeeds:
         pytest.param([(0.6, 30), (0.1, 30)], {}, id="one-beta-above-half"),
         pytest.param([(0.05, 600), (0.1, 256)], dict(eval_every=64, check_invariants=False),
                      id="unchecked-retire-record-refill"),
+        pytest.param([(0.05, 40), (0.1, 25), (0.25, 10)], dict(store_gradients=True),
+                     id="stored-gradients"),
     ])
     def test_rows_with_different_betas_are_checked_per_row(self, overshooting_steps, rows,
                                                            settings):
@@ -637,7 +657,8 @@ class TestStackedSeeds:
         # retire while the checker is armed, and a beta above 1/2 leaves its
         # row unchecked. In the last, unchecked case the steps between events
         # are plain, and at step 256 the shorter row retires, the longer one
-        # records a row and the noise chunk is refilled.
+        # records a row and the noise chunk is refilled. With stored gradients
+        # each row keeps one sample per step, its own arrays, up to its end.
         spec = mixed_quadratic()
         configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(beta), iters=iters, seed=3 + r,
                              **{"eval_every": 3, **settings})
@@ -650,6 +671,11 @@ class TestStackedSeeds:
             assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
                 lone.checked_steps, lone.invariant_violations, lone.first_violation)
             assert csv_text(log) == csv_text(lone)
+            assert log.gradients == lone.gradients
+            if config.store_gradients:
+                assert len(log.gradients) == config.iters
+                assert not any(np.shares_memory(a, b) for point in log.gradients
+                               for a in point.arrays for b in log.final_x.arrays)
 
     @pytest.mark.parametrize("betas", [
         pytest.param((WarmdownBeta(0.1, 30, 10), WarmdownBeta(0.1, 30, 5)), id="two-warmdowns"),
