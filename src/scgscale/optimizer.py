@@ -246,8 +246,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     Without a plan the rows come longest first. Per-row state lives in
     arrays of all R rows, read on the leading rows still running; when a
-    row's iters end it retires, and bind remakes the views that a plain step
-    reads, at most once per distinct iters. Step 0 and the steps that
+    row's iters end it retires, and bind remakes the views of the flat
+    arrays, at most once per distinct iters. Step 0 and the steps that
     record, check, store, refill noise, change beta or retire are event
     steps; any other step costs one integer comparison beside its update.
 
@@ -323,11 +323,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 for (a, b), gb in zip(spans, geometry)]
 
     def bind(n):
-        """Make the running rows 0 .. n-1 the views that a plain step reads."""
-        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, m, scratch, scale, noise_rows, \
-            loss_fn, grad_fn
-        xf, gf, mf, _, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
-        x, m, scratch, scale = map(blocks, (xf, mf, sf, kf))
+        """Make the views of the running rows 0 .. n-1 that a plain step reads,
+        and those of g and the displacement that a recorded row reads."""
+        nonlocal xf, gf, mf, df, sf, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
+            noise_rows, loss_fn, grad_fn
+        xf, gf, mf, df, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
+        x, g, m, disp, scratch, scale = map(blocks, (xf, gf, mf, df, sf, kf))
         noise_rows = list(noise_buf[:n].swapaxes(0, 1))
         loss_fn, grad_fn = problems.compiled(spec, n)
 
@@ -350,8 +351,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                            zip(*blocks(grads[r, :row_iters[r]]))] if store and ok else None,
             )
 
-    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = m = scratch = scale = noise_rows = None
-    loss_fn = grad_fn = None
+    xf = gf = mf = df = sf = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
+    noise_rows = loss_fn = grad_fn = None
     bind(n_seeds)
 
     eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
@@ -438,7 +439,6 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     x_primal_k = x_norms.max(axis=0)
                 need_disp = record or check
                 if need_disp:
-                    df = flats[3, :n]
                     np.copyto(df, xf)
                 next_event = k + 1 if check or store else min(
                     k - k % eval_every + eval_every, k - k % chunk_steps + chunk_steps,
@@ -462,12 +462,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             if store:
                 grads[:n, k_global] = gf
             if record:
-                g_dual_k = dual_norm(blocks(gf), [None] * n_blocks)
+                g_dual_k = dual_norm(g, [None] * n_blocks)
                 # The spectral terms are the nuclear norms from the step's SVD.
                 m_dual_k = dual_norm(m, nuclear)
             if need_disp:
                 np.subtract(xf, df, out=df)
-                disp_norms = primal_norms(blocks(df))
+                disp_norms = primal_norms(disp)
             if check:
                 contraction[:n] *= 1.0 - beta_rows[:n]  # now (1 - beta)^(k+1)
                 x_norms = primal_norms(x)
