@@ -341,9 +341,10 @@ def fit_power_law(
 
     Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1), the soft-l1
     loss, over log C and the free shifts and exponents, with the exact
-    Jacobian of the log residuals, restarting from 16 initial points and
-    keeping the best. Shifts are constrained so every covariate + shift
-    stays positive on the data.
+    Jacobian of the log residuals, keeping the best of 16 starts when a shift
+    is free, else one; the objective is then convex, since soft-l1 of a
+    residual affine in log C and the exponents is, and seed is unused. Shifts
+    are constrained so every covariate + shift stays positive on the data.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
@@ -380,7 +381,7 @@ def fit_power_law(
     rng = np.random.default_rng(seed)
     best = None
     mean_log_y = float(np.mean(log_y))
-    for start in range(16):
+    for start in range(16 if mins else 1):
         p0 = [mean_log_y]
         for i, j in free:
             if j == 0:

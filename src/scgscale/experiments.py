@@ -21,7 +21,6 @@ those of its lone run, and a failing group errors only its own point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -257,6 +256,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     workers = min(jobs, len(groups))
     if workers > 1:
         # The pool forks all its workers at once, so it is sized to the points.
+        # Imported here, so a serial sweep loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_lone_losses, groups))
     else:

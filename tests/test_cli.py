@@ -997,3 +997,29 @@ print(json.dumps([rc, scipy_after_plan, law.terms[0].exponent, "scipy.optimize" 
     assert (rc, scipy_after_plan) == (0, [])
     assert exponent == pytest.approx(-1.0, abs=1e-6)
     assert optimize_loaded
+
+
+def test_process_pool_loads_only_for_a_parallel_sweep():
+    # A fresh interpreter: importing the package and running a serial sweep
+    # must not import multiprocessing or the process pool; jobs=2 must.
+    script = """
+import json, sys
+import scgscale, scgscale.cli
+from scgscale.experiments import BetaRule, SweepConfig, regime_sweep_problem, run_sweep
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures.process")
+
+cfg = SweepConfig(problem=regime_sweep_problem(), token_budget=4096.0, grid=((4.0, 1.0), (16.0, 1.0)),
+                  rule=BetaRule(kind="critical", c=1.0, alpha=0.3), repetitions=1, seed_base=5)
+serial = run_sweep(cfg).rows
+after_serial = pool_modules()
+parallel = run_sweep(cfg, jobs=2).rows
+print(json.dumps([after_serial, serial == parallel, "multiprocessing" in sys.modules,
+                  "concurrent.futures.process" in sys.modules]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True, True, True]

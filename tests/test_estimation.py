@@ -331,13 +331,83 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError, match="positive"):
             fit_power_law({"x": np.array([1.0, 2.0])}, np.array([1.0, -1.0]), [FitTerm("x")])
 
-    def test_every_start_failing_raises(self, monkeypatch):
+    @pytest.mark.parametrize("shape", [[FitTerm("x")], [FitTerm("x", shift=0.0)]],
+                             ids=["free_shift", "convex"])
+    def test_every_start_failing_raises(self, monkeypatch, shape):
         def failing(*args, **kwargs):
             raise ValueError("residuals are not finite")
 
         monkeypatch.setattr("scipy.optimize.least_squares", failing)
         with pytest.raises(FloatingPointError, match="^power-law fit failed from every start$"):
-            fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x")])
+            fit_power_law(_FIT_COLUMNS, _FIT_VALUES, shape)
+
+    @staticmethod
+    def spy_on_least_squares(monkeypatch):
+        """Record the result of every least_squares call fit_power_law makes."""
+        import scipy.optimize
+
+        real, results = scipy.optimize.least_squares, []
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr("scipy.optimize.least_squares", spy)
+        return results
+
+    @pytest.mark.parametrize("shape, calls", [
+        ([FitTerm("x", shift=0.0)], 1),
+        ([FitTerm("x", shift=1.0), FitTerm("z", shift=0.0, exponent=0.5)], 1),
+        ([FitTerm("x", shift=1.0, exponent=-0.5)], 1),
+        ([FitTerm("x")], 16),
+        ([FitTerm("x", exponent=-0.5)], 16),
+        ([FitTerm("x", shift=0.0), FitTerm("z")], 16),
+    ], ids=["fixed_shift", "two_fixed_shifts", "only_C", "free_shift",
+            "free_shift_fixed_exponent", "one_of_two_shifts_free"])
+    def test_starts_only_when_a_shift_is_free(self, monkeypatch, shape, calls):
+        results = self.spy_on_least_squares(monkeypatch)
+        x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        fit_power_law({"x": x, "z": x[::-1] + 3.0}, 2.0 / (x + 1.0), shape)
+        assert len(results) == calls
+
+    @staticmethod
+    def convex_case(seed):
+        """Noisy data from a random law whose every shift the fit holds fixed."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        cols = {"x": rng.uniform(1.0, 100.0, n), "z": rng.uniform(10.0, 1000.0, n)}
+        shape = [
+            [FitTerm("x", shift=float(rng.uniform(0.0, 5.0)))],
+            [FitTerm("x", shift=0.0), FitTerm("z", shift=float(rng.uniform(-5.0, 5.0)))],
+            [FitTerm("x", shift=1.0, exponent=-0.5), FitTerm("z", shift=0.0)],
+        ][seed % 3]
+        values = np.exp(rng.normal(0.0, 0.3, n))
+        for t in shape:
+            values = values * (cols[t.name] + t.shift) ** rng.uniform(-1.5, 1.5)
+        return cols, values, shape
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_start_reaches_the_sixteen_start_minimum(self, monkeypatch, seed):
+        from scipy.optimize import least_squares
+
+        cols, values, shape = self.convex_case(seed)
+        results = self.spy_on_least_squares(monkeypatch)
+        fit_power_law(cols, values, shape)
+        (one_start,) = results
+        # The 16 starts fit_power_law runs when a shift is free: start 0 at
+        # [mean log y, 0, ...], then exponents drawn from seed 0's generator.
+        log_y = np.log(values)
+        free, _, residuals, jacobian = _log_residuals(shape, cols, log_y)
+        rng = np.random.default_rng(0)
+        costs = [
+            least_squares(
+                residuals,
+                [float(np.mean(log_y))] + [0.0 if start == 0 else rng.uniform(-1.0, 1.0) for _ in free],
+                jac=jacobian, loss="soft_l1", max_nfev=20000,
+            ).cost
+            for start in range(16)
+        ]
+        assert one_start.cost == pytest.approx(min(costs), rel=1e-12, abs=0)
 
     def test_insufficient_observations(self):
         with pytest.raises(ValueError, match="observations"):

@@ -154,7 +154,7 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])
         assert run_sweep(cfg, jobs=8).rows == run_sweep(cfg, jobs=1).rows
         assert sizes == [2]
