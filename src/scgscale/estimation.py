@@ -342,9 +342,10 @@ def fit_power_law(
     Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1), the soft-l1
     loss, over log C and the free shifts and exponents, with the exact
     Jacobian of the log residuals, keeping the best of 16 starts when a shift
-    is free, else one; the objective is then convex, since soft-l1 of a
-    residual affine in log C and the exponents is, and seed is unused. Shifts
-    are constrained so every covariate + shift stays positive on the data.
+    is free, else one: with every shift fixed the residuals are affine in
+    log C and the free exponents, so the objective is convex, and seed is
+    unused. Shifts are constrained so every covariate + shift stays positive
+    on the data.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
