@@ -8,14 +8,9 @@ the three-regime sweep on a quadratic, the middle-regime rate study on a
 logistic objective with estimated constants, and the two-stage restart
 comparison.
 
-A group is the seeds of one point (or budget): one unchecked constant-beta
-run per seed, each a row with the group's K, B, S, alpha and beta.
-_final_losses steps the groups of a serial sweep or of the rate study in
-stacked run loops (optimizer._run_segments), one problem at a time, longest
-first; a row retires when its K ends. Each row's final loss is bit-equal
-to that of a lone run. A group that diverges in a stack runs again alone, as
-does every group of a stack that raises, so a group's losses or error are
-those of its lone run, and a failing group errors only its own point.
+A group is the seeds of one point (or budget). _final_losses steps the
+groups of a serial sweep or of the rate study in stacks, and each group's
+losses or error are those of its lone run (see the README's design notes).
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
 from .geometry import BlockGeometry
 from .optimizer import (
-    ConstantBeta, ScgConfig, _run_segments, _write_csv, run, run_staged,
+    ConstantBeta, ScgConfig, _returned, _run_segments, _write_csv, run, run_staged,
 )
 from .problems import LayeredQuadratic, LogisticRegression, NoiseModel, ProblemSpec
 from .scaling import (
@@ -174,11 +169,15 @@ def _group(spec, B, S, alpha, beta, iters, seeds):
     return spec, replace(spec.noise, B=B, S=S), config, list(seeds)
 
 
-def _lone_losses(group):
-    """The final losses of a lone run(seeds=...) of group, or what it raises."""
+def _lone_losses(group, logs=None):
+    """The final losses of a lone run(seeds=...) of group, or what it raises.
+    Given logs, the RunLogs of the group's rows in a stack, they stand in for
+    that run's rows."""
     spec, noise, config, seeds = group
     try:
-        return [log.final_loss for log in run(replace(spec, noise=noise), config, seeds=seeds)]
+        if logs is None:
+            logs = run(replace(spec, noise=noise), config, seeds=seeds)
+        return [log.final_loss for log in _returned(logs, seeds)]
     except Exception as exc:  # the group fails, not the caller
         return exc
 
@@ -186,14 +185,10 @@ def _lone_losses(group):
 def _final_losses(groups):
     """Per group (see _group): _lone_losses of the group.
 
-    The groups step together in stacks (optimizer._run_segments), by problem
-    (the same spec object, in order of first appearance), then longest first;
-    each row retires when its steps end, its final loss bit-equal to that of
-    a lone run. A stack holds whole groups of one problem, more than one only
-    within _STACK_VALUES values; a stack of one group is its lone run. A
-    group that diverges in a stack runs again alone, as does every group of a
-    stack that raises or that _run_segments refuses (rows with and without
-    gradient noise), so a group's losses or error are those of its lone run.
+    The groups step together in stacks (optimizer._run_segments) of whole
+    groups of one problem, in order of its first appearance, longest first,
+    more than one group only within _STACK_VALUES values. Each group settles
+    from its own rows; the groups of a stack that raises run alone.
     """
     rank = {id(spec): i for i, (spec, *_) in reversed(list(enumerate(groups)))}
     order = sorted(range(len(groups)), key=lambda i: (rank[id(groups[i][0])], -groups[i][2].iters))
@@ -209,23 +204,20 @@ def _final_losses(groups):
             values = n
     out = [None] * len(groups)
     for stack in stacks:
+        members = [groups[i] for i in stack]
+        logs = [None] * len(stack)  # a stack of one group is its lone run
         if len(stack) > 1:
-            members = [groups[i] for i in stack]
             try:
-                logs = _run_segments(
+                rows = iter(_run_segments(
                     members[0][0],
                     [replace(config, seed=seed) for *_, config, seeds in members for seed in seeds],
                     noises=[noise for _, noise, _, seeds in members for _ in seeds],
-                )
-            except Exception:  # a stack that raised or was refused: each group alone
-                logs = []
-            for i, (*_, seeds) in zip(stack, members):
-                own, logs = logs[:len(seeds)], logs[len(seeds):]
-                if own and all(log.final_x is not None for log in own):
-                    out[i] = [log.final_loss for log in own]
-        for i in stack:
-            if out[i] is None:
-                out[i] = _lone_losses(groups[i])
+                ))
+                logs = [[next(rows) for _ in seeds] for *_, seeds in members]
+            except Exception:  # a stack that raised: each group alone
+                pass
+        for i, group, own in zip(stack, members, logs):
+            out[i] = _lone_losses(group, own)
     return out
 
 

@@ -224,8 +224,6 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
         raise ValueError(f"the rows of one stack share one warmdown, got {[c.beta for c in configs]}")
     noises = noises or [spec.noise] * len(configs)
     sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
-    if 0 < np.count_nonzero(sigma) < len(sigma):
-        raise ValueError("rows with and without gradient noise cannot step together")
     alpha = np.array([c.alpha for c in configs])
     return [_Segment(first.iters, schedule, alpha[:, None], sigma[:, None, None], 0)]
 
@@ -236,9 +234,9 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     Row r runs configs[r] (or the stages of plan, as run_staged) with the
     noise of spec at noises[r] (spec.noise when noises is None), from x0. The
-    rows may differ in seed, iters, alpha and constant beta; the rows of one
-    stack share one warmdown, and every other setting is read from
-    configs[0]. Every block is held as an (R, *shape) array for the R rows,
+    rows may differ in seed, iters, alpha, constant beta and noise, none
+    included; the rows of one stack share one warmdown, and every other
+    setting is read from configs[0]. Every block is held as an (R, *shape) array for the R rows,
     and row r draws its noise from its own generator seeded with
     configs[r].seed. So its RunLog is bit-equal to that of a lone run of
     configs[r]: the ops are elementwise, or run row by row (the oracle's
@@ -378,7 +376,6 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     is_scg = first.variant == "scg"
     for seg in segments:
         sigma_rows[:] = seg.sigma
-        noisy = bool(sigma_rows.any())
         np.subtract(1.0, seg.alpha, out=flats[6])
         flats[7] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
@@ -418,13 +415,15 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     for (a, b), radius in zip(spans, radii):
                         flats[5][:, a:b] = step * radius
                 if k % chunk_steps == 0:
+                    # A noiseless row draws nothing: its -0.0 times its sigma
+                    # 0.0 is -0.0, and g + (-0.0) is g, bit for bit.
                     noise = noise_buf[:n, :min(chunk_steps, seg.iters - k)]
-                    if noisy:
-                        for rng, buf in zip(rngs, noise):
+                    for rng, buf, sigma in zip(rngs, noise, sigma_rows.flat):
+                        if sigma:
                             rng.standard_normal(out=buf)
-                        noise *= sigma_rows[:n]
-                    else:  # g + (-0.0) is g, bit for bit
-                        noise[...] = -0.0
+                        else:
+                            buf[...] = -0.0
+                    noise *= sigma_rows[:n]
                 if k_global == 0:
                     # (1 - alpha) (-0.0) + a g is a g, bit for bit: the update
                     # seeds m with the first sample (a = 1) or alpha times it.

@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -625,6 +627,18 @@ class TestPlanCli:
         assert rc == 0
         plan = self.read(out)
         assert plan["beta1"] / 3.6e-4 == pytest.approx(0.35355, abs=1e-4)
+
+    def test_module_runs_as_a_script(self, tmp_path, monkeypatch):
+        # python -m scgscale.cli exits with the code of main.
+        argv = ["plan", "--rule", "sqrt", *self.BASE, "--t1", str(8 * 1.3e9), "--out"]
+        assert cli.main([*argv, str(tmp_path / "main.json")]) == 0
+        monkeypatch.setattr(sys, "argv", ["scgscale", *argv, str(tmp_path / "module.json")])
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc_info:
+            # runpy warns that scgscale.cli was imported before it runs.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("scgscale.cli", run_name="__main__")
+        assert exc_info.value.code == 0
+        assert (tmp_path / "module.json").read_text() == (tmp_path / "main.json").read_text()
 
     def test_token_budget_constant_rho_closed_form(self, tmp_path):
         law = {"C": 5.0, "terms": [{"name": "batch_size", "shift": 0.0, "exponent": 0.0}]}

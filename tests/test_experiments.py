@@ -218,6 +218,15 @@ def as_text(rows):
     return [repr(astuple(row)) for row in rows]
 
 
+def step_with_infinite_scale(monkeypatch, target):
+    """Make every block whose step scale is target step with an infinite one."""
+    step_block = optimizer._step_block
+    monkeypatch.setattr(
+        optimizer, "_step_block",
+        lambda xb, mb, kind, scale, scratch: step_block(
+            xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+
+
 class TestStackedSweep:
     """The rows of every point step together, each bit-equal to its lone run."""
 
@@ -268,24 +277,29 @@ class TestStackedSweep:
         assert as_text(run_sweep(cfg).rows) == as_text(expected)
         assert lone == [3] * 5  # each point's 3 repetitions step together
 
-    def test_rows_whose_noise_underflows_stack_apart(self, monkeypatch):
+    def test_rows_whose_noise_underflows_share_a_stack(self, monkeypatch):
         # sigma_star^2 / (B S) is subnormal at B = 1 and zero at B = 8192.
-        # _run_segments refuses to stack the two, so each runs alone.
+        # The two points step in one stack, the noiseless rows drawing nothing.
         cfg = replace(sweep_config(((1.0, 1.0), (8192.0, 1.0)), budget=8192.0),
                       problem=small_problem(sigma=1e-160))
         assert [problems.per_coordinate_sigma(cfg.problem, replace(cfg.problem.noise, B=B)) > 0
                 for B, _ in cfg.grid] == [True, False]
         expected = [lone_point(cfg, B, S) for B, S in cfg.grid]
         assert all(row.error is None for row in expected)
-        lone = []
+        stacks, lone = [], []
+
+        def counting(spec, configs, **kwargs):
+            stacks.append(len(configs))
+            return optimizer._run_segments(spec, configs, **kwargs)
 
         def lone_run(spec, config, seeds):
             lone.append(spec.noise.B)
             return run(spec, config, seeds=seeds)
 
+        monkeypatch.setattr(experiments, "_run_segments", counting)
         monkeypatch.setattr(experiments, "run", lone_run)
         assert as_text(run_sweep(cfg).rows) == as_text(expected)
-        assert sorted(lone) == [1.0, 8192.0]
+        assert (stacks, lone) == ([4], [])
 
     def test_a_diverging_row_errors_only_its_point(self, monkeypatch):
         cfg = prescribed_sweep()
@@ -295,11 +309,7 @@ class TestStackedSweep:
         bad = next(row for row in clean if (row.B, row.S) == (4.0, 2.0))
         target = bad.beta * 2.0
         assert sum(row.beta * 2.0 == target for row in clean) == 1
-        step_block = optimizer._step_block
-        monkeypatch.setattr(
-            optimizer, "_step_block",
-            lambda xb, mb, kind, scale, scratch: step_block(
-                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        step_with_infinite_scale(monkeypatch, target)
         lone_runs = []
 
         def lone_run(spec, config, seeds):
@@ -310,7 +320,7 @@ class TestStackedSweep:
         with np.errstate(all="ignore"):
             rows = run_sweep(cfg).rows
             lone = lone_point(cfg, 4.0, 2.0)
-        assert lone_runs == [3]  # the 5 points shared one stack; (4, 2) ran again alone
+        assert lone_runs == []  # the 5 points shared one stack; (4, 2) settled from its rows
         assert lone.error.startswith("the run diverged: a final loss ([")
         assert lone.error.split("[")[1].split("]")[0].count(",") == 2  # its own 3 rows only
         for row, before in zip(rows, clean):
@@ -318,6 +328,18 @@ class TestStackedSweep:
                 assert row.error == lone.error
             else:
                 assert as_text([row]) == as_text([before])
+
+    def test_a_diverging_point_errors_alike_in_the_pool(self, monkeypatch):
+        # The worker's lone run diverges, and its error comes back to its row.
+        cfg = prescribed_sweep()
+        bad = next(row for row in run_sweep(cfg).rows if (row.B, row.S) == (4.0, 2.0))
+        step_with_infinite_scale(monkeypatch, bad.beta * 2.0)
+        with np.errstate(all="ignore"):
+            serial = run_sweep(cfg).rows
+            pooled = run_sweep(cfg, jobs=2).rows
+        assert next(row for row in serial if (row.B, row.S) == (4.0, 2.0)).error.startswith(
+            "the run diverged: ")
+        assert as_text(pooled) == as_text(serial)
 
     def test_a_diverging_row_keeps_no_final_x(self, monkeypatch):
         # Three rows of a stack, with their own seed, K and beta; the middle
@@ -328,11 +350,7 @@ class TestStackedSweep:
                              eval_every=5, check_invariants=False)
                    for beta, iters, seed in ((0.02, 60, 1), (0.05, 40, 2), (0.1, 20, 3))]
         target = 0.05 * 2.0
-        step_block = optimizer._step_block
-        monkeypatch.setattr(
-            optimizer, "_step_block",
-            lambda xb, mb, kind, scale, scratch: step_block(
-                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        step_with_infinite_scale(monkeypatch, target)
         with np.errstate(all="ignore"):
             logs = optimizer._run_segments(spec, configs)
             assert len(logs) == 3
@@ -363,11 +381,7 @@ class TestStackedSweep:
             stacks.append(len(configs))
             return optimizer._run_segments(spec, configs, **kwargs)
 
-        step_block = optimizer._step_block
-        monkeypatch.setattr(
-            optimizer, "_step_block",
-            lambda xb, mb, kind, scale, scratch: step_block(
-                xb, mb, kind, np.where(scale == target, np.inf, scale), scratch))
+        step_with_infinite_scale(monkeypatch, target)
         monkeypatch.setattr(experiments, "_run_segments", counting)
         with np.errstate(all="ignore"):
             rows = run_sweep(cfg).rows

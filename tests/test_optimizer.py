@@ -677,6 +677,24 @@ class TestStackedSeeds:
                 assert not any(np.shares_memory(a, b) for point in log.gradients
                                for a in point.arrays for b in log.final_x.arrays)
 
+    @pytest.mark.parametrize("sigmas", [(0.3, 0.0), (0.0, 0.3)], ids=["noisy-first", "noiseless-first"])
+    def test_rows_with_and_without_noise_step_together(self, sigmas):
+        # Past one noise chunk of 256 steps, with the checker armed: the
+        # noiseless row draws nothing, and each row keeps its lone run's bits.
+        spec = mixed_quadratic()
+        noises = [NoiseModel(sigma, B=2.0, S=2.0) for sigma in sigmas]
+        configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=iters, seed=4 + r,
+                             eval_every=3)
+                   for r, iters in enumerate((300, 270))]
+        logs = _run_segments(spec, configs, noises=noises)
+        for config, noise, log in zip(configs, noises, logs):
+            lone = run(replace(spec, noise=noise), config)
+            assert log.checked_steps == config.iters
+            assert csv_text(log) == csv_text(lone)
+            assert log.final_x == lone.final_x
+            assert (log.checked_steps, log.first_violation) == (
+                lone.checked_steps, lone.first_violation)
+
     @pytest.mark.parametrize("betas", [
         pytest.param((WarmdownBeta(0.1, 30, 10), WarmdownBeta(0.1, 30, 5)), id="two-warmdowns"),
         pytest.param((WarmdownBeta(0.1, 30, 10), ConstantBeta(0.1)), id="warmdown-and-constant"),
