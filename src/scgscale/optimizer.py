@@ -234,13 +234,13 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     Row r runs configs[r] (or the stages of plan, as run_staged) with the
     noise of spec at noises[r] (spec.noise when noises is None), from x0. The
-    rows may differ in seed, iters, alpha, constant beta and noise, none
-    included; the rows of one stack share one warmdown, and every other
-    setting is read from configs[0]. Every block is held as an (R, *shape) array for the R rows,
-    and row r draws its noise from its own generator seeded with
-    configs[r].seed. So its RunLog is bit-equal to that of a lone run of
-    configs[r]: the ops are elementwise, or run row by row (the oracle's
-    matrix-vector products, the euclidean norms, the SVD).
+    rows may differ in seed, iters, alpha, constant beta and noise, and a row
+    may have none; the rows of one stack share one warmdown, and every other
+    setting is read from configs[0]. Every block is held as an (R, *shape)
+    array for the R rows, and row r draws its noise from its own generator
+    seeded with configs[r].seed. So its RunLog is bit-equal to that of a
+    lone run of configs[r]: the ops are elementwise, or run row by row (the
+    oracle's matrix-vector products, the euclidean norms, the SVD).
 
     Without a plan the rows come longest first. Per-row state lives in
     arrays of all R rows, read on the leading rows still running; when a

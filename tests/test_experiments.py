@@ -331,6 +331,7 @@ class TestStackedSweep:
 
     def test_a_diverging_point_errors_alike_in_the_pool(self, monkeypatch):
         # The worker's lone run diverges, and its error comes back to its row.
+        # The workers fork, so they step with the patched _step_block too.
         cfg = prescribed_sweep()
         bad = next(row for row in run_sweep(cfg).rows if (row.B, row.S) == (4.0, 2.0))
         step_with_infinite_scale(monkeypatch, bad.beta * 2.0)

@@ -677,7 +677,10 @@ class TestStackedSeeds:
                 assert not any(np.shares_memory(a, b) for point in log.gradients
                                for a in point.arrays for b in log.final_x.arrays)
 
-    @pytest.mark.parametrize("sigmas", [(0.3, 0.0), (0.0, 0.3)], ids=["noisy-first", "noiseless-first"])
+    @pytest.mark.parametrize("sigmas", [
+        pytest.param((0.3, 0.0), id="noisy-first"),
+        pytest.param((0.0, 0.3), id="noiseless-first"),
+    ])
     def test_rows_with_and_without_noise_step_together(self, sigmas):
         # Past one noise chunk of 256 steps, with the checker armed: the
         # noiseless row draws nothing, and each row keeps its lone run's bits.
