@@ -52,8 +52,8 @@ class PowerLawModel:
     terms: tuple[PowerLawTerm, ...]
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < math.inf:
+            raise ValueError(f"C must be finite, got {self.C}" if self.C > 0 else "C must be positive")
         object.__setattr__(self, "terms", tuple(self.terms))
         names = [t.name for t in self.terms]
         if len(set(names)) != len(names):
@@ -213,12 +213,8 @@ def estimate_L(run_log, geometry, window: int = 100) -> float:
         raise ValueError("run log must store gradients for at least 2 steps")
     if len(run_log.gradients) != len(run_log.step_disp):
         raise ValueError("smoothness estimation needs a log recorded at every step")
-    kinds = [g.kind for g in geometry]
-    grads = run_log.gradients
-    diffs = [
-        composite_dual_norm([cb - pb for cb, pb in zip(cur.arrays, prev.arrays)], kinds)
-        for prev, cur in zip(grads, grads[1:])
-    ]
+    stacks = [np.stack(blocks) for blocks in zip(*(p.arrays for p in run_log.gradients))]
+    diffs = composite_dual_norm([s[1:] - s[:-1] for s in stacks], [g.kind for g in geometry])
     # displacement ||x_k - x_{k-1}|| is the step recorded at row k-1
     disps = np.asarray(run_log.step_disp, dtype=float)[: len(diffs)]
     return smoothness_from_steps(diffs, disps, window=window)
@@ -247,14 +243,12 @@ def estimate_rho(pairs, geometry, window: int = 100) -> float:
     equal pairs are skipped, and at least one usable pair must remain in the
     trailing window.
     """
-    kinds = [g.kind for g in geometry]
-    duals, euclids = [], []
-    for g_small, g_ref in pairs:
-        if tuple(g_small.names) != tuple(g_ref.names):
-            raise ValueError("pair block names do not match")
-        diff = [a - b for a, b in zip(g_small.arrays, g_ref.arrays)]
-        euclids.append(math.sqrt(sum(float(np.sum(d * d)) for d in diff)))
-        duals.append(composite_dual_norm(diff, kinds))
+    if any(tuple(g_small.names) != tuple(g_ref.names) for g_small, g_ref in pairs):
+        raise ValueError("pair block names do not match")
+    diffs = [np.stack(blocks) for blocks in
+             zip(*([a - b for a, b in zip(s.arrays, r.arrays)] for s, r in pairs))]
+    euclids = np.sqrt(sum(np.sum((d * d).reshape(len(d), -1), axis=1) for d in diffs))
+    duals = composite_dual_norm(diffs, [g.kind for g in geometry])
     return rho_from_norms(duals, euclids, window)[0]
 
 
@@ -267,18 +261,20 @@ def estimate_variance(
 ) -> VarianceCurve:
     """Empirical gradient variance across minibatch scales at a fixed point.
 
-    For each scale B the oracle is called pool_size / B times (the pool must
-    divide evenly, with at least two draws) with independent seed-derived
-    generators, so results do not depend on evaluation order. The variance is
-    the unbiased mean squared euclidean deviation from the sample mean. A
-    one-term shifted power law in the covariate "scale" is fitted to the
-    resulting curve.
+    For each scale B the oracle is called pool_size / B times (B must be a
+    whole number of at least 1 that divides the pool, with at least two
+    draws) with independent seed-derived generators, so results do not
+    depend on evaluation order. The variance is the unbiased mean squared
+    euclidean deviation from the sample mean. A one-term shifted power law in
+    the covariate "scale" is fitted to the resulting curve.
     """
     scales = [float(b) for b in scales]
     if any(b2 <= b1 for b1, b2 in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly increasing")
     variances = []
     for b_idx, b in enumerate(scales):
+        if not (b >= 1 and b.is_integer()):
+            raise ValueError(f"scale {b:g} is not a whole number of at least 1")
         if pool_size % int(b) != 0:
             raise ValueError(f"pool_size {pool_size} is not divisible by scale {b:g}")
         m = pool_size // int(b)
@@ -344,8 +340,8 @@ def fit_power_law(
     Jacobian of the log residuals, keeping the best of 16 starts when a shift
     is free, else one: with every shift fixed the residuals are affine in
     log C and the free exponents, so the objective is convex, and seed is
-    unused. Shifts are constrained so every covariate + shift stays positive
-    on the data.
+    unused. Shifts keep every covariate + shift positive on the data. A fit
+    whose C or other parameter is not finite raises FloatingPointError.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
@@ -402,8 +398,13 @@ def fit_power_law(
     if best is None:
         raise FloatingPointError("power-law fit failed from every start")
     log_c, terms = unpack(best.x)
+    with np.errstate(over="ignore"):
+        C = float(np.exp(log_c))
+    if not np.isfinite([C, *best.x]).all():
+        raise FloatingPointError(f"the power-law fit in {', '.join(t.name for t in shape)} is "
+                                 f"not finite: C = {C:g}, parameters {best.x.tolist()}")
     return PowerLawModel(
-        C=float(np.exp(log_c)),
+        C=C,
         terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, terms)),
     )
 

@@ -142,26 +142,40 @@ class LayeredPoint:
         return f"LayeredPoint({parts})"
 
 
-def block_primal_norm(values: np.ndarray, kind: GeometryKind) -> float:
-    if kind is GeometryKind.SIGN:
-        return float(np.max(np.abs(values)))
+def _rows(values: np.ndarray) -> np.ndarray:
+    """The (N, size) rows of a stack (N, *shape), or the one row of a 1-D block."""
+    values = np.atleast_2d(values)
+    return values.reshape(len(values), math.prod(values.shape[1:]))
+
+
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares: a matmul with a column on the right, one dot
+    product per row, the bits of np.dot of the row with itself."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+
+
+def block_primal_norm(values: np.ndarray, kind: GeometryKind) -> np.ndarray:
+    """The primal norms of a stack (N, *shape) of N blocks of one kind, each
+    with the bits of its block's norm alone: each block reduces on its own,
+    and the SVD runs matrix by matrix. A 1-D values, or a 2-D spectral one, is one block."""
     if kind is GeometryKind.SPECTRAL:
-        return float(np.linalg.svd(values, compute_uv=False)[0])
-    return float(np.linalg.norm(values.ravel()))
+        return np.linalg.svd(values, compute_uv=False)[..., 0]
+    rows = _rows(values)
+    return np.abs(rows).max(axis=1) if kind is _SIGN else np.sqrt(_sum_squares(rows))
 
 
-def block_dual_norm(values: np.ndarray, kind: GeometryKind) -> float:
-    if kind is GeometryKind.SIGN:
-        return float(np.sum(np.abs(values)))
+def block_dual_norm(values: np.ndarray, kind: GeometryKind) -> np.ndarray:
+    """The dual norms of a stack of blocks, as block_primal_norm takes the primal ones."""
     if kind is GeometryKind.SPECTRAL:
-        return float(np.sum(np.linalg.svd(values, compute_uv=False)))
-    return float(np.linalg.norm(values.ravel()))
+        return np.linalg.svd(values, compute_uv=False).sum(-1)
+    rows = _rows(values)
+    return np.abs(rows).sum(axis=1) if kind is _SIGN else np.sqrt(_sum_squares(rows))
 
 
-def composite_dual_norm(arrays, kinds) -> float:
-    """Dual norm of a layered point given as its block arrays and their kinds:
-    the sum of the block dual norms, as the dual of a max is the sum."""
-    return sum(block_dual_norm(a, kind) for a, kind in zip(arrays, kinds))
+def composite_dual_norm(stacks, kinds) -> np.ndarray:
+    """Dual norms of N layered points given as block stacks (N, *shape) and kinds:
+    the sums of the block dual norms in block order, as the dual of a max is the sum."""
+    return sum(block_dual_norm(a, kind) for a, kind in zip(stacks, kinds))
 
 
 # Newton-Schulz coefficients (a, b, c), applied each iteration as
@@ -220,7 +234,7 @@ def lmo_block(values: np.ndarray, kind: GeometryKind):
     if kind is not GeometryKind.SPECTRAL:
         d = np.zeros((1,) + np.shape(values))
         _step_block(d, np.asarray(values)[None], kind, np.ones_like(d), np.empty_like(d))
-        return d[0], block_dual_norm(values, kind)
+        return d[0], float(block_dual_norm(np.asarray(values)[None], kind)[0])
     U, s, Vt = np.linalg.svd(values, full_matrices=False)
     keep = s > 1e-12 * s[..., :1]
     d = (U * keep[..., None, :]) @ Vt
@@ -266,8 +280,7 @@ def _step_block(xb, mb, kind, scale, scratch):
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:
-        flat = mb.reshape(len(mb), -1)
-        sq = np.matmul(flat[:, None, :], flat[:, :, None]).ravel()
+        sq = _sum_squares(mb.reshape(len(mb), -1))
         if sq.min() >= _TINY:  # False for a NaN too
             factor = scale.reshape(len(mb), -1)[:, 0] / np.sqrt(sq)
             np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)

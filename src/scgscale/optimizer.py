@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import LayeredPoint, block_dual_norm, block_primal_norm, _step_block
+from .geometry import LayeredPoint, block_dual_norm, block_primal_norm, composite_dual_norm, _step_block
 from . import problems
 from .scaling import StagePlan
 
@@ -248,6 +248,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     arrays, at most once per distinct iters. Step 0 and the steps that
     record, check, store, refill noise, change beta or retire are event
     steps; any other step costs one integer comparison beside its update.
+    A step that records or checks only copies its rows' x, displacement, g
+    and m into snapshot buffers, and settle takes the losses, norms and bound
+    tests of a chunk of such steps with one stacked call per block and
+    quantity. Each iterate is factored once.
 
     Returns the RunLogs in row order. A row becomes Python objects only in
     finish, where one finiteness test over its final loss, final iterate,
@@ -280,12 +284,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     # side in row r: elementwise stages run on it once per step, and the LMO
     # and the loss get (R, *shape) block views. Step constants are such
     # arrays too, as numpy converts a Python float operand on every call.
-    # The nine are x, g, m, the displacement, scratch, the step scale,
-    # 1 - alpha, alpha and the kept share of x.
+    # The eight are x, g, m, scratch, the step scale, 1 - alpha, alpha and the
+    # kept share of x.
     n_params = sum(g.size for g in geometry)
     offsets = np.cumsum([0] + [g.size for g in geometry])
     spans = list(zip(offsets, offsets[1:]))
-    flats = np.empty((9, n_seeds, n_params))
+    flats = np.empty((8, n_seeds, n_params))
     flats[0] = 0.0 if x0 is None else x0.flatten()
     beta_rows = np.empty(n_seeds)
     sigma_rows = np.empty((n_seeds, 1, 1))
@@ -302,6 +306,11 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     chunk_steps = min(_NOISE_CHUNK_STEPS, max(1, chunk_values))
     noise_buf = np.empty((n_seeds, chunk_steps, n_params))
 
+    # Snapped step j writes xs[j] and ds[j], a recorded one the next slots of
+    # gs and ms: cap steps each, and one more x for a checked chunk's result.
+    cap = max(1, (chunk_values - 1) // 4)
+    snap_buf = np.empty((4 * cap + 1) * n_seeds * n_params)
+
     eval_every = first.eval_every
     n_rows = sum(len(range(0, s.iters, eval_every)) for s in segments)
     columns = [  # in RUNLOG_CSV_HEADER order, one row per stack row
@@ -316,18 +325,21 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     logs = [None] * n_seeds
 
     def blocks(f):
-        """The (n, *shape) block views of a flat (n, n_params) array."""
+        """The (N, *shape) block views of a flat (..., n_params) array of N rows."""
+        f = f.reshape(-1, n_params)
         return [f[:, a:b].reshape((len(f),) + gb.shape, copy=False)
                 for (a, b), gb in zip(spans, geometry)]
 
     def bind(n):
-        """Make the views of the running rows 0 .. n-1 that a plain step reads,
-        and those of g and the displacement that a recorded row reads."""
-        nonlocal xf, gf, mf, df, sf, c_1ma, c_alpha, c_keep, x, g, m, disp, scratch, scale, \
-            noise_rows, loss_fn, grad_fn
-        xf, gf, mf, df, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
-        x, g, m, disp, scratch, scale = map(blocks, (xf, gf, mf, df, sf, kf))
+        """Make the views of the running rows 0 .. n-1 that a step reads, and
+        the snapshot buffers of n rows."""
+        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, m, scratch, scale, \
+            noise_rows, loss_fn, grad_fn, xs, ds, gs, ms
+        xf, gf, mf, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
+        x, m, scratch, scale = map(blocks, (xf, mf, sf, kf))
         noise_rows = list(noise_buf[:n].swapaxes(0, 1))
+        slots = snap_buf[:(4 * cap + 1) * n * n_params].reshape(-1, n, n_params)
+        xs, ds, gs, ms = np.split(slots, [cap + 1, 2 * cap + 1, 3 * cap + 1])
         loss_fn, grad_fn = problems.compiled(spec, n)
 
     def finish(lo, hi):
@@ -349,42 +361,84 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                            zip(*blocks(grads[r, :row_iters[r]]))] if store and ok else None,
             )
 
-    xf = gf = mf = df = sf = c_1ma = c_alpha = c_keep = x = g = m = disp = scratch = scale = None
-    noise_rows = loss_fn = grad_fn = None
+    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = m = scratch = scale = None
+    noise_rows = loss_fn = grad_fn = xs = ds = gs = ms = None
     bind(n_seeds)
 
-    eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, R) norm tables
+    eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, n) norm tables
+    nuclear = [None] * n_blocks  # per block, the nuclear norms of m that a spectral step returns
+    snapped = []  # (k, whether it records) for each snapped step of the chunk
+    nuclears = []  # the nuclear lists of the chunk's recorded steps
+    x_norms = None  # the (n_blocks, n) primal norms of the chunk's first x, when known
 
-    # Per block, the nuclear norms of m that a spectral step returns.
-    nuclear = [None] * n_blocks
-    # The (n_blocks, R) table of per-block primal norms of x, kept until x
-    # moves: the arming test and the checker compute it, and the next recorded
-    # row reads it.
-    x_norms = None
+    def norm_table(norm, slots):
+        """The (n_blocks, S, n) norms of the blocks of S slots (S, n, n_params)."""
+        return np.array([norm(b, kind) for b, kind in zip(blocks(slots), kinds)]).reshape(
+            (n_blocks,) + slots.shape[:2])
 
-    def primal_norms(stacks):
-        return np.array([[block_primal_norm(b, kind) for b in stack]
-                         for stack, kind in zip(stacks, kinds)])
-
-    def dual_norm(stacks, known):
-        # The composite dual norms, summed in block order as sum() sums one row's.
-        return sum(np.array([block_dual_norm(b, kind) for b in stack]) if nb is None else nb
-                   for stack, kind, nb in zip(stacks, kinds, known))
+    def settle():
+        """Take the losses, norms and bound tests of the chunk's steps, write
+        their rows, checker counts and first violations, and empty it."""
+        nonlocal row, x_norms
+        if not snapped:
+            return
+        n, n_snap = len(xf), len(snapped)
+        ks = np.array([k for k, _ in snapped])
+        rec = [j for j, (_, records) in enumerate(snapped) if records]
+        if check:  # the steps are consecutive: slot j + 1 holds step j's result
+            xs[n_snap] = xf
+        norms = norm_table(block_primal_norm, xs[x_norms is not None:n_snap + check])
+        if x_norms is not None:
+            norms = np.concatenate((x_norms[:, None], norms), axis=1)
+        disp_norms = norm_table(block_primal_norm, ds[:n_snap])
+        x_norms = norms[:, -1] if check else None
+        if check:
+            steps = np.full((n_snap, n), 1.0 - beta_rows[:n])  # (1 - beta)^(k+1)
+            steps[0] *= contraction[:n]
+            contraction[:n] = np.multiply.accumulate(steps, out=steps)[-1]
+            x_bound = eta[:, None] * (1.0 - 0.5 * steps) + _INVARIANT_SLACK
+            failed = armed[:n] & ~((norms[:, 1:] <= x_bound) & (
+                disp_norms <= disp_bound[:, None, :n] + _INVARIANT_SLACK))
+            counts[0, :n] += n_snap * armed[:n]
+            counts[1, :n] += failed.sum(axis=(0, 1))
+            for r in np.nonzero(failed.any(axis=(0, 1)))[0]:
+                if first_violation[r] is None:
+                    j, i = np.argwhere(failed[:, :, r].T)[0]  # the first step, then block
+                    first_violation[r] = (
+                        f"step {k0 + ks[j]} block {names[i]}: |x|={norms[i, j + 1, r]:.6g} "
+                        f"bound={x_bound[i, j, r]:.6g} disp={disp_norms[i, j, r]:.6g} "
+                        f"disp_bound={disp_bound[i, r]:.6g}")
+        if rec:
+            n_rec = len(rec)
+            # A spectral step took the nuclear norms of m from its SVD.
+            m_dual = sum(block_dual_norm(b, kind) if nuclear[i] is None
+                         else np.ravel([ns[i] for ns in nuclears])
+                         for i, (b, kind) in enumerate(zip(blocks(ms[:n_rec]), kinds)))
+            values = (  # in RUNLOG_CSV_HEADER order, each one or n values per step
+                k0 + ks[rec], loss_fn(blocks(xs[rec])), norms[:, rec].max(axis=0),
+                composite_dual_norm(blocks(gs[:n_rec]), kinds), m_dual,
+                np.reshape([_beta(seg.schedule, k) for k in ks[rec]], (n_rec, -1))[:, :n],
+                disp_norms[:, rec].max(axis=0), [seg.stage_index] * n_rec)
+            for col, value in zip(columns, values):
+                col[:n, row:row + n_rec] = np.reshape(value, (n_rec, -1)).T
+            row += n_rec
+        snapped.clear()
+        nuclears.clear()
 
     row = 0
     k0 = 0  # the global index of the segment's step 0
     is_scg = first.variant == "scg"
     for seg in segments:
         sigma_rows[:] = seg.sigma
-        np.subtract(1.0, seg.alpha, out=flats[6])
-        flats[7] = seg.alpha
+        np.subtract(1.0, seg.alpha, out=flats[5])
+        flats[6] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
         # it is armed per row, against the row's own (n_blocks, R) bounds.
         armed = np.zeros(n_seeds, dtype=bool)
         if first.check_invariants and is_scg and isinstance(seg.schedule, np.ndarray):
             if x_norms is None:
-                x_norms = primal_norms(x)
+                x_norms = norm_table(block_primal_norm, xf[None])[:, 0]
             armed = np.all(2.0 * x_norms <= eta, axis=0) & (seg.schedule <= 0.5)
             disp_bound = 2.0 * seg.schedule * eta
             contraction = np.ones(n_seeds)  # (1 - beta)^k per row
@@ -402,18 +456,19 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 k_global = k0 + k
                 n = len(xf)  # the running rows are 0 .. n-1
                 if k_global == row_iters[n - 1]:  # the last of them end here
+                    settle()
                     n = sum(i > k_global for i in row_iters)
                     finish(n, len(xf))
                     bind(n)
-                    x_norms = None
+                    x_norms = None if x_norms is None else x_norms[:, :n]
                 if k == 0 or k >= tail:
                     # Filled for every row of the stack; the running rows read
                     # their leading part.
                     beta_rows[:] = _beta(seg.schedule, k)
                     step = beta_rows[:, None] if is_scg else 1.0
-                    flats[8] = 1.0 - step if is_scg else 1.0
+                    flats[7] = 1.0 - step if is_scg else 1.0
                     for (a, b), radius in zip(spans, radii):
-                        flats[5][:, a:b] = step * radius
+                        flats[4][:, a:b] = step * radius
                 if k % chunk_steps == 0:
                     # A noiseless row draws nothing: its -0.0 times its sigma
                     # 0.0 is -0.0, and g + (-0.0) is g, bit for bit.
@@ -429,16 +484,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     # seeds m with the first sample (a = 1) or alpha times it.
                     mf[:] = -0.0
                     if first.momentum_init == "first_sample":
-                        flats[7] = 1.0
+                        flats[6] = 1.0
                 record = (k % eval_every) == 0
-                if record:
-                    loss_k = loss_fn(x)
-                    if x_norms is None:
-                        x_norms = primal_norms(x)
-                    x_primal_k = x_norms.max(axis=0)
-                need_disp = record or check
-                if need_disp:
-                    np.copyto(df, xf)
+                if record or check:
+                    xs[len(snapped)] = xf
                 next_event = k + 1 if check or store else min(
                     k - k % eval_every + eval_every, k - k % chunk_steps + chunk_steps,
                     row_iters[n - 1] - k0, max(k + 1, tail))
@@ -455,43 +504,20 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
             if not event:
                 continue
-            x_norms = None
             if k_global == 0:
-                flats[7] = seg.alpha
+                flats[6] = seg.alpha
             if store:
                 grads[:n, k_global] = gf
-            if record:
-                g_dual_k = dual_norm(g, [None] * n_blocks)
-                # The spectral terms are the nuclear norms from the step's SVD.
-                m_dual_k = dual_norm(m, nuclear)
-            if need_disp:
-                np.subtract(xf, df, out=df)
-                disp_norms = primal_norms(disp)
-            if check:
-                contraction[:n] *= 1.0 - beta_rows[:n]  # now (1 - beta)^(k+1)
-                x_norms = primal_norms(x)
-                x_bound = eta * (1.0 - 0.5 * contraction[:n]) + _INVARIANT_SLACK
-                failed = armed[:n] & ~(
-                    (x_norms <= x_bound) & (disp_norms <= disp_bound[:, :n] + _INVARIANT_SLACK))
-                counts[0, :n] += armed[:n]
-                if failed.any():
-                    counts[1, :n] += failed.sum(axis=0)
-                    for r in np.nonzero(failed.any(axis=0))[0]:
-                        if first_violation[r] is None:
-                            i = np.nonzero(failed[:, r])[0][0]  # the first block in block order
-                            first_violation[r] = (
-                                f"step {k_global} block {names[i]}: "
-                                f"|x|={x_norms[i, r]:.6g} bound={x_bound[i, r]:.6g} "
-                                f"disp={disp_norms[i, r]:.6g} disp_bound={disp_bound[i, r]:.6g}"
-                            )
-            if record:
-                values = (  # in RUNLOG_CSV_HEADER order, a value or one per row
-                    k_global, loss_k, x_primal_k, g_dual_k, m_dual_k, beta_rows[:n],
-                    disp_norms.max(axis=0), seg.stage_index,
-                )
-                for col, value in zip(columns, values):
-                    col[:n, row] = value
-                row += 1
+            if record or check:
+                j = len(snapped)
+                np.subtract(xf, xs[j], out=ds[j])
+                if record:
+                    gs[len(nuclears)], ms[len(nuclears)] = gf, mf
+                    nuclears.append(nuclear.copy())
+                snapped.append((k, record))
+                if j + 1 == cap:
+                    settle()
+        settle()
         k0 += seg.iters
 
     finish(0, len(xf))

@@ -100,7 +100,7 @@ class LayeredQuadratic:
         for name, t, g in zip(self.block_names, self.targets, self.geometry):
             if t.shape != g.shape:
                 raise ValueError(f"target for block {name!r} has the wrong shape")
-            if not block_primal_norm(t, g.kind) <= g.radius_eta:
+            if not block_primal_norm(t[None], g.kind)[0] <= g.radius_eta:
                 raise ValueError(
                     f"target for block {name!r} is not finite or lies outside its "
                     "radius ball; the optimum would be unreachable"

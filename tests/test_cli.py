@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -383,6 +384,36 @@ class TestTrain:
         assert rc == 0
         runlog = (tmp_path / "a" / "runlog.csv").read_bytes()
         assert (tmp_path / "b" / "runlog.csv").read_bytes() == runlog
+
+    def test_spectral_run_reaches_the_norms_and_the_svd(self, tmp_path, monkeypatch):
+        # The benchmark's spectral_train traces these three functions, at
+        # every module binding, and requires each to be reached.
+        from scgscale import geometry
+
+        calls = {"block_primal_norm": 0, "block_dual_norm": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("block_primal_norm", "block_dual_norm"):
+            original = getattr(geometry, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("scgscale")]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        cfg = staged_train_config()
+        cfg["problem"]["blocks"].append({
+            "name": "W", "geometry": {"kind": "spectral", "shape": [3, 2], "radius_eta": 1.0},
+            "curvature": 1.0, "target": [[0.2, 0.0], [0.0, -0.1], [0.1, 0.1]],
+        })
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 0, err
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["checked_steps"] > 0
+        assert all(calls.values()), calls
 
     def test_null_stages_trains_unstaged(self, tmp_path):
         cfg = train_config(iters=25)
@@ -956,6 +987,18 @@ class TestEstimateCli:
         assert cli.main(["estimate", "--kind", "variance", "--in", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["model"]["terms"][0]["exponent"] == pytest.approx(-1.0, abs=0.02)
+
+    def test_variance_fit_that_is_not_finite_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A stub fit whose log C overflows exp: the fit raises, where it used
+        # to return C = inf for the JSON dump to catch.
+        monkeypatch.setattr(
+            "scipy.optimize.least_squares",
+            lambda *args, **kwargs: SimpleNamespace(x=np.array([800.0, 0.0, -1.0]), cost=0.0))
+        rows = [[1.0, 3.613008866616589], [2.5, 1.292822648059595], [5.0, 0.13704302795526574]]
+        path = write_csv(tmp_path / "v.csv", ["scale", "variance"], rows)
+        assert cli.main(["estimate", "--kind", "variance", "--in", path]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: the power-law fit in scale is not finite: C = inf")
 
 
 class TestFitCli:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -70,6 +72,14 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
                  ValueError, "covariate names must be unique", id="law-names"),
     pytest.param(lambda: estimate_variance(None, None, [4.0, 2.0], 64),
                  ValueError, "scales must be strictly increasing", id="variance-scales"),
+    pytest.param(lambda: estimate_variance(None, None, [2.5], 10), ValueError,
+                 "scale 2.5 is not a whole number of at least 1", id="variance-fractional-scale"),
+    pytest.param(lambda: estimate_variance(None, None, [0.5, 1.0], 10), ValueError,
+                 "scale 0.5 is not a whole number of at least 1", id="variance-scale-below-one"),
+    pytest.param(lambda: PowerLawModel(math.inf, ()), ValueError, "C must be finite, got inf",
+                 id="law-C-infinite"),
+    pytest.param(lambda: PowerLawModel(math.nan, ()), ValueError, "C must be positive",
+                 id="law-C-nan"),
     pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, []),
                  ValueError, "shape needs at least one term", id="fit-empty-shape"),
     pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("y")]),
@@ -98,7 +108,8 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
                  ValueError, "pair block names do not match", id="rho-names"),
 ])
 def test_input_checks_raise_their_message(make, error, message):
-    with pytest.raises(error) as info:
+    with pytest.raises(error) as info, warnings.catch_warnings():
+        warnings.simplefilter("error")  # and warn of nothing on the way
         make()
     assert info.value.args == (message,)
 
@@ -340,6 +351,22 @@ class TestFitPowerLaw:
         monkeypatch.setattr("scipy.optimize.least_squares", failing)
         with pytest.raises(FloatingPointError, match="^power-law fit failed from every start$"):
             fit_power_law(_FIT_COLUMNS, _FIT_VALUES, shape)
+
+    @pytest.mark.parametrize("fitted", [[800.0, -1.0], [1.0, math.nan]],
+                             ids=["C-overflows", "nan-exponent"])
+    def test_a_fit_that_is_not_finite_raises(self, monkeypatch, fitted):
+        # With a free shift, the points (1, 3.613008866616589),
+        # (2.5, 1.292822648059595) and (5, 0.13704302795526574) drive the best
+        # start to shift 1.1e4, exponent -9.1e3 and log C = 8.4e4, which
+        # overflows exp; that takes a minute of least_squares, so a stub
+        # returns such a fit here.
+        monkeypatch.setattr("scipy.optimize.least_squares",
+                            lambda *args, **kwargs: SimpleNamespace(x=np.array(fitted), cost=0.0))
+        with pytest.raises(FloatingPointError, match=r"^the power-law fit in x is not finite: "
+                                                     r"C = (inf|2\.7\d+), parameters"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x", shift=0.0)])
 
     @staticmethod
     def spy_on_least_squares(monkeypatch):

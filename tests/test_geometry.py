@@ -29,33 +29,60 @@ def point(*blocks):
 
 
 class TestNorms:
+    # Each call takes a stack (N, *shape) of blocks and returns N norms.
     def test_single_euclidean_block(self):
-        x = np.array([3.0, 4.0])
-        assert block_primal_norm(x, EUCLIDEAN) == pytest.approx(5.0)
-        assert block_dual_norm(x, EUCLIDEAN) == pytest.approx(5.0)
+        x = np.array([[3.0, 4.0]])
+        assert block_primal_norm(x, EUCLIDEAN).tolist() == pytest.approx([5.0])
+        assert block_dual_norm(x, EUCLIDEAN).tolist() == pytest.approx([5.0])
 
     def test_sign_composite_is_max_and_sum(self):
-        x = [np.array([2.0, -1.0]), np.array([7.0, 0.0, 0.0])]
-        assert max(block_primal_norm(a, SIGN) for a in x) == pytest.approx(7.0)  # max of 2 and 7
-        assert [block_dual_norm(a, SIGN) for a in x] == pytest.approx([3.0, 7.0])
-        assert composite_dual_norm(x, [SIGN, SIGN]) == pytest.approx(10.0)
+        x = [np.array([[2.0, -1.0]]), np.array([[7.0, 0.0, 0.0]])]
+        assert max(block_primal_norm(a, SIGN)[0] for a in x) == pytest.approx(7.0)  # max of 2 and 7
+        assert [block_dual_norm(a, SIGN)[0] for a in x] == pytest.approx([3.0, 7.0])
+        assert composite_dual_norm(x, [SIGN, SIGN]).tolist() == pytest.approx([10.0])
 
     def test_sign_dual_sums(self):
-        x = [np.array([1.0, 2.0]), np.array([1.0, 3.0])]
-        assert composite_dual_norm(x, [SIGN, SIGN]) == pytest.approx(7.0)
+        x = [np.array([[1.0, 2.0], [0.5, 0.0]]), np.array([[1.0, 3.0], [-2.0, 1.0]])]
+        assert composite_dual_norm(x, [SIGN, SIGN]).tolist() == pytest.approx([7.0, 3.5])
 
     def test_spectral_block_diag(self):
         # oracle: singular values of diag(2, 3) are (3, 2)
-        x = np.diag([2.0, 3.0])
-        sv = np.linalg.svd(x, compute_uv=False)
-        assert block_primal_norm(x, SPECTRAL) == pytest.approx(sv[0]) == pytest.approx(3.0)
-        assert block_dual_norm(x, SPECTRAL) == pytest.approx(sv.sum()) == pytest.approx(5.0)
+        x = np.diag([2.0, 3.0])[None]
+        sv = np.linalg.svd(x[0], compute_uv=False)
+        assert block_primal_norm(x, SPECTRAL)[0] == pytest.approx(sv[0]) == pytest.approx(3.0)
+        assert block_dual_norm(x, SPECTRAL)[0] == pytest.approx(sv.sum()) == pytest.approx(5.0)
 
     def test_zero_point_all_zero(self):
-        x = [np.zeros(3), np.zeros(2)]
+        x = [np.zeros((1, 3)), np.zeros((1, 2))]
         kinds = [SIGN, EUCLIDEAN]
-        assert max(block_primal_norm(a, k) for a, k in zip(x, kinds)) == 0.0
-        assert composite_dual_norm(x, kinds) == 0.0
+        assert max(block_primal_norm(a, k)[0] for a, k in zip(x, kinds)) == 0.0
+        assert composite_dual_norm(x, kinds).tolist() == [0.0]
+
+    @pytest.mark.parametrize("kind, shape", [
+        (SIGN, (7,)), (SIGN, (3, 4)), (EUCLIDEAN, (300,)), (EUCLIDEAN, (2, 3)),
+        (SPECTRAL, (5, 3)), (SPECTRAL, (3, 5)),
+    ])
+    def test_a_stack_is_normed_block_by_block(self, kind, shape):
+        # Each norm of a stack carries the bits of the one-block formula, for
+        # a contiguous stack and for blocks cut from wider rows, as a run's
+        # are; the stack holds a zero block.
+        lone = {  # (primal, dual) of one block
+            SIGN: (lambda b: np.max(np.abs(b)), lambda b: np.sum(np.abs(b))),
+            EUCLIDEAN: (lambda b: np.linalg.norm(b.ravel()),) * 2,
+            SPECTRAL: (lambda b: np.linalg.svd(b, compute_uv=False)[0],
+                       lambda b: np.sum(np.linalg.svd(b, compute_uv=False))),
+        }[kind]
+        rng = np.random.default_rng(15)
+        size = int(np.prod(shape))
+        wide = rng.standard_normal((6, size + 5)) * rng.uniform(0.1, 10.0, (6, 1))
+        wide[2] = 0.0
+        for stack in (wide[:, :size].reshape((6,) + shape).copy(),
+                      wide[:, 3:3 + size].reshape((6,) + shape)):
+            for norm, one in zip((block_primal_norm, block_dual_norm), lone):
+                norms = norm(stack, kind)
+                assert norms.shape == (6,) and norms[2] == 0.0
+                assert norms.tolist() == [float(one(b)) for b in stack]
+                assert norms.tolist() == [norm(b[None], kind)[0] for b in stack]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -127,7 +154,8 @@ class TestLmo:
         rng = np.random.default_rng(5)
         for kind, shape in [(SIGN, (7,)), (EUCLIDEAN, (2, 3)), (SPECTRAL, (5, 3))]:
             m = rng.standard_normal(shape)
-            assert lmo_block(m, kind)[1] == pytest.approx(block_dual_norm(m, kind), rel=1e-14)
+            assert lmo_block(m, kind)[1] == pytest.approx(block_dual_norm(m[None], kind)[0],
+                                                          rel=1e-14)
 
     def test_spectral_direction_is_a_partial_isometry(self):
         # The exact polar factor has singular value 1 on the range of the
@@ -167,7 +195,7 @@ class TestLmo:
         U, s, Vt = np.linalg.svd(stack[2], full_matrices=False)
         keep = s > 1e-12 * s[0]
         assert np.array_equal(d[2], -(U[:, keep] @ Vt[keep]))
-        assert duals[0] == pytest.approx(block_dual_norm(stack[0], SPECTRAL), rel=1e-14)
+        assert duals.tolist() == pytest.approx(block_dual_norm(stack, SPECTRAL).tolist(), rel=1e-14)
 
 
 @st.composite
@@ -196,7 +224,7 @@ class TestLmoProperties:
         kind, m = block
         d, dual_from_lmo = lmo_block(m, kind)
         pairing = float(np.sum(m * d))
-        dual = composite_dual_norm([m], [kind])
+        dual = composite_dual_norm([m[None]], [kind])[0]
         assert pairing == pytest.approx(-dual, abs=1e-8 * max(1.0, dual))
         assert dual_from_lmo == pytest.approx(dual, rel=1e-12, abs=1e-300)
 
@@ -206,7 +234,7 @@ class TestLmoProperties:
     @settings(max_examples=150, deadline=None)
     def test_feasibility(self, block):
         kind, m = block
-        assert block_primal_norm(lmo_block(m, kind)[0], kind) <= 1.0 + 1e-8
+        assert block_primal_norm(lmo_block(m, kind)[0][None], kind)[0] <= 1.0 + 1e-8
 
     @given(random_block(), st.floats(1e-3, 1e3))
     @example((SIGN, np.array([5e-324])), 0.5)  # the scaled entry underflows to 0
@@ -222,7 +250,7 @@ class TestLmoProperties:
             # within the singular values it may drop of minus its nuclear norm.
             s = np.linalg.svd(m, compute_uv=False)
             for direction in (d, d_scaled):
-                assert block_primal_norm(direction, SPECTRAL) <= 1.0 + 1e-8
+                assert block_primal_norm(direction[None], SPECTRAL)[0] <= 1.0 + 1e-8
                 assert np.sum(m * direction) == pytest.approx(
                     -s.sum(), abs=1e-11 * s[0] + 1e-300)
             # The SVDs of m and of scale * m round a singular value s_i by
@@ -241,7 +269,7 @@ class TestLmoProperties:
         euclid = math.sqrt(float(np.sum(m * m)))
         if euclid == 0.0:  # zero or underflowing block
             return
-        ratio = composite_dual_norm([m], [kind]) / euclid
+        ratio = composite_dual_norm([m[None]], [kind])[0] / euclid
         assert np.isfinite(ratio) and ratio > 0
 
 

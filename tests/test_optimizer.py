@@ -25,7 +25,7 @@ from scgscale.optimizer import (
     run,
     run_staged,
 )
-from scgscale import problems
+from scgscale import optimizer, problems
 from scgscale.experiments import rate_study_problem
 from scgscale.problems import LayeredQuadratic, LogisticRegression, NoiseModel
 from scgscale.scaling import Stage, StagePlan, prescribe_params
@@ -444,7 +444,7 @@ def small_point(spec, seed=7):
     arrays = []
     for g in spec.geometry:
         a = rng.standard_normal(g.shape)
-        arrays.append(a * (0.3 * g.radius_eta / block_primal_norm(a, g.kind)))
+        arrays.append(a * (0.3 * g.radius_eta / block_primal_norm(a[None], g.kind)[0]))
     return LayeredPoint.from_arrays(spec.block_names, arrays)
 
 
@@ -697,6 +697,59 @@ class TestStackedSeeds:
             assert log.final_x == lone.final_x
             assert (log.checked_steps, log.first_violation) == (
                 lone.checked_steps, lone.first_violation)
+
+    @pytest.mark.parametrize("violation", [False, True], ids=["clean", "violation"])
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("staged", [False, True], ids=["three-rows", "two-stages"])
+    def test_any_chunk_of_snapped_steps_settles_alike(self, staged, cap, eval_every, violation,
+                                                      request, monkeypatch):
+        # Recorded and checked steps settle in chunks of cap steps, whose
+        # buffers the noise budget sizes; a chunk also settles when rows
+        # retire (here at steps 11 and 25, mid-chunk at cap 2) and when a
+        # stage ends. Each row keeps its lone run's RunLog at the default cap.
+        if violation:
+            request.getfixturevalue("overshooting_steps")
+        spec = mixed_quadratic()
+        plan = StagePlan((Stage(8.0 * 15, 2.0, 4.0, 0.05, 0.3), Stage(8.0 * 12, 2.0, 4.0, 0.02, 0.3)))
+        configs = [ScgConfig(alpha=0.3, beta=ConstantBeta(beta), iters=iters, seed=3 + r,
+                             eval_every=eval_every, store_gradients=True)
+                   for r, (beta, iters) in enumerate([(0.05, 40), (0.1, 25), (0.25, 11)])]
+        lone = [run_staged(spec, plan, c) if staged else run(spec, c) for c in configs]
+        monkeypatch.setattr(optimizer, "_NOISE_CHUNK_VALUES",
+                            (4 * cap + 1) * len(configs) * spec.total_params)
+        logs = _run_segments(spec, configs, plan if staged else None)
+        assert any(log.invariant_violations for log in logs) == violation
+        for log, alone in zip(logs, lone):
+            assert log.checked_steps > 0
+            assert csv_text(log) == csv_text(alone)
+            assert log.final_x == alone.final_x and log.gradients == alone.gradients
+            assert (log.checked_steps, log.invariant_violations, log.first_violation) == (
+                alone.checked_steps, alone.invariant_violations, alone.first_violation)
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    def test_each_spectral_iterate_is_factored_once(self, n_seeds, eval_every, monkeypatch):
+        # With the checker armed, a run factors x0 once to arm it, then per
+        # step and row m for the step, the displacement and the new x, and g
+        # where the step records: the new x serves the next row's x_primal
+        # and the second stage's arming.
+        spec = mixed_quadratic()
+        svd, factored = np.linalg.svd, []
+
+        def counting(a, *args, **kwargs):
+            factored.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        config = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=40, eval_every=eval_every)
+        plan = StagePlan((Stage(8.0 * 30, 2.0, 4.0, 0.05, 0.3), Stage(8.0 * 20, 2.0, 4.0, 0.02, 0.3)))
+        for stack, iters in [(partial(run, spec, config), 40),
+                             (partial(run_staged, spec, plan, config), 50)]:
+            logs = stack(seeds=range(n_seeds))
+            assert all(log.checked_steps == iters for log in logs)
+            assert sum(factored) == n_seeds * (1 + 3 * iters + len(logs[0]))
+            factored.clear()
 
     @pytest.mark.parametrize("betas", [
         pytest.param((WarmdownBeta(0.1, 30, 10), WarmdownBeta(0.1, 30, 5)), id="two-warmdowns"),

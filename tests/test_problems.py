@@ -279,7 +279,7 @@ class TestKnownConstants:
                 blocks.append((name, raw))
             x = LayeredPoint(blocks)
             f = loss(spec, x)
-            g_dual = composite_dual_norm(problems.grad(spec, x).arrays, kinds)
+            g_dual = composite_dual_norm([a[None] for a in problems.grad(spec, x).arrays], kinds)[0]
             assert g_dual >= mu * f - 1e-9
 
     def test_smoothness_predicate_on_sampled_pairs(self):
@@ -304,8 +304,8 @@ class TestKnownConstants:
                 ga - gb
                 for ga, gb in zip(problems.grad(spec, xa).arrays, problems.grad(spec, xb).arrays)
             ]
-            lhs = composite_dual_norm(grad_diff, kinds)
-            rhs = L * max(block_primal_norm(d, kind) for d, kind in zip(diff, kinds))
+            lhs = composite_dual_norm([d[None] for d in grad_diff], kinds)[0]
+            rhs = L * max(block_primal_norm(d[None], kind)[0] for d, kind in zip(diff, kinds))
             assert lhs <= rhs + 1e-9
 
     def test_single_euclid_block_smoothness_is_exact(self):
