@@ -732,7 +732,7 @@ class TestStackedSeeds:
     def test_each_spectral_iterate_is_factored_once(self, n_seeds, eval_every, monkeypatch):
         # With the checker armed, a run factors x0 once to arm it, then per
         # step and row m for the step, the displacement and the new x, and g
-        # where the step records: the new x serves the next row's x_primal
+        # where the step records: the new x serves the next step's x_primal
         # and the second stage's arming.
         spec = mixed_quadratic()
         svd, factored = np.linalg.svd, []
