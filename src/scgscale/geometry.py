@@ -246,34 +246,18 @@ def lmo_block(values: np.ndarray, kind: GeometryKind):
 _SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
 
 
-def _euclidean_step(xb, mb, scale, scratch):
-    """In place, xb <- xb - scale * mb / ||mb||; a zero or NaN mb leaves xb as
-    it is. Where the sum of squares falls below the smallest normal float, the
-    squares have lost precision or underflowed to zero, so mb / max|mb| takes
-    the place of mb: the same direction, with a sum of squares of at least 1.
-    """
-    sq = float(np.vdot(mb, mb))
-    if not sq >= _TINY:  # also for a NaN
-        peak = float(np.max(np.abs(mb)))
-        if not peak > 0.0:
-            return
-        mb = mb / peak
-        sq = float(np.vdot(mb, mb))
-    np.multiply(mb, scale / math.sqrt(sq), out=scratch)
-    xb -= scratch
-
-
 def _step_block(xb, mb, kind, scale, scratch):
     """In place, xb[r] <- xb[r] + scale[r] * lmo(mb[r]) for every seed r.
 
     xb, mb, scale and scratch hold one block per seed, stacked as (R, *shape);
     scale[r] holds one value. Sign and euclidean directions are formed in
-    scratch, so those blocks allocate nothing per step. A spectral block takes
-    one lmo_block call for the whole stack, and the step returns the R nuclear
-    norms of mb that its SVD gives; other kinds return None. Each seed's
-    result is bit-equal to stepping its block alone: the stacked matmul below
-    forms the same dot product as the np.vdot of _euclidean_step on each
-    seed's block, and the SVD and the polar product run matrix by matrix.
+    scratch, so those blocks allocate nothing per step. A euclidean step is
+    xb[r] - scale[r] * mb[r] / ||mb[r]||, and a zero or NaN mb[r] leaves xb[r]
+    as it is. A spectral block takes one lmo_block call for the whole stack,
+    and the step returns the R nuclear norms of mb that its SVD gives; other
+    kinds return None. Each seed's result is bit-equal to stepping its block
+    alone: the sums of squares are one dot product per seed, and the SVD and
+    the polar product run matrix by matrix.
     """
     if kind is _SIGN:
         np.sign(mb, scratch)
@@ -286,9 +270,19 @@ def _step_block(xb, mb, kind, scale, scratch):
             np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)
             xb -= scratch
             return
-        # Some seed's block is tiny, zero or not finite: seed by seed.
-        for xr, mr, cr, sr in zip(xb, mb, scale, scratch):
-            _euclidean_step(xr, mr, cr.item(0), sr)
+        # Some seed's block is tiny, zero or not finite: seed by seed. Below
+        # the smallest normal float the squares have lost precision or
+        # underflowed to zero, so mb / max|mb| takes the place of mb: the same
+        # direction, with a sum of squares of at least 1.
+        for xr, mr, cr, sr, sq_r in zip(xb, mb, scale, scratch, sq):
+            if not sq_r >= _TINY:  # also for a NaN
+                peak = np.max(np.abs(mr))
+                if not peak > 0.0:
+                    continue
+                mr = mr / peak
+                sq_r = np.vdot(mr, mr)
+            np.multiply(mr, cr.item(0) / math.sqrt(sq_r), out=sr)
+            xr -= sr
     else:
         d, nuclear = lmo_block(mb, kind)
         np.multiply(d, scale, out=scratch)

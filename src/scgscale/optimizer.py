@@ -174,23 +174,15 @@ def _write_csv(path_or_buf, header, rows) -> None:
     )
 
 
-def _resolve_radii(config_radii, geometry) -> list[float]:
-    if config_radii is None:
-        return [g.radius_eta for g in geometry]
-    if len(config_radii) != len(geometry):
-        raise ValueError("radii must be parallel to the block list")
-    return list(config_radii)
-
-
 @dataclass(frozen=True)
 class _Segment:
     iters: int
     # The stepsizes are the (R,) constant betas of the rows, or one warmdown
-    # for every row. alpha and sigma hold one value for every row, or one per
-    # row: an (R, 1) alpha and an (R, 1, 1) per-coordinate noise std.
+    # for every row; alpha is (R, 1) and sigma, the per-coordinate noise std,
+    # (R, 1, 1).
     schedule: Union[np.ndarray, WarmdownBeta]
-    alpha: Union[float, np.ndarray]
-    sigma: Union[float, np.ndarray]
+    alpha: np.ndarray
+    sigma: np.ndarray
     stage_index: int
 
 
@@ -203,18 +195,18 @@ def _beta(schedule, k: int):
 
 
 def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment]:
+    n = len(configs)
     if plan is not None:
         segments = []
         for idx, stage in enumerate(plan.stages):
-            iters = stage.iters
-            if iters < 1:
+            if stage.iters < 1:
                 raise ValueError(
                     f"stage {idx} allots {stage.token_allotment} tokens but needs "
                     f"at least B*S = {stage.B * stage.S}"
                 )
             sigma = problems.per_coordinate_sigma(spec, replace(spec.noise, B=stage.B, S=stage.S))
-            betas = np.full(len(configs), stage.beta)
-            segments.append(_Segment(iters, betas, stage.alpha, sigma, idx))
+            segments.append(_Segment(stage.iters, np.full(n, stage.beta), np.full((n, 1), stage.alpha),
+                                     np.full((n, 1, 1), sigma), idx))
         return segments
     first = configs[0]
     schedule = first.beta
@@ -222,7 +214,7 @@ def _segments(spec, configs, plan: Optional[StagePlan], noises) -> list[_Segment
         schedule = np.array([c.beta.value for c in configs])
     elif any(c.beta != schedule for c in configs):
         raise ValueError(f"the rows of one stack share one warmdown, got {[c.beta for c in configs]}")
-    noises = noises or [spec.noise] * len(configs)
+    noises = noises or [spec.noise] * n
     sigma = np.array([problems.per_coordinate_sigma(spec, nm) for nm in noises])
     alpha = np.array([c.alpha for c in configs])
     return [_Segment(first.iters, schedule, alpha[:, None], sigma[:, None, None], 0)]
@@ -272,7 +264,9 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         raise ValueError("the rows of a stack must come longest first")
     geometry = spec.geometry
     names = spec.block_names
-    radii = _resolve_radii(first.radii, geometry)
+    radii = [g.radius_eta for g in geometry] if first.radii is None else first.radii
+    if len(radii) != len(geometry):
+        raise ValueError("radii must be parallel to the block list")
     kinds = [g.kind for g in geometry]
     n_blocks = len(geometry)
     n_seeds = len(configs)
@@ -285,14 +279,16 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     # and the loss get (R, *shape) block views. Step constants are such
     # arrays too, as numpy converts a Python float operand on every call.
     # The eight are x, g, m, scratch, the step scale, 1 - alpha, alpha and the
-    # kept share of x.
-    n_params = sum(g.size for g in geometry)
-    offsets = np.cumsum([0] + [g.size for g in geometry])
+    # kept share of x. The step scale is the stepsize (1 for uscg) times
+    # radius_row, each block's radius over its entries.
+    sizes = [g.size for g in geometry]
+    n_params = sum(sizes)
+    offsets = np.cumsum([0] + sizes)
     spans = list(zip(offsets, offsets[1:]))
+    radius_row = np.repeat(radii, sizes)
     flats = np.empty((8, n_seeds, n_params))
     flats[0] = 0.0 if x0 is None else x0.flatten()
     beta_rows = np.empty(n_seeds)
-    sigma_rows = np.empty((n_seeds, 1, 1))
 
     rngs = [np.random.default_rng(c.seed) for c in configs]
 
@@ -367,7 +363,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     eta = np.array(radii)[:, None]  # (n_blocks, 1), against (n_blocks, n) norm tables
     nuclear = [None] * n_blocks  # per block, the nuclear norms of m that a spectral step returns
-    snapped = []  # (k, whether it records) for each snapped step of the chunk
+    snapped = []  # the step k of each snapped step of the chunk
+    rec = []  # the slots j of the chunk's recorded steps in snapped
     nuclears = []  # the nuclear lists of the chunk's recorded steps
     x_norms = None  # the (n_blocks, n) primal norms of the chunk's first x, when known
 
@@ -383,8 +380,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         if not snapped:
             return
         n, n_snap = len(xf), len(snapped)
-        ks = np.array([k for k, _ in snapped])
-        rec = [j for j, (_, records) in enumerate(snapped) if records]
+        ks = np.array(snapped)
         if check:  # the steps are consecutive: slot j + 1 holds step j's result
             xs[n_snap] = xf
         norms = norm_table(block_primal_norm, xs[x_norms is not None:n_snap + check])
@@ -423,13 +419,13 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 col[:n, row:row + n_rec] = np.reshape(value, (n_rec, -1)).T
             row += n_rec
         snapped.clear()
+        rec.clear()
         nuclears.clear()
 
     row = 0
     k0 = 0  # the global index of the segment's step 0
     is_scg = first.variant == "scg"
     for seg in segments:
-        sigma_rows[:] = seg.sigma
         np.subtract(1.0, seg.alpha, out=flats[5])
         flats[6] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
@@ -467,18 +463,17 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     beta_rows[:] = _beta(seg.schedule, k)
                     step = beta_rows[:, None] if is_scg else 1.0
                     flats[7] = 1.0 - step if is_scg else 1.0
-                    for (a, b), radius in zip(spans, radii):
-                        flats[4][:, a:b] = step * radius
+                    np.multiply(step, radius_row, out=flats[4])
                 if k % chunk_steps == 0:
                     # A noiseless row draws nothing: its -0.0 times its sigma
                     # 0.0 is -0.0, and g + (-0.0) is g, bit for bit.
                     noise = noise_buf[:n, :min(chunk_steps, seg.iters - k)]
-                    for rng, buf, sigma in zip(rngs, noise, sigma_rows.flat):
+                    for rng, buf, sigma in zip(rngs, noise, seg.sigma.flat):
                         if sigma:
                             rng.standard_normal(out=buf)
                         else:
                             buf[...] = -0.0
-                    noise *= sigma_rows[:n]
+                    noise *= seg.sigma[:n]
                 if k_global == 0:
                     # (1 - alpha) (-0.0) + a g is a g, bit for bit: the update
                     # seeds m with the first sample (a = 1) or alpha times it.
@@ -512,9 +507,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 j = len(snapped)
                 np.subtract(xf, xs[j], out=ds[j])
                 if record:
-                    gs[len(nuclears)], ms[len(nuclears)] = gf, mf
+                    gs[len(rec)], ms[len(rec)] = gf, mf
+                    rec.append(j)
                     nuclears.append(nuclear.copy())
-                snapped.append((k, record))
+                snapped.append(k)
                 if j + 1 == cap:
                     settle()
         settle()
