@@ -230,7 +230,10 @@ def _plan_token_budget(args, base, consts0, consts1):
 
 
 def _plan_stages(args, base, consts0, consts1):
-    budgets = [float(t) for t in args.budgets.split(",")]
+    try:
+        budgets = [float(t) for t in args.budgets.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--budgets: {exc}")
     stages = scaling.plan_stages(base, consts0, consts1, budgets).stages
     last = stages[-1]
     result = {
@@ -402,6 +405,8 @@ class _FitShape:
 
 
 def cmd_fit(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     shape = problems.from_dict(
         _FitShape, _load_json(args.shape), "fit shape", schema_version=_schema_version
     )

@@ -340,8 +340,10 @@ def fit_power_law(
     Jacobian of the log residuals, keeping the best of 16 starts when a shift
     is free, else one: with every shift fixed the residuals are affine in
     log C and the free exponents, so the objective is convex, and seed is
-    unused. Shifts keep every covariate + shift positive on the data. A fit
-    whose C or other parameter is not finite raises FloatingPointError.
+    unused. Shifts keep every covariate + shift positive on the data. A
+    start stops where C = exp(log C) leaves the positive floats, as a free
+    shift runs off when the data bend faster than any shifted power law. A
+    fit whose C or other parameter is not finite raises FloatingPointError.
     """
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
@@ -374,6 +376,12 @@ def fit_power_law(
     shift_lb = {i: -c + 1e-9 * max(1.0, abs(c)) for i, c in mins.items()}
     lo = [-np.inf] + [shift_lb[i] if j == 0 else -np.inf for i, j in free]
 
+    def jacobian_in_range(params):
+        # Past the range of C, a zero Jacobian (so a zero gradient) ends the start.
+        with np.errstate(over="ignore"):
+            in_range = 0.0 < np.exp(params[0]) < np.inf
+        return jacobian(params) if in_range else np.zeros((len(log_y), n_free))
+
     from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
     best = None
@@ -388,7 +396,7 @@ def fit_power_law(
                 p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
         try:
             res = least_squares(
-                residuals, p0, jac=jacobian, loss="soft_l1", bounds=(lo, np.inf),
+                residuals, p0, jac=jacobian_in_range, loss="soft_l1", bounds=(lo, np.inf),
                 max_nfev=20000,
             )
         except Exception:

@@ -88,6 +88,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.seed_base < 0:
+            raise ValueError(f"seed_base must be nonnegative, got {self.seed_base}")
         object.__setattr__(self, "grid", tuple((float(b), float(s)) for b, s in self.grid))
         for b, s in self.grid:
             if b * s > self.token_budget:

@@ -108,6 +108,8 @@ class ScgConfig:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.iters < 0:
             raise ValueError(f"iters must be nonnegative, got {self.iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.momentum_init not in ("first_sample", "zeros"):

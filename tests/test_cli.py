@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -106,7 +107,7 @@ class TestMalformedConfigs:
         [("check_invariants", "false"), ("store_gradients", 1), ("iters", 50.7),
          ("alpha", "0.1"), ("alpha", True), ("seed", None), ("radii", ["2.0"]),
          ("radii", 2.0), ("momentum_init", 0), ("variant", 5),
-         pytest.param("alpha", 10**400, id="alpha-10**400")],
+         pytest.param("alpha", 10**400, id="alpha-10**400"), ("seed", -1)],
     )
     def test_mistyped_optimizer_value_exits_2(self, key, value, tmp_path):
         cfg = train_config()
@@ -602,6 +603,16 @@ class TestSweepCli:
         assert "jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_negative_seed_base_exits_2(self, jobs, tmp_path, capsys):
+        cfg = sweep_config()
+        cfg["seed_base"] = -1
+        cfg_path = write_json(tmp_path / "sweep.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 2
+        assert "error: sweep config: seed_base must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_point_exceeding_budget_rejected(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -752,6 +763,13 @@ class TestPlanCli:
     def test_incomplete_model_size_flags_exit_2(self, flags, message, capsys):
         assert cli.main(["plan", "--rule", "model_size", *self.BASE, *flags]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budgets", [",", "1e9,,2e9"])
+    def test_empty_budget_exits_2(self, budgets, capsys):
+        rc = cli.main(["plan", "--rule", "stages", *self.BASE, "--consts0", "1,1,1",
+                       "--consts1", "1,1,1", "--budgets", budgets])
+        assert rc == 2
+        assert "error: --budgets: could not convert string to float: ''" in capsys.readouterr().err
 
     def test_regime_label_and_rounding(self, tmp_path):
         out = tmp_path / "plan.json"
@@ -1000,6 +1018,18 @@ class TestEstimateCli:
         assert capsys.readouterr().err.startswith(
             "numeric failure: the power-law fit in scale is not finite: C = inf")
 
+    def test_variance_fit_that_leaves_the_float_range_exits_4_at_once(self, tmp_path, capsys):
+        # No shifted power law bends as fast as these points: every start of
+        # the real least_squares runs its shift and log C off toward an
+        # exponential, which took a minute at 20000 evaluations a start.
+        rows = [[1.0, 3.613008866616589], [2.5, 1.292822648059595], [5.0, 0.13704302795526574]]
+        path = write_csv(tmp_path / "v.csv", ["scale", "variance"], rows)
+        start = time.perf_counter()
+        assert cli.main(["estimate", "--kind", "variance", "--in", path]) == 4
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: the power-law fit in scale is not finite: C = inf")
+
 
 class TestFitCli:
     def test_fit_recovers_mu_law(self, tmp_path, capsys):
@@ -1015,6 +1045,12 @@ class TestFitCli:
         assert out["model"]["C"] == pytest.approx(5.2, rel=0.05)
         assert term["shift"] == pytest.approx(1.7, rel=0.05)
         assert term["exponent"] == pytest.approx(-0.2, rel=0.05)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "d.csv", ["n_layer", "value"], [[n, 1.0 / n] for n in range(1, 9)])
+        shape = write_json(tmp_path / "s.json", {"terms": [{"name": "n_layer"}]})
+        assert cli.main(["fit", "--shape", shape, "--in", data, "--seed", "-1"]) == 2
+        assert "error: --seed must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_missing_column_exits_2(self, tmp_path):
         data = write_csv(tmp_path / "d.csv", ["x", "value"], [[1, 2], [2, 3]])

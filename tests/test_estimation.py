@@ -356,10 +356,9 @@ class TestFitPowerLaw:
                              ids=["C-overflows", "nan-exponent"])
     def test_a_fit_that_is_not_finite_raises(self, monkeypatch, fitted):
         # With a free shift, the points (1, 3.613008866616589),
-        # (2.5, 1.292822648059595) and (5, 0.13704302795526574) drive the best
-        # start to shift 1.1e4, exponent -9.1e3 and log C = 8.4e4, which
-        # overflows exp; that takes a minute of least_squares, so a stub
-        # returns such a fit here.
+        # (2.5, 1.292822648059595) and (5, 0.13704302795526574) drive every
+        # start past log C = 709.8, where exp overflows (tests/test_cli.py
+        # runs that fit); a stub returns such a fit here.
         monkeypatch.setattr("scipy.optimize.least_squares",
                             lambda *args, **kwargs: SimpleNamespace(x=np.array(fitted), cost=0.0))
         with pytest.raises(FloatingPointError, match=r"^the power-law fit in x is not finite: "

@@ -314,14 +314,23 @@ class TestStaged:
             )
         )
 
-    def test_single_stage_matches_plain_run(self):
+    @pytest.mark.parametrize("seeds", [None, [11, 12, 13]], ids=["lone", "three-seeds"])
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    def test_single_stage_matches_plain_run(self, seeds, eval_every):
+        # A plan's segment tables and a config's give the same runs, each
+        # with the checker armed at every step.
         spec = noisy_quadratic()
         plan = self.make_plan([(4.0, 2.0)], [0.05], [0.3], [8.0 * 50])
-        base = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=50, seed=11)
-        staged = run_staged(spec, plan, base)
-        plain = run(spec, base)
-        assert np.array_equal(staged.loss, plain.loss)
-        assert staged.final_loss == plain.final_loss
+        base = ScgConfig(alpha=0.3, beta=ConstantBeta(0.05), iters=50, seed=11,
+                         eval_every=eval_every)
+        staged, plain = ([logs] if seeds is None else logs for logs in (
+            run_staged(spec, plan, base, seeds=seeds), run(spec, base, seeds=seeds)))
+        assert len(staged) == len(plain) == len(seeds or [11])
+        for s, p in zip(staged, plain):
+            assert csv_text(s) == csv_text(p)
+            assert s.final_loss == p.final_loss
+            assert s.final_x == p.final_x
+            assert s.checked_steps == p.checked_steps == 50
 
     def test_equal_stages_concatenate_exactly(self):
         spec = noisy_quadratic()
