@@ -115,6 +115,14 @@ class HuberFit:
     n_points: int
 
 
+def _finite(name: str, values) -> np.ndarray:
+    """values as a float array; a ValueError names the argument unless all are finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return values
+
+
 def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
     """Robust line fit via iteratively reweighted least squares.
 
@@ -122,10 +130,12 @@ def huber_line_fit(x, y, delta: float = 1.345) -> HuberFit:
     delta standardized units get downweighted by delta * scale / |r|. With
     delta -> inf this reduces to ordinary least squares. Iteration stops
     after 200 rounds or once slope and intercept move by at most 1e-12
-    (relative, or absolute below 1).
+    (relative, or absolute below 1). x and y must be finite and delta
+    positive.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _finite("x", x), _finite("y", y)
+    if not delta > 0:
+        raise ValueError(f"delta must be positive (inf for least squares), got {delta}")
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D arrays of equal length")
     if len(x) < 2:
@@ -170,10 +180,13 @@ def estimate_mu(
     """Slope of dual gradient norm against loss over the low-loss samples.
 
     Only points with loss below loss_cap enter the regression; the intercept
-    is fitted and reported, the slope is the estimate.
+    is fitted and reported, the slope is the estimate. Both series must be
+    finite; loss_cap may be inf, and NaN is rejected.
     """
-    losses = np.asarray(losses, dtype=float)
-    dual_grad_norms = np.asarray(dual_grad_norms, dtype=float)
+    losses = _finite("losses", losses)
+    dual_grad_norms = _finite("dual_grad_norms", dual_grad_norms)
+    if math.isnan(loss_cap):
+        raise ValueError("loss_cap must be a number or inf, got nan")
     keep = losses < loss_cap
     if int(np.sum(keep)) < 2:
         raise ValueError(
@@ -193,8 +206,8 @@ def smoothness_from_steps(grad_diff_duals, step_disps, window: int = 100) -> flo
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    diffs = np.asarray(grad_diff_duals, dtype=float)
-    disps = np.asarray(step_disps, dtype=float)
+    diffs = _finite("grad_diff_duals", grad_diff_duals)
+    disps = _finite("step_disps", step_disps)
     if diffs.shape != disps.shape or diffs.ndim != 1:
         raise ValueError("inputs must be 1-D arrays of equal length")
     if len(diffs) == 0:
@@ -228,8 +241,10 @@ def rho_from_norms(dual_norms, euclid_norms, window: int = 100) -> tuple[float, 
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
-    duals = np.asarray(dual_norms, dtype=float)
-    euclids = np.asarray(euclid_norms, dtype=float)
+    duals = _finite("dual_norms", dual_norms)
+    euclids = _finite("euclid_norms", euclid_norms)
+    if duals.shape != euclids.shape or duals.ndim != 1:
+        raise ValueError("inputs must be 1-D arrays of equal length")
     keep = euclids > 0
     if not np.any(keep):
         raise ValueError("all pairs are degenerate (zero euclidean difference)")
@@ -300,27 +315,32 @@ def _log_residuals(shape, cols, log_y):
     in free: the free shifts first, then the free exponents."""
     free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
             if (t.shift, t.exponent)[j] is None]
+    at = {ij: k for k, ij in enumerate(free, 1)}
+    # Per term: its column, then its shift and exponent, each a fixed value
+    # or None and the index of its parameter. Per free parameter: its
+    # Jacobian column, term index, kind and the term's column.
+    slots = [(cols[t.name], t.shift, at.get((i, 0)), t.exponent, at.get((i, 1)))
+             for i, t in enumerate(shape)]
+    jac_slots = [(k, i, j, slots[i][0]) for (i, j), k in at.items()]
 
     def unpack(params):
-        terms = [[t.shift, t.exponent] for t in shape]
-        for (i, j), p in zip(free, params[1:]):
-            terms[i][j] = p
-        return params[0], terms
+        return params[0], [[s if a is None else params[a], e if b is None else params[b]]
+                           for _, s, a, e, b in slots]
 
     def residuals(params):
         log_c, terms = unpack(params)
         pred = np.full_like(log_y, log_c)
-        for t, (s, e) in zip(shape, terms):
-            pred = pred + e * np.log(cols[t.name] + s)
+        for slot, (s, e) in zip(slots, terms):
+            pred = pred + e * np.log(slot[0] + s)
         return pred - log_y
 
     def jacobian(params):
         # d/d log C = 1, d/d e = log(x + s), d/d s = e / (x + s)
         _, terms = unpack(params)
         jac = np.ones((len(log_y), 1 + len(free)))
-        for k, (i, j) in enumerate(free, 1):
+        for k, i, j, col in jac_slots:
             s, e = terms[i]
-            base = cols[shape[i].name] + s
+            base = col + s
             jac[:, k] = np.log(base) if j else e / base
         return jac
 
@@ -343,9 +363,10 @@ def fit_power_law(
     unused. Shifts keep every covariate + shift positive on the data. A
     start stops where C = exp(log C) leaves the positive floats, as a free
     shift runs off when the data bend faster than any shifted power law. A
-    fit whose C or other parameter is not finite raises FloatingPointError.
+    fit whose C is not finite or underflows to 0, or whose other parameter
+    is not finite, raises FloatingPointError naming the fit.
     """
-    values = np.asarray(values, dtype=float)
+    values = _finite("values", values)
     if np.any(values <= 0):
         raise ValueError("power-law fitting requires positive values")
     shape = list(shape)
@@ -355,7 +376,7 @@ def fit_power_law(
     for term in shape:
         if term.name not in covariates:
             raise KeyError(f"missing covariate column {term.name!r}")
-        col = np.asarray(covariates[term.name], dtype=float)
+        col = _finite(f"covariate {term.name!r}", covariates[term.name])
         if col.shape != values.shape:
             raise ValueError(f"covariate {term.name!r} length mismatch")
         cols[term.name] = col
@@ -378,39 +399,43 @@ def fit_power_law(
 
     def jacobian_in_range(params):
         # Past the range of C, a zero Jacobian (so a zero gradient) ends the start.
-        with np.errstate(over="ignore"):
-            in_range = 0.0 < np.exp(params[0]) < np.inf
-        return jacobian(params) if in_range else np.zeros((len(log_y), n_free))
+        if 0.0 < np.exp(params[0]) < np.inf:
+            return jacobian(params)
+        return np.zeros((len(log_y), n_free))
 
     from scipy.optimize import least_squares
     rng = np.random.default_rng(seed)
     best = None
     mean_log_y = float(np.mean(log_y))
-    for start in range(16 if mins else 1):
-        p0 = [mean_log_y]
-        for i, j in free:
-            if j == 0:
-                span = float(np.ptp(cols[shape[i].name])) or 1.0
-                p0.append(shift_lb[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
-            else:
-                p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
-        try:
-            res = least_squares(
-                residuals, p0, jac=jacobian_in_range, loss="soft_l1", bounds=(lo, np.inf),
-                max_nfev=20000,
-            )
-        except Exception:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None:
-        raise FloatingPointError("power-law fit failed from every start")
-    log_c, terms = unpack(best.x)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # exp(log C) past the float range, here and below
+        for start in range(16 if mins else 1):
+            p0 = [mean_log_y]
+            for i, j in free:
+                if j == 0:
+                    span = float(np.ptp(cols[shape[i].name])) or 1.0
+                    p0.append(shift_lb[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
+                else:
+                    p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
+            try:
+                res = least_squares(
+                    residuals, p0, jac=jacobian_in_range, loss="soft_l1", bounds=(lo, np.inf),
+                    max_nfev=20000,
+                )
+            except Exception:
+                continue
+            if best is None or res.cost < best.cost:
+                best = res
+        if best is None:
+            raise FloatingPointError("power-law fit failed from every start")
+        log_c, terms = unpack(best.x)
         C = float(np.exp(log_c))
+    names = ", ".join(t.name for t in shape)
     if not np.isfinite([C, *best.x]).all():
-        raise FloatingPointError(f"the power-law fit in {', '.join(t.name for t in shape)} is "
-                                 f"not finite: C = {C:g}, parameters {best.x.tolist()}")
+        raise FloatingPointError(f"the power-law fit in {names} is not finite: "
+                                 f"C = {C:g}, parameters {best.x.tolist()}")
+    if C == 0.0:
+        raise FloatingPointError(f"the power-law fit in {names} underflows: "
+                                 f"C = 0, parameters {best.x.tolist()}")
     return PowerLawModel(
         C=C,
         terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, terms)),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
-from .geometry import BlockGeometry
+from .geometry import BlockGeometry, LayeredPoint
 from .optimizer import (
     ConstantBeta, ScgConfig, _returned, _run_segments, _write_csv, run, run_staged,
 )
@@ -386,6 +386,8 @@ def estimate_logistic_constants(
     dual-norm trace, and the norm-equivalence gain from 200
     minibatch-vs-reference residuals, all drawn at the start point: the noise
     is additive, so a residual does not depend on the point it is drawn at.
+    The samples share one exact gradient, and their noise is one (200, dim)
+    draw, the normals of 200 grad_sample calls on the generator in order.
     """
     pilot_spec = replace(spec, noise=replace(spec.noise, B=64.0, S=1.0))
     cfg = ScgConfig(
@@ -402,9 +404,10 @@ def estimate_logistic_constants(
     rng = np.random.default_rng(RATE_STUDY_PILOT_SEED + 1)
     x = problems.initial_point(spec)
     ref = problems.grad(spec, x)
-    pairs = [
-        (problems.grad_sample(pilot_spec, x, rng), ref) for _ in range(200)
-    ]
+    (g,) = ref.arrays
+    sigma_pc = problems.per_coordinate_sigma(pilot_spec)
+    samples = g + sigma_pc * rng.standard_normal((200, g.size)) if sigma_pc > 0.0 else [g] * 200
+    pairs = [(LayeredPoint.from_arrays(spec.block_names, [s]), ref) for s in samples]
     rho_hat = estimate_rho(pairs, spec.geometry, window=200)
     delta0 = problems.loss(spec, x)
     return ProblemConstants(

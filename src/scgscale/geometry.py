@@ -112,15 +112,22 @@ class LayeredPoint:
         arrays = []
         for name, values in blocks:
             arr = np.asarray(values, dtype=float)
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"block {name!r} contains non-finite entries")
             arrays.append(arr)
         self.names = names
         self.arrays = arrays
 
     @classmethod
-    def from_arrays(cls, names, arrays) -> "LayeredPoint":
-        return cls(list(zip(names, arrays)))
+    def from_arrays(cls, names, arrays, checked: bool = False) -> "LayeredPoint":
+        """The point of the named blocks. checked=True takes float arrays that the
+        caller has just tested finite, under unique names, as they are."""
+        if not checked:
+            return cls(list(zip(names, arrays)))
+        point = cls.__new__(cls)
+        point.names = tuple(names)
+        point.arrays = list(arrays)
+        return point
 
     @classmethod
     def zeros(cls, names, geometry: Sequence[BlockGeometry]) -> "LayeredPoint":

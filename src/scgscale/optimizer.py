@@ -351,11 +351,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             logs[r] = RunLog(
                 **{name: col[r, :row] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
                 final_loss=float(final_loss),
-                final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x]) if ok else None,
+                final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x], checked=True)
+                if ok else None,
                 invariant_violations=int(counts[1, r]),
                 first_violation=first_violation[r],
                 checked_steps=int(counts[0, r]),
-                gradients=[LayeredPoint.from_arrays(names, arrays) for arrays in
+                gradients=[LayeredPoint.from_arrays(names, arrays, checked=True) for arrays in
                            zip(*blocks(grads[r, :row_iters[r]]))] if store and ok else None,
             )
 

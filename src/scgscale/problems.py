@@ -80,6 +80,8 @@ class LayeredQuadratic:
     curvatures: tuple[float, ...]
     targets: tuple[np.ndarray, ...]
     noise: NoiseModel
+    flat_curvatures: np.ndarray = field(init=False, repr=False, compare=False)
+    flat_targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "geometry", tuple(self.geometry))
@@ -105,6 +107,12 @@ class LayeredQuadratic:
                     f"target for block {name!r} is not finite or lies outside its "
                     "radius ball; the optimum would be unreachable"
                 )
+        # The oracle's (1, P) constants, each block's curvature and target raveled
+        # in block order: a (P,) operand would cost each (1, P) ufunc a broadcast.
+        sizes = [t.size for t in self.targets]
+        object.__setattr__(self, "flat_curvatures", np.array(self.curvatures).repeat(sizes)[None])
+        object.__setattr__(
+            self, "flat_targets", np.concatenate([t.ravel() for t in self.targets])[None])
 
     @property
     def total_params(self) -> int:
@@ -120,9 +128,9 @@ class LayeredQuadratic:
 
     def grad_fn(self, n_points: int):
         """The grad_fn of compiled, elementwise over the flat parameters."""
-        lam = np.array(self.curvatures).repeat([t.size for t in self.targets])
-        theta = np.concatenate([t.ravel() for t in self.targets])
-        lam, theta = lam[None].repeat(n_points, axis=0), theta[None].repeat(n_points, axis=0)
+        lam, theta = self.flat_curvatures, self.flat_targets
+        if n_points > 1:
+            lam, theta = lam.repeat(n_points, axis=0), theta.repeat(n_points, axis=0)
 
         def grad_fn(xf, out):
             np.subtract(xf, theta, out)
@@ -182,15 +190,28 @@ class LogisticRegression:
         return np.mean(np.logaddexp(0.0, -z), axis=-1)
 
     def grad_fn(self, n_points: int):
-        """The grad_fn of compiled: one matrix-vector product per point each way."""
+        """The grad_fn of compiled: one matrix-vector product per point each way.
+
+        The (R, n, 1) products are the one array a call allocates: the chain
+        -(labels / (1 + exp(labels * products))) / n runs in place on them.
+        """
         features, n = self.features, self.n_samples
-        labels = np.repeat(self.labels[None], n_points, axis=0)
+        labels = self.labels[None]  # (1, n), as one point's products
+        if n_points > 1:
+            labels = labels.repeat(n_points, axis=0)
 
         def grad_fn(xf, out):
-            products = np.matmul(features, xf[..., None])[..., 0]
-            s = 1.0 / (1.0 + np.exp(labels * products))  # sigmoid(-margin)
+            products = np.matmul(features, xf[..., None])
+            p = products[..., 0]
+            np.multiply(labels, p, p)
+            np.exp(p, p)
+            np.add(1.0, p, p)
+            np.divide(1.0, p, p)  # sigmoid(-margin)
+            np.multiply(labels, p, p)
+            np.negative(p, p)
+            np.divide(p, n, p)
             # The loss's derivative in the products, back through features.
-            np.matmul(features.T, (-(labels * s) / n)[..., None], out=out[..., None])
+            np.matmul(features.T, products, out=out[..., None])
             return out
 
         return grad_fn
@@ -243,10 +264,15 @@ def compiled(spec: ProblemSpec, n_points: int = 1):
 
 
 def _point_grad(spec: ProblemSpec, x: LayeredPoint) -> list[np.ndarray]:
-    """The exact gradient blocks at x, through the flat grad_fn with R = 1."""
+    """The exact gradient blocks at x, through the flat grad_fn with R = 1,
+    whose constants the problem holds. A one-block point is its own flat row."""
     check_point(spec, x)
-    _, grad_fn = compiled(spec)
-    flat = grad_fn(x.flatten()[None], np.empty((1, spec.total_params)))[0]
+    arrays = x.arrays
+    if len(arrays) == 1:
+        out = np.empty(arrays[0].shape)
+        spec.grad_fn(1)(arrays[0].reshape(1, -1), out.reshape(1, -1))
+        return [out]
+    flat = spec.grad_fn(1)(x.flatten()[None], np.empty((1, spec.total_params)))[0]
     ends = itertools.accumulate(g.size for g in spec.geometry)
     return [flat[e - g.size:e].reshape(g.shape) for e, g in zip(ends, spec.geometry)]
 

@@ -3,6 +3,7 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -1029,6 +1030,63 @@ class TestEstimateCli:
         assert time.perf_counter() - start < 5.0
         assert capsys.readouterr().err.startswith(
             "numeric failure: the power-law fit in scale is not finite: C = inf")
+
+
+    def test_variance_fit_whose_C_underflows_exits_4(self, tmp_path, capsys):
+        # These points grow faster than any shifted power law the other way:
+        # every start runs log C toward minus infinity, past where C = exp(log C)
+        # underflows to 0.
+        rows = [[1.0, math.exp(1.0)], [2.5, math.exp(3.2)], [5.0, math.exp(9.0)]]
+        path = write_csv(tmp_path / "v.csv", ["scale", "variance"], rows)
+        start = time.perf_counter()
+        assert cli.main(["estimate", "--kind", "variance", "--in", path]) == 4
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: the power-law fit in scale underflows: C = 0, parameters [")
+
+
+# estimate --kind: its CSV columns; and the fit shapes, over covariates x and z
+_CSV_COLUMNS = {
+    "mu": ["loss", "g_dual"],
+    "L": ["grad_diff_dual", "step_disp"],
+    "rho": ["diff_dual", "diff_euclid"],
+    "variance": ["scale", "variance"],
+}
+_FIT_SHAPES = (
+    [{"name": "x"}],
+    [{"name": "x", "shift": 0.0}],
+    [{"name": "x", "shift": 1.0}, {"name": "z"}],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_CSV_COLUMNS) + ["fit"]),
+    shape=st.sampled_from(_FIT_SHAPES),
+    rows=st.lists(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(1e-3, 1e3)), min_size=3, max_size=3),
+                  max_size=6),
+)
+@example(kind="variance", shape=_FIT_SHAPES[0],
+         rows=[[1.0, math.exp(1.0), 0.0], [2.5, math.exp(3.2), 0.0], [5.0, math.exp(9.0), 0.0]])
+def test_csv_fuzz_exits_cleanly(kind, shape, rows):
+    # Small CSVs of finite floats for estimate and fit: any of them exits 0,
+    # 2 or 4, without a traceback, and a result has only finite numbers.
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "fit":
+            header = ["x", "z", "value"]
+            argv = ["fit", "--shape", write_json(Path(tmp) / "s.json", {"terms": shape})]
+        else:
+            header = _CSV_COLUMNS[kind]
+            argv = ["estimate", "--kind", kind]
+        data = write_csv(Path(tmp) / "d.csv", header, [row[:len(header)] for row in rows])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--in", data])
+    assert rc in (0, 2, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestFitCli:

@@ -106,6 +106,35 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
         [(LayeredPoint([("w", [1.0])]), LayeredPoint([("v", [0.0])]))],
         [BlockGeometry("euclidean", (1,))]),
                  ValueError, "pair block names do not match", id="rho-names"),
+    pytest.param(lambda: rho_from_norms([1.0, 2.0], [1.0]),
+                 ValueError, "inputs must be 1-D arrays of equal length", id="rho-shape"),
+    # NaN and inf are rejected by argument name before any work.
+    pytest.param(lambda: huber_line_fit([1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+                 ValueError, "y contains non-finite entries", id="huber-nan-y"),
+    pytest.param(lambda: huber_line_fit([1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+                 ValueError, "x contains non-finite entries", id="huber-inf-x"),
+    pytest.param(lambda: huber_line_fit([1.0, 2.0], [1.0, 2.0], delta=math.nan), ValueError,
+                 "delta must be positive (inf for least squares), got nan", id="huber-nan-delta"),
+    pytest.param(lambda: huber_line_fit([1.0, 2.0], [1.0, 2.0], delta=0.0), ValueError,
+                 "delta must be positive (inf for least squares), got 0.0", id="huber-zero-delta"),
+    pytest.param(lambda: estimate_mu([0.1, math.nan, 0.3], [1.0, 2.0, 3.0]),
+                 ValueError, "losses contains non-finite entries", id="mu-nan-loss"),
+    pytest.param(lambda: estimate_mu([0.1, 0.2, 0.3], [1.0, -math.inf, 3.0]),
+                 ValueError, "dual_grad_norms contains non-finite entries", id="mu-inf-norm"),
+    pytest.param(lambda: estimate_mu([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], loss_cap=math.nan),
+                 ValueError, "loss_cap must be a number or inf, got nan", id="mu-nan-cap"),
+    pytest.param(lambda: smoothness_from_steps([1.0, math.nan], [1.0, 1.0]),
+                 ValueError, "grad_diff_duals contains non-finite entries", id="smoothness-nan"),
+    pytest.param(lambda: smoothness_from_steps([1.0, 2.0], [math.inf, 1.0]),
+                 ValueError, "step_disps contains non-finite entries", id="smoothness-inf"),
+    pytest.param(lambda: rho_from_norms([math.nan, 2.0], [1.0, 1.0]),
+                 ValueError, "dual_norms contains non-finite entries", id="rho-nan"),
+    pytest.param(lambda: rho_from_norms([1.0, 2.0], [1.0, math.inf]),
+                 ValueError, "euclid_norms contains non-finite entries", id="rho-inf"),
+    pytest.param(lambda: fit_power_law({"x": [1.0, math.nan, 4.0]}, _FIT_VALUES, [FitTerm("x")]),
+                 ValueError, "covariate 'x' contains non-finite entries", id="fit-nan-covariate"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, [1.0, math.inf, 3.0], [FitTerm("x")]),
+                 ValueError, "values contains non-finite entries", id="fit-inf-value"),
 ])
 def test_input_checks_raise_their_message(make, error, message):
     with pytest.raises(error) as info, warnings.catch_warnings():
@@ -161,6 +190,12 @@ class TestEstimateMu:
     def test_needs_two_points_below_cap(self):
         with pytest.raises(ValueError, match="below"):
             estimate_mu([10.0, 20.0], [1.0, 2.0], loss_cap=5.0)
+
+    def test_infinite_cap_keeps_every_point(self):
+        losses = np.array([1.0, 2.0, 3.0, 50.0, 80.0])
+        fit = estimate_mu(losses, 3.1 * losses, loss_cap=math.inf, delta=math.inf)
+        assert fit.slope == pytest.approx(3.1, abs=1e-9)
+        assert fit.n_points == 5
 
     @given(st.floats(0.1, 50.0))
     @settings(max_examples=40, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from dataclasses import dataclass, replace
 from functools import partial
@@ -360,6 +361,58 @@ class _PairAndCount:
     """A field of nested fixed tuples, as from_dict reads it from JSON."""
 
     value: tuple[tuple[float, float], int]
+
+
+def _logistic_grad_by_formula(spec, xf):
+    """The logistic gradients at the rows of xf, each step of the sigmoid
+    chain on a fresh array, as the oracle once formed them."""
+    labels = np.repeat(spec.labels[None], len(xf), axis=0)
+    products = np.matmul(spec.features, xf[..., None])[..., 0]
+    s = 1.0 / (1.0 + np.exp(labels * products))
+    return np.matmul(spec.features.T, (-(labels * s) / spec.n_samples)[..., None])[..., 0]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n_points", [1, 3, 28])
+    def test_in_place_logistic_oracle_keeps_the_formula_bits(self, n_points):
+        spec = experiments.rate_study_problem()
+        rng = np.random.default_rng(n_points)
+        # Scales from 1e-3 to 1e3 take the margins past where exp overflows.
+        xf = rng.standard_normal((n_points, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (n_points, 1))
+        with np.errstate(over="ignore"):
+            expected = _logistic_grad_by_formula(spec, xf)
+            for stacked_for in {1, n_points}:
+                out = np.full_like(xf, np.nan)
+                problems.compiled(spec, stacked_for)[1](xf, out)
+                assert out.tobytes() == expected.tobytes()
+            if n_points == 1:
+                x = LayeredPoint.from_arrays(spec.block_names, list(xf))
+                assert problems.grad(spec, x).arrays[0].tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("make", [
+        # One entry a block: == on a quadratic compares its targets as arrays.
+        lambda: LayeredQuadratic(
+            geometry=(BlockGeometry("euclidean", (1,), 1.0), BlockGeometry("sign", (1, 1), 1.0)),
+            block_names=("w", "v"), curvatures=(2.0, 0.5),
+            targets=(np.full(1, 0.25), np.full((1, 1), -0.5)), noise=NoiseModel(0.3)),
+        experiments.rate_study_problem,
+    ], ids=["quadratic", "logistic"])
+    def test_a_problem_that_served_its_oracle_pickles_replaces_and_compares(self, make):
+        # The oracle's constants live in fields outside init, repr and
+        # comparison, so a spec that has served grad and grad_sample still
+        # crosses a process boundary and is rebuilt by replace.
+        spec = make()
+        x = LayeredPoint.from_arrays(
+            spec.block_names, [np.full(g.shape, 0.1) for g in spec.geometry])
+        g = problems.grad(spec, x).flatten()
+        sample = grad_sample(spec, x, np.random.default_rng(3)).flatten()
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and replace(spec) == spec and repr(back) == repr(spec)
+        assert replace(spec, noise=NoiseModel(0.5)) != spec
+        for other in (back, replace(spec)):
+            assert problems.grad(other, x).flatten().tobytes() == g.tobytes()
+            assert grad_sample(other, x, np.random.default_rng(3)).flatten().tobytes() == \
+                sample.tobytes()
 
 
 class TestSerialization:
