@@ -193,7 +193,7 @@ class LogisticRegression:
         """The grad_fn of compiled: one matrix-vector product per point each way.
 
         The (R, n, 1) products are the one array a call allocates: the chain
-        -(labels / (1 + exp(labels * products))) / n runs in place on them.
+        -(labels * (1 / (1 + exp(labels * products)))) / n runs in place on them.
         """
         features, n = self.features, self.n_samples
         labels = self.labels[None]  # (1, n), as one point's products
