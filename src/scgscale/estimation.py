@@ -347,6 +347,44 @@ def _log_residuals(shape, cols, log_y):
     return free, unpack, residuals, jacobian
 
 
+# The screen of a free-shift fit: how many shift vectors it draws, and the
+# rounds of reweighted least squares that fit log C and the free exponents
+# for each of them.
+_SCREEN_CANDIDATES = 64
+_SCREEN_ROUNDS = 15
+
+
+def _screen(shape, cols, log_y, free, shift_lb, rng):
+    """The parameters (as in _log_residuals) of the lowest soft-l1 cost among
+    _SCREEN_CANDIDATES shift vectors drawn from rng. Each free shift sits
+    10^u spans of its covariate above its lower bound, u uniform on
+    [-4, 0.6]. Given the shifts the log residuals are affine in log C and
+    the free exponents, which iteratively reweighted least squares fits for
+    every candidate at once: a batched solve of the weighted normal
+    equations, weights 1 / sqrt(1 + r^2)."""
+    at_shift, at_exp = list(shift_lb), [i for i, j in free if j == 1]
+    spans = np.array([float(np.ptp(cols[shape[i].name])) or 1.0 for i in at_shift])
+    shifts = np.tile(np.array([t.shift for t in shape], dtype=float), (_SCREEN_CANDIDATES, 1))
+    shifts[:, at_shift] = [shift_lb[i] for i in at_shift] + spans * 10.0 ** rng.uniform(
+        -4.0, 0.6, (_SCREEN_CANDIDATES, len(at_shift)))
+    logs = np.log(np.array([cols[t.name] for t in shape]) + shifts[..., None])  # (K, terms, n)
+    target = np.broadcast_to(log_y - sum(t.exponent * logs[:, i] for i, t in enumerate(shape)
+                                         if t.exponent is not None), logs[:, 0].shape)
+    design = np.concatenate([np.ones_like(logs[:, :1]), logs[:, at_exp]], axis=1)  # (K, p, n)
+    weights = np.ones_like(target)
+    for _ in range(_SCREEN_ROUNDS):
+        weighted = design * weights[:, None]
+        normal = weighted @ design.transpose(0, 2, 1)
+        # A ridge of 1e-12 of the trace keeps a constant covariate's column solvable.
+        normal += 1e-12 * np.trace(normal, axis1=1, axis2=2)[:, None, None] * np.eye(len(normal[0]))
+        coef = np.linalg.solve(normal, weighted @ target[..., None])
+        r = (coef.transpose(0, 2, 1) @ design)[:, 0] - target
+        weights = 1.0 / np.sqrt(1.0 + r * r)
+    cost = np.sum(np.sqrt(1.0 + r * r), axis=1)
+    k = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
+    return [coef[k, 0, 0], *shifts[k, at_shift], *coef[k, 1:, 0]]
+
+
 def fit_power_law(
     covariates: Mapping[str, Sequence[float]],
     values: Sequence[float],
@@ -356,15 +394,18 @@ def fit_power_law(
     """Fit a shifted power law by robust least squares on log residuals.
 
     Minimizes sum of phi(r^2) with phi(z) = 2 (sqrt(1 + z) - 1), the soft-l1
-    loss, over log C and the free shifts and exponents, with the exact
-    Jacobian of the log residuals, keeping the best of 16 starts when a shift
-    is free, else one: with every shift fixed the residuals are affine in
-    log C and the free exponents, so the objective is convex, and seed is
-    unused. Shifts keep every covariate + shift positive on the data. A
-    start stops where C = exp(log C) leaves the positive floats, as a free
-    shift runs off when the data bend faster than any shifted power law. A
-    fit whose C is not finite or underflows to 0, or whose other parameter
-    is not finite, raises FloatingPointError naming the fit.
+    loss, over log C and the free shifts and exponents, in one least_squares
+    run with the exact Jacobian of the log residuals. With every shift fixed
+    the residuals are affine in log C and the free exponents, so the
+    objective is convex: the run starts at [mean log y, 0, ...] and seed is
+    unused. With a free shift it starts at the best of a screen: 64 shift
+    vectors drawn from the generator of seed, each with log C and the free
+    exponents fitted by reweighted least squares (see _screen). Shifts keep
+    every covariate + shift positive on the data. The run stops where
+    C = exp(log C) leaves the positive floats, as a free shift runs off when
+    the data bend faster than any shifted power law. A fit whose C is not
+    finite or underflows to 0, or whose other parameter is not finite,
+    raises FloatingPointError naming the fit.
     """
     values = _finite("values", values)
     if np.any(values <= 0):
@@ -393,40 +434,27 @@ def fit_power_law(
             raise ValueError(f"fixed shift for {t.name!r} makes a base non-positive")
 
     # A free shift keeps every base of its covariate above zero.
-    mins = {i: float(np.min(cols[shape[i].name])) for i, j in free if j == 0}
-    shift_lb = {i: -c + 1e-9 * max(1.0, abs(c)) for i, c in mins.items()}
+    shift_lb = {i: -c + 1e-9 * max(1.0, abs(c))
+                for i, c in ((i, float(np.min(cols[shape[i].name]))) for i, j in free if j == 0)}
     lo = [-np.inf] + [shift_lb[i] if j == 0 else -np.inf for i, j in free]
 
     def jacobian_in_range(params):
-        # Past the range of C, a zero Jacobian (so a zero gradient) ends the start.
+        # Past the range of C, a zero Jacobian (so a zero gradient) ends the run.
         if 0.0 < np.exp(params[0]) < np.inf:
             return jacobian(params)
         return np.zeros((len(log_y), n_free))
 
     from scipy.optimize import least_squares
-    rng = np.random.default_rng(seed)
-    best = None
-    mean_log_y = float(np.mean(log_y))
+    if shift_lb:
+        p0 = _screen(shape, cols, log_y, free, shift_lb, np.random.default_rng(seed))
+    else:
+        p0 = [float(np.mean(log_y))] + [0.0] * len(free)
     with np.errstate(over="ignore"):  # exp(log C) past the float range, here and below
-        for start in range(16 if mins else 1):
-            p0 = [mean_log_y]
-            for i, j in free:
-                if j == 0:
-                    span = float(np.ptp(cols[shape[i].name])) or 1.0
-                    p0.append(shift_lb[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
-                else:
-                    p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
-            try:
-                res = least_squares(
-                    residuals, p0, jac=jacobian_in_range, loss="soft_l1", bounds=(lo, np.inf),
-                    max_nfev=20000,
-                )
-            except Exception:
-                continue
-            if best is None or res.cost < best.cost:
-                best = res
-        if best is None:
-            raise FloatingPointError("power-law fit failed from every start")
+        try:
+            best = least_squares(residuals, p0, jac=jacobian_in_range, loss="soft_l1",
+                                 bounds=(lo, np.inf), max_nfev=20000)
+        except ValueError:
+            raise FloatingPointError("power-law fit failed from every start") from None
         log_c, terms = unpack(best.x)
         C = float(np.exp(log_c))
     names = ", ".join(t.name for t in shape)
