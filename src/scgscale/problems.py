@@ -65,12 +65,14 @@ class NoiseModel:
         return self.sigma_star**2 / (self.B * self.S)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredQuadratic:
     """f(x) = sum_l (lambda_l / 2) ||x_l - theta_l||_2^2 with f* = 0.
 
     Every target must be primal-feasible for its block radius so the optimum
-    is reachable under the constrained update.
+    is reachable under the constrained update. Two quadratics are equal when
+    their fields are, the targets compared by value; as the targets are
+    arrays, a quadratic is not hashable.
     """
 
     kind = "layered_quadratic"
@@ -138,6 +140,13 @@ class LayeredQuadratic:
             return out
 
         return grad_fn
+
+    def __eq__(self, other):
+        if not isinstance(other, LayeredQuadratic):
+            return NotImplemented
+        return (self.geometry, self.block_names, self.curvatures, self.noise) == (
+            other.geometry, other.block_names, other.curvatures, other.noise
+        ) and all(np.array_equal(a, b) for a, b in zip(self.targets, other.targets))
 
 
 @dataclass(frozen=True)

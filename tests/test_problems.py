@@ -390,13 +390,13 @@ class TestOracle:
                 assert problems.grad(spec, x).arrays[0].tobytes() == expected[0].tobytes()
 
     @pytest.mark.parametrize("make", [
-        # One entry a block: == on a quadratic compares its targets as arrays.
         lambda: LayeredQuadratic(
             geometry=(BlockGeometry("euclidean", (1,), 1.0), BlockGeometry("sign", (1, 1), 1.0)),
             block_names=("w", "v"), curvatures=(2.0, 0.5),
             targets=(np.full(1, 0.25), np.full((1, 1), -0.5)), noise=NoiseModel(0.3)),
+        experiments.regime_sweep_problem,
         experiments.rate_study_problem,
-    ], ids=["quadratic", "logistic"])
+    ], ids=["quadratic", "sign16_quadratic", "logistic"])
     def test_a_problem_that_served_its_oracle_pickles_replaces_and_compares(self, make):
         # The oracle's constants live in fields outside init, repr and
         # comparison, so a spec that has served grad and grad_sample still
@@ -413,6 +413,19 @@ class TestOracle:
             assert problems.grad(other, x).flatten().tobytes() == g.tobytes()
             assert grad_sample(other, x, np.random.default_rng(3)).flatten().tobytes() == \
                 sample.tobytes()
+
+    def test_quadratics_compare_targets_by_value_and_do_not_hash(self):
+        spec = experiments.regime_sweep_problem()
+        (target,) = spec.targets
+        assert spec.geometry[0].size == 16
+        assert spec == experiments.regime_sweep_problem()
+        assert replace(spec, targets=(target.copy(),)) == spec
+        moved = target.copy()
+        moved[7] = -moved[7]
+        assert replace(spec, targets=(moved,)) != spec
+        assert spec != experiments.rate_study_problem()
+        with pytest.raises(TypeError, match="unhashable type: 'LayeredQuadratic'"):
+            hash(spec)
 
 
 class TestSerialization:
