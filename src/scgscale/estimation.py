@@ -221,12 +221,12 @@ def smoothness_from_steps(grad_diff_duals, step_disps, window: int = 100) -> flo
 
 
 def estimate_L(run_log, geometry, window: int = 100) -> float:
-    """Smoothness estimate from a trajectory log that stored gradient samples."""
-    if run_log.gradients is None or len(run_log.gradients) < 2:
+    """Smoothness estimate from the (K, *shape) gradient stacks of a log that stored them."""
+    stacks = run_log.gradients
+    if stacks is None or len(stacks[0]) < 2:
         raise ValueError("run log must store gradients for at least 2 steps")
-    if len(run_log.gradients) != len(run_log.step_disp):
+    if len(stacks[0]) != len(run_log.step_disp):
         raise ValueError("smoothness estimation needs a log recorded at every step")
-    stacks = [np.stack(blocks) for blocks in zip(*(p.arrays for p in run_log.gradients))]
     diffs = composite_dual_norm([s[1:] - s[:-1] for s in stacks], [g.kind for g in geometry])
     # displacement ||x_k - x_{k-1}|| is the step recorded at row k-1
     disps = np.asarray(run_log.step_disp, dtype=float)[: len(diffs)]
@@ -251,17 +251,18 @@ def rho_from_norms(dual_norms, euclid_norms, window: int = 100) -> tuple[float, 
     return float(np.mean((duals[keep] / euclids[keep])[-window:])), int(np.sum(keep))
 
 
-def estimate_rho(pairs, geometry, window: int = 100) -> float:
+def estimate_rho(diffs, geometry, window: int = 100) -> float:
     """Mean dual-vs-euclidean norm ratio of minibatch-vs-reference residuals.
 
-    pairs is a sequence of (g_minibatch, g_reference) layered points; exactly
-    equal pairs are skipped, and at least one usable pair must remain in the
-    trailing window.
+    diffs holds N residuals g_minibatch - g_reference as one (N, *shape) stack
+    per block, in block order; zero residuals are skipped, and at least one
+    usable residual must remain in the trailing window.
     """
-    if any(tuple(g_small.names) != tuple(g_ref.names) for g_small, g_ref in pairs):
-        raise ValueError("pair block names do not match")
-    diffs = [np.stack(blocks) for blocks in
-             zip(*([a - b for a, b in zip(s.arrays, r.arrays)] for s, r in pairs))]
+    diffs = [np.asarray(d, dtype=float) for d in diffs]
+    shapes = [np.shape(diffs[0])[:1] + g.shape for g in geometry] if diffs else None
+    if [d.shape for d in diffs] != shapes:
+        raise ValueError(f"residual stacks of shapes {[d.shape for d in diffs]} do not "
+                         f"stack the blocks {[g.shape for g in geometry]}")
     euclids = np.sqrt(sum(np.sum((d * d).reshape(len(d), -1), axis=1) for d in diffs))
     duals = composite_dual_norm(diffs, [g.kind for g in geometry])
     return rho_from_norms(duals, euclids, window)[0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import problems
 from .estimation import estimate_L, estimate_mu, estimate_rho
-from .geometry import BlockGeometry, LayeredPoint
+from .geometry import BlockGeometry
 from .optimizer import (
     ConstantBeta, ScgConfig, _returned, _run_segments, _write_csv, run, run_staged,
 )
@@ -403,12 +403,10 @@ def estimate_logistic_constants(
     mu_fit = estimate_mu(log.loss, log.g_dual, loss_cap=float("inf"))
     rng = np.random.default_rng(RATE_STUDY_PILOT_SEED + 1)
     x = problems.initial_point(spec)
-    ref = problems.grad(spec, x)
-    (g,) = ref.arrays
+    (g,) = problems.grad(spec, x).arrays
     sigma_pc = problems.per_coordinate_sigma(pilot_spec)
-    samples = g + sigma_pc * rng.standard_normal((200, g.size)) if sigma_pc > 0.0 else [g] * 200
-    pairs = [(LayeredPoint.from_arrays(spec.block_names, [s]), ref) for s in samples]
-    rho_hat = estimate_rho(pairs, spec.geometry, window=200)
+    samples = g + sigma_pc * rng.standard_normal((200, g.size))
+    rho_hat = estimate_rho([samples - g], spec.geometry, window=200)
     delta0 = problems.loss(spec, x)
     return ProblemConstants(
         L=L_hat,

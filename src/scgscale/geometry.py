@@ -119,15 +119,8 @@ class LayeredPoint:
         self.arrays = arrays
 
     @classmethod
-    def from_arrays(cls, names, arrays, checked: bool = False) -> "LayeredPoint":
-        """The point of the named blocks. checked=True takes float arrays that the
-        caller has just tested finite, under unique names, as they are."""
-        if not checked:
-            return cls(list(zip(names, arrays)))
-        point = cls.__new__(cls)
-        point.names = tuple(names)
-        point.arrays = list(arrays)
-        return point
+    def from_arrays(cls, names, arrays) -> "LayeredPoint":
+        return cls(list(zip(names, arrays)))
 
     @classmethod
     def zeros(cls, names, geometry: Sequence[BlockGeometry]) -> "LayeredPoint":

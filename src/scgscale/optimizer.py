@@ -135,7 +135,8 @@ class RunLog:
     Rows are recorded every ``eval_every`` steps: step index, exact loss and
     composite primal norm of the pre-update iterate, composite dual norms of
     the gradient sample and momentum buffer, the stepsize used, the composite
-    primal norm of the step displacement, and the stage index.
+    primal norm of the step displacement, and the stage index. gradients holds
+    each step's stored gradient sample, one (K, *shape) stack per block.
     """
 
     k: np.ndarray
@@ -151,7 +152,7 @@ class RunLog:
     invariant_violations: int = 0
     first_violation: Optional[str] = None
     checked_steps: int = 0
-    gradients: Optional[list[LayeredPoint]] = None
+    gradients: Optional[list[np.ndarray]] = None
 
     def __len__(self):
         return len(self.k)
@@ -351,13 +352,11 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             logs[r] = RunLog(
                 **{name: col[r, :row] for name, col in zip(RUNLOG_CSV_HEADER, columns)},
                 final_loss=float(final_loss),
-                final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x], checked=True)
-                if ok else None,
+                final_x=LayeredPoint.from_arrays(names, [b[r].copy() for b in x]) if ok else None,
                 invariant_violations=int(counts[1, r]),
                 first_violation=first_violation[r],
                 checked_steps=int(counts[0, r]),
-                gradients=[LayeredPoint.from_arrays(names, arrays, checked=True) for arrays in
-                           zip(*blocks(grads[r, :row_iters[r]]))] if store and ok else None,
+                gradients=blocks(grads[r, :row_iters[r]].copy()) if store and ok else None,
             )
 
     xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = m = scratch = scale = None

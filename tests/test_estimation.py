@@ -22,7 +22,7 @@ from scgscale.estimation import (
     rho_from_norms,
     smoothness_from_steps,
 )
-from scgscale.geometry import BlockGeometry, LayeredPoint
+from scgscale.geometry import BlockGeometry
 from scgscale.optimizer import ConstantBeta, ScgConfig, run
 from scgscale.problems import LayeredQuadratic, NoiseModel
 
@@ -102,10 +102,15 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
                  ValueError, "need at least one consecutive step", id="smoothness-empty"),
     pytest.param(lambda: estimate_L(*_sparse_gradient_log()), ValueError,
                  "smoothness estimation needs a log recorded at every step", id="L-sparse-log"),
-    pytest.param(lambda: estimate_rho(
-        [(LayeredPoint([("w", [1.0])]), LayeredPoint([("v", [0.0])]))],
-        [BlockGeometry("euclidean", (1,))]),
-                 ValueError, "pair block names do not match", id="rho-names"),
+    pytest.param(lambda: estimate_rho([np.ones((2, 3))], [BlockGeometry("euclidean", (4,))]),
+                 ValueError, "residual stacks of shapes [(2, 3)] do not stack the blocks [(4,)]",
+                 id="rho-shapes"),
+    pytest.param(lambda: estimate_rho([np.ones((2, 1)), np.ones((3, 1))],
+                                      [BlockGeometry("euclidean", (1,))] * 2), ValueError,
+                 "residual stacks of shapes [(2, 1), (3, 1)] do not stack the blocks [(1,), (1,)]",
+                 id="rho-lengths"),
+    pytest.param(lambda: estimate_rho([], [BlockGeometry("sign", (2,))]), ValueError,
+                 "residual stacks of shapes [] do not stack the blocks [(2,)]", id="rho-no-stack"),
     pytest.param(lambda: rho_from_norms([1.0, 2.0], [1.0]),
                  ValueError, "inputs must be 1-D arrays of equal length", id="rho-shape"),
     # NaN and inf are rejected by argument name before any work.
@@ -265,16 +270,15 @@ class TestEstimateL:
 
 class TestEstimateRho:
     def _pairs(self, kind, dim, n_pairs, seed=0):
+        """The (n_pairs, dim) stack of residuals noisy - ref, and its geometry."""
         rng = np.random.default_rng(seed)
         geometry = [BlockGeometry(kind, (dim,))]
-        pairs = []
+        diffs = []
         for _ in range(n_pairs):
             ref = rng.standard_normal(dim)
             noisy = ref + rng.standard_normal(dim)
-            pairs.append(
-                (LayeredPoint([("w", noisy)]), LayeredPoint([("w", ref)]))
-            )
-        return pairs, geometry
+            diffs.append(noisy - ref)
+        return [np.array(diffs)], geometry
 
     def test_euclidean_ratio_is_one(self):
         pairs, geom = self._pairs("euclidean", 16, 20)
@@ -295,9 +299,9 @@ class TestEstimateRho:
 
     def test_degenerate_pairs_skipped_then_error(self):
         geom = [BlockGeometry("euclidean", (3,))]
-        same = LayeredPoint([("w", np.ones(3))])
+        same = np.ones((1, 3))
         with pytest.raises(ValueError, match="degenerate"):
-            estimate_rho([(same, same)], geom)
+            estimate_rho([same - same], geom)
 
 
 class TestEstimateVariance:

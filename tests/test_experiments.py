@@ -527,27 +527,27 @@ class TestDrivers:
     @pytest.mark.parametrize("sigma_star", [0.01, 0.0])
     def test_rho_samples_are_those_of_200_grad_sample_calls(self, monkeypatch, sigma_star):
         # One exact gradient and one (200, dim) draw stand for 200
-        # grad_sample calls on the pilot generator, bit for bit.
+        # grad_sample calls on the pilot generator, bit for bit: estimate_rho
+        # gets their residuals from the exact gradient as one stack.
         spec = replace(experiments.rate_study_problem(), noise=NoiseModel(sigma_star))
         seen = []
 
-        def spy(pairs, geometry, window):
-            seen.extend(pairs)
+        def spy(diffs, geometry, window):
+            seen.extend(diffs)
             return 1.0
 
         monkeypatch.setattr(experiments, "estimate_rho", spy)
         experiments.estimate_logistic_constants(spec, pilot_iters=200)
         pilot_spec = replace(spec, noise=NoiseModel(sigma_star, B=64.0))
         x = problems.initial_point(spec)
-        ref = problems.grad(spec, x).flatten().tobytes()
+        ref = problems.grad(spec, x).flatten()
         rng = np.random.default_rng(experiments.RATE_STUDY_PILOT_SEED + 1)
-        assert len(seen) == 200
-        for sample, reference in seen:
-            expected = problems.grad_sample(pilot_spec, x, rng)
-            assert sample.names == expected.names
-            assert sample.flatten().tobytes() == expected.flatten().tobytes()
-            assert reference.flatten().tobytes() == ref
-        assert (seen[0][0].flatten().tobytes() == ref) == (sigma_star == 0.0)
+        (residuals,) = seen
+        assert residuals.shape == (200, experiments.RATE_STUDY_DIM)
+        for residual in residuals:
+            expected = problems.grad_sample(pilot_spec, x, rng).flatten() - ref
+            assert residual.tobytes() == expected.tobytes()
+        assert (not residuals[0].any()) == (sigma_star == 0.0)
 
     def test_rate_study_estimates_positive_constants(self):
         spec = experiments.rate_study_problem()
