@@ -68,7 +68,10 @@ def rates(args):
     budget with BS = critical(T) and the c/K stepsize rule, which a budget
     with fewer than 2c steps per run fails; write (T, BS, K, mean loss)
     rows."""
-    lo, hi = (int(v) for v in args.log2_budgets.split(":"))
+    try:
+        lo, hi = (int(v) for v in args.log2_budgets.split(":"))
+    except ValueError as exc:
+        raise ValueError(f"--log2-budgets: {exc}")
     out = experiments.middle_regime_rates(
         t_exponents=tuple(range(lo, hi)),
         repetitions=args.repetitions,

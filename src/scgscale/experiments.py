@@ -73,6 +73,9 @@ class BetaRule:
             raise ValueError("fixed rule needs beta and alpha")
         if self.kind == "critical" and self.alpha is None:
             raise ValueError("critical rule needs alpha")
+        for name in ("c", "beta", "alpha"):
+            if not math.isfinite(getattr(self, name) or 0.0):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,8 @@ class SweepConfig:
             raise ValueError("repetitions must be >= 1")
         if self.seed_base < 0:
             raise ValueError(f"seed_base must be nonnegative, got {self.seed_base}")
+        if not 0 < self.token_budget < math.inf:
+            raise ValueError(f"token_budget must be positive and finite, got {self.token_budget}")
         object.__setattr__(self, "grid", tuple((float(b), float(s)) for b, s in self.grid))
         for b, s in self.grid:
             if b * s > self.token_budget:

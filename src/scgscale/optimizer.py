@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -116,8 +116,8 @@ class ScgConfig:
             raise ValueError(f"unknown momentum_init {self.momentum_init!r}")
         if self.radii is not None:
             object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
-            if any(r <= 0 for r in self.radii):
-                raise ValueError("all radii must be positive")
+            if not all(0 < r < math.inf for r in self.radii):
+                raise ValueError(f"all radii must be positive and finite, got {self.radii}")
         if isinstance(self.beta, WarmdownBeta) and self.beta.total_steps < self.iters:
             raise ValueError(
                 f"warmdown schedule covers {self.beta.total_steps} steps "
@@ -230,8 +230,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     Row r runs configs[r] (or the stages of plan, as run_staged) with the
     noise of spec at noises[r] (spec.noise when noises is None), from x0. The
     rows may differ in seed, iters, alpha, constant beta and noise, and a row
-    may have none; the rows of one stack share one warmdown, and every other
-    setting is read from configs[0]. Every block is held as an (R, *shape)
+    may have none; the rows of one stack share one warmdown and every other
+    setting (ValueError otherwise). Every block is held as an (R, *shape)
     array for the R rows, and row r draws its noise from its own generator
     seeded with configs[r].seed. So its RunLog is bit-equal to that of a
     lone run of configs[r]: the ops are elementwise, or run row by row (the
@@ -256,6 +256,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     if len(configs) == 0:
         raise ValueError("seeds must name at least one seed")
     first = configs[0]
+    if len(configs) > 1:
+        differ = [f.name for f in fields(ScgConfig) if f.name not in ("alpha", "beta", "iters", "seed")
+                  and len({getattr(c, f.name) for c in configs}) > 1]
+        if differ:
+            raise ValueError(f"the rows of a stack differ in {', '.join(differ)}; they may differ "
+                             "only in seed, iters, alpha and beta")
     segments = _segments(spec, configs, plan, noises)
     for s in segments:  # the row tables below are sized from the step counts
         if s.iters > sys.maxsize:

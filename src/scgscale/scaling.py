@@ -96,10 +96,10 @@ class Stage:
     note: str = ""
 
     def __post_init__(self):
-        if self.token_allotment <= 0:
-            raise ValueError("token_allotment must be positive")
-        if self.B < 1 or self.S < 1:
-            raise ValueError("B and S must be >= 1")
+        if not 0 < self.token_allotment < math.inf:
+            raise ValueError(f"token_allotment must be positive and finite, got {self.token_allotment}")
+        if not (1 <= self.B < math.inf and 1 <= self.S < math.inf):
+            raise ValueError(f"B and S must be finite and >= 1, got B={self.B} S={self.S}")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"stage beta must lie in (0, 1], got {self.beta}")
         if not 0.0 < self.alpha <= 1.0:

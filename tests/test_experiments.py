@@ -34,6 +34,31 @@ def sweep_config(grid, rule=None, budget=4096.0, reps=2):
     )
 
 
+# NaN and inf are rejected by name before any work; a sweep with a non-finite
+# budget gave every row "cannot convert float NaN to integer".
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: BetaRule(kind="critical", c=math.nan, alpha=0.3),
+                 "c must be finite, got nan", id="rule-c-nan"),
+    pytest.param(lambda: BetaRule(kind="critical", c=math.inf, alpha=0.3),
+                 "c must be finite, got inf", id="rule-c-inf"),
+    pytest.param(lambda: BetaRule(kind="fixed", beta=math.nan, alpha=0.3),
+                 "beta must be finite, got nan", id="rule-beta-nan"),
+    pytest.param(lambda: BetaRule(kind="critical", alpha=math.nan),
+                 "alpha must be finite, got nan", id="rule-alpha-nan"),
+    pytest.param(lambda: BetaRule(kind="fixed", beta=0.1, alpha=-math.inf),
+                 "alpha must be finite, got -inf", id="rule-alpha-inf"),
+    pytest.param(lambda: sweep_config([(2.0, 2.0)], budget=math.nan),
+                 "token_budget must be positive and finite, got nan", id="sweep-budget-nan"),
+    pytest.param(lambda: sweep_config([(2.0, 2.0)], budget=math.inf),
+                 "token_budget must be positive and finite, got inf", id="sweep-budget-inf"),
+    pytest.param(lambda: sweep_config([], budget=0.0),
+                 "token_budget must be positive and finite, got 0.0", id="sweep-budget-zero"),
+])
+def test_input_checks_raise_their_message(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 class TestBetaRule:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="rule"):

@@ -81,6 +81,13 @@ def test_restart(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("args, code, message", [
     (("restart", "--budget-factor", "1"), 2, "budget_factor"),
     (("rates", "--log2-budgets", "14:15"), 2, "t_exponents"),
+    # a malformed start:stop pair names the flag
+    (("rates", "--log2-budgets", "14"), 2,
+     "error: --log2-budgets: not enough values to unpack (expected 2, got 1)"),
+    (("rates", "--log2-budgets", "a:b"), 2,
+     "error: --log2-budgets: invalid literal for int() with base 10: 'a'"),
+    (("rates", "--log2-budgets", "1e3:20"), 2,
+     "error: --log2-budgets: invalid literal for int() with base 10: '1e3'"),
     # budgets 2^1 .. 2^3 leave K = 2 .. 4 steps per run, below the 2c = 4 the
     # c/K stepsize needs
     (("rates", "--log2-budgets", "1:4", "--repetitions", "1"), 2, "iters must be at least 2c"),

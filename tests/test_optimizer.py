@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import re
 from dataclasses import replace
 from functools import partial
@@ -111,7 +112,11 @@ _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
     pytest.param(lambda: _scg(momentum_init="ones"),
                  "unknown momentum_init 'ones'", id="momentum_init"),
     pytest.param(lambda: _scg(radii=(1.0, 0.0)),
-                 "all radii must be positive", id="radius"),
+                 "all radii must be positive and finite, got (1.0, 0.0)", id="radius"),
+    pytest.param(lambda: _scg(radii=(math.nan,)),
+                 "all radii must be positive and finite, got (nan,)", id="radius-nan"),
+    pytest.param(lambda: _scg(radii=(math.inf,)),
+                 "all radii must be positive and finite, got (inf,)", id="radius-inf"),
     pytest.param(lambda: run(quadratic_1d(), _scg(radii=(1.0, 2.0))),
                  "radii must be parallel to the block list", id="radii-length"),
     pytest.param(lambda: ConstantBeta.horizon(c=0.0, iters=10),
@@ -124,6 +129,18 @@ _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
                  "gamma must lie in (0, 1], got 0.0", id="warmdown-gamma"),
     pytest.param(lambda: _run_segments(quadratic_1d(), [_scg(iters=2), _scg(iters=3)]),
                  "the rows of a stack must come longest first", id="stack-order"),
+    # A row's own recording, checker, momentum seed and variant would be
+    # silently replaced by those of the first row.
+    pytest.param(lambda: _run_segments(quadratic_1d(), [
+        _scg(), _scg(eval_every=5, check_invariants=False, variant="uscg", momentum_init="zeros")]),
+                 "the rows of a stack differ in eval_every, momentum_init, check_invariants, "
+                 "variant; they may differ only in seed, iters, alpha and beta", id="stack-settings"),
+    pytest.param(lambda: _run_segments(quadratic_1d(), [_scg(), _scg(radii=(2.0,))]),
+                 "the rows of a stack differ in radii; they may differ only in seed, iters, "
+                 "alpha and beta", id="stack-radii"),
+    pytest.param(lambda: _run_segments(quadratic_1d(), [_scg(), _scg(), _scg(store_gradients=True)]),
+                 "the rows of a stack differ in store_gradients; they may differ only in seed, "
+                 "iters, alpha and beta", id="stack-store"),
 ])
 def test_input_checks_raise_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

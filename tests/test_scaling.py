@@ -339,9 +339,19 @@ _stage = partial(Stage, token_allotment=64.0, B=2.0, S=2.0, beta=0.1, alpha=0.5)
 
 @pytest.mark.parametrize("make, message", [
     pytest.param(lambda: _stage(token_allotment=0.0),
-                 "token_allotment must be positive", id="stage-tokens"),
-    pytest.param(lambda: _stage(B=0.5), "B and S must be >= 1", id="stage-B"),
-    pytest.param(lambda: _stage(S=0.5), "B and S must be >= 1", id="stage-S"),
+                 "token_allotment must be positive and finite, got 0.0", id="stage-tokens"),
+    pytest.param(lambda: _stage(token_allotment=math.nan),
+                 "token_allotment must be positive and finite, got nan", id="stage-tokens-nan"),
+    pytest.param(lambda: _stage(token_allotment=math.inf),
+                 "token_allotment must be positive and finite, got inf", id="stage-tokens-inf"),
+    pytest.param(lambda: _stage(B=0.5), "B and S must be finite and >= 1, got B=0.5 S=2.0",
+                 id="stage-B"),
+    pytest.param(lambda: _stage(S=0.5), "B and S must be finite and >= 1, got B=2.0 S=0.5",
+                 id="stage-S"),
+    pytest.param(lambda: _stage(B=math.nan), "B and S must be finite and >= 1, got B=nan S=2.0",
+                 id="stage-B-nan"),
+    pytest.param(lambda: _stage(S=math.inf), "B and S must be finite and >= 1, got B=2.0 S=inf",
+                 id="stage-S-inf"),
     pytest.param(lambda: _stage(beta=1.5),
                  "stage beta must lie in (0, 1], got 1.5", id="stage-beta"),
     pytest.param(lambda: _stage(alpha=0.0),
