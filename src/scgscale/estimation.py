@@ -259,8 +259,7 @@ def estimate_rho(diffs, geometry, window: int = 100) -> float:
     usable residual must remain in the trailing window.
     """
     diffs = [np.asarray(d, dtype=float) for d in diffs]
-    shapes = [np.shape(diffs[0])[:1] + g.shape for g in geometry] if diffs else None
-    if [d.shape for d in diffs] != shapes:
+    if not diffs or [d.shape for d in diffs] != [diffs[0].shape[:1] + g.shape for g in geometry]:
         raise ValueError(f"residual stacks of shapes {[d.shape for d in diffs]} do not "
                          f"stack the blocks {[g.shape for g in geometry]}")
     euclids = np.sqrt(sum(np.sum((d * d).reshape(len(d), -1), axis=1) for d in diffs))

@@ -406,19 +406,17 @@ def estimate_logistic_constants(
     log = run(pilot_spec, cfg)
     L_hat = estimate_L(log, spec.geometry, window=100)
     mu_fit = estimate_mu(log.loss, log.g_dual, loss_cap=float("inf"))
-    rng = np.random.default_rng(RATE_STUDY_PILOT_SEED + 1)
     x = problems.initial_point(spec)
     (g,) = problems.grad(spec, x).arrays
-    sigma_pc = problems.per_coordinate_sigma(pilot_spec)
-    samples = g + sigma_pc * rng.standard_normal((200, g.size))
+    draw = np.random.default_rng(RATE_STUDY_PILOT_SEED + 1).standard_normal((200, g.size))
+    samples = g + problems.per_coordinate_sigma(pilot_spec) * draw
     rho_hat = estimate_rho([samples - g], spec.geometry, window=200)
-    delta0 = problems.loss(spec, x)
     return ProblemConstants(
         L=L_hat,
         mu=max(mu_fit.slope, 1e-12),
         rho=rho_hat,
         sigma_star=spec.noise.sigma_star,
-        delta0=delta0,
+        delta0=problems.loss(spec, x),
         c=RATE_STUDY_C,
     )
 
