@@ -242,8 +242,10 @@ def lmo_block(values: np.ndarray, kind: GeometryKind):
 
 
 # Bound once: looking up an Enum member costs more than the identity test
-# against it, and the block update does that test every step.
+# against it, and the block update does that test, and a sign block's
+# np.sign call, every step.
 _SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
+_np_sign = np.sign
 
 
 def _step_block(xb, mb, kind, scale, scratch):
@@ -260,7 +262,7 @@ def _step_block(xb, mb, kind, scale, scratch):
     the polar product run matrix by matrix.
     """
     if kind is _SIGN:
-        np.sign(mb, scratch)
+        _np_sign(mb, scratch)
         scratch *= scale
         xb -= scratch
     elif kind is _EUCLIDEAN:

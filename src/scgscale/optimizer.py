@@ -337,11 +337,13 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     def bind(n):
         """Make the views of the running rows 0 .. n-1 that a step reads, and
-        the snapshot buffers of n rows."""
-        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, m, scratch, scale, \
+        the snapshot buffers of n rows. steps holds each block's index and
+        _step_block arguments: its x, m, kind, scale and scratch views."""
+        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, steps, \
             noise_rows, loss_fn, grad_fn, xs, ds, gs, ms
         xf, gf, mf, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
-        x, m, scratch, scale = map(blocks, (xf, mf, sf, kf))
+        x = blocks(xf)
+        steps = list(zip(range(n_blocks), x, blocks(mf), kinds, blocks(kf), blocks(sf)))
         noise_rows = list(noise_buf[:n].swapaxes(0, 1))
         slots = snap_buf[:(4 * cap + 1) * n * n_params].reshape(-1, n, n_params)
         xs, ds, gs, ms = np.split(slots, [cap + 1, 2 * cap + 1, 3 * cap + 1])
@@ -365,7 +367,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 gradients=blocks(grads[r, :row_iters[r]].copy()) if store and ok else None,
             )
 
-    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = m = scratch = scale = None
+    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = steps = None
     noise_rows = loss_fn = grad_fn = xs = ds = gs = ms = None
     bind(n_seeds)
 
@@ -433,6 +435,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     row = 0
     k0 = 0  # the global index of the segment's step 0
     is_scg = first.variant == "scg"
+    multiply = np.multiply  # a local: the plain step reads it every step
     for seg in segments:
         np.subtract(1.0, seg.alpha, out=flats[5])
         flats[6] = seg.alpha
@@ -499,11 +502,11 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
             grad_fn(xf, gf)
             gf += noise_rows[k % chunk_steps]
             mf *= c_1ma
-            np.multiply(gf, c_alpha, sf)
+            multiply(gf, c_alpha, sf)
             mf += sf
             xf *= c_keep
-            for i in range(n_blocks):
-                nuclear[i] = _step_block(x[i], m[i], kinds[i], scale[i], scratch[i])
+            for i, xb, mb, kind, scale, scratch in steps:
+                nuclear[i] = _step_block(xb, mb, kind, scale, scratch)
 
             if not event:
                 continue
