@@ -18,8 +18,11 @@ runs. Given an existing --out, new runs are appended (pair numbers continue)
 and the summary is recomputed over all runs; the file is rewritten after
 every pair. The summary holds, per workload and seed and per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the ratio of
-the medians, and in how many pairs the change was better (by the metric's
-direction) or tied. Only the standard library is used.
+the medians, in how many pairs the change was better (by the metric's
+direction) or tied, and median_gain_beats_parent_iqr: whether the change's
+median beats the parent's, in the metric's direction, by more than the
+parent's interquartile range (q3 - q1). A claimed gain needs that as well
+as a change better in nearly every pair. Only the standard library is used.
 
   python3 scripts/bench_pairs.py --trajectory [DIR]
 
@@ -82,7 +85,8 @@ def quartiles(values):
 def summarize(runs, better):
     """Per "workload/seed" key: the number of pairs and, for each metric of
     better (metric -> "higher" or "lower"), each side's median and quartiles,
-    the ratio of the medians and the change's wins and ties over the pairs."""
+    the ratio of the medians, the change's wins and ties over the pairs, and
+    whether the change's median gain exceeds the parent's interquartile range."""
     groups = {}
     for run in runs:
         key = f"{run['workload']}/{run['seed']}"
@@ -104,6 +108,9 @@ def summarize(runs, better):
                 else None)
             stats["change_better_pairs"] = sum(g > 0 for g in gaps)
             stats["ties"] = sum(g == 0 for g in gaps)
+            stats["median_gain_beats_parent_iqr"] = (
+                sign * (stats["change_median"] - stats["parent_median"])
+                > stats["parent_q3"] - stats["parent_q1"])
             entry[metric] = stats
         summary[key] = entry
     return summary

@@ -76,6 +76,11 @@ class BetaRule:
         for name in ("c", "beta", "alpha"):
             if not math.isfinite(getattr(self, name) or 0.0):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.c > 0:
+            raise ValueError(f"c must be positive, got {self.c}")
+        for name in ("beta", "alpha"):
+            if getattr(self, name) is not None and not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def _step_block(xb, mb, kind, scale, scratch):
         xb -= scratch
     elif kind is _EUCLIDEAN:
         sq = _sum_squares(mb.reshape(len(mb), -1))
-        if sq.min() >= _TINY:  # False for a NaN too
+        if np.minimum.reduce(sq) >= _TINY:  # False for a NaN too
             factor = scale.reshape(len(mb), -1)[:, 0] / np.sqrt(sq)
             np.multiply(mb, factor.reshape((-1,) + (1,) * (mb.ndim - 1)), out=scratch)
             xb -= scratch

@@ -202,12 +202,15 @@ class LogisticRegression:
         """The grad_fn of compiled: one matrix-vector product per point each way.
 
         The (R, n, 1) products are the one array a call allocates: the chain
-        -(labels * (1 / (1 + exp(labels * products)))) / n runs in place on them.
+        (-labels / (1 + exp(labels * products))) / n runs in place on them. As
+        every label is exactly +-1.0, -labels / q takes the one rounding of
+        1 / q, so it has the bits of -(labels * (1 / q)).
         """
         features, n = self.features, self.n_samples
         labels = self.labels[None]  # (1, n), as one point's products
         if n_points > 1:
             labels = labels.repeat(n_points, axis=0)
+        neg_labels = np.negative(labels)
 
         def grad_fn(xf, out):
             products = np.matmul(features, xf[..., None])
@@ -215,9 +218,7 @@ class LogisticRegression:
             np.multiply(labels, p, p)
             np.exp(p, p)
             np.add(1.0, p, p)
-            np.divide(1.0, p, p)  # sigmoid(-margin)
-            np.multiply(labels, p, p)
-            np.negative(p, p)
+            np.divide(neg_labels, p, p)  # -labels * sigmoid(-margin)
             np.divide(p, n, p)
             # The loss's derivative in the products, back through features.
             np.matmul(features.T, products, out=out[..., None])

@@ -43,10 +43,27 @@ def test_medians_quartiles_and_wins():
     assert (steps["change_q1"], steps["change_median"], steps["change_q3"]) == (111.0, 130.0, 137.5)
     assert steps["median_ratio_change_over_parent"] == pytest.approx(1.3)
     assert steps["change_better_pairs"] == 5 and steps["ties"] == 0
+    # the median gain of 30 exceeds the parent's IQR of 6
+    assert steps["median_gain_beats_parent_iqr"] is True
     rss = entry["peak_rss_mb"]
     # lower is better: pair 2 wins, pairs 1 and 4 tie, pairs 3 and 5 lose
     assert rss["change_better_pairs"] == 1 and rss["ties"] == 2
     assert rss["parent_median"] == 50.0 and rss["change_median"] == 50.0
+    assert rss["median_gain_beats_parent_iqr"] is False
+
+
+@pytest.mark.parametrize("better, change, beats", [
+    ("higher", [104.0, 108.0, 100.0, 106.0, 102.0], False),  # gain 4, IQR 6
+    ("higher", [107.0, 111.0, 103.0, 109.0, 105.0], True),   # gain 7
+    ("lower", [93.0, 97.0, 89.0, 95.0, 91.0], True),         # 7 lower
+    ("lower", [107.0, 111.0, 103.0, 109.0, 105.0], False),   # 7 higher
+])
+def test_claim_rule_needs_a_median_gain_beyond_the_parent_iqr(better, change, beats):
+    parent = [100.0, 104.0, 96.0, 102.0, 98.0]  # quartiles 97, 100, 103
+    runs = [record("w", 7, i + 1, side, m=value)
+            for i in range(5) for side, value in (("parent", parent[i]), ("change", change[i]))]
+    stats = bench_pairs.summarize(runs, {"m": better})["w/7"]["m"]
+    assert stats["median_gain_beats_parent_iqr"] is beats
 
 
 def test_groups_by_workload_and_seed_and_skips_half_pairs():

@@ -614,6 +614,26 @@ class TestSweepCli:
         assert "error: sweep config: seed_base must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("rule, message", [
+        ({"kind": "fixed", "beta": 0.1, "alpha": 2.0}, "alpha must lie in (0, 1], got 2.0"),
+        ({"kind": "critical", "c": -1.0, "alpha": 0.3}, "c must be positive, got -1.0"),
+        ({"kind": "fixed", "beta": 2.0, "alpha": 0.5}, "beta must lie in (0, 1], got 2.0"),
+    ], ids=["alpha", "c", "beta"])
+    def test_rule_out_of_range_exits_2_before_any_point(self, rule, message, jobs, tmp_path,
+                                                         capsys, monkeypatch):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cli.experiments, "run_sweep", no_point)
+        cfg = sweep_config()
+        cfg["rule"] = rule
+        cfg_path = write_json(tmp_path / "sweep.json", cfg)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", cfg_path, "--out", str(out), "--jobs", jobs]) == 2
+        assert f"error: rule: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_point_exceeding_budget_rejected(self, tmp_path):
         cfg = {
             "schema_version": 1,

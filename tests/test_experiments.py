@@ -47,6 +47,12 @@ def sweep_config(grid, rule=None, budget=4096.0, reps=2):
                  "alpha must be finite, got nan", id="rule-alpha-nan"),
     pytest.param(lambda: BetaRule(kind="fixed", beta=0.1, alpha=-math.inf),
                  "alpha must be finite, got -inf", id="rule-alpha-inf"),
+    pytest.param(lambda: BetaRule(kind="fixed", beta=0.1, alpha=2.0),
+                 "alpha must lie in (0, 1], got 2.0", id="rule-alpha-range"),
+    pytest.param(lambda: BetaRule(kind="critical", c=-1.0, alpha=0.3),
+                 "c must be positive, got -1.0", id="rule-c-range"),
+    pytest.param(lambda: BetaRule(kind="fixed", beta=2.0, alpha=0.5),
+                 "beta must lie in (0, 1], got 2.0", id="rule-beta-range"),
     pytest.param(lambda: sweep_config([(2.0, 2.0)], budget=math.nan),
                  "token_budget must be positive and finite, got nan", id="sweep-budget-nan"),
     pytest.param(lambda: sweep_config([(2.0, 2.0)], budget=math.inf),

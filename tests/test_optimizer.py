@@ -109,6 +109,15 @@ _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
                  "iters must be nonnegative, got -1", id="iters"),
     pytest.param(lambda: _scg(eval_every=0),
                  "eval_every must be >= 1", id="eval_every"),
+    # A float count failed inside run with a TypeError, and True ran one step.
+    pytest.param(lambda: _scg(iters=3.5),
+                 "iters must be an integer, got 3.5", id="iters-float"),
+    pytest.param(lambda: _scg(iters=True),
+                 "iters must be an integer, got True", id="iters-bool"),
+    pytest.param(lambda: _scg(eval_every=1.5),
+                 "eval_every must be an integer, got 1.5", id="eval_every-float"),
+    pytest.param(lambda: _scg(seed=1.5),
+                 "seed must be an integer, got 1.5", id="seed-float"),
     pytest.param(lambda: _scg(momentum_init="ones"),
                  "unknown momentum_init 'ones'", id="momentum_init"),
     pytest.param(lambda: _scg(radii=(1.0, 0.0)),
@@ -145,6 +154,13 @@ _scg = partial(ScgConfig, alpha=0.5, beta=ConstantBeta(0.1), iters=10)
 def test_input_checks_raise_their_message(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()
+
+
+def test_numpy_integer_counts_run_as_python_ints():
+    spec = quadratic_1d(sigma=0.5)
+    ints = run(spec, _scg(iters=6, seed=4, eval_every=2))
+    numpy_ints = run(spec, _scg(iters=np.int64(6), seed=np.int64(4), eval_every=np.int32(2)))
+    assert ints.loss.tobytes() == numpy_ints.loss.tobytes() and len(ints) == 3
 
 
 def one_step(spec, x0, alpha, beta=0.5, **config):

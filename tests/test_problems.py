@@ -389,6 +389,35 @@ class TestOracle:
                 x = LayeredPoint.from_arrays(spec.block_names, list(xf))
                 assert problems.grad(spec, x).arrays[0].tobytes() == expected[0].tobytes()
 
+    @pytest.mark.parametrize("n_points", [1, 3])
+    def test_logistic_oracle_keeps_the_bits_of_the_seven_call_chain(self, n_points):
+        # The chain the oracle ran before it divided -labels by 1 + exp(.)
+        # in one call: 1 / q, times labels, negated.
+        spec = experiments.rate_study_problem()
+        rng = np.random.default_rng(10 + n_points)
+        xf = rng.standard_normal((n_points, spec.dim)) * 10.0 ** rng.uniform(-3, 3, (n_points, 1))
+        labels = spec.labels[None].repeat(n_points, axis=0)
+        with np.errstate(over="ignore"):
+            products = np.matmul(spec.features, xf[..., None])
+            p = products[..., 0]
+            np.multiply(labels, p, p)
+            np.exp(p, p)
+            np.add(1.0, p, p)
+            np.divide(1.0, p, p)
+            np.multiply(labels, p, p)
+            np.negative(p, p)
+            np.divide(p, spec.n_samples, p)
+            expected = np.matmul(spec.features.T, products)[..., 0]
+            out = np.full_like(xf, np.nan)
+            problems.compiled(spec, n_points)[1](xf, out)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_logistic_labels_are_exactly_plus_or_minus_one(self):
+        # The oracle's one division by -labels is bit-exact only for these.
+        for spec in (experiments.rate_study_problem(),
+                     replace(experiments.rate_study_problem(), margin_boost=0.0, data_seed=3)):
+            assert np.all((spec.labels == 1.0) | (spec.labels == -1.0))
+
     @pytest.mark.parametrize("make", [
         lambda: LayeredQuadratic(
             geometry=(BlockGeometry("euclidean", (1,), 1.0), BlockGeometry("sign", (1, 1), 1.0)),
