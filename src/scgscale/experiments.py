@@ -79,8 +79,9 @@ class BetaRule:
         if not self.c > 0:
             raise ValueError(f"c must be positive, got {self.c}")
         for name in ("beta", "alpha"):
-            if getattr(self, name) is not None and not 0 < getattr(self, name) <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not 0 < value <= 1:
+                raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)

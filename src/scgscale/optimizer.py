@@ -106,7 +106,7 @@ class ScgConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        for name in ("iters", "seed", "eval_every"):  # NumPy integers too, but no bool
+        for name in ("iters", "seed", "eval_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
