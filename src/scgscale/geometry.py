@@ -241,9 +241,9 @@ def lmo_block(values: np.ndarray, kind: GeometryKind):
     return np.negative(d, out=d), s.sum(-1)
 
 
-# Bound once: looking up an Enum member costs more than the identity test
-# against it, and the block update does that test, and a sign block's
-# np.sign call, every step.
+# Bound once, as the block update reads them every step: looking up an Enum
+# member costs more than the identity test against it, and np.sign is one
+# more module attribute lookup.
 _SIGN, _EUCLIDEAN = GeometryKind.SIGN, GeometryKind.EUCLIDEAN
 _np_sign = np.sign
 

@@ -341,8 +341,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
 
     def bind(n):
         """Make the views of the running rows 0 .. n-1 that a step reads, and
-        the snapshot buffers of n rows. steps holds each block's index and
-        _step_block arguments: its x, m, kind, scale and scratch views."""
+        the snapshot buffers of n rows. steps holds each block's index and its
+        _step_block arguments: x, m, kind, scale and scratch."""
         nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, steps, \
             noise_rows, loss_fn, grad_fn, xs, ds, gs, ms
         xf, gf, mf, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]

@@ -150,6 +150,15 @@ class TestMalformedConfigs:
         assert rc == 2
         assert f"beta schedule: {key} must be" in err or f"'{key}'" in err
 
+    @pytest.mark.parametrize("beta", [{"type": "banana"}, {"value": 0.1}, 0.1])
+    def test_unknown_beta_schedule_type_exits_2(self, beta, tmp_path):
+        cfg = train_config(iters=10)
+        cfg["optimizer"]["beta"] = beta
+        rc, err = run_config("train", cfg, tmp_path / "o")
+        assert rc == 2
+        assert "beta schedule must be a JSON object whose type is one of" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "beta",
         [{"type": "constant", "value": 1},

@@ -105,6 +105,11 @@ class TestBlockGeometry:
         with pytest.raises(ValueError, match="2-D"):
             BlockGeometry("spectral", (4,))
 
+    @pytest.mark.parametrize("shape", [(), (0,), (2, -1)])
+    def test_shape_needs_positive_dims(self, shape):
+        with pytest.raises(ValueError, match="block shape must have positive dims"):
+            BlockGeometry("sign", shape)
+
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             BlockGeometry("sign", (4,), radius_eta=0.0)
