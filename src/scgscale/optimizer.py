@@ -403,10 +403,10 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         disp_norms = norm_table(block_primal_norm, ds[:n_snap])
         x_norms = norms[:, -1] if check else None
         if check:
-            steps = np.full((n_snap, n), 1.0 - beta_rows[:n])  # (1 - beta)^(k+1)
-            steps[0] *= contraction[:n]
-            contraction[:n] = np.multiply.accumulate(steps, out=steps)[-1]
-            x_bound = eta[:, None] * (1.0 - 0.5 * steps) + _INVARIANT_SLACK
+            decay = np.full((n_snap, n), 1.0 - beta_rows[:n])  # (1 - beta)^(k+1)
+            decay[0] *= contraction[:n]
+            contraction[:n] = np.multiply.accumulate(decay, out=decay)[-1]
+            x_bound = eta[:, None] * (1.0 - 0.5 * decay) + _INVARIANT_SLACK
             failed = armed[:n] & ~((norms[:, 1:] <= x_bound) & (
                 disp_norms <= disp_bound[:, None, :n] + _INVARIANT_SLACK))
             counts[0, :n] += n_snap * armed[:n]
