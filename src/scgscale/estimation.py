@@ -89,6 +89,12 @@ class FitTerm:
     shift: Optional[float] = None
     exponent: Optional[float] = None
 
+    def __post_init__(self):
+        for field in ("shift", "exponent"):
+            if not math.isfinite(getattr(self, field) or 0.0):
+                raise ValueError(f"{field} of term {self.name!r} must be finite, "
+                                 f"got {getattr(self, field)}")
+
 
 @dataclass(frozen=True)
 class VarianceCurve:
@@ -308,43 +314,35 @@ def estimate_variance(
     return VarianceCurve.fit(scales, variances)
 
 
-def _log_residuals(shape, cols, log_y):
-    """(free, unpack, residuals, jacobian) of the log residuals
-    log C + sum over terms of e * log(x + s) - log y. The parameters are
-    log C, then one per (term index, 0 for its shift or 1 for its exponent)
-    in free: the free shifts first, then the free exponents."""
-    free = [(i, j) for j in (0, 1) for i, t in enumerate(shape)
-            if (t.shift, t.exponent)[j] is None]
-    at = {ij: k for k, ij in enumerate(free, 1)}
-    # Per term: its column, then its shift and exponent, each a fixed value
-    # or None and the index of its parameter. Per free parameter: its
-    # Jacobian column, term index, kind and the term's column.
-    slots = [(cols[t.name], t.shift, at.get((i, 0)), t.exponent, at.get((i, 1)))
-             for i, t in enumerate(shape)]
-    jac_slots = [(k, i, j, slots[i][0]) for (i, j), k in at.items()]
-
-    def unpack(params):
-        return params[0], [[s if a is None else params[a], e if b is None else params[b]]
-                           for _, s, a, e, b in slots]
+def _log_residuals(table, x, log_y):
+    """(residuals, jacobian) of the log residuals
+    log C + sum over terms of e * log(x + s) - log y, for covariates x (one
+    row per term) and the (2, terms) table of shifts and exponents whose NaN
+    entries are free. The parameters are log C, then the free entries in C
+    order: the free shifts, then the free exponents."""
+    free = np.isnan(table)
+    full = table.copy()  # the table with the free entries of the last params
 
     def residuals(params):
-        log_c, terms = unpack(params)
-        pred = np.full_like(log_y, log_c)
-        for slot, (s, e) in zip(slots, terms):
-            pred = pred + e * np.log(slot[0] + s)
+        full[free] = params[1:]
+        pred = np.full_like(log_y, params[0])
+        for x_i, (s, e) in zip(x, full.T):
+            pred = pred + e * np.log(x_i + s)
         return pred - log_y
 
     def jacobian(params):
-        # d/d log C = 1, d/d e = log(x + s), d/d s = e / (x + s)
-        _, terms = unpack(params)
-        jac = np.ones((len(log_y), 1 + len(free)))
-        for k, i, j, col in jac_slots:
-            s, e = terms[i]
-            base = col + s
-            jac[:, k] = np.log(base) if j else e / base
+        # Past the range of C, a zero Jacobian (so a zero gradient) ends the run.
+        jac = np.zeros((len(log_y), 1 + int(free.sum())))
+        if not 0.0 < np.exp(params[0]) < np.inf:
+            return jac
+        # d/d log C = 1, d/d s = e / (x + s), d/d e = log(x + s)
+        full[free] = params[1:]
+        base = x + full[0, :, None]
+        jac[:, 0] = 1.0
+        jac[:, 1:] = np.stack([full[1, :, None] / base, np.log(base)])[free].T
         return jac
 
-    return free, unpack, residuals, jacobian
+    return residuals, jacobian
 
 
 # The screen of a free-shift fit: how many shift vectors it draws, and the
@@ -354,23 +352,24 @@ _SCREEN_CANDIDATES = 64
 _SCREEN_ROUNDS = 15
 
 
-def _screen(shape, cols, log_y, free, shift_lb, rng):
+def _screen(table, x, log_y, lower, rng):
     """The parameters (as in _log_residuals) of the lowest soft-l1 cost among
     _SCREEN_CANDIDATES shift vectors drawn from rng. Each free shift sits
-    10^u spans of its covariate above its lower bound, u uniform on
+    10^u spans of its covariate above its entry of lower, u uniform on
     [-4, 0.6]. Given the shifts the log residuals are affine in log C and
     the free exponents, which iteratively reweighted least squares fits for
     every candidate at once: a batched solve of the weighted normal
     equations, weights 1 / sqrt(1 + r^2)."""
-    at_shift, at_exp = list(shift_lb), [i for i, j in free if j == 1]
-    spans = np.array([float(np.ptp(cols[shape[i].name])) or 1.0 for i in at_shift])
-    shifts = np.tile(np.array([t.shift for t in shape], dtype=float), (_SCREEN_CANDIDATES, 1))
-    shifts[:, at_shift] = [shift_lb[i] for i in at_shift] + spans * 10.0 ** rng.uniform(
-        -4.0, 0.6, (_SCREEN_CANDIDATES, len(at_shift)))
-    logs = np.log(np.array([cols[t.name] for t in shape]) + shifts[..., None])  # (K, terms, n)
-    target = np.broadcast_to(log_y - sum(t.exponent * logs[:, i] for i, t in enumerate(shape)
-                                         if t.exponent is not None), logs[:, 0].shape)
-    design = np.concatenate([np.ones_like(logs[:, :1]), logs[:, at_exp]], axis=1)  # (K, p, n)
+    free_shift, free_exp = np.isnan(table)
+    spans = np.ptp(x[free_shift], axis=1)
+    spans[spans == 0] = 1.0
+    shifts = np.tile(table[0], (_SCREEN_CANDIDATES, 1))
+    shifts[:, free_shift] = lower[free_shift] + spans * 10.0 ** rng.uniform(
+        -4.0, 0.6, (_SCREEN_CANDIDATES, len(spans)))
+    logs = np.log(x + shifts[..., None])  # (K, terms, n)
+    target = np.broadcast_to(log_y - sum(e * logs[:, i] for i, e in enumerate(table[1])
+                                         if not free_exp[i]), logs[:, 0].shape)
+    design = np.concatenate([np.ones_like(logs[:, :1]), logs[:, free_exp]], axis=1)  # (K, p, n)
     weights = np.ones_like(target)
     for _ in range(_SCREEN_ROUNDS):
         weighted = design * weights[:, None]
@@ -382,7 +381,7 @@ def _screen(shape, cols, log_y, free, shift_lb, rng):
         weights = 1.0 / np.sqrt(1.0 + r * r)
     cost = np.sum(np.sqrt(1.0 + r * r), axis=1)
     k = int(np.argmin(np.where(np.isfinite(cost), cost, np.inf)))
-    return [coef[k, 0, 0], *shifts[k, at_shift], *coef[k, 1:, 0]]
+    return [coef[k, 0, 0], *shifts[k, free_shift], *coef[k, 1:, 0]]
 
 
 def fit_power_law(
@@ -413,50 +412,47 @@ def fit_power_law(
     shape = list(shape)
     if not shape:
         raise ValueError("shape needs at least one term")
-    cols = {}
+    cols = []
     for term in shape:
         if term.name not in covariates:
             raise KeyError(f"missing covariate column {term.name!r}")
         col = _finite(f"covariate {term.name!r}", covariates[term.name])
         if col.shape != values.shape:
             raise ValueError(f"covariate {term.name!r} length mismatch")
-        cols[term.name] = col
+        cols.append(col)
+    x = np.array(cols)
+    # Row 0 holds the shifts, row 1 the exponents; NaN marks a free entry.
+    table = np.array([[t.shift, t.exponent] for t in shape], dtype=float).T
+    free = np.isnan(table)
 
     log_y = np.log(values)
-    free, unpack, residuals, jacobian = _log_residuals(shape, cols, log_y)
-    n_free = 1 + len(free)
+    residuals, jacobian = _log_residuals(table, x, log_y)
+    n_free = 1 + int(free.sum())
     if len(values) < n_free:
         raise ValueError(
             f"need at least {n_free} observations for {n_free} free parameters"
         )
-    for t in shape:
-        if t.shift is not None and np.any(cols[t.name] + t.shift <= 0):
+    for t, x_i in zip(shape, x):
+        if t.shift is not None and np.any(x_i + t.shift <= 0):
             raise ValueError(f"fixed shift for {t.name!r} makes a base non-positive")
 
     # A free shift keeps every base of its covariate above zero.
-    shift_lb = {i: -c + 1e-9 * max(1.0, abs(c))
-                for i, c in ((i, float(np.min(cols[shape[i].name]))) for i, j in free if j == 0)}
-    lo = [-np.inf] + [shift_lb[i] if j == 0 else -np.inf for i, j in free]
-
-    def jacobian_in_range(params):
-        # Past the range of C, a zero Jacobian (so a zero gradient) ends the run.
-        if 0.0 < np.exp(params[0]) < np.inf:
-            return jacobian(params)
-        return np.zeros((len(log_y), n_free))
+    low = x.min(axis=1)
+    lower = np.stack([-low + 1e-9 * np.maximum(1.0, np.abs(low)), np.full_like(low, -np.inf)])
 
     from scipy.optimize import least_squares
-    if shift_lb:
-        p0 = _screen(shape, cols, log_y, free, shift_lb, np.random.default_rng(seed))
+    if free[0].any():
+        p0 = _screen(table, x, log_y, lower[0], np.random.default_rng(seed))
     else:
-        p0 = [float(np.mean(log_y))] + [0.0] * len(free)
+        p0 = [float(np.mean(log_y))] + [0.0] * (n_free - 1)
     with np.errstate(over="ignore"):  # exp(log C) past the float range, here and below
         try:
-            best = least_squares(residuals, p0, jac=jacobian_in_range, loss="soft_l1",
-                                 bounds=(lo, np.inf), max_nfev=20000)
+            best = least_squares(residuals, p0, jac=jacobian, loss="soft_l1",
+                                 bounds=([-np.inf, *lower[free]], np.inf), max_nfev=20000)
         except ValueError:
             raise FloatingPointError("power-law fit failed from every start") from None
-        log_c, terms = unpack(best.x)
-        C = float(np.exp(log_c))
+        C = float(np.exp(best.x[0]))
+    table[free] = best.x[1:]
     names = ", ".join(t.name for t in shape)
     if not np.isfinite([C, *best.x]).all():
         raise FloatingPointError(f"the power-law fit in {names} is not finite: "
@@ -466,7 +462,7 @@ def fit_power_law(
                                  f"C = 0, parameters {best.x.tolist()}")
     return PowerLawModel(
         C=C,
-        terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, terms)),
+        terms=tuple(PowerLawTerm(t.name, float(s), float(e)) for t, (s, e) in zip(shape, table.T)),
     )
 
 

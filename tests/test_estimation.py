@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from types import SimpleNamespace
@@ -60,6 +61,13 @@ def _sparse_gradient_log():
     cfg = ScgConfig(alpha=0.5, beta=ConstantBeta(0.02), iters=4, eval_every=2,
                     store_gradients=True)
     return run(spec, cfg), spec.geometry
+
+
+def _fit_table(shape, cols):
+    """The (2, terms) table of shifts and exponents, NaN where shape leaves
+    one free, and the covariates, one row per term, that fit_power_law builds."""
+    return (np.array([[t.shift, t.exponent] for t in shape], dtype=float).T,
+            np.array([cols[t.name] for t in shape]))
 
 
 _FIT_COLUMNS = {"x": [1.0, 2.0, 4.0]}
@@ -140,6 +148,16 @@ _FIT_VALUES = [1.0, 2.0, 3.0]
                  ValueError, "covariate 'x' contains non-finite entries", id="fit-nan-covariate"),
     pytest.param(lambda: fit_power_law(_FIT_COLUMNS, [1.0, math.inf, 3.0], [FitTerm("x")]),
                  ValueError, "values contains non-finite entries", id="fit-inf-value"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x", shift=math.nan)]),
+                 ValueError, "shift of term 'x' must be finite, got nan", id="fit-nan-shift"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES,
+                                       [FitTerm("x", exponent=math.nan)]),
+                 ValueError, "exponent of term 'x' must be finite, got nan", id="fit-nan-exponent"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES, [FitTerm("x", shift=math.inf)]),
+                 ValueError, "shift of term 'x' must be finite, got inf", id="fit-inf-shift"),
+    pytest.param(lambda: fit_power_law(_FIT_COLUMNS, _FIT_VALUES,
+                                       [FitTerm("x", exponent=math.inf)]),
+                 ValueError, "exponent of term 'x' must be finite, got inf", id="fit-inf-exponent"),
 ])
 def test_input_checks_raise_their_message(make, error, message):
     with pytest.raises(error) as info, warnings.catch_warnings():
@@ -462,12 +480,14 @@ class TestFitPowerLaw:
         # The 16 starts fit_power_law runs when a shift is free: start 0 at
         # [mean log y, 0, ...], then exponents drawn from seed 0's generator.
         log_y = np.log(values)
-        free, _, residuals, jacobian = _log_residuals(shape, cols, log_y)
+        table, x = _fit_table(shape, cols)
+        residuals, jacobian = _log_residuals(table, x, log_y)
         rng = np.random.default_rng(0)
         costs = [
             least_squares(
                 residuals,
-                [float(np.mean(log_y))] + [0.0 if start == 0 else rng.uniform(-1.0, 1.0) for _ in free],
+                [float(np.mean(log_y))] + [0.0 if start == 0 else rng.uniform(-1.0, 1.0)
+                                           for _ in range(np.isnan(table).sum())],
                 jac=jacobian, loss="soft_l1", max_nfev=20000,
             ).cost
             for start in range(16)
@@ -506,23 +526,37 @@ class TestFitPowerLaw:
         from scipy.optimize import least_squares
 
         log_y = np.log(values)
-        free, _, residuals, jacobian = _log_residuals(shape, cols, log_y)
-        lower = {i: -c + 1e-9 * max(1.0, abs(c))
-                 for i, c in ((i, float(np.min(cols[shape[i].name]))) for i, j in free if j == 0)}
-        bounds = ([-np.inf] + [lower[i] if j == 0 else -np.inf for i, j in free], np.inf)
+        table, x = _fit_table(shape, cols)
+        residuals, jacobian = _log_residuals(table, x, log_y)
+        free_shift, free_exp = np.isnan(table)
+        low = x.min(axis=1)
+        lower = -low + 1e-9 * np.maximum(1.0, np.abs(low))
+        bounds = ([-np.inf, *lower[free_shift], *[-np.inf] * free_exp.sum()], np.inf)
         rng = np.random.default_rng(0)
         costs = []
         for start in range(16):
             p0 = [float(np.mean(log_y))]
-            for i, j in free:
-                if j == 0:
-                    span = float(np.ptp(cols[shape[i].name])) or 1.0
-                    p0.append(lower[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
-                else:
-                    p0.append(0.0 if start == 0 else rng.uniform(-1.0, 1.0))
+            for i in np.flatnonzero(free_shift):
+                span = float(np.ptp(x[i])) or 1.0
+                p0.append(lower[i] + (1e-3 if start == 0 else rng.uniform(0.0, 1.0)) * span)
+            p0 += [0.0 if start == 0 else rng.uniform(-1.0, 1.0) for _ in range(free_exp.sum())]
             costs.append(least_squares(residuals, p0, jac=jacobian, loss="soft_l1",
                                        bounds=bounds, max_nfev=20000).cost)
         return min(costs)
+
+    def test_fits_keep_their_bits(self):
+        # One sha256 over the repr of every convex_case and free_shift_case
+        # fit (the error text where one raises), so that a change to how a fit
+        # is computed that moves any of its floats shows here.
+        digest = hashlib.sha256()
+        for case in [*map(self.convex_case, range(30)), *map(self.free_shift_case, range(12))]:
+            try:
+                out = repr(fit_power_law(*case))
+            except Exception as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "a90677f9b3c293d7e72a3513444a27b0a3a518a334e89ffb4d485a8cd5e21563")
 
     @pytest.mark.parametrize("seed", range(12))
     def test_screen_and_polish_reach_the_sixteen_start_minimum(self, monkeypatch, seed):
@@ -599,17 +633,19 @@ class TestLogResiduals:
         rng = np.random.default_rng(11)
         cols = {"x": rng.uniform(1.0, 50.0, 12), "z": rng.uniform(100.0, 900.0, 12)}
         log_y = rng.normal(size=12)
-        free, _, residuals, jacobian = _log_residuals(shape, cols, log_y)
-        assert len(free) == sum((t.shift is None) + (t.exponent is None) for t in shape)
+        table, x = _fit_table(shape, cols)
+        residuals, jacobian = _log_residuals(table, x, log_y)
+        kinds = np.nonzero(np.isnan(table))[0]  # 0 for a free shift, 1 for a free exponent
+        assert len(kinds) == sum((t.shift is None) + (t.exponent is None) for t in shape)
         for _ in range(5):
             # Bases stay at 0.5 or more and exponents at 0.2 or more in size,
             # so the central difference with step 1e-4 is good to about 3e-8.
             params = np.array([rng.normal()] + [
                 rng.uniform(-0.5, 5.0) if j == 0 else rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0)
-                for _, j in free
+                for j in kinds
             ])
             jac = jacobian(params)
-            assert jac.shape == (12, 1 + len(free))
+            assert jac.shape == (12, 1 + len(kinds))
             central = np.empty_like(jac)
             for k, step in enumerate(1e-4 * np.eye(len(params))):
                 central[:, k] = (residuals(params + step) - residuals(params - step)) / 2e-4
