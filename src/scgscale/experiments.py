@@ -234,13 +234,32 @@ def _final_losses(groups):
     return out
 
 
+# The thread-count setter of the OpenBLAS bundled with NumPy's wheels.
+_OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+def _one_blas_thread():
+    """Pool initializer: one BLAS thread per worker, as the workers already
+    share the cores; at OpenBLAS's default each worker starts a thread per
+    core, and two workers' spectral runs contend for them. It calls
+    _OPENBLAS_SET_THREADS through the NumPy extension module, whose symbol
+    lookup searches the OpenBLAS it links. Where that library has no such
+    symbol, threading stays as it is."""
+    import ctypes
+    set_threads = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+                          _OPENBLAS_SET_THREADS, None)
+    if set_threads is not None:
+        set_threads(1)
+
+
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
     """Run every grid point, each over cfg.repetitions seeds.
 
     Here the seeds of all points step together (see _final_losses); with
     jobs > 1 each point is one task, a lone run(seeds=...) of its seeds, on
-    min(jobs, points) worker processes. A point whose hyperparameters or runs
-    fail gets an error row; the other points are unaffected.
+    min(jobs, points) worker processes of one BLAS thread each (see
+    _one_blas_thread). A point whose hyperparameters or runs fail gets an
+    error row; the other points are unaffected.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -263,7 +282,7 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> SweepResult:
         # The pool forks all its workers at once, so it is sized to the points.
         # Imported here, so a serial sweep loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             results = list(pool.map(_lone_losses, groups))
     else:
         results = _final_losses(groups)

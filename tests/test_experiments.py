@@ -1,3 +1,4 @@
+import ctypes
 import math
 import re
 from dataclasses import astuple, replace
@@ -21,6 +22,19 @@ def small_problem(sigma=0.2):
         targets=(np.array([1.0, 0.0, 0.0, 0.0]),),
         noise=NoiseModel(sigma),
     )
+
+
+def _openblas_threads(op):
+    """The "get" or "set" thread-count function of the OpenBLAS that NumPy
+    loaded, or None where that library has no such symbol."""
+    lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    return getattr(lib, f"scipy_openblas_{op}_num_threads64_", None)
+
+
+def _worker_blas_threads(group):
+    """In place of _lone_losses in a forked worker: its BLAS thread count, as
+    the one loss of the group."""
+    return [float(_openblas_threads("get")())]
 
 
 def sweep_config(grid, rule=None, budget=4096.0, reps=2):
@@ -173,7 +187,7 @@ class TestSweep:
         sizes = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -191,6 +205,31 @@ class TestSweep:
         assert sizes == [2]
         run_sweep(sweep_config([(4.0, 1.0)]), jobs=8)
         assert sizes == [2]  # one point runs in this process
+
+    def test_each_worker_runs_one_blas_thread(self, monkeypatch):
+        get, set_threads = _openblas_threads("get"), _openblas_threads("set")
+        if get is None:
+            pytest.skip("NumPy's OpenBLAS has no scipy_openblas thread functions")
+        before = get()
+        set_threads(2)
+        try:
+            monkeypatch.setattr(experiments, "_lone_losses", _worker_blas_threads)
+            rows = run_sweep(sweep_config([(4.0, 1.0), (16.0, 1.0)]), jobs=2).rows
+            assert [row.final_loss_mean for row in rows] == [1.0, 1.0]
+            assert get() == 2  # the parent keeps its threads
+            experiments._one_blas_thread()  # in this process, where line tracing sees it
+            assert get() == 1
+        finally:
+            set_threads(before)
+
+    def test_a_blas_without_the_thread_symbol_still_sweeps(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_OPENBLAS_SET_THREADS", "no_such_symbol")
+        get = _openblas_threads("get")
+        before = get and get()
+        experiments._one_blas_thread()
+        assert (get and get()) == before
+        cfg = sweep_config([(4.0, 1.0), (16.0, 1.0)])
+        assert run_sweep(cfg, jobs=2).rows == run_sweep(cfg).rows
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
