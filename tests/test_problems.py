@@ -76,6 +76,8 @@ _logistic = partial(LogisticRegression, geometry=(_EUCLID_4,), block_names=("w",
                                  block_names=("w", "w"), curvatures=(1.0, 1.0),
                                  targets=(np.zeros(4), np.zeros(4))),
                  "block names must be unique", id="quadratic-names"),
+    pytest.param(lambda: replace(simple_quadratic(), targets=(np.zeros(2),)),
+                 "target for block 'w' has the wrong shape", id="quadratic-target-shape"),
     pytest.param(lambda: _logistic(block_names=("w", "v")),
                  "logistic regression uses a single weight block", id="logistic-blocks"),
     pytest.param(lambda: _logistic(dim=5),
