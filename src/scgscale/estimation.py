@@ -322,24 +322,25 @@ def _log_residuals(table, x, log_y):
     order: the free shifts, then the free exponents."""
     free = np.isnan(table)
     full = table.copy()  # the table with the free entries of the last params
+    n_params = 1 + int(free.sum())
 
     def residuals(params):
         full[free] = params[1:]
         pred = np.full_like(log_y, params[0])
-        for x_i, (s, e) in zip(x, full.T):
+        for x_i, (s, e) in zip(x, full.T.tolist()):
             pred = pred + e * np.log(x_i + s)
         return pred - log_y
 
     def jacobian(params):
         # Past the range of C, a zero Jacobian (so a zero gradient) ends the run.
-        jac = np.zeros((len(log_y), 1 + int(free.sum())))
+        jac = np.zeros((len(log_y), n_params))
         if not 0.0 < np.exp(params[0]) < np.inf:
             return jac
         # d/d log C = 1, d/d s = e / (x + s), d/d e = log(x + s)
         full[free] = params[1:]
         base = x + full[0, :, None]
         jac[:, 0] = 1.0
-        jac[:, 1:] = np.stack([full[1, :, None] / base, np.log(base)])[free].T
+        jac[:, 1:] = np.concatenate([full[1, :, None] / base, np.log(base)])[free.ravel()].T
         return jac
 
     return residuals, jacobian
