@@ -21,8 +21,10 @@ metric of BENCHMARK.json, each side's median and quartiles, the ratio of
 the medians, in how many pairs the change was better (by the metric's
 direction) or tied, and median_gain_beats_parent_iqr: whether the change's
 median beats the parent's, in the metric's direction, by more than the
-parent's interquartile range (q3 - q1). A claimed gain needs that as well
-as a change better in nearly every pair. Only the standard library is used.
+parent's interquartile range (q3 - q1). claim_rule_met is the rule a
+claimed gain must meet: that, with the change better in at least nine tenths
+of the pairs (a tie counts for neither side). Only the standard library is
+used.
 
   python3 scripts/bench_pairs.py --trajectory [DIR]
 
@@ -85,8 +87,10 @@ def quartiles(values):
 def summarize(runs, better):
     """Per "workload/seed" key: the number of pairs and, for each metric of
     better (metric -> "higher" or "lower"), each side's median and quartiles,
-    the ratio of the medians, the change's wins and ties over the pairs, and
-    whether the change's median gain exceeds the parent's interquartile range."""
+    the ratio of the medians, the change's wins and ties over the pairs,
+    whether the change's median gain exceeds the parent's interquartile range,
+    and whether the claim rule holds: that gain, with the change better in at
+    least nine tenths of the pairs."""
     groups = {}
     for run in runs:
         key = f"{run['workload']}/{run['seed']}"
@@ -111,6 +115,8 @@ def summarize(runs, better):
             stats["median_gain_beats_parent_iqr"] = (
                 sign * (stats["change_median"] - stats["parent_median"])
                 > stats["parent_q3"] - stats["parent_q1"])
+            stats["claim_rule_met"] = (10 * stats["change_better_pairs"] >= 9 * len(complete)
+                                       and stats["median_gain_beats_parent_iqr"])
             entry[metric] = stats
         summary[key] = entry
     return summary

@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -492,9 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process, not once per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # Non-finite values reach the exit codes through the run's divergence
         # check and _dump_json, not as NumPy warnings on stderr.

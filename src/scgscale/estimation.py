@@ -323,9 +323,19 @@ def _log_residuals(table, x, log_y):
     free = np.isnan(table)
     full = table.copy()  # the table with the free entries of the last params
     n_params = 1 + int(free.sum())
+    # params[1:] fill flat[at], at the flat indices of the free entries.
+    # Jacobian column 1 + j belongs to free entry j, of term terms[j]; its
+    # base is x_terms[j] + flat[shifts[j]]. The first n_shifts columns are
+    # the free shifts, whose derivatives read the term's exponent at exps[j].
+    flat = full.reshape(-1)
+    at = np.flatnonzero(free)
+    n_shifts = int(free[0].sum())
+    terms = at % free.shape[1]
+    x_terms, shifts = x[terms], terms[:, None]
+    exps = (free.shape[1] + terms[:n_shifts])[:, None]
 
     def residuals(params):
-        full[free] = params[1:]
+        flat[at] = params[1:]
         pred = np.full_like(log_y, params[0])
         for x_i, (s, e) in zip(x, full.T.tolist()):
             pred = pred + e * np.log(x_i + s)
@@ -333,14 +343,17 @@ def _log_residuals(table, x, log_y):
 
     def jacobian(params):
         # Past the range of C, a zero Jacobian (so a zero gradient) ends the run.
-        jac = np.zeros((len(log_y), n_params))
         if not 0.0 < np.exp(params[0]) < np.inf:
-            return jac
+            return np.zeros((len(log_y), n_params))
         # d/d log C = 1, d/d s = e / (x + s), d/d e = log(x + s)
-        full[free] = params[1:]
-        base = x + full[0, :, None]
+        flat[at] = params[1:]
+        base = x_terms + flat[shifts]
+        jac = np.empty((len(log_y), n_params))
         jac[:, 0] = 1.0
-        jac[:, 1:] = np.concatenate([full[1, :, None] / base, np.log(base)])[free.ravel()].T
+        if n_shifts:
+            np.divide(flat[exps], base[:n_shifts], out=jac[:, 1:1 + n_shifts].T)
+        if n_shifts + 1 < n_params:
+            np.log(base[n_shifts:], out=jac[:, 1 + n_shifts:].T)
         return jac
 
     return residuals, jacobian

@@ -291,16 +291,19 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     # side in row r: elementwise stages run on it once per step, and the LMO
     # and the loss get (R, *shape) block views. Step constants are such
     # arrays too, as numpy converts a Python float operand on every call.
-    # The eight are x, g, m, scratch, the step scale, 1 - alpha, alpha and the
-    # kept share of x. The step scale is the stepsize (1 for uscg) times
-    # radius_row, each block's radius over its entries.
+    # The eight rows are the state m, x and g, then its constants 1 - alpha,
+    # the kept share of x and alpha, so that one multiply of the first three
+    # by the next three scales all of the state, and last the LMO scratch and
+    # the step scale: the stepsize (1 for uscg) times radius_row, each
+    # block's radius over its entries. The multiply turns g into alpha g, so
+    # a step that records or stores the sample copies it out before then.
     sizes = [g.size for g in geometry]
     n_params = sum(sizes)
     offsets = np.cumsum([0] + sizes)
     spans = list(zip(offsets, offsets[1:]))
     radius_row = np.repeat(radii, sizes)
     flats = np.empty((8, n_seeds, n_params))
-    flats[0] = 0.0 if x0 is None else x0.flatten()
+    flats[1] = 0.0 if x0 is None else x0.flatten()
     beta_rows = np.empty(n_seeds)
 
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -343,11 +346,12 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
         """Make the views of the running rows 0 .. n-1 that a step reads, and
         the snapshot buffers of n rows. steps holds each block's index and its
         _step_block arguments: x, m, kind, scale and scratch."""
-        nonlocal xf, gf, mf, sf, c_1ma, c_alpha, c_keep, x, steps, \
-            noise_rows, loss_fn, grad_fn, xs, ds, gs, ms
-        xf, gf, mf, sf, kf, c_1ma, c_alpha, c_keep = flats[:, :n]
+        nonlocal mf, xf, gf, state, consts, x, steps, noise_rows, loss_fn, grad_fn, xs, ds, gs, ms
+        mf, xf, gf = state = flats[:3, :n]
+        consts = flats[3:6, :n]
         x = blocks(xf)
-        steps = list(zip(range(n_blocks), x, blocks(mf), kinds, blocks(kf), blocks(sf)))
+        steps = list(zip(range(n_blocks), x, blocks(mf), kinds, blocks(flats[7, :n]),
+                         blocks(flats[6, :n])))
         noise_rows = list(noise_buf[:n].swapaxes(0, 1))
         slots = snap_buf[:(4 * cap + 1) * n * n_params].reshape(-1, n, n_params)
         xs, ds, gs, ms = np.split(slots, [cap + 1, 2 * cap + 1, 3 * cap + 1])
@@ -371,7 +375,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                 gradients=blocks(grads[r, :row_iters[r]].copy()) if store and ok else None,
             )
 
-    xf = gf = mf = sf = c_1ma = c_alpha = c_keep = x = steps = None
+    mf = xf = gf = state = consts = x = steps = None
     noise_rows = loss_fn = grad_fn = xs = ds = gs = ms = None
     bind(n_seeds)
 
@@ -439,10 +443,9 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
     row = 0
     k0 = 0  # the global index of the segment's step 0
     is_scg = first.variant == "scg"
-    multiply = np.multiply  # a local: the plain step reads it every step
     for seg in segments:
-        np.subtract(1.0, seg.alpha, out=flats[5])
-        flats[6] = seg.alpha
+        np.subtract(1.0, seg.alpha, out=flats[3])
+        flats[5] = seg.alpha
         # The iterate-bound checker needs a constant stepsize with
         # beta = c/K, K >= 2c (i.e. beta <= 1/2) and 2||x0|| <= eta per block;
         # it is armed per row, against the row's own (n_blocks, R) bounds.
@@ -477,8 +480,8 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     # their leading part.
                     beta_rows[:] = _beta(seg.schedule, k)
                     step = beta_rows[:, None] if is_scg else 1.0
-                    flats[7] = 1.0 - step if is_scg else 1.0
-                    np.multiply(step, radius_row, out=flats[4])
+                    flats[4] = 1.0 - step if is_scg else 1.0
+                    np.multiply(step, radius_row, out=flats[7])
                 if k % chunk_steps == 0:
                     # A noiseless row draws nothing: its -0.0 times its sigma
                     # 0.0 is -0.0, and g + (-0.0) is g, bit for bit.
@@ -494,7 +497,7 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     # seeds m with the first sample (a = 1) or alpha times it.
                     mf[:] = -0.0
                     if first.momentum_init == "first_sample":
-                        flats[6] = 1.0
+                        flats[5] = 1.0
                 record = (k % eval_every) == 0
                 if record or check:
                     xs[len(snapped)] = xf
@@ -502,27 +505,29 @@ def _run_segments(spec, configs, plan: Optional[StagePlan] = None,
                     k - k % eval_every + eval_every, k - k % chunk_steps + chunk_steps,
                     row_iters[n - 1] - k0, max(k + 1, tail))
 
-            # The update; alpha g goes to the scratch row, so g keeps the sample.
+            # The update. The multiply scales m, x and g by 1 - alpha, the
+            # kept share and alpha, so an event step takes the sample first.
             grad_fn(xf, gf)
             gf += noise_rows[k % chunk_steps]
-            mf *= c_1ma
-            multiply(gf, c_alpha, sf)
-            mf += sf
-            xf *= c_keep
+            if event:
+                if store:
+                    grads[:n, k_global] = gf
+                if record:
+                    gs[len(rec)] = gf
+            state *= consts
+            mf += gf
             for i, xb, mb, kind, scale, scratch in steps:
                 nuclear[i] = _step_block(xb, mb, kind, scale, scratch)
 
             if not event:
                 continue
             if k_global == 0:
-                flats[6] = seg.alpha
-            if store:
-                grads[:n, k_global] = gf
+                flats[5] = seg.alpha
             if record or check:
                 j = len(snapped)
                 np.subtract(xf, xs[j], out=ds[j])
                 if record:
-                    gs[len(rec)], ms[len(rec)] = gf, mf
+                    ms[len(rec)] = mf
                     rec.append(j)
                     nuclears.append(nuclear.copy())
                 snapped.append(k)

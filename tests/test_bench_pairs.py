@@ -66,6 +66,23 @@ def test_claim_rule_needs_a_median_gain_beyond_the_parent_iqr(better, change, be
     assert stats["median_gain_beats_parent_iqr"] is beats
 
 
+@pytest.mark.parametrize("better, gains, met", [
+    ("higher", [10.0] * 10, True),
+    ("higher", [10.0] * 9 + [-1.0], True),         # 9 of 10 better
+    ("higher", [10.0] * 8 + [0.0, 0.0], False),    # ties count for neither side
+    ("higher", [10.0] * 8 + [-1.0, -1.0], False),  # 8 of 10 better
+    ("higher", [1.0] * 10, False),                 # median gain 1, parent IQR 2
+    ("lower", [-10.0] * 9 + [1.0], True),
+    ("lower", [10.0] * 10, False),
+])
+def test_claim_rule_met_needs_nine_tenths_of_the_pairs_and_the_iqr_gain(better, gains, met):
+    parent = [100.0, 101.0, 99.0, 100.0, 101.0, 99.0, 100.0, 101.0, 99.0, 100.0]  # q1 99, q3 101
+    runs = [record("w", 7, i + 1, side, m=value) for i, (p, g) in enumerate(zip(parent, gains))
+            for side, value in (("parent", p), ("change", p + g))]
+    stats = bench_pairs.summarize(runs, {"m": better})["w/7"]["m"]
+    assert stats["claim_rule_met"] is met
+
+
 def test_groups_by_workload_and_seed_and_skips_half_pairs():
     runs = canned_runs() + [
         record("w", 8, 1, "change", steps_per_s=3.0),

@@ -15,6 +15,7 @@ from scgscale.geometry import (
     GeometryKind,
     LayeredPoint,
     block_primal_norm,
+    composite_dual_norm,
 )
 from scgscale.optimizer import (
     RUNLOG_CSV_HEADER,
@@ -731,6 +732,35 @@ class TestStackedSeeds:
                 others = [g for other in logs if other is not log for g in other.gradients]
                 assert not any(np.shares_memory(a, b) for a in log.gradients
                                for b in log.final_x.arrays + others)
+
+    @pytest.mark.parametrize("momentum_init", ["first_sample", "zeros"])
+    def test_rows_with_different_alphas_record_and_store_their_samples(self, momentum_init):
+        # Every step records and stores, so every step takes the sample
+        # before the update scales g by the row's own alpha; at step 0 the
+        # first-sample seed scales it by 1 instead. The rows also differ in
+        # beta and iters, and retire mid-run. The stored samples rebuild the
+        # recorded momentum norms with the row's alpha.
+        spec = mixed_quadratic()
+        configs = [ScgConfig(alpha=alpha, beta=ConstantBeta(beta), iters=iters, seed=5 + r,
+                             eval_every=1, store_gradients=True, momentum_init=momentum_init)
+                   for r, (alpha, beta, iters) in enumerate([(0.3, 0.05, 30), (1.0, 0.1, 20),
+                                                             (0.05, 0.25, 9)])]
+        logs = _run_segments(spec, configs)
+        for config, log in zip(configs, logs):
+            lone = run(spec, config)
+            assert len(log) == config.iters
+            assert csv_text(log) == csv_text(lone)
+            assert same_gradients(log, lone) and log.gradients is not None
+            assert log.final_x == lone.final_x
+            a = config.alpha
+            m = [g[0] if momentum_init == "first_sample" else a * g[0] for g in log.gradients]
+            ms = [m]
+            for k in range(1, config.iters):
+                m = [(1.0 - a) * mb + a * g[k] for mb, g in zip(m, log.gradients)]
+                ms.append(m)
+            rebuilt = composite_dual_norm([np.stack(b) for b in zip(*ms)],
+                                          [g.kind for g in spec.geometry])
+            assert log.m_dual == pytest.approx(rebuilt, rel=1e-12)
 
     @pytest.mark.parametrize("sigmas", [
         pytest.param((0.3, 0.0), id="noisy-first"),
