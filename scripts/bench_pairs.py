@@ -22,9 +22,9 @@ the medians, in how many pairs the change was better (by the metric's
 direction) or tied, and median_gain_beats_parent_iqr: whether the change's
 median beats the parent's, in the metric's direction, by more than the
 parent's interquartile range (q3 - q1). claim_rule_met is the rule a
-claimed gain must meet: that, with the change better in at least nine tenths
-of the pairs (a tie counts for neither side). Only the standard library is
-used.
+claimed gain must meet: median_gain_beats_parent_iqr, and the change better
+in at least nine tenths of the pairs (a tie counts for neither side). Only
+the standard library is used.
 
   python3 scripts/bench_pairs.py --trajectory [DIR]
 

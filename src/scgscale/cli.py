@@ -426,7 +426,9 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process, not once per call."""
     p = argparse.ArgumentParser(
         prog="scgscale",
         description="norm-constrained conditional-gradient training harness "
@@ -492,14 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main, built once per process, not once per call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Non-finite values reach the exit codes through the run's divergence
         # check and _dump_json, not as NumPy warnings on stderr.
